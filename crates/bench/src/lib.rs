@@ -14,6 +14,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::allow_attributes_without_reason)]
 
 pub mod chaos;
 
@@ -38,8 +39,7 @@ pub struct HarnessOptions {
     pub csv: Option<std::path::PathBuf>,
     /// Simulation engine (`--engine {event,cycle,cycle-noskip}`; results
     /// are bit-identical for every choice, only the wall-clock time
-    /// changes). `--no-skip` is kept as a deprecated alias for
-    /// `--engine cycle-noskip`.
+    /// changes).
     pub engine: Engine,
     /// Journal file started fresh for this run (`--journal FILE`): every
     /// completed cell is appended and fsynced, so a crash mid-sweep can be
@@ -100,7 +100,8 @@ impl HarnessOptions {
     /// from `std::env::args`, with the given default instruction budget.
     ///
     /// Unknown arguments are ignored so binaries can be combined with cargo
-    /// flags freely.
+    /// flags freely. An unknown `--engine` name exits with status 2: a
+    /// typo would otherwise run (and diff) the default engine unnoticed.
     pub fn from_args(default_instructions: u64) -> Self {
         let args: Vec<String> = std::env::args().collect();
         Self::from_arg_slice(&args, default_instructions)
@@ -126,13 +127,11 @@ impl HarnessOptions {
         let engine = match value_of("--engine") {
             Some(name) => Engine::from_name(&name).unwrap_or_else(|| {
                 eprintln!(
-                    "warning: unknown engine {name:?} ignored \
-                     (valid: event, cycle, cycle-noskip); using event"
+                    "error: unknown --engine {name:?} (valid: {})",
+                    Engine::ALL.map(|e| e.name()).join(", ")
                 );
-                Engine::Event
+                std::process::exit(2);
             }),
-            // Deprecated alias from before the event engine existed.
-            None if args.iter().any(|a| a == "--no-skip") => Engine::CycleNoSkip,
             None => Engine::Event,
         };
         let journal = value_of("--journal").map(std::path::PathBuf::from);
@@ -563,8 +562,11 @@ mod tests {
         let base = parse(&[]).fingerprint_desc();
         assert_eq!(parse(&["--jobs", "7"]).fingerprint_desc(), base);
         assert_eq!(parse(&["--deadline", "2"]).fingerprint_desc(), base);
-        assert_eq!(parse(&["--no-skip"]).fingerprint_desc(), base);
         assert_eq!(parse(&["--engine", "cycle"]).fingerprint_desc(), base);
+        assert_eq!(
+            parse(&["--engine", "cycle-noskip"]).fingerprint_desc(),
+            base
+        );
         assert_ne!(parse(&["--seed", "7"]).fingerprint_desc(), base);
         assert_ne!(parse(&["--instructions", "9"]).fingerprint_desc(), base);
         assert_ne!(parse(&["--benchmarks", "swim"]).fingerprint_desc(), base);
@@ -595,26 +597,19 @@ mod tests {
     }
 
     #[test]
-    fn parses_engine_and_deprecated_no_skip() {
+    fn parses_every_engine_name() {
         let parse = |extra: &[&str]| {
             let mut args = vec!["bin".to_string()];
             args.extend(extra.iter().map(|s| s.to_string()));
             HarnessOptions::from_arg_slice(&args, 500)
         };
-        assert_eq!(parse(&["--engine", "event"]).engine, Engine::Event);
-        assert_eq!(parse(&["--engine", "cycle"]).engine, Engine::Cycle);
-        let o = parse(&["--engine", "cycle-noskip"]);
-        assert_eq!(o.engine, Engine::CycleNoSkip);
-        assert_eq!(o.system_config().engine, Engine::CycleNoSkip);
-        // The pre-event-engine spelling still works...
-        assert_eq!(parse(&["--no-skip"]).engine, Engine::CycleNoSkip);
-        // ...but an explicit --engine wins over the deprecated alias.
-        assert_eq!(
-            parse(&["--no-skip", "--engine", "event"]).engine,
-            Engine::Event
-        );
-        // Unknown names fall back to the default instead of aborting.
-        assert_eq!(parse(&["--engine", "warp"]).engine, Engine::Event);
+        for e in Engine::ALL {
+            let o = parse(&["--engine", e.name()]);
+            assert_eq!(o.engine, e);
+            assert_eq!(o.system_config().engine, e);
+        }
+        // The retired `--no-skip` flag is now just an unknown argument.
+        assert_eq!(parse(&["--no-skip"]).engine, Engine::Event);
     }
 
     #[test]

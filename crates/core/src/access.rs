@@ -109,19 +109,27 @@ impl Access {
 
     /// Serialises the access for a checkpoint.
     pub fn save_snap(&self, w: &mut burst_snap::SnapWriter) {
-        w.u64(self.id.value());
-        w.u8(match self.kind {
+        let Self {
+            id,
+            kind,
+            addr,
+            loc,
+            arrival,
+            critical,
+        } = self;
+        w.u64(id.value());
+        w.u8(match kind {
             AccessKind::Read => 0,
             AccessKind::Write => 1,
         });
-        w.u64(self.addr.value());
-        w.u8(self.loc.channel);
-        w.u8(self.loc.rank);
-        w.u8(self.loc.bank);
-        w.u32(self.loc.row);
-        w.u32(self.loc.col);
-        w.u64(self.arrival);
-        w.bool(self.critical);
+        w.u64(addr.value());
+        w.u8(loc.channel);
+        w.u8(loc.rank);
+        w.u8(loc.bank);
+        w.u32(loc.row);
+        w.u32(loc.col);
+        w.u64(*arrival);
+        w.bool(*critical);
     }
 
     /// Reconstructs an access written by [`Access::save_snap`].
@@ -136,7 +144,14 @@ impl Access {
         let loc = Loc::new(r.u8()?, r.u8()?, r.u8()?, r.u32()?, r.u32()?);
         let arrival = r.u64()?;
         let critical = r.bool()?;
-        Ok(Access::new(id, kind, addr, loc, arrival).with_critical(critical))
+        Ok(Access {
+            id,
+            kind,
+            addr,
+            loc,
+            arrival,
+            critical,
+        })
     }
 }
 

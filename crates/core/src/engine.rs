@@ -75,19 +75,21 @@ impl AgeWindow {
     }
 
     fn save_snap(&self, w: &mut burst_snap::SnapWriter) {
-        w.u64(self.base);
-        w.usize(self.slots.len());
-        for &arrival in &self.slots {
+        let Self { base, slots } = self;
+        w.u64(*base);
+        w.usize(slots.len());
+        for &arrival in slots {
             w.u64(arrival);
         }
     }
 
     fn load_snap(&mut self, r: &mut burst_snap::SnapReader) -> Result<(), burst_snap::SnapError> {
-        self.base = r.u64()?;
+        let Self { base, slots } = self;
+        *base = r.u64()?;
         let n = r.seq_len(8)?;
-        self.slots.clear();
+        slots.clear();
         for _ in 0..n {
-            self.slots.push_back(r.u64()?);
+            slots.push_back(r.u64()?);
         }
         Ok(())
     }
@@ -136,8 +138,8 @@ pub struct Candidate {
 /// Shared bookkeeping core embedded by each mechanism.
 #[derive(Debug)]
 pub struct Core {
-    cfg: CtrlConfig, // snap: derived(construction input; restore re-supplies it)
-    geom: Geometry,  // snap: derived(construction input; restore re-supplies it)
+    cfg: CtrlConfig,
+    geom: Geometry,
     ongoing: Vec<Option<Ongoing>>,
     last_bank: Vec<Option<usize>>,
     last_rank: Vec<Option<u8>>,
@@ -146,18 +148,15 @@ pub struct Core {
     writes_outstanding: usize,
     /// Cached `(id, bank, rank)` of the oldest ongoing access per channel,
     /// recomputed lazily (see `ongoing_dirty`) by [`Core::steer_to_oldest`].
-    // snap: derived(lazy steering cache; restore marks every channel dirty)
     oldest_ongoing: Vec<Option<(AccessId, usize, u8)>>,
     /// Whether a channel's ongoing set changed since its cache entry was
     /// computed. Set on every install/remove; most ticks change nothing,
     /// so the steering scan over all banks is skipped.
-    // snap: derived(cache-invalidation flags; restore sets all true)
     ongoing_dirty: Vec<bool>,
     /// Occupied-slot bitmap, one bit per global bank: set iff the bank has
     /// an ongoing access. Mirrors `ongoing` exactly (derived state, absent
     /// from checkpoints) so the per-cycle candidate/steering/event scans
     /// touch only occupied slots instead of every bank.
-    // snap: derived(bitmap mirror of `ongoing`; restore rebuilds it)
     ongoing_mask: Vec<u64>,
     /// Per-bank cached next transaction of the slot's ongoing access and a
     /// lower bound on the first cycle it could pass [`Channel::can_issue`]
@@ -171,21 +170,18 @@ pub struct Core {
     /// by that transfer itself (the per-attribute gap obeys a triangle
     /// inequality). So `now < bound` proves the slot contributes no
     /// unblocked candidate, with no timing query at all.
-    // snap: derived(per-bank candidate cache; restore drops every entry)
     cand_cache: Vec<Option<(Command, Cycle)>>,
     /// `BusStats::refreshes` of each channel when its `cand_cache` entries
     /// were computed. A refresh rewrites bank rows without passing through
     /// [`Core::issue_candidate`], so a mismatch drops the whole channel's
     /// entries. `u64::MAX` forces the drop (fresh core or restored
     /// checkpoint).
-    // snap: derived(refresh-epoch stamps; restore forces the drop via u64::MAX)
     cand_epoch: Vec<u64>,
     /// Per-channel aggregate of `cand_cache`: `Some(t)` proves no occupied
     /// slot of the channel yields an unblocked candidate before cycle `t`,
     /// valid while the slot set, the per-bank device states (refresh
     /// epoch) and the channel's issue history are unchanged — any of those
     /// clears it. Lets a barren stretch skip the candidate scan outright.
-    // snap: derived(aggregate of `cand_cache`; restore clears it)
     chan_bound: Vec<Option<Cycle>>,
     /// Candidate-scan worklist, one bit per global bank: set iff the next
     /// [`Core::fill_candidates`] scan must examine the bank — its cached
@@ -194,12 +190,10 @@ pub struct Core {
     /// the future (see the monotonicity argument on `cand_cache`), and
     /// `next_due` is never later than any cleared bound, so the scan skips
     /// the bank with no per-slot work at all until it is promoted back.
-    // snap: derived(scan worklist over `cand_cache` bounds; restore sets every bit)
     due_mask: Vec<u64>,
     /// Per-channel minimum cached bound over cleared-`due_mask` occupied
     /// banks (`Cycle::MAX` when none is cleared): once `now` reaches it,
     /// the scan first promotes newly due banks back into the worklist.
-    // snap: derived(promotion clock for `due_mask`; restore resets to MAX)
     next_due: Vec<Cycle>,
     /// Arrival cycle of every outstanding access, keyed by id. Ids and
     /// arrivals are both monotone, so the first entry is the oldest access.
@@ -969,12 +963,36 @@ impl Core {
         // outstanding; the stall clock keeps running across the jump.
     }
 
-    /// Serialises all persistent core state for a checkpoint. The lazy
-    /// oldest-ongoing steering cache is transient (recomputed on demand)
-    /// and is not part of the snapshot.
+    /// Serialises all persistent core state for a checkpoint. Derived
+    /// caches are transient (rebuilt on restore) and not part of the
+    /// snapshot.
     pub fn save_snap(&self, w: &mut burst_snap::SnapWriter) {
-        w.usize(self.ongoing.len());
-        for slot in &self.ongoing {
+        let Self {
+            cfg: _,  // construction input; restore re-supplies it
+            geom: _, // construction input; restore re-supplies it
+            ongoing,
+            last_bank,
+            last_rank,
+            stats,
+            reads_outstanding,
+            writes_outstanding,
+            oldest_ongoing: _, // lazy steering cache; restore marks every channel dirty
+            ongoing_dirty: _,  // cache-invalidation flags; restore sets all true
+            ongoing_mask: _,   // bitmap mirror of `ongoing`; restore rebuilds it
+            cand_cache: _,     // per-bank candidate cache; restore drops every entry
+            cand_epoch: _,     // refresh-epoch stamps; restore forces the drop via u64::MAX
+            chan_bound: _,     // aggregate of `cand_cache`; restore clears it
+            due_mask: _,       // scan worklist over `cand_cache` bounds; restore sets every bit
+            next_due: _,       // promotion clock for `due_mask`; restore resets to MAX
+            ages,
+            attempts,
+            retry_pending,
+            last_progress,
+            stall,
+            sample_countdown,
+        } = self;
+        w.usize(ongoing.len());
+        for slot in ongoing {
             match slot {
                 None => w.bool(false),
                 Some(og) => {
@@ -984,50 +1002,74 @@ impl Core {
                 }
             }
         }
-        w.usize(self.last_bank.len());
-        for (lb, lr) in self.last_bank.iter().zip(&self.last_rank) {
+        w.usize(last_bank.len());
+        for (lb, lr) in last_bank.iter().zip(last_rank) {
             w.opt_u64(lb.map(|b| b as u64));
             w.opt_u8(*lr);
         }
-        self.stats.save_snap(w);
-        w.usize(self.reads_outstanding);
-        w.usize(self.writes_outstanding);
-        self.ages.save_snap(w);
+        stats.save_snap(w);
+        w.usize(*reads_outstanding);
+        w.usize(*writes_outstanding);
+        ages.save_snap(w);
         // BTreeMap iteration is already in ascending id order, which is
         // the serialisation order the snapshot format specifies.
-        w.usize(self.attempts.len());
-        for (id, count) in &self.attempts {
+        w.usize(attempts.len());
+        for (id, count) in attempts {
             w.u64(id.value());
             w.u32(*count);
         }
-        w.usize(self.retry_pending.len());
-        for acc in &self.retry_pending {
+        w.usize(retry_pending.len());
+        for acc in retry_pending {
             acc.save_snap(w);
         }
-        w.u64(self.last_progress);
-        match &self.stall {
+        w.u64(*last_progress);
+        match stall {
             None => w.bool(false),
             Some(d) => {
                 w.bool(true);
                 d.save_snap(w);
             }
         }
-        w.u32(self.sample_countdown);
+        w.u32(*sample_countdown);
     }
 
     /// Restores state written by [`Core::save_snap`] into a core built from
     /// the same configuration and geometry; a structural mismatch is
-    /// rejected as corrupt. The steering cache is invalidated so it is
-    /// recomputed from the restored ongoing set.
+    /// rejected as corrupt. Every derived cache is reset so it is rebuilt
+    /// from the restored ongoing set and device state.
     pub fn load_snap(
         &mut self,
         r: &mut burst_snap::SnapReader,
     ) -> Result<(), burst_snap::SnapError> {
         use burst_snap::SnapError;
-        if r.seq_len(1)? != self.ongoing.len() {
+        let Self {
+            cfg,
+            geom: _, // construction input; restore re-supplies it
+            ongoing,
+            last_bank,
+            last_rank,
+            stats,
+            reads_outstanding,
+            writes_outstanding,
+            oldest_ongoing,
+            ongoing_dirty,
+            ongoing_mask,
+            cand_cache,
+            cand_epoch,
+            chan_bound,
+            due_mask,
+            next_due,
+            ages,
+            attempts,
+            retry_pending,
+            last_progress,
+            stall,
+            sample_countdown,
+        } = self;
+        if r.seq_len(1)? != ongoing.len() {
             return Err(SnapError::Corrupt("bank count mismatch"));
         }
-        for slot in &mut self.ongoing {
+        for slot in ongoing.iter_mut() {
             *slot = if r.bool()? {
                 let access = Access::load_snap(r)?;
                 let started = r.bool()?;
@@ -1036,73 +1078,59 @@ impl Core {
                 None
             };
         }
-        if r.seq_len(2)? != self.last_bank.len() {
+        if r.seq_len(2)? != last_bank.len() {
             return Err(SnapError::Corrupt("channel count mismatch"));
         }
-        for i in 0..self.last_bank.len() {
-            self.last_bank[i] = match r.opt_u64()? {
-                Some(b) if (b as usize) < self.ongoing.len() => Some(b as usize),
+        for (lb, lr) in last_bank.iter_mut().zip(last_rank.iter_mut()) {
+            *lb = match r.opt_u64()? {
+                Some(b) if (b as usize) < ongoing.len() => Some(b as usize),
                 Some(_) => return Err(SnapError::Corrupt("last bank out of range")),
                 None => None,
             };
-            self.last_rank[i] = r.opt_u8()?;
+            *lr = r.opt_u8()?;
         }
-        self.stats.load_snap(r)?;
-        self.reads_outstanding = r.usize()?;
-        self.writes_outstanding = r.usize()?;
-        if self.reads_outstanding + self.writes_outstanding > self.cfg.pool_capacity {
+        stats.load_snap(r)?;
+        *reads_outstanding = r.usize()?;
+        *writes_outstanding = r.usize()?;
+        if *reads_outstanding + *writes_outstanding > cfg.pool_capacity {
             return Err(SnapError::Corrupt("outstanding exceeds pool capacity"));
         }
-        self.ages.load_snap(r)?;
+        ages.load_snap(r)?;
         let n_faults = r.seq_len(12)?;
-        self.attempts.clear();
+        attempts.clear();
         for _ in 0..n_faults {
             let id = AccessId::new(r.u64()?);
             let count = r.u32()?;
-            self.attempts.insert(id, count);
+            attempts.insert(id, count);
         }
         let n_retries = r.seq_len(8)?;
-        self.retry_pending.clear();
+        retry_pending.clear();
         for _ in 0..n_retries {
-            self.retry_pending.push(Access::load_snap(r)?);
+            retry_pending.push(Access::load_snap(r)?);
         }
-        self.last_progress = r.u64()?;
-        self.stall = if r.bool()? {
+        *last_progress = r.u64()?;
+        *stall = if r.bool()? {
             Some(StallDiagnostic::load_snap(r)?)
         } else {
             None
         };
-        self.sample_countdown = r.u32()?;
+        *sample_countdown = r.u32()?;
         // Rebuild the derived occupied-slot bitmap from the restored slots.
-        for w in &mut self.ongoing_mask {
-            *w = 0;
-        }
-        for (b, slot) in self.ongoing.iter().enumerate() {
+        ongoing_mask.fill(0);
+        for (b, slot) in ongoing.iter().enumerate() {
             if slot.is_some() {
-                self.ongoing_mask[b >> 6] |= 1 << (b & 63);
+                ongoing_mask[b >> 6] |= 1 << (b & 63);
             }
         }
-        for (cache, dirty) in self.oldest_ongoing.iter_mut().zip(&mut self.ongoing_dirty) {
-            *cache = None;
-            *dirty = true;
-        }
+        oldest_ongoing.fill(None);
+        ongoing_dirty.fill(true);
         // Cached candidate bounds were derived against the pre-restore
         // device state; force a full re-derivation.
-        for c in &mut self.cand_cache {
-            *c = None;
-        }
-        for e in &mut self.cand_epoch {
-            *e = u64::MAX;
-        }
-        for b in &mut self.chan_bound {
-            *b = None;
-        }
-        for w in &mut self.due_mask {
-            *w = !0;
-        }
-        for d in &mut self.next_due {
-            *d = Cycle::MAX;
-        }
+        cand_cache.fill(None);
+        cand_epoch.fill(u64::MAX);
+        chan_bound.fill(None);
+        due_mask.fill(!0);
+        next_due.fill(Cycle::MAX);
         Ok(())
     }
 }
@@ -1127,7 +1155,7 @@ mod tests {
     fn global_bank_is_dense_and_unique() {
         let (core, _) = setup();
         let g = Geometry::baseline();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for c in 0..g.channels {
             for r in 0..g.ranks_per_channel {
                 for b in 0..g.banks_per_rank {

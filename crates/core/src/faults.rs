@@ -139,6 +139,10 @@ impl TransientFaultPlan {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the fault-rate test measures an observed rate; the code under test stays integer"
+)]
 mod tests {
     use super::*;
     use crate::AccessId;

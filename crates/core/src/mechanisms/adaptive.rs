@@ -45,7 +45,6 @@ pub struct AdaptiveHistoryScheduler {
     /// balancing window.
     issued_reads: u64,
     issued_writes: u64,
-    // snap: derived(per-tick candidate scratch buffer, cleared before each use)
     scratch: Vec<Candidate>,
 }
 
@@ -68,9 +67,12 @@ impl AdaptiveHistoryScheduler {
     /// The read share the history currently targets, in `[0, 1]`.
     /// Report-only: scheduling decisions use the integer form in
     /// [`Self::wants_read`].
-    // audit: allow(float): report-only accessor, never feeds scheduling
+    #[expect(
+        clippy::disallowed_types,
+        clippy::float_arithmetic,
+        reason = "report-only accessor, never feeds scheduling"
+    )]
     pub fn target_read_share(&self) -> f64 {
-        // audit: allow(float): report-only accessor, never feeds scheduling
         f64::from(self.arrival_read_share) / 1024.0
     }
 
@@ -305,22 +307,40 @@ impl AccessScheduler for AdaptiveHistoryScheduler {
     }
 
     fn save_state(&self, w: &mut burst_snap::SnapWriter) -> Result<(), burst_snap::SnapError> {
-        self.core.save_snap(w);
-        super::save_queue_set(&self.read_queues, w);
-        super::save_queue_set(&self.write_queues, w);
-        w.u32(self.arrival_read_share);
-        w.u64(self.issued_reads);
-        w.u64(self.issued_writes);
+        let Self {
+            core,
+            read_queues,
+            write_queues,
+            arrival_read_share,
+            issued_reads,
+            issued_writes,
+            scratch: _, // per-tick candidate scratch buffer, cleared before each use
+        } = self;
+        core.save_snap(w);
+        super::save_queue_set(read_queues, w);
+        super::save_queue_set(write_queues, w);
+        w.u32(*arrival_read_share);
+        w.u64(*issued_reads);
+        w.u64(*issued_writes);
         Ok(())
     }
 
     fn load_state(&mut self, r: &mut burst_snap::SnapReader) -> Result<(), burst_snap::SnapError> {
-        self.core.load_snap(r)?;
-        super::load_queue_set(&mut self.read_queues, r)?;
-        super::load_queue_set(&mut self.write_queues, r)?;
-        self.arrival_read_share = r.u32()?;
-        self.issued_reads = r.u64()?;
-        self.issued_writes = r.u64()?;
+        let Self {
+            core,
+            read_queues,
+            write_queues,
+            arrival_read_share,
+            issued_reads,
+            issued_writes,
+            scratch: _, // per-tick candidate scratch buffer, cleared before each use
+        } = self;
+        core.load_snap(r)?;
+        super::load_queue_set(read_queues, r)?;
+        super::load_queue_set(write_queues, r)?;
+        *arrival_read_share = r.u32()?;
+        *issued_reads = r.u64()?;
+        *issued_writes = r.u64()?;
         Ok(())
     }
 }

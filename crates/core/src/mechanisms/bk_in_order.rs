@@ -35,7 +35,6 @@ pub struct BkInOrderScheduler {
     core: Core,
     queues: Vec<VecDeque<Access>>,
     rr: Vec<usize>,
-    // snap: derived(per-tick candidate scratch buffer, cleared before each use)
     scratch: Vec<Candidate>,
 }
 
@@ -164,16 +163,28 @@ impl AccessScheduler for BkInOrderScheduler {
     }
 
     fn save_state(&self, w: &mut burst_snap::SnapWriter) -> Result<(), burst_snap::SnapError> {
-        self.core.save_snap(w);
-        super::save_queue_set(&self.queues, w);
-        super::save_cursors(&self.rr, w);
+        let Self {
+            core,
+            queues,
+            rr,
+            scratch: _, // per-tick candidate scratch buffer, cleared before each use
+        } = self;
+        core.save_snap(w);
+        super::save_queue_set(queues, w);
+        super::save_cursors(rr, w);
         Ok(())
     }
 
     fn load_state(&mut self, r: &mut burst_snap::SnapReader) -> Result<(), burst_snap::SnapError> {
-        self.core.load_snap(r)?;
-        super::load_queue_set(&mut self.queues, r)?;
-        super::load_cursors(&mut self.rr, r)?;
+        let Self {
+            core,
+            queues,
+            rr,
+            scratch: _, // per-tick candidate scratch buffer, cleared before each use
+        } = self;
+        core.load_snap(r)?;
+        super::load_queue_set(queues, r)?;
+        super::load_cursors(rr, r)?;
         Ok(())
     }
 }

@@ -131,7 +131,6 @@ pub struct BurstScheduler {
     /// age) still requires that local precondition, so a clear bit proves
     /// the arbiter call is a no-op and the per-cycle loop skips it.
     /// Derived state: rebuilt wholesale after a checkpoint restore.
-    // snap: derived(attention bitmap; load_state rebuilds it from the queues)
     attention: Vec<u64>,
     /// Tick-walk subset of `attention`: set iff the arbiter call could
     /// mutate state *under the current global gates* ([`Self::gates`]).
@@ -145,18 +144,14 @@ pub struct BurstScheduler {
     /// changes the gate byte (rebuilding the map), arrives with an
     /// enqueue/issue (which re-marks or refreshes the bank), or is the
     /// starvation clock (guarded by `next_escal`).
-    // snap: derived(gate-scoped attention; rebuilt lazily after restore)
     act_now: Vec<u64>,
     /// The gate byte every `act_now` bit currently assumes; a mismatch
     /// with the live [`Self::gates`] value triggers a rebuild.
-    // snap: derived(act_now cache key; STALE after restore)
     gate_cache: u8,
     /// Earliest cycle a gate-blocked idle write could escalate: rebuild
     /// `act_now` no later than this. Conservative-early (min-folded).
-    // snap: derived(act_now rebuild deadline; reset after restore)
     next_escal: Cycle,
     /// Reusable candidate buffer for the per-channel transaction scan.
-    // snap: derived(per-tick candidate scratch buffer, cleared before each use)
     scratch: Vec<Candidate>,
 }
 
@@ -867,9 +862,22 @@ impl AccessScheduler for BurstScheduler {
     }
 
     fn save_state(&self, w: &mut burst_snap::SnapWriter) -> Result<(), burst_snap::SnapError> {
-        self.core.save_snap(w);
-        w.usize(self.banks.len());
-        for bank in &self.banks {
+        let Self {
+            core,
+            banks,
+            opts,
+            window_reads,
+            window_writes,
+            next_adapt,
+            attention: _,  // attention bitmap; load_state rebuilds it from the queues
+            act_now: _,    // gate-scoped attention; rebuilt lazily after restore
+            gate_cache: _, // act_now cache key; STALE after restore
+            next_escal: _, // act_now rebuild deadline; reset after restore
+            scratch: _,    // per-tick candidate scratch buffer, cleared before each use
+        } = self;
+        core.save_snap(w);
+        w.usize(banks.len());
+        for bank in banks {
             w.usize(bank.bursts.len());
             for burst in &bank.bursts {
                 w.u32(burst.row);
@@ -885,22 +893,36 @@ impl AccessScheduler for BurstScheduler {
             w.bool(bank.at_burst_end);
         }
         // Runtime-mutable option fields (the dynamic threshold rewrites
-        // preempt_below / piggyback_above on the fly).
-        w.u32(self.opts.preempt_below);
-        w.opt_u32(self.opts.piggyback_above);
-        w.u64(self.window_reads);
-        w.u64(self.window_writes);
-        w.u64(self.next_adapt);
+        // preempt_below / piggyback_above on the fly); the rest are
+        // construction input.
+        w.u32(opts.preempt_below);
+        w.opt_u32(opts.piggyback_above);
+        w.u64(*window_reads);
+        w.u64(*window_writes);
+        w.u64(*next_adapt);
         Ok(())
     }
 
     fn load_state(&mut self, r: &mut burst_snap::SnapReader) -> Result<(), burst_snap::SnapError> {
         use burst_snap::SnapError;
-        self.core.load_snap(r)?;
-        if r.seq_len(3)? != self.banks.len() {
+        let Self {
+            core,
+            banks,
+            opts,
+            window_reads,
+            window_writes,
+            next_adapt,
+            attention: _, // rebuilt below from the restored slots and queues
+            act_now: _,   // rebuilt lazily by the first tick: `gate_cache` is STALE
+            gate_cache,
+            next_escal,
+            scratch: _, // per-tick candidate scratch buffer, cleared before each use
+        } = self;
+        core.load_snap(r)?;
+        if r.seq_len(3)? != banks.len() {
             return Err(SnapError::Corrupt("bank queue count mismatch"));
         }
-        for bank in &mut self.banks {
+        for bank in banks.iter_mut() {
             let n_bursts = r.seq_len(6)?;
             bank.bursts.clear();
             for _ in 0..n_bursts {
@@ -919,19 +941,18 @@ impl AccessScheduler for BurstScheduler {
             }
             bank.at_burst_end = r.bool()?;
         }
-        self.opts.preempt_below = r.u32()?;
-        self.opts.piggyback_above = r.opt_u32()?;
-        self.window_reads = r.u64()?;
-        self.window_writes = r.u64()?;
-        self.next_adapt = r.u64()?;
+        opts.preempt_below = r.u32()?;
+        opts.piggyback_above = r.opt_u32()?;
+        *window_reads = r.u64()?;
+        *window_writes = r.u64()?;
+        *next_adapt = r.u64()?;
+        *gate_cache = GATES_STALE;
+        *next_escal = 0;
         // The attention bitmap is derived state: rebuild it from the
-        // restored slots and queues. The gate-scoped `act_now` map is
-        // invalidated instead — the first tick rebuilds it lazily.
+        // restored slots and queues.
         for b in 0..self.banks.len() {
             self.refresh_attention(b);
         }
-        self.gate_cache = GATES_STALE;
-        self.next_escal = 0;
         Ok(())
     }
 }

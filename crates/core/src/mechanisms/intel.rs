@@ -42,7 +42,6 @@ pub struct IntelScheduler {
     /// banks prefer writes so the buffer empties in bursts, as the
     /// patent's flush logic does.
     draining: bool,
-    // snap: derived(per-tick candidate scratch buffer, cleared before each use)
     scratch: Vec<Candidate>,
 }
 
@@ -359,29 +358,45 @@ impl AccessScheduler for IntelScheduler {
     }
 
     fn save_state(&self, w: &mut burst_snap::SnapWriter) -> Result<(), burst_snap::SnapError> {
-        self.core.save_snap(w);
-        super::save_queue_set(&self.read_queues, w);
-        w.usize(self.write_queue.len());
-        for a in &self.write_queue {
+        let Self {
+            core,
+            read_queues,
+            write_queue,
+            read_preemption,
+            draining,
+            scratch: _, // per-tick candidate scratch buffer, cleared before each use
+        } = self;
+        core.save_snap(w);
+        super::save_queue_set(read_queues, w);
+        w.usize(write_queue.len());
+        for a in write_queue {
             a.save_snap(w);
         }
-        w.bool(self.read_preemption);
-        w.bool(self.draining);
+        w.bool(*read_preemption);
+        w.bool(*draining);
         Ok(())
     }
 
     fn load_state(&mut self, r: &mut burst_snap::SnapReader) -> Result<(), burst_snap::SnapError> {
-        self.core.load_snap(r)?;
-        super::load_queue_set(&mut self.read_queues, r)?;
+        let Self {
+            core,
+            read_queues,
+            write_queue,
+            read_preemption,
+            draining,
+            scratch: _, // per-tick candidate scratch buffer, cleared before each use
+        } = self;
+        core.load_snap(r)?;
+        super::load_queue_set(read_queues, r)?;
         let n = r.seq_len(24)?;
-        self.write_queue.clear();
+        write_queue.clear();
         for _ in 0..n {
-            self.write_queue.push_back(Access::load_snap(r)?);
+            write_queue.push_back(Access::load_snap(r)?);
         }
-        if r.bool()? != self.read_preemption {
+        if r.bool()? != *read_preemption {
             return Err(burst_snap::SnapError::Corrupt("variant mismatch"));
         }
-        self.draining = r.bool()?;
+        *draining = r.bool()?;
         Ok(())
     }
 }

@@ -89,22 +89,16 @@ pub trait AccessScheduler: core::fmt::Debug {
     /// accesses and no latched stall, so that — absent new enqueues — every
     /// future [`AccessScheduler::tick`] is a pure bookkeeping no-op that
     /// [`AccessScheduler::advance_quiescent`] can replay in one batch.
-    ///
-    /// The conservative default (`false`) keeps custom schedulers correct:
-    /// the simulator simply never skips cycles for them.
-    fn quiescent(&self) -> bool {
-        false
-    }
+    /// Returning `false` is always correct: the simulator then never skips
+    /// cycles for this scheduler.
+    fn quiescent(&self) -> bool;
 
     /// Batch-advances per-tick bookkeeping (cycle counters, occupancy
     /// sampling, watchdog progress clock, adaptation timers) over the `n`
     /// quiescent ticks at cycles `from..from + n`, bit-identically to
     /// calling [`AccessScheduler::tick`] that many times while quiescent.
-    /// Only called when [`AccessScheduler::quiescent`] returned `true`;
-    /// the default pairs with the default `quiescent()` and is unreachable.
-    fn advance_quiescent(&mut self, _from: Cycle, _n: u64) {
-        unreachable!("advance_quiescent called on a scheduler that never reports quiescence");
-    }
+    /// Only called when [`AccessScheduler::quiescent`] returned `true`.
+    fn advance_quiescent(&mut self, from: Cycle, n: u64);
 
     /// The earliest cycle strictly after `last` at which a call to
     /// [`AccessScheduler::tick`] could differ from a pure bookkeeping
@@ -119,13 +113,9 @@ pub trait AccessScheduler: core::fmt::Debug {
     /// SDRAM timing. The event may be conservatively early (the stepped
     /// tick at the event simply turns out to be another no-op) but must
     /// never be late: skipping the ticks in `(last, event)` must be
-    /// bit-identical to stepping them.
-    ///
-    /// The conservative default (`None`) keeps custom schedulers correct:
-    /// the simulator simply never busy-skips for them.
-    fn next_busy_event(&self, _dram: &Dram, _last: Cycle) -> Option<Cycle> {
-        None
-    }
+    /// bit-identical to stepping them. Returning `None` is always correct:
+    /// the simulator then never busy-skips for this scheduler.
+    fn next_busy_event(&self, dram: &Dram, last: Cycle) -> Option<Cycle>;
 
     /// Whether enqueueing `access` could move the cycle reported by
     /// [`AccessScheduler::next_busy_event`] *earlier*. The simulator uses
@@ -138,42 +128,27 @@ pub trait AccessScheduler: core::fmt::Debug {
     /// the event *later* (the watchdog's progress clock advances); a
     /// conservatively early horizon is allowed by the `next_busy_event`
     /// contract, so that direction needs no invalidation.
-    ///
-    /// The conservative default (`true`) keeps custom schedulers correct.
-    fn enqueue_may_advance_horizon(&self, _access: &Access) -> bool {
-        true
-    }
+    fn enqueue_may_advance_horizon(&self, access: &Access) -> bool;
 
     /// Batch-advances per-tick bookkeeping (cycle counters, occupancy
     /// sampling at the live outstanding counts, the watchdog's running
     /// max-age fold) over the `n` blocked ticks at cycles `from..from + n`,
     /// bit-identically to calling [`AccessScheduler::tick`] that many times
     /// while every transaction stays blocked. Only called for stretches
-    /// validated by [`AccessScheduler::next_busy_event`]; the default pairs
-    /// with the default (`None`) implementation and is unreachable.
-    fn advance_blocked(&mut self, _from: Cycle, _n: u64) {
-        unreachable!("advance_blocked called on a scheduler that never reports busy events");
-    }
+    /// validated by [`AccessScheduler::next_busy_event`].
+    fn advance_blocked(&mut self, from: Cycle, n: u64);
 
     /// Serialises the scheduler's full state (queues, adaptation timers,
-    /// shared core bookkeeping and statistics) for a checkpoint. The
-    /// default reports [`burst_snap::SnapError::Unsupported`] so custom
-    /// schedulers outside this crate remain valid — the simulator refuses
-    /// to checkpoint them instead of silently losing state.
-    fn save_state(&self, _w: &mut burst_snap::SnapWriter) -> Result<(), burst_snap::SnapError> {
-        Err(burst_snap::SnapError::Unsupported(
-            "scheduler does not support checkpointing",
-        ))
-    }
+    /// shared core bookkeeping and statistics) for a checkpoint. A
+    /// scheduler that cannot be checkpointed returns
+    /// [`burst_snap::SnapError::Unsupported`], and the simulator refuses to
+    /// checkpoint it instead of silently losing state.
+    fn save_state(&self, w: &mut burst_snap::SnapWriter) -> Result<(), burst_snap::SnapError>;
 
     /// Restores state written by [`AccessScheduler::save_state`] into a
     /// scheduler freshly built from the same configuration, geometry and
     /// mechanism. Structural mismatches are rejected as corrupt.
-    fn load_state(&mut self, _r: &mut burst_snap::SnapReader) -> Result<(), burst_snap::SnapError> {
-        Err(burst_snap::SnapError::Unsupported(
-            "scheduler does not support checkpointing",
-        ))
-    }
+    fn load_state(&mut self, r: &mut burst_snap::SnapReader) -> Result<(), burst_snap::SnapError>;
 }
 
 /// Serialises a set of per-bank (or per-channel) access queues.

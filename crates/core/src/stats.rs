@@ -1,6 +1,12 @@
 //! Controller-side statistics: latencies, row-state mix, occupancy
 //! distributions and write-queue saturation (paper Figures 7, 8, 9a, 11).
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::float_arithmetic,
+    reason = "report-only derived metrics (latency averages, percentiles) computed from integer counters"
+)]
+
 use burst_dram::{Cycle, RowState};
 
 /// Histogram of "how often were exactly N accesses outstanding", sampled
@@ -103,11 +109,12 @@ impl OccupancyHistogram {
 
     /// Serialises the histogram for a checkpoint.
     pub fn save_snap(&self, w: &mut burst_snap::SnapWriter) {
-        w.usize(self.counts.len());
-        for &c in &self.counts {
+        let Self { counts, samples } = self;
+        w.usize(counts.len());
+        for &c in counts {
             w.u64(c);
         }
-        w.u64(self.samples);
+        w.u64(*samples);
     }
 
     /// Restores state written by [`OccupancyHistogram::save_snap`] into a
@@ -116,15 +123,16 @@ impl OccupancyHistogram {
         &mut self,
         r: &mut burst_snap::SnapReader,
     ) -> Result<(), burst_snap::SnapError> {
-        if r.seq_len(8)? != self.counts.len() {
+        let Self { counts, samples } = self;
+        if r.seq_len(8)? != counts.len() {
             return Err(burst_snap::SnapError::Corrupt(
                 "occupancy bucket count mismatch",
             ));
         }
-        for c in &mut self.counts {
+        for c in counts.iter_mut() {
             *c = r.u64()?;
         }
-        self.samples = r.u64()?;
+        *samples = r.u64()?;
         Ok(())
     }
 }
@@ -228,11 +236,16 @@ impl LatencyHistogram {
 
     /// Serialises the histogram for a checkpoint.
     pub fn save_snap(&self, w: &mut burst_snap::SnapWriter) {
-        for &b in &self.buckets {
+        let Self {
+            buckets,
+            count,
+            max,
+        } = self;
+        for &b in buckets {
             w.u64(b);
         }
-        w.u64(self.count);
-        w.u64(self.max);
+        w.u64(*count);
+        w.u64(*max);
     }
 
     /// Restores state written by [`LatencyHistogram::save_snap`].
@@ -240,11 +253,16 @@ impl LatencyHistogram {
         &mut self,
         r: &mut burst_snap::SnapReader,
     ) -> Result<(), burst_snap::SnapError> {
-        for b in &mut self.buckets {
+        let Self {
+            buckets,
+            count,
+            max,
+        } = self;
+        for b in buckets.iter_mut() {
             *b = r.u64()?;
         }
-        self.count = r.u64()?;
-        self.max = r.u64()?;
+        *count = r.u64()?;
+        *max = r.u64()?;
         Ok(())
     }
 }
@@ -450,31 +468,54 @@ impl CtrlStats {
 
     /// Serialises every counter and histogram for a checkpoint.
     pub fn save_snap(&self, w: &mut burst_snap::SnapWriter) {
+        let Self {
+            reads_done,
+            writes_done,
+            forwards,
+            read_latency_sum,
+            write_latency_sum,
+            row_hits,
+            row_empties,
+            row_conflicts,
+            cycles,
+            write_saturated_cycles,
+            preemptions,
+            piggybacks,
+            faults_injected,
+            retries,
+            escalations,
+            watchdog_trips,
+            max_access_age,
+            outstanding_reads,
+            outstanding_writes,
+            read_latencies,
+            write_latencies,
+        } = self;
         for v in [
-            self.reads_done,
-            self.writes_done,
-            self.forwards,
-            self.read_latency_sum,
-            self.write_latency_sum,
-            self.row_hits,
-            self.row_empties,
-            self.row_conflicts,
-            self.cycles,
-            self.write_saturated_cycles,
-            self.preemptions,
-            self.piggybacks,
-            self.faults_injected,
-            self.retries,
-            self.escalations,
-            self.watchdog_trips,
-            self.max_access_age,
+            *reads_done,
+            *writes_done,
+            *forwards,
+            *read_latency_sum,
+            *write_latency_sum,
+            *row_hits,
+            *row_empties,
+            *row_conflicts,
+            *cycles,
+            *write_saturated_cycles,
+            *preemptions,
+            *piggybacks,
+            *faults_injected,
+            *retries,
+            *escalations,
+            *watchdog_trips,
+            *max_access_age,
         ] {
             w.u64(v);
         }
-        self.outstanding_reads.save_snap(w);
-        self.outstanding_writes.save_snap(w);
-        self.read_latencies.save_snap(w);
-        self.write_latencies.save_snap(w);
+        outstanding_reads.save_snap(w);
+        outstanding_writes.save_snap(w);
+        read_latencies.save_snap(w);
+        write_latencies.save_snap(w);
     }
 
     /// Restores state written by [`CtrlStats::save_snap`] into statistics
@@ -483,31 +524,54 @@ impl CtrlStats {
         &mut self,
         r: &mut burst_snap::SnapReader,
     ) -> Result<(), burst_snap::SnapError> {
+        let Self {
+            reads_done,
+            writes_done,
+            forwards,
+            read_latency_sum,
+            write_latency_sum,
+            row_hits,
+            row_empties,
+            row_conflicts,
+            cycles,
+            write_saturated_cycles,
+            preemptions,
+            piggybacks,
+            faults_injected,
+            retries,
+            escalations,
+            watchdog_trips,
+            max_access_age,
+            outstanding_reads,
+            outstanding_writes,
+            read_latencies,
+            write_latencies,
+        } = self;
         for v in [
-            &mut self.reads_done,
-            &mut self.writes_done,
-            &mut self.forwards,
-            &mut self.read_latency_sum,
-            &mut self.write_latency_sum,
-            &mut self.row_hits,
-            &mut self.row_empties,
-            &mut self.row_conflicts,
-            &mut self.cycles,
-            &mut self.write_saturated_cycles,
-            &mut self.preemptions,
-            &mut self.piggybacks,
-            &mut self.faults_injected,
-            &mut self.retries,
-            &mut self.escalations,
-            &mut self.watchdog_trips,
-            &mut self.max_access_age,
+            reads_done,
+            writes_done,
+            forwards,
+            read_latency_sum,
+            write_latency_sum,
+            row_hits,
+            row_empties,
+            row_conflicts,
+            cycles,
+            write_saturated_cycles,
+            preemptions,
+            piggybacks,
+            faults_injected,
+            retries,
+            escalations,
+            watchdog_trips,
+            max_access_age,
         ] {
             *v = r.u64()?;
         }
-        self.outstanding_reads.load_snap(r)?;
-        self.outstanding_writes.load_snap(r)?;
-        self.read_latencies.load_snap(r)?;
-        self.write_latencies.load_snap(r)?;
+        outstanding_reads.load_snap(r)?;
+        outstanding_writes.load_snap(r)?;
+        read_latencies.load_snap(r)?;
+        write_latencies.load_snap(r)?;
         Ok(())
     }
 

@@ -94,13 +94,22 @@ impl StallDiagnostic {
 
     /// Serialises the diagnostic for a checkpoint.
     pub fn save_snap(&self, w: &mut burst_snap::SnapWriter) {
-        w.u64(self.since);
-        w.u64(self.at);
-        w.usize(self.reads);
-        w.usize(self.writes);
-        w.opt_u64(self.oldest_id.map(AccessId::value));
-        w.u64(self.oldest_age);
-        w.u64(self.state_hash);
+        let Self {
+            since,
+            at,
+            reads,
+            writes,
+            oldest_id,
+            oldest_age,
+            state_hash,
+        } = self;
+        w.u64(*since);
+        w.u64(*at);
+        w.usize(*reads);
+        w.usize(*writes);
+        w.opt_u64(oldest_id.map(AccessId::value));
+        w.u64(*oldest_age);
+        w.u64(*state_hash);
     }
 
     /// Reconstructs a diagnostic written by [`StallDiagnostic::save_snap`].

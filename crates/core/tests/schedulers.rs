@@ -2,6 +2,11 @@
 //! real DRAM model: completion, ordering invariants, forwarding, preemption
 //! and piggybacking.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "tests check report-only float metrics; scheduling code stays integer"
+)]
+
 use burst_core::{
     Access, AccessId, AccessKind, AccessScheduler, Completion, CtrlConfig, EnqueueOutcome,
     Mechanism,

@@ -75,6 +75,11 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Hit rate in `[0, 1]`; zero when no lookups happened.
+    #[expect(
+        clippy::disallowed_types,
+        clippy::float_arithmetic,
+        reason = "report-only hit-rate accessor over integer hit/miss counters"
+    )]
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
@@ -109,18 +114,18 @@ enum SetSplit {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
-    cfg: CacheConfig, // snap: derived(construction input; restore re-supplies it)
+    cfg: CacheConfig,
     /// All ways, set-major then way-minor — the iteration order of the
     /// snapshot format.
     ways: Vec<Way>,
-    n_sets: usize,   // snap: derived(geometry, recomputed from cfg)
-    split: SetSplit, // snap: derived(geometry, recomputed from cfg)
-    line_shift: u32, // snap: derived(geometry, recomputed from cfg)
+    n_sets: usize,
+    split: SetSplit,
+    line_shift: u32,
     /// Last line-aligned address that hit, and the flat way index holding
     /// it. Verified before use (valid bit + tag compare), so a stale memo
     /// degrades to the full set scan and never changes the outcome.
-    memo_addr: u64, // snap: derived(lookup accelerator; invalidated on restore)
-    memo_way: u32,   // snap: derived(lookup accelerator; invalidated on restore)
+    memo_addr: u64,
+    memo_way: u32,
     tick: u64,
     stats: CacheStats,
 }
@@ -300,20 +305,36 @@ impl Cache {
     /// Serialises every way's tag/valid/dirty/LRU state plus counters for
     /// a checkpoint.
     pub fn save_snap(&self, w: &mut burst_snap::SnapWriter) {
-        w.usize(self.n_sets);
-        w.usize(self.cfg.ways);
+        let Self {
+            cfg,
+            ways,
+            n_sets,
+            split: _,      // geometry, recomputed from cfg
+            line_shift: _, // geometry, recomputed from cfg
+            memo_addr: _,  // lookup accelerator; invalidated on restore
+            memo_way: _,   // lookup accelerator; invalidated on restore
+            tick,
+            stats:
+                CacheStats {
+                    hits,
+                    misses,
+                    writebacks,
+                },
+        } = self;
+        w.usize(*n_sets);
+        w.usize(cfg.ways);
         // Flat storage is set-major, way-minor: identical byte order to the
         // historical nested per-set layout.
-        for way in &self.ways {
+        for way in ways {
             w.u64(way.tag);
             w.bool(way.valid);
             w.bool(way.dirty);
             w.u64(way.lru);
         }
-        w.u64(self.tick);
-        w.u64(self.stats.hits);
-        w.u64(self.stats.misses);
-        w.u64(self.stats.writebacks);
+        w.u64(*tick);
+        w.u64(*hits);
+        w.u64(*misses);
+        w.u64(*writebacks);
     }
 
     /// Restores state written by [`Cache::save_snap`] into a cache of the
@@ -323,21 +344,37 @@ impl Cache {
         r: &mut burst_snap::SnapReader,
     ) -> Result<(), burst_snap::SnapError> {
         use burst_snap::SnapError;
-        if r.seq_len(1)? != self.n_sets || r.usize()? != self.cfg.ways {
+        let Self {
+            cfg,
+            ways,
+            n_sets,
+            split: _,      // geometry, recomputed from cfg
+            line_shift: _, // geometry, recomputed from cfg
+            memo_addr,
+            memo_way: _, // only read after `memo_addr` matches
+            tick,
+            stats:
+                CacheStats {
+                    hits,
+                    misses,
+                    writebacks,
+                },
+        } = self;
+        if r.seq_len(1)? != *n_sets || r.usize()? != cfg.ways {
             return Err(SnapError::Corrupt("cache geometry mismatch"));
         }
-        for way in &mut self.ways {
+        for way in ways.iter_mut() {
             way.tag = r.u64()?;
             way.valid = r.bool()?;
             way.dirty = r.bool()?;
             way.lru = r.u64()?;
         }
         // The restored contents need not match what the memo described.
-        self.memo_addr = u64::MAX;
-        self.tick = r.u64()?;
-        self.stats.hits = r.u64()?;
-        self.stats.misses = r.u64()?;
-        self.stats.writebacks = r.u64()?;
+        *memo_addr = u64::MAX;
+        *tick = r.u64()?;
+        *hits = r.u64()?;
+        *misses = r.u64()?;
+        *writebacks = r.u64()?;
         Ok(())
     }
 }

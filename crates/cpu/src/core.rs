@@ -100,12 +100,14 @@ struct RobEntry {
 
 /// Fixed-capacity ring buffer of in-flight ROB entries. Compared to a
 /// `VecDeque`, the capacity never reallocates and front pops in the
-/// compute-streak closed form are plain index arithmetic.
+/// compute-streak closed form are plain index arithmetic. Checkpoints
+/// hold the logical entries in order (see [`Cpu::save_snap`]), never the
+/// ring layout.
 #[derive(Debug, Clone)]
 struct RobRing {
-    buf: Vec<RobEntry>, // snap: derived(entries serialised in order by Cpu::save_snap)
-    head: usize,        // snap: derived(ring geometry, not observable)
-    len: usize,         // snap: derived(length serialised by Cpu::save_snap)
+    buf: Vec<RobEntry>,
+    head: usize,
+    len: usize,
 }
 
 impl RobRing {
@@ -212,12 +214,12 @@ struct MshrSlot {
 /// the historical `BTreeMap` encoding.
 #[derive(Debug, Clone)]
 struct MshrTable {
-    slots: Vec<MshrSlot>, // snap: derived(entries serialised line-sorted by Cpu::save_snap)
-    mask: usize,          // snap: derived(table geometry)
-    len: usize,           // snap: derived(count serialised by Cpu::save_snap)
+    slots: Vec<MshrSlot>,
+    mask: usize,
+    len: usize,
     /// Retired waiter vector kept for reuse, so steady-state insert/remove
-    /// churn does not allocate.
-    spare_waiters: Vec<u64>, // snap: derived(allocation cache, always logically empty)
+    /// churn does not allocate; always logically empty.
+    spare_waiters: Vec<u64>,
 }
 
 impl MshrTable {
@@ -372,7 +374,7 @@ impl MshrTable {
 /// ```
 #[derive(Debug)]
 pub struct Cpu {
-    cfg: CpuConfig, // snap: derived(construction input; restore re-supplies it)
+    cfg: CpuConfig,
     hierarchy: Hierarchy,
     rob: RobRing,
     /// Sequence number of the ROB front entry.
@@ -392,11 +394,11 @@ pub struct Cpu {
     /// Exact count of `WaitMem` entries in the ROB. Maintained on push and
     /// on the `complete_read` flip; recomputed on restore. A compute
     /// streak requires zero (no entry can block retirement mid-streak).
-    waitmem_entries: usize, // snap: derived(recomputed from ROB entries on restore)
+    waitmem_entries: usize,
     /// Conservative upper bound on every `Ready(at)` in the ROB. Only ever
     /// grows ahead of pushes/flips, so a stale (too large) value merely
     /// disqualifies a streak — it can never admit an ineligible one.
-    max_entry_at: u64, // snap: derived(recomputed from ROB entries on restore)
+    max_entry_at: u64,
     stats: CpuStats,
 }
 
@@ -927,9 +929,24 @@ impl Cpu {
     /// stream is independent of the open-addressed table's probe layout
     /// (and identical to the historical `BTreeMap` encoding).
     pub fn save_snap(&self, w: &mut burst_snap::SnapWriter) {
-        self.hierarchy.save_snap(w);
-        w.usize(self.rob.len());
-        for e in self.rob.iter() {
+        let Self {
+            cfg: _, // construction input; restore re-supplies it
+            hierarchy,
+            rob,
+            head_seq,
+            now,
+            mshrs,
+            read_requests,
+            stalled_op,
+            stalled_miss,
+            chase_block,
+            waitmem_entries: _, // recomputed from ROB entries on restore
+            max_entry_at: _,    // recomputed from ROB entries on restore
+            stats,
+        } = self;
+        hierarchy.save_snap(w);
+        w.usize(rob.len());
+        for e in rob.iter() {
             match e.state {
                 EntryState::Ready(at) => {
                     w.u8(0);
@@ -941,11 +958,11 @@ impl Cpu {
                 }
             }
         }
-        w.u64(self.head_seq);
-        w.u64(self.now);
-        w.usize(self.mshrs.len());
-        for i in self.mshrs.sorted_indices() {
-            let slot = &self.mshrs.slots[i];
+        w.u64(*head_seq);
+        w.u64(*now);
+        w.usize(mshrs.len());
+        for i in mshrs.sorted_indices() {
+            let slot = &mshrs.slots[i];
             w.u64(slot.line);
             w.usize(slot.waiters.len());
             for &seq in &slot.waiters {
@@ -953,20 +970,20 @@ impl Cpu {
             }
             w.bool(slot.dirty_on_fill);
         }
-        w.usize(self.read_requests.len());
-        for &(line, critical) in &self.read_requests {
+        w.usize(read_requests.len());
+        for &(line, critical) in read_requests {
             w.u64(line);
             w.bool(critical);
         }
-        save_opt_op(w, self.stalled_op);
-        w.opt_u64(self.stalled_miss);
-        w.opt_u64(self.chase_block);
-        w.u64(self.stats.retired);
-        w.u64(self.stats.loads);
-        w.u64(self.stats.stores);
-        w.u64(self.stats.mem_reads);
-        w.u64(self.stats.mem_writes);
-        w.u64(self.stats.stall_cycles);
+        save_opt_op(w, *stalled_op);
+        w.opt_u64(*stalled_miss);
+        w.opt_u64(*chase_block);
+        w.u64(stats.retired);
+        w.u64(stats.loads);
+        w.u64(stats.stores);
+        w.u64(stats.mem_reads);
+        w.u64(stats.mem_writes);
+        w.u64(stats.stall_cycles);
     }
 
     /// Restores state written by [`Cpu::save_snap`] into a core built from
@@ -978,29 +995,41 @@ impl Cpu {
         r: &mut burst_snap::SnapReader,
     ) -> Result<(), burst_snap::SnapError> {
         use burst_snap::SnapError;
-        self.hierarchy.load_snap(r)?;
+        let Self {
+            cfg,
+            hierarchy,
+            rob,
+            head_seq,
+            now,
+            mshrs,
+            read_requests,
+            stalled_op,
+            stalled_miss,
+            chase_block,
+            waitmem_entries,
+            max_entry_at,
+            stats,
+        } = self;
+        hierarchy.load_snap(r)?;
         let rob_len = r.seq_len(9)?;
-        if rob_len > self.cfg.rob_size {
+        if rob_len > cfg.rob_size {
             return Err(SnapError::Corrupt("ROB larger than configured"));
         }
-        self.rob.clear();
-        self.waitmem_entries = 0;
-        self.max_entry_at = 0;
+        let mut entries = Vec::with_capacity(rob_len);
         for _ in 0..rob_len {
-            let state = match r.u8()? {
+            entries.push(match r.u8()? {
                 0 => EntryState::Ready(r.u64()?),
                 1 => EntryState::WaitMem(r.u64()?),
                 _ => return Err(SnapError::Corrupt("bad ROB entry tag")),
-            };
-            self.push_entry(state);
+            });
         }
-        self.head_seq = r.u64()?;
-        self.now = r.u64()?;
+        *head_seq = r.u64()?;
+        *now = r.u64()?;
         let n_mshrs = r.seq_len(10)?;
-        if n_mshrs > self.cfg.lsq_size {
+        if n_mshrs > cfg.lsq_size {
             return Err(SnapError::Corrupt("more MSHRs than configured LSQ"));
         }
-        self.mshrs.clear();
+        mshrs.clear();
         for _ in 0..n_mshrs {
             let line = r.u64()?;
             let n_waiters = r.seq_len(8)?;
@@ -1009,28 +1038,34 @@ impl Cpu {
                 waiters.push(r.u64()?);
             }
             let dirty_on_fill = r.bool()?;
-            if self.mshrs.find(line).is_some() {
+            if mshrs.find(line).is_some() {
                 return Err(SnapError::Corrupt("duplicate MSHR line"));
             }
-            let slot = self.mshrs.insert(line, dirty_on_fill);
+            let slot = mshrs.insert(line, dirty_on_fill);
             slot.waiters = waiters;
         }
         let n_reqs = r.seq_len(9)?;
-        self.read_requests.clear();
+        read_requests.clear();
         for _ in 0..n_reqs {
             let line = r.u64()?;
             let critical = r.bool()?;
-            self.read_requests.push_back((line, critical));
+            read_requests.push_back((line, critical));
         }
-        self.stalled_op = load_opt_op(r)?;
-        self.stalled_miss = r.opt_u64()?;
-        self.chase_block = r.opt_u64()?;
-        self.stats.retired = r.u64()?;
-        self.stats.loads = r.u64()?;
-        self.stats.stores = r.u64()?;
-        self.stats.mem_reads = r.u64()?;
-        self.stats.mem_writes = r.u64()?;
-        self.stats.stall_cycles = r.u64()?;
+        *stalled_op = load_opt_op(r)?;
+        *stalled_miss = r.opt_u64()?;
+        *chase_block = r.opt_u64()?;
+        stats.retired = r.u64()?;
+        stats.loads = r.u64()?;
+        stats.stores = r.u64()?;
+        stats.mem_reads = r.u64()?;
+        stats.mem_writes = r.u64()?;
+        stats.stall_cycles = r.u64()?;
+        rob.clear();
+        *waitmem_entries = 0;
+        *max_entry_at = 0;
+        for state in entries {
+            self.push_entry(state);
+        }
         Ok(())
     }
 }

@@ -156,10 +156,15 @@ impl Hierarchy {
     /// Serialises both cache levels and the writeback queue for a
     /// checkpoint.
     pub fn save_snap(&self, w: &mut burst_snap::SnapWriter) {
-        self.l1d.save_snap(w);
-        self.l2.save_snap(w);
-        w.usize(self.writebacks.len());
-        for &line in &self.writebacks {
+        let Self {
+            l1d,
+            l2,
+            writebacks,
+        } = self;
+        l1d.save_snap(w);
+        l2.save_snap(w);
+        w.usize(writebacks.len());
+        for &line in writebacks {
             w.u64(line);
         }
     }
@@ -170,12 +175,17 @@ impl Hierarchy {
         &mut self,
         r: &mut burst_snap::SnapReader,
     ) -> Result<(), burst_snap::SnapError> {
-        self.l1d.load_snap(r)?;
-        self.l2.load_snap(r)?;
+        let Self {
+            l1d,
+            l2,
+            writebacks,
+        } = self;
+        l1d.load_snap(r)?;
+        l2.load_snap(r)?;
         let n = r.seq_len(8)?;
-        self.writebacks.clear();
+        writebacks.clear();
         for _ in 0..n {
-            self.writebacks.push_back(r.u64()?);
+            writebacks.push_back(r.u64()?);
         }
         Ok(())
     }

@@ -3,7 +3,7 @@
 use burst_cpu::{Cache, CacheConfig, Cpu, CpuConfig, Hierarchy, HierarchyConfig, MemAccessResult};
 use burst_workloads::{Op, ReplaySource};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 fn tiny_cache() -> Cache {
     Cache::new(CacheConfig {
@@ -21,7 +21,7 @@ proptest! {
     #[test]
     fn cache_insert_evict_invariants(lines in prop::collection::vec(0u64..64, 1..200)) {
         let mut c = tiny_cache();
-        let mut resident: HashSet<u64> = HashSet::new();
+        let mut resident: BTreeSet<u64> = BTreeSet::new();
         for &l in &lines {
             let addr = l * 64;
             if let Some(ev) = c.insert(addr, false) {
@@ -44,7 +44,7 @@ proptest! {
     #[test]
     fn cache_dirty_tracking(ops in prop::collection::vec((0u64..32, any::<bool>()), 1..200)) {
         let mut c = tiny_cache();
-        let mut dirtied: HashSet<u64> = HashSet::new();
+        let mut dirtied: BTreeSet<u64> = BTreeSet::new();
         for &(l, store) in &ops {
             let addr = l * 64;
             if c.lookup(addr, store) {

@@ -156,11 +156,18 @@ impl Bank {
 
     /// Serialises the bank's full timing state for a checkpoint.
     pub fn save_snap(&self, w: &mut burst_snap::SnapWriter) {
-        w.opt_u32(self.open_row);
-        w.u64(self.act_allowed_at);
-        w.u64(self.col_allowed_at);
-        w.u64(self.pre_allowed_at);
-        w.u64(self.last_act_at);
+        let Self {
+            open_row,
+            act_allowed_at,
+            col_allowed_at,
+            pre_allowed_at,
+            last_act_at,
+        } = self;
+        w.opt_u32(*open_row);
+        w.u64(*act_allowed_at);
+        w.u64(*col_allowed_at);
+        w.u64(*pre_allowed_at);
+        w.u64(*last_act_at);
     }
 
     /// Restores state written by [`Bank::save_snap`].
@@ -168,11 +175,18 @@ impl Bank {
         &mut self,
         r: &mut burst_snap::SnapReader,
     ) -> Result<(), burst_snap::SnapError> {
-        self.open_row = r.opt_u32()?;
-        self.act_allowed_at = r.u64()?;
-        self.col_allowed_at = r.u64()?;
-        self.pre_allowed_at = r.u64()?;
-        self.last_act_at = r.u64()?;
+        let Self {
+            open_row,
+            act_allowed_at,
+            col_allowed_at,
+            pre_allowed_at,
+            last_act_at,
+        } = self;
+        *open_row = r.opt_u32()?;
+        *act_allowed_at = r.u64()?;
+        *col_allowed_at = r.u64()?;
+        *pre_allowed_at = r.u64()?;
+        *last_act_at = r.u64()?;
         Ok(())
     }
 }

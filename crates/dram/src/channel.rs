@@ -30,7 +30,7 @@ use crate::{
 /// ```
 #[derive(Debug, Clone)]
 pub struct Channel {
-    cfg: DramConfig, // snap: derived(construction input; restore re-supplies it)
+    cfg: DramConfig,
     banks: Vec<Bank>,
     ranks: Vec<Rank>,
     data_busy_until: Cycle,
@@ -48,9 +48,7 @@ pub struct Channel {
     /// Whether any rank currently has a refresh pending (same caching).
     any_refresh_pending: bool,
     stats: BusStats,
-    // snap: derived(trace-capture toggle; snapshots never span a recording)
     recording: bool,
-    // snap: derived(trace-capture buffer; snapshots never span a recording)
     events: Vec<IssueEvent>,
     checker: Option<Box<ProtocolChecker>>,
 }
@@ -512,35 +510,52 @@ impl Channel {
     /// protocol checker's shadow state. The event-recording buffer is
     /// transient diagnostics and is not saved.
     pub fn save_snap(&self, w: &mut burst_snap::SnapWriter) {
-        w.usize(self.banks.len());
-        for b in &self.banks {
+        let Self {
+            cfg: _, // construction input; restore re-supplies it
+            banks,
+            ranks,
+            data_busy_until,
+            last_data_rank,
+            last_data_dir,
+            last_cmd_at,
+            next_refresh,
+            refresh_pending,
+            next_refresh_min,
+            any_refresh_pending,
+            stats,
+            recording: _, // trace-capture toggle; snapshots never span a recording
+            events: _,    // trace-capture buffer; snapshots never span a recording
+            checker,
+        } = self;
+        w.usize(banks.len());
+        for b in banks {
             b.save_snap(w);
         }
-        w.usize(self.ranks.len());
-        for r in &self.ranks {
+        w.usize(ranks.len());
+        for r in ranks {
             r.save_snap(w);
         }
-        w.u64(self.data_busy_until);
-        w.opt_u8(self.last_data_rank);
-        match self.last_data_dir {
+        w.u64(*data_busy_until);
+        w.opt_u8(*last_data_rank);
+        match *last_data_dir {
             Some(d) => {
                 w.u8(1);
                 w.u8(d.snap_code());
             }
             None => w.u8(0),
         }
-        w.opt_u64(self.last_cmd_at);
-        w.usize(self.next_refresh.len());
-        for &at in &self.next_refresh {
+        w.opt_u64(*last_cmd_at);
+        w.usize(next_refresh.len());
+        for &at in next_refresh {
             w.u64(at);
         }
-        for &p in &self.refresh_pending {
+        for &p in refresh_pending {
             w.bool(p);
         }
-        w.u64(self.next_refresh_min);
-        w.bool(self.any_refresh_pending);
-        self.stats.save_snap(w);
-        match self.checker.as_deref() {
+        w.u64(*next_refresh_min);
+        w.bool(*any_refresh_pending);
+        stats.save_snap(w);
+        match checker.as_deref() {
             Some(chk) => {
                 w.bool(true);
                 chk.save_snap(w);
@@ -557,46 +572,63 @@ impl Channel {
         &mut self,
         r: &mut burst_snap::SnapReader,
     ) -> Result<(), burst_snap::SnapError> {
+        let Self {
+            cfg: _, // construction input; restore re-supplies it
+            banks,
+            ranks,
+            data_busy_until,
+            last_data_rank,
+            last_data_dir,
+            last_cmd_at,
+            next_refresh,
+            refresh_pending,
+            next_refresh_min,
+            any_refresh_pending,
+            stats,
+            recording: _, // trace-capture toggle; snapshots never span a recording
+            events,
+            checker,
+        } = self;
         use burst_snap::SnapError;
-        if r.seq_len(1)? != self.banks.len() {
+        if r.seq_len(1)? != banks.len() {
             return Err(SnapError::Corrupt("channel bank count mismatch"));
         }
-        for b in &mut self.banks {
+        for b in banks {
             b.load_snap(r)?;
         }
-        if r.seq_len(1)? != self.ranks.len() {
+        if r.seq_len(1)? != ranks.len() {
             return Err(SnapError::Corrupt("channel rank count mismatch"));
         }
-        for rk in &mut self.ranks {
+        for rk in ranks {
             rk.load_snap(r)?;
         }
-        self.data_busy_until = r.u64()?;
-        self.last_data_rank = r.opt_u8()?;
-        self.last_data_dir = match r.u8()? {
+        *data_busy_until = r.u64()?;
+        *last_data_rank = r.opt_u8()?;
+        *last_data_dir = match r.u8()? {
             0 => None,
             1 => Some(Dir::from_snap_code(r.u8()?)?),
             _ => return Err(SnapError::Corrupt("option tag out of range")),
         };
-        self.last_cmd_at = r.opt_u64()?;
-        if r.seq_len(1)? != self.next_refresh.len() {
+        *last_cmd_at = r.opt_u64()?;
+        if r.seq_len(1)? != next_refresh.len() {
             return Err(SnapError::Corrupt("channel refresh vector mismatch"));
         }
-        for at in &mut self.next_refresh {
+        for at in next_refresh {
             *at = r.u64()?;
         }
-        for p in &mut self.refresh_pending {
+        for p in refresh_pending {
             *p = r.bool()?;
         }
-        self.next_refresh_min = r.u64()?;
-        self.any_refresh_pending = r.bool()?;
-        self.stats.load_snap(r)?;
+        *next_refresh_min = r.u64()?;
+        *any_refresh_pending = r.bool()?;
+        stats.load_snap(r)?;
         let has_checker = r.bool()?;
-        match (has_checker, self.checker.as_deref_mut()) {
+        match (has_checker, checker.as_deref_mut()) {
             (true, Some(chk)) => chk.load_snap(r)?,
             (false, None) => {}
             _ => return Err(SnapError::Corrupt("checker presence mismatch")),
         }
-        self.events.clear();
+        events.clear();
         Ok(())
     }
 }

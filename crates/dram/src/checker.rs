@@ -116,23 +116,41 @@ struct ShadowBank {
 
 impl ShadowBank {
     fn save_snap(&self, w: &mut burst_snap::SnapWriter) {
-        w.opt_u32(self.open_row);
-        w.u64(self.act_at);
-        w.u64(self.act_ready);
-        w.u64(self.col_ready);
-        w.u64(self.ras_ready);
-        w.u64(self.rtp_ready);
-        w.u64(self.wr_ready);
+        let Self {
+            open_row,
+            act_at,
+            act_ready,
+            col_ready,
+            ras_ready,
+            rtp_ready,
+            wr_ready,
+        } = self;
+        w.opt_u32(*open_row);
+        w.u64(*act_at);
+        w.u64(*act_ready);
+        w.u64(*col_ready);
+        w.u64(*ras_ready);
+        w.u64(*rtp_ready);
+        w.u64(*wr_ready);
     }
 
     fn load_snap(&mut self, r: &mut burst_snap::SnapReader) -> Result<(), burst_snap::SnapError> {
-        self.open_row = r.opt_u32()?;
-        self.act_at = r.u64()?;
-        self.act_ready = r.u64()?;
-        self.col_ready = r.u64()?;
-        self.ras_ready = r.u64()?;
-        self.rtp_ready = r.u64()?;
-        self.wr_ready = r.u64()?;
+        let Self {
+            open_row,
+            act_at,
+            act_ready,
+            col_ready,
+            ras_ready,
+            rtp_ready,
+            wr_ready,
+        } = self;
+        *open_row = r.opt_u32()?;
+        *act_at = r.u64()?;
+        *act_ready = r.u64()?;
+        *col_ready = r.u64()?;
+        *ras_ready = r.u64()?;
+        *rtp_ready = r.u64()?;
+        *wr_ready = r.u64()?;
         Ok(())
     }
 
@@ -170,25 +188,41 @@ struct ShadowRank {
 
 impl ShadowRank {
     fn save_snap(&self, w: &mut burst_snap::SnapWriter) {
-        for &at in &self.act_window {
+        let Self {
+            act_window,
+            act_count,
+            last_act_at,
+            last_write_data_end,
+            busy_until,
+            last_refresh_at,
+        } = self;
+        for &at in act_window {
             w.u64(at);
         }
-        w.u32(self.act_count);
-        w.u64(self.last_act_at);
-        w.u64(self.last_write_data_end);
-        w.u64(self.busy_until);
-        w.opt_u64(self.last_refresh_at);
+        w.u32(*act_count);
+        w.u64(*last_act_at);
+        w.u64(*last_write_data_end);
+        w.u64(*busy_until);
+        w.opt_u64(*last_refresh_at);
     }
 
     fn load_snap(&mut self, r: &mut burst_snap::SnapReader) -> Result<(), burst_snap::SnapError> {
-        for at in &mut self.act_window {
+        let Self {
+            act_window,
+            act_count,
+            last_act_at,
+            last_write_data_end,
+            busy_until,
+            last_refresh_at,
+        } = self;
+        for at in act_window {
             *at = r.u64()?;
         }
-        self.act_count = r.u32()?;
-        self.last_act_at = r.u64()?;
-        self.last_write_data_end = r.u64()?;
-        self.busy_until = r.u64()?;
-        self.last_refresh_at = r.opt_u64()?;
+        *act_count = r.u32()?;
+        *last_act_at = r.u64()?;
+        *last_write_data_end = r.u64()?;
+        *busy_until = r.u64()?;
+        *last_refresh_at = r.opt_u64()?;
         Ok(())
     }
 }
@@ -211,14 +245,13 @@ impl ShadowRank {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ProtocolChecker {
-    cfg: DramConfig, // snap: derived(construction input; restore re-supplies it)
+    cfg: DramConfig,
     banks: Vec<ShadowBank>,
     ranks: Vec<ShadowRank>,
     data_busy_until: Cycle,
     last_data_rank: Option<u8>,
     last_data_dir: Option<Dir>,
     last_cmd_at: Option<Cycle>,
-    // snap: derived(diagnostic violation log; load_snap clears it)
     recorded: Vec<Violation>,
     total: u64,
 }
@@ -569,25 +602,36 @@ impl ProtocolChecker {
     /// [`Violation`] list is diagnostic text and is not saved; only the
     /// `total` counter round-trips (a restored run keeps counting from it).
     pub fn save_snap(&self, w: &mut burst_snap::SnapWriter) {
-        w.usize(self.banks.len());
-        for b in &self.banks {
+        let Self {
+            cfg: _, // construction input; restore re-supplies it
+            banks,
+            ranks,
+            data_busy_until,
+            last_data_rank,
+            last_data_dir,
+            last_cmd_at,
+            recorded: _, // diagnostic violation log; load_snap clears it
+            total,
+        } = self;
+        w.usize(banks.len());
+        for b in banks {
             b.save_snap(w);
         }
-        w.usize(self.ranks.len());
-        for r in &self.ranks {
+        w.usize(ranks.len());
+        for r in ranks {
             r.save_snap(w);
         }
-        w.u64(self.data_busy_until);
-        w.opt_u8(self.last_data_rank);
-        match self.last_data_dir {
+        w.u64(*data_busy_until);
+        w.opt_u8(*last_data_rank);
+        match *last_data_dir {
             Some(d) => {
                 w.u8(1);
                 w.u8(d.snap_code());
             }
             None => w.u8(0),
         }
-        w.opt_u64(self.last_cmd_at);
-        w.u64(self.total);
+        w.opt_u64(*last_cmd_at);
+        w.u64(*total);
     }
 
     /// Restores state written by [`ProtocolChecker::save_snap`] into a
@@ -596,29 +640,40 @@ impl ProtocolChecker {
         &mut self,
         r: &mut burst_snap::SnapReader,
     ) -> Result<(), burst_snap::SnapError> {
+        let Self {
+            cfg: _, // construction input; restore re-supplies it
+            banks,
+            ranks,
+            data_busy_until,
+            last_data_rank,
+            last_data_dir,
+            last_cmd_at,
+            recorded,
+            total,
+        } = self;
         use burst_snap::SnapError;
-        if r.seq_len(1)? != self.banks.len() {
+        if r.seq_len(1)? != banks.len() {
             return Err(SnapError::Corrupt("checker bank count mismatch"));
         }
-        for b in &mut self.banks {
+        for b in banks {
             b.load_snap(r)?;
         }
-        if r.seq_len(1)? != self.ranks.len() {
+        if r.seq_len(1)? != ranks.len() {
             return Err(SnapError::Corrupt("checker rank count mismatch"));
         }
-        for rk in &mut self.ranks {
+        for rk in ranks {
             rk.load_snap(r)?;
         }
-        self.data_busy_until = r.u64()?;
-        self.last_data_rank = r.opt_u8()?;
-        self.last_data_dir = match r.u8()? {
+        *data_busy_until = r.u64()?;
+        *last_data_rank = r.opt_u8()?;
+        *last_data_dir = match r.u8()? {
             0 => None,
             1 => Some(Dir::from_snap_code(r.u8()?)?),
             _ => return Err(SnapError::Corrupt("option tag out of range")),
         };
-        self.last_cmd_at = r.opt_u64()?;
-        self.total = r.u64()?;
-        self.recorded.clear();
+        *last_cmd_at = r.opt_u64()?;
+        *total = r.u64()?;
+        recorded.clear();
         Ok(())
     }
 }

@@ -19,7 +19,6 @@ use crate::{
 #[derive(Debug, Clone)]
 pub struct Dram {
     channels: Vec<Channel>,
-    // snap: derived(pure function of the geometry; restore re-supplies it)
     mapper: AddressMapper,
 }
 
@@ -117,8 +116,12 @@ impl Dram {
     /// Serialises every channel's state for a checkpoint. The mapper is
     /// pure configuration and is not part of the snapshot.
     pub fn save_snap(&self, w: &mut burst_snap::SnapWriter) {
-        w.usize(self.channels.len());
-        for ch in &self.channels {
+        let Self {
+            channels,
+            mapper: _, // pure function of the geometry; restore re-supplies it
+        } = self;
+        w.usize(channels.len());
+        for ch in channels {
             ch.save_snap(w);
         }
     }
@@ -129,10 +132,14 @@ impl Dram {
         &mut self,
         r: &mut burst_snap::SnapReader,
     ) -> Result<(), burst_snap::SnapError> {
-        if r.seq_len(1)? != self.channels.len() {
+        let Self {
+            channels,
+            mapper: _, // pure function of the geometry; restore re-supplies it
+        } = self;
+        if r.seq_len(1)? != channels.len() {
             return Err(burst_snap::SnapError::Corrupt("channel count mismatch"));
         }
-        for ch in &mut self.channels {
+        for ch in channels.iter_mut() {
             ch.load_snap(r)?;
         }
         Ok(())

@@ -6,6 +6,12 @@
 //! less background power. Both effects fall straight out of
 //! [`crate::BusStats`], so energy is a pure function of a finished run.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::float_arithmetic,
+    reason = "report-only energy model (datasheet IDD currents, pJ accounting); simulation state never reads it"
+)]
+
 use crate::{BusStats, Cycle};
 
 /// Per-event energies and background power of one DDR2 device generation,

@@ -37,6 +37,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Determinism and suppression discipline (DESIGN.md §15); the banned
+// types and methods are listed in this crate's `clippy.toml`.
+#![deny(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::float_arithmetic,
+    clippy::allow_attributes_without_reason
+)]
 
 mod addr;
 mod bank;

@@ -97,13 +97,20 @@ impl Rank {
 
     /// Serialises the rank's full timing state for a checkpoint.
     pub fn save_snap(&self, w: &mut burst_snap::SnapWriter) {
-        for &at in &self.act_window {
+        let Self {
+            act_window,
+            last_act_at,
+            act_count,
+            last_write_data_end,
+            busy_until,
+        } = self;
+        for &at in act_window {
             w.u64(at);
         }
-        w.u64(self.last_act_at);
-        w.u32(self.act_count);
-        w.u64(self.last_write_data_end);
-        w.u64(self.busy_until);
+        w.u64(*last_act_at);
+        w.u32(*act_count);
+        w.u64(*last_write_data_end);
+        w.u64(*busy_until);
     }
 
     /// Restores state written by [`Rank::save_snap`].
@@ -111,13 +118,20 @@ impl Rank {
         &mut self,
         r: &mut burst_snap::SnapReader,
     ) -> Result<(), burst_snap::SnapError> {
-        for at in &mut self.act_window {
+        let Self {
+            act_window,
+            last_act_at,
+            act_count,
+            last_write_data_end,
+            busy_until,
+        } = self;
+        for at in act_window {
             *at = r.u64()?;
         }
-        self.last_act_at = r.u64()?;
-        self.act_count = r.u32()?;
-        self.last_write_data_end = r.u64()?;
-        self.busy_until = r.u64()?;
+        *last_act_at = r.u64()?;
+        *act_count = r.u32()?;
+        *last_write_data_end = r.u64()?;
+        *busy_until = r.u64()?;
         Ok(())
     }
 }

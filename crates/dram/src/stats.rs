@@ -1,5 +1,11 @@
 //! Bus-utilisation and command counters (paper Figure 9b).
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::float_arithmetic,
+    reason = "report-only bus utilisation metrics derived from integer cycle counters"
+)]
+
 use crate::Cycle;
 
 /// Counters for one channel's busses and command mix.
@@ -59,14 +65,24 @@ impl BusStats {
 
     /// Serialises the counters for a checkpoint.
     pub fn save_snap(&self, w: &mut burst_snap::SnapWriter) {
-        w.u64(self.cmd_cycles);
-        w.u64(self.data_cycles);
-        w.u64(self.reads);
-        w.u64(self.writes);
-        w.u64(self.activates);
-        w.u64(self.precharges);
-        w.u64(self.auto_precharges);
-        w.u64(self.refreshes);
+        let Self {
+            cmd_cycles,
+            data_cycles,
+            reads,
+            writes,
+            activates,
+            precharges,
+            auto_precharges,
+            refreshes,
+        } = self;
+        w.u64(*cmd_cycles);
+        w.u64(*data_cycles);
+        w.u64(*reads);
+        w.u64(*writes);
+        w.u64(*activates);
+        w.u64(*precharges);
+        w.u64(*auto_precharges);
+        w.u64(*refreshes);
     }
 
     /// Restores counters written by [`BusStats::save_snap`].
@@ -74,14 +90,24 @@ impl BusStats {
         &mut self,
         r: &mut burst_snap::SnapReader,
     ) -> Result<(), burst_snap::SnapError> {
-        self.cmd_cycles = r.u64()?;
-        self.data_cycles = r.u64()?;
-        self.reads = r.u64()?;
-        self.writes = r.u64()?;
-        self.activates = r.u64()?;
-        self.precharges = r.u64()?;
-        self.auto_precharges = r.u64()?;
-        self.refreshes = r.u64()?;
+        let Self {
+            cmd_cycles,
+            data_cycles,
+            reads,
+            writes,
+            activates,
+            precharges,
+            auto_precharges,
+            refreshes,
+        } = self;
+        *cmd_cycles = r.u64()?;
+        *data_cycles = r.u64()?;
+        *reads = r.u64()?;
+        *writes = r.u64()?;
+        *activates = r.u64()?;
+        *precharges = r.u64()?;
+        *auto_precharges = r.u64()?;
+        *refreshes = r.u64()?;
         Ok(())
     }
 

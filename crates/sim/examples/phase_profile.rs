@@ -5,6 +5,12 @@
 //! cargo run --release -p burst-sim --example phase_profile [swim|mcf] [instructions]
 //! ```
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "a wall-clock profiling example: it times runs and reports float rates"
+)]
+
 use burst_core::Mechanism;
 use burst_sim::{Engine, RunLength, System, SystemConfig};
 use burst_workloads::SpecBenchmark;

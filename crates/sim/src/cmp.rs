@@ -4,6 +4,14 @@
 //! the controller sees more concurrent outstanding accesses — this module
 //! lets the claim be measured.
 
+// Timing-observable module (DESIGN.md §15): no hash-ordered collections,
+// floats or wall-clock reads; report-only metrics carry a reasoned expect.
+#![deny(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::float_arithmetic
+)]
+
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
@@ -248,6 +256,10 @@ impl CmpSystem {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "tests compare report-only float metrics"
+)]
 mod tests {
     use super::*;
     use crate::RunLength;

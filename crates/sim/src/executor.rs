@@ -15,6 +15,18 @@
 //! config values ([`crate::SystemConfig`], `SpecBenchmark`, `Mechanism`)
 //! all are, so nothing non-`Send` ever crosses a thread boundary.
 
+// Supervised-cell module (DESIGN.md §15): failures return structured
+// errors instead of panicking and burning a retry budget.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -80,15 +92,16 @@ where
         }
     });
     let mut pairs = collected.into_inner().unwrap_or_else(|e| e.into_inner());
+    #[expect(
+        clippy::panic,
+        reason = "a lost result means a caller swallowed a worker panic; aborting loudly beats \
+                  returning a silently misaligned vector"
+    )]
     if pairs.len() != items.len() {
         // Only reachable if a caller swallows a worker panic (e.g. via
-        // catch_unwind around the scope); name the lost work instead of
-        // returning a silently misaligned result vector.
+        // catch_unwind around the scope); name the lost work.
         let have: std::collections::HashSet<usize> = pairs.iter().map(|&(i, _)| i).collect();
         let missing: Vec<usize> = (0..items.len()).filter(|i| !have.contains(i)).collect();
-        // A lost result means a caller swallowed a worker panic; aborting
-        // loudly beats returning a silently misaligned vector.
-        // audit: allow(panic): deliberate invariant check, documented above
         panic!(
             "map_parallel lost {} of {} results (missing input indices {missing:?})",
             missing.len(),

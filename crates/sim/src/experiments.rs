@@ -229,7 +229,10 @@ impl Sweep {
     /// checkpoint, a killed run resumes the cell mid-flight from it, the
     /// journal records which checkpoint file each completed cell used, and
     /// stale checkpoints of journalled cells are deleted on resume.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one parameter per sweep axis and persistence knob"
+    )]
     pub fn run_supervised(
         scope: &str,
         base: &SystemConfig,
@@ -735,7 +738,10 @@ fn outstanding_rows(
 /// Figures 8 and 11. Pass [`fig8_mechanisms`] with scope `"fig8"` or
 /// [`fig12_mechanisms`] with scope `"fig11"`. Rows for failed cells are
 /// simply missing; the failures travel in [`Supervised::failures`].
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one parameter per sweep axis and persistence knob"
+)]
 pub fn outstanding_supervised(
     scope: &str,
     base: &SystemConfig,
@@ -818,7 +824,10 @@ pub fn fig12_with_config(
 /// journalled resume under scope `"fig12"`. Mechanisms whose every cell
 /// failed are dropped from the rows; normalisation falls back to `NaN` if
 /// the plain-`Burst` baseline itself is entirely missing.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one parameter per sweep axis and persistence knob"
+)]
 pub fn fig12_supervised(
     base: &SystemConfig,
     benchmarks: &[SpecBenchmark],

@@ -46,6 +46,20 @@
 //! with a newline, sacrificing the torn line instead of corrupting the
 //! record that follows it.
 
+// Chaos-plane, supervised-cell module (DESIGN.md §15): filesystem calls
+// go through the `SimIo` seam (`disallowed_methods`, see clippy.toml) and
+// failures return structured errors instead of panicking.
+#![deny(
+    clippy::disallowed_methods,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::collections::HashMap;
 use std::fs::File;
 use std::path::{Path, PathBuf};
@@ -192,7 +206,10 @@ impl Journal {
         let path = path.into();
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
-                // audit: allow(io-bypass): directory creation is not a labeled crash point — a failure surfaces via the write_new that follows
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "directory creation is not a labeled crash point; a failure surfaces via the write_new that follows"
+                )]
                 std::fs::create_dir_all(parent)?;
             }
         }
@@ -688,6 +705,10 @@ fn report_from_wire(wire: &str) -> Option<SimReport> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests set up, corrupt and clean up fixture files directly"
+)]
 mod tests {
     use super::*;
     use crate::{try_simulate, RunLength, SystemConfig};

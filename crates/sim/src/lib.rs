@@ -24,6 +24,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::allow_attributes_without_reason)]
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "report, profiling and persistence code may use floats, hash maps, the wall clock and \
+              std::fs; timing-observable and chaos-plane modules deny these lints again (see clippy.toml)"
+)]
 
 pub mod checkpoint;
 pub mod cmp;

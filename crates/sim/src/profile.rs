@@ -5,9 +5,10 @@
 //! hand-off, controller+device tick, read delivery) so the perf harness
 //! can publish a `phase_profile` section in `BENCH_perf.json`. Nothing
 //! here ever feeds simulated timing — the stamps read the clock and
-//! accumulate nanosecond counters, full stop — which is why this file
-//! sits outside the burst-analyze determinism scope while
-//! `system.rs` itself stays inside it.
+//! accumulate nanosecond counters, full stop — which is why this module
+//! may call `Instant::now` (allowed at the `burst-sim` crate root) while
+//! `system.rs` denies `clippy::disallowed_methods` and stays
+//! wall-clock-free.
 //!
 //! Profiling is off by default ([`crate::System`] holds
 //! `Option<Box<PhaseProfile>>`, `None` unless enabled), so the hot path

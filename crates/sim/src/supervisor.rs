@@ -24,6 +24,20 @@
 //! repeatedly — simulation cells are, because each call builds a fresh
 //! [`crate::System`] from plain config values.
 
+// Chaos-plane, supervised-cell module (DESIGN.md §15): filesystem calls
+// go through the `SimIo` seam (`disallowed_methods`, see clippy.toml) and
+// failures return structured errors instead of panicking.
+#![deny(
+    clippy::disallowed_methods,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -262,8 +276,11 @@ impl SupervisorConfig {
 /// plan selects it. Called from *inside* the supervised closure's
 /// catch_unwind scope, so the panic exercises the real isolation path.
 fn maybe_inject_panic(plan: Option<TransientFaultPlan>, idx: usize, attempt: u32) {
+    #[expect(
+        clippy::panic,
+        reason = "deliberate chaos-plane crash point that unwinds into catch_unwind to prove panic isolation"
+    )]
     if plan.is_some_and(|p| p.should_fail(idx as u64, attempt)) {
-        // audit: allow(panic): deliberate chaos-plane crash point that unwinds into catch_unwind to prove panic isolation
         panic!("injected panic (cell {idx}, attempt {attempt})");
     }
 }

@@ -1,6 +1,14 @@
 //! Full-system wiring: CPU limit model + access scheduler + DRAM device,
 //! stepped at memory-controller clock granularity.
 
+// Timing-observable module (DESIGN.md §15): no hash-ordered collections,
+// floats or wall-clock reads; report-only metrics carry a reasoned expect.
+#![deny(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::float_arithmetic
+)]
+
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -95,12 +103,13 @@ impl Engine {
         }
     }
 
-    /// Parses an `--engine` flag value.
+    /// Parses an `--engine` flag value: the exact inverse of
+    /// [`Engine::name`], with no aliases.
     pub fn from_name(name: &str) -> Option<Engine> {
         match name {
             "event" => Some(Engine::Event),
             "cycle" => Some(Engine::Cycle),
-            "cycle-noskip" | "cycle_noskip" | "noskip" => Some(Engine::CycleNoSkip),
+            "cycle-noskip" => Some(Engine::CycleNoSkip),
             _ => None,
         }
     }
@@ -133,20 +142,6 @@ impl SystemConfig {
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self
-    }
-
-    /// Enables or disables event-horizon cycle skipping.
-    ///
-    /// Deprecated spelling kept for the pre-event-engine API: `true` maps
-    /// to [`Engine::Cycle`] (quiescent-only skipping), `false` to
-    /// [`Engine::CycleNoSkip`]. New code should use
-    /// [`SystemConfig::with_engine`].
-    pub fn with_skip(self, skip: bool) -> Self {
-        self.with_engine(if skip {
-            Engine::Cycle
-        } else {
-            Engine::CycleNoSkip
-        })
     }
 
     /// Enables or disables the runtime DDR2 protocol checker.
@@ -406,9 +401,14 @@ impl RunCursor {
     /// Serialises the cursor (checkpoint files store it next to the
     /// system snapshot).
     pub fn save_snap(&self, w: &mut SnapWriter) {
-        w.u64(self.done_cycles);
-        w.u64(self.idle);
-        w.u64(self.last_retired);
+        let Self {
+            done_cycles,
+            idle,
+            last_retired,
+        } = self;
+        w.u64(*done_cycles);
+        w.u64(*idle);
+        w.u64(*last_retired);
     }
 
     /// Restores a cursor written by [`RunCursor::save_snap`].
@@ -514,6 +514,11 @@ pub struct EngineStats {
     pub noop_ticks: u64,
 }
 
+#[expect(
+    clippy::disallowed_types,
+    clippy::float_arithmetic,
+    reason = "report-only jump metrics derived from integer counters"
+)]
 impl EngineStats {
     /// Events dispatched: stepped cycles at which the controller actually
     /// ran a full tick (some component could observably act).
@@ -601,6 +606,11 @@ impl PartialEq for SimReport {
     }
 }
 
+#[expect(
+    clippy::disallowed_types,
+    clippy::float_arithmetic,
+    reason = "report-only SimReport summary metrics (IPC, utilisation, bandwidth) computed at run end"
+)]
 impl SimReport {
     /// Reads completed by the controller.
     pub fn reads(&self) -> u64 {
@@ -644,7 +654,7 @@ impl SimReport {
 
     /// Assembles a report from raw parts (used by the CMP harness, which
     /// aggregates several cores over one shared memory subsystem).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one parameter per report field")]
     pub(crate) fn from_parts(
         mechanism: Mechanism,
         workload: String,
@@ -1419,19 +1429,37 @@ impl System {
     /// [`System::checkpoint`], [`System::state_hash`] and
     /// [`System::component_hashes`] so they always agree byte-for-byte.
     fn observable_sections(&self) -> Result<[Vec<u8>; 4], SnapError> {
+        let Self {
+            cfg: _, // construction input; restore re-supplies it
+            dram,
+            sched,
+            cpu,
+            mem_cycle,
+            next_id,
+            completions,
+            pending,
+            read_lines: LineSlab { base, slots },
+            skipped: _,       // engine diagnostic; `checkpoint` stores it unhashed
+            engine_stats: _,  // engine diagnostic; `checkpoint` stores it unhashed
+            tick_horizon: _,  // execution-path memo, recomputed lazily after a restore
+            fold_cooldown: _, // execution-path tuning, reset on restore
+            fold_stride: _,   // execution-path tuning, reset on restore
+            next_delivery: _, // execution-path memo, rebuilt from `pending` on restore
+            profile: _,       // host-time accounting, not simulated state
+        } = self;
         let mut cw = SnapWriter::new();
-        self.cpu.save_snap(&mut cw);
+        cpu.save_snap(&mut cw);
         let mut sw = SnapWriter::new();
-        self.sched.save_state(&mut sw)?;
+        sched.save_state(&mut sw)?;
         let mut dw = SnapWriter::new();
-        self.dram.save_snap(&mut dw);
+        dram.save_snap(&mut dw);
         let mut yw = SnapWriter::new();
-        yw.u64(self.mem_cycle);
-        yw.u64(self.next_id);
+        yw.u64(*mem_cycle);
+        yw.u64(*next_id);
         // A BinaryHeap's internal layout depends on insertion history;
         // serialise the pending deliveries sorted so two systems in the
         // same logical state produce the same bytes.
-        let mut pending: Vec<(Cycle, u64)> = self.pending.iter().map(|Reverse(p)| *p).collect();
+        let mut pending: Vec<(Cycle, u64)> = pending.iter().map(|Reverse(p)| *p).collect();
         pending.sort_unstable();
         yw.usize(pending.len());
         for (at, line) in pending {
@@ -1440,8 +1468,8 @@ impl System {
         }
         // Completions are drained within every step, so this is empty at
         // any step boundary — written anyway so the format cannot lie.
-        yw.usize(self.completions.len());
-        for c in &self.completions {
+        yw.usize(completions.len());
+        for c in completions {
             yw.u64(c.id.value());
             yw.u8(match c.kind {
                 AccessKind::Read => 0,
@@ -1451,9 +1479,9 @@ impl System {
             yw.u64(c.latency);
             yw.bool(c.forwarded);
         }
-        yw.u64(self.read_lines.base);
-        yw.usize(self.read_lines.slots.len());
-        for &line in &self.read_lines.slots {
+        yw.u64(*base);
+        yw.usize(slots.len());
+        for &line in slots {
             yw.u64(line);
         }
         Ok([
@@ -1518,12 +1546,12 @@ impl System {
     /// but memory-safe state on error; discard it.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
         let mut r = SnapReader::new(bytes);
-        let cpu = r.bytes()?;
-        let sched = r.bytes()?;
-        let dram = r.bytes()?;
-        let system = r.bytes()?;
-        let skipped = r.u64()?;
-        let engine_stats = EngineStats {
+        let cpu_bytes = r.bytes()?;
+        let sched_bytes = r.bytes()?;
+        let dram_bytes = r.bytes()?;
+        let system_bytes = r.bytes()?;
+        let saved_skipped = r.u64()?;
+        let saved_engine_stats = EngineStats {
             steps: r.u64()?,
             quiescent_jumps: r.u64()?,
             quiescent_skipped: r.u64()?,
@@ -1532,27 +1560,45 @@ impl System {
             noop_ticks: r.u64()?,
         };
         r.finish()?;
-        let mut cr = SnapReader::new(&cpu);
-        self.cpu.load_snap(&mut cr)?;
+        let Self {
+            cfg: _, // construction input; restore re-supplies it
+            dram,
+            sched,
+            cpu,
+            mem_cycle,
+            next_id,
+            completions,
+            pending,
+            read_lines: LineSlab { base, slots },
+            skipped,
+            engine_stats,
+            tick_horizon,
+            fold_cooldown,
+            fold_stride,
+            next_delivery,
+            profile: _, // describes the host run; persists across restores untouched
+        } = self;
+        let mut cr = SnapReader::new(&cpu_bytes);
+        cpu.load_snap(&mut cr)?;
         cr.finish()?;
-        let mut sr = SnapReader::new(&sched);
-        self.sched.load_state(&mut sr)?;
+        let mut sr = SnapReader::new(&sched_bytes);
+        sched.load_state(&mut sr)?;
         sr.finish()?;
-        let mut dr = SnapReader::new(&dram);
-        self.dram.load_snap(&mut dr)?;
+        let mut dr = SnapReader::new(&dram_bytes);
+        dram.load_snap(&mut dr)?;
         dr.finish()?;
-        let mut yr = SnapReader::new(&system);
-        self.mem_cycle = yr.u64()?;
-        self.next_id = yr.u64()?;
+        let mut yr = SnapReader::new(&system_bytes);
+        *mem_cycle = yr.u64()?;
+        *next_id = yr.u64()?;
         let n_pending = yr.seq_len(16)?;
-        self.pending.clear();
+        pending.clear();
         for _ in 0..n_pending {
             let at = yr.u64()?;
             let line = yr.u64()?;
-            self.pending.push(Reverse((at, line)));
+            pending.push(Reverse((at, line)));
         }
         let n_completions = yr.seq_len(25)?;
-        self.completions.clear();
+        completions.clear();
         for _ in 0..n_completions {
             let id = AccessId::new(yr.u64()?);
             let kind = match yr.u8()? {
@@ -1563,7 +1609,7 @@ impl System {
             let done_at = yr.u64()?;
             let latency = yr.u64()?;
             let forwarded = yr.bool()?;
-            self.completions.push(Completion {
+            completions.push(Completion {
                 id,
                 kind,
                 done_at,
@@ -1571,28 +1617,24 @@ impl System {
                 forwarded,
             });
         }
-        self.read_lines.base = yr.u64()?;
+        *base = yr.u64()?;
         let n_slots = yr.seq_len(8)?;
-        self.read_lines.slots.clear();
+        slots.clear();
         for _ in 0..n_slots {
-            self.read_lines.slots.push_back(yr.u64()?);
+            slots.push_back(yr.u64()?);
         }
         yr.finish()?;
-        if self.read_lines.base + self.read_lines.slots.len() as u64 > self.next_id {
+        if *base + slots.len() as u64 > *next_id {
             return Err(SnapError::Corrupt("read-line window past the id counter"));
         }
-        self.skipped = skipped;
-        self.engine_stats = engine_stats;
-        self.tick_horizon = None;
-        self.fold_cooldown = 0;
-        self.fold_stride = 1;
-        // Execution-path memos: rebuild the delivery minimum from the
-        // restored heap; the profile describes the host run and persists
-        // across restores untouched.
-        self.next_delivery = self
-            .pending
-            .peek()
-            .map_or(Cycle::MAX, |&Reverse((at, _))| at);
+        *skipped = saved_skipped;
+        *engine_stats = saved_engine_stats;
+        // Execution-path memos: reset the horizon and fold backoff, and
+        // rebuild the delivery minimum from the restored heap.
+        *tick_horizon = None;
+        *fold_cooldown = 0;
+        *fold_stride = 1;
+        *next_delivery = pending.peek().map_or(Cycle::MAX, |&Reverse((at, _))| at);
         Ok(())
     }
 
@@ -1796,6 +1838,16 @@ mod tests {
     }
 
     #[test]
+    fn engine_names_round_trip_without_aliases() {
+        for e in Engine::ALL {
+            assert_eq!(Engine::from_name(e.name()), Some(e));
+        }
+        for name in ["", "warp", "Event", "noskip", "cycle_noskip", "no-skip"] {
+            assert_eq!(Engine::from_name(name), None, "{name:?} must be rejected");
+        }
+    }
+
+    #[test]
     fn state_hash_tracks_observable_state_only() {
         use burst_workloads::SpecBenchmark;
         let cfg = paused_cfg();
@@ -1805,7 +1857,7 @@ mod tests {
         s1.try_run(&mut w1, RunLength::MemCycles(2_000)).unwrap();
 
         let mut w2 = SpecBenchmark::Swim.workload(5);
-        let mut s2 = System::new(&cfg.with_skip(false));
+        let mut s2 = System::new(&cfg.with_engine(Engine::CycleNoSkip));
         s2.warm(&mut w2);
         s2.try_run(&mut w2, RunLength::MemCycles(2_000)).unwrap();
 

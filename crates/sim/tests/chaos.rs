@@ -2,6 +2,12 @@
 //! byte offset, seeded fault-schedule determinism, quarantine-based
 //! graceful degradation and checkpoint scratch-file garbage collection.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "tests tally faults in hash maps and set up, corrupt and clean up fixture files directly"
+)]
+
 use std::path::PathBuf;
 use std::sync::Arc;
 

@@ -6,6 +6,11 @@
 //! while pinpointing the exact first divergent cycle under an artificial
 //! perturbation.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests set up, corrupt and clean up fixture files directly"
+)]
+
 use burst_core::Mechanism;
 use burst_sim::journal::fingerprint;
 use burst_sim::{

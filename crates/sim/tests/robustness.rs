@@ -8,6 +8,7 @@ use burst_core::{
 };
 use burst_dram::{Cycle, Dram};
 use burst_sim::{simulate, RunError, RunLength, System, SystemConfig};
+use burst_snap::{SnapError, SnapReader, SnapWriter};
 use burst_workloads::SpecBenchmark;
 
 #[test]
@@ -181,6 +182,40 @@ impl AccessScheduler for DeadScheduler {
 
     fn stall_diagnostic(&self) -> Option<StallDiagnostic> {
         self.stall
+    }
+
+    // Never quiescent and no busy horizon: the simulator steps every
+    // cycle, so the batch-advance hooks are never called.
+    fn quiescent(&self) -> bool {
+        false
+    }
+
+    fn advance_quiescent(&mut self, _from: Cycle, _n: u64) {
+        unreachable!("never reports quiescence");
+    }
+
+    fn next_busy_event(&self, _dram: &Dram, _last: Cycle) -> Option<Cycle> {
+        None
+    }
+
+    fn enqueue_may_advance_horizon(&self, _access: &Access) -> bool {
+        true
+    }
+
+    fn advance_blocked(&mut self, _from: Cycle, _n: u64) {
+        unreachable!("never reports a busy event");
+    }
+
+    fn save_state(&self, _w: &mut SnapWriter) -> Result<(), SnapError> {
+        Err(SnapError::Unsupported(
+            "DeadScheduler is not checkpointable",
+        ))
+    }
+
+    fn load_state(&mut self, _r: &mut SnapReader) -> Result<(), SnapError> {
+        Err(SnapError::Unsupported(
+            "DeadScheduler is not checkpointable",
+        ))
     }
 }
 

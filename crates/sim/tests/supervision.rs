@@ -2,6 +2,11 @@
 //! deadline enforcement, retry convergence under injected transient
 //! faults, and journal-based resume producing byte-identical output.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests set up, corrupt and clean up fixture files directly"
+)]
+
 use std::time::Duration;
 
 use burst_core::Mechanism;

@@ -1,5 +1,10 @@
 //! Integration tests of the simulation harness itself.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "tests check report-only float metrics"
+)]
+
 use burst_core::Mechanism;
 use burst_sim::experiments::{fig12_mechanisms, fig8_mechanisms, Sweep};
 use burst_sim::{simulate, RunLength, SystemConfig};

@@ -17,6 +17,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::allow_attributes_without_reason)]
 
 /// Why a snapshot byte stream could not be decoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

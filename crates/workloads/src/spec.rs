@@ -13,7 +13,7 @@ use crate::{MixWorkload, OpSource, PointerChaseWorkload, RandomWorkload, StreamW
 
 /// The 16 SPEC CPU2000 benchmarks of the paper's Figure 10.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "variants are the SPEC CPU2000 benchmark names")]
 pub enum SpecBenchmark {
     Gzip,
     Gcc,
