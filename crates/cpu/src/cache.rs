@@ -304,6 +304,12 @@ impl Cache {
 
     /// Serialises every way's tag/valid/dirty/LRU state plus counters for
     /// a checkpoint.
+    ///
+    /// Ways dominate a checkpoint, so each is compact: a flags byte
+    /// (bit 0 valid, bit 1 dirty), the tag as a varint, and its LRU stamp
+    /// as a varint *age* `tick − lru`. The cache's `tick` is written first
+    /// so [`Cache::load_snap`] can rebuild every stamp exactly; recently
+    /// used ways have small ages and take one or two bytes.
     pub fn save_snap(&self, w: &mut burst_snap::SnapWriter) {
         let Self {
             cfg,
@@ -323,22 +329,22 @@ impl Cache {
         } = self;
         w.usize(*n_sets);
         w.usize(cfg.ways);
-        // Flat storage is set-major, way-minor: identical byte order to the
-        // historical nested per-set layout.
-        for way in ways {
-            w.u64(way.tag);
-            w.bool(way.valid);
-            w.bool(way.dirty);
-            w.u64(way.lru);
-        }
         w.u64(*tick);
+        // Flat storage is set-major, way-minor.
+        for way in ways {
+            w.u8(u8::from(way.valid) | (u8::from(way.dirty) << 1));
+            w.varint(way.tag);
+            // Every stamp is a past `tick`, so the age never wraps.
+            w.varint(tick.wrapping_sub(way.lru));
+        }
         w.u64(*hits);
         w.u64(*misses);
         w.u64(*writebacks);
     }
 
     /// Restores state written by [`Cache::save_snap`] into a cache of the
-    /// same geometry; a dimension mismatch is rejected as corrupt.
+    /// same geometry; a dimension mismatch, an unknown flag bit or an age
+    /// older than the cache's clock is rejected as corrupt.
     pub fn load_snap(
         &mut self,
         r: &mut burst_snap::SnapReader,
@@ -363,15 +369,21 @@ impl Cache {
         if r.seq_len(1)? != *n_sets || r.usize()? != cfg.ways {
             return Err(SnapError::Corrupt("cache geometry mismatch"));
         }
+        *tick = r.u64()?;
         for way in ways.iter_mut() {
-            way.tag = r.u64()?;
-            way.valid = r.bool()?;
-            way.dirty = r.bool()?;
-            way.lru = r.u64()?;
+            let flags = r.u8()?;
+            if flags > 0b11 {
+                return Err(SnapError::Corrupt("cache way flags out of range"));
+            }
+            way.valid = flags & 1 != 0;
+            way.dirty = flags & 2 != 0;
+            way.tag = r.varint()?;
+            way.lru = tick
+                .checked_sub(r.varint()?)
+                .ok_or(SnapError::Corrupt("cache way older than the cache clock"))?;
         }
         // The restored contents need not match what the memo described.
         *memo_addr = u64::MAX;
-        *tick = r.u64()?;
         *hits = r.u64()?;
         *misses = r.u64()?;
         *writebacks = r.u64()?;
@@ -536,5 +548,32 @@ mod tests {
         a.save_snap(&mut wa);
         b.save_snap(&mut wb);
         assert_eq!(wa.into_bytes(), wb.into_bytes());
+    }
+
+    #[test]
+    fn load_rejects_impossible_ways() {
+        let mut c = tiny();
+        c.insert(0, true);
+        let mut w = burst_snap::SnapWriter::new();
+        c.save_snap(&mut w);
+        let good = w.into_bytes();
+        // Header: sets, ways, tick (u64 each); then way 0's flags, tag, age.
+        let way0 = 24;
+        let load = |bytes: &[u8]| tiny().load_snap(&mut burst_snap::SnapReader::new(bytes));
+        assert!(load(&good).is_ok());
+        let mut bad = good.clone();
+        bad[way0] = 0b100;
+        assert!(load(&bad).is_err(), "unknown flag bit");
+        // Way 1 was never touched: its age is the whole clock. One more
+        // than the clock would place its stamp before time began.
+        let mut bad = good.clone();
+        assert_eq!(
+            &bad[way0 + 3..way0 + 6],
+            &[0, 0, 1],
+            "way 1: flags, tag, age"
+        );
+        bad[way0 + 5] = 2;
+        assert!(load(&bad).is_err(), "age older than the clock");
+        assert!(load(&good[..good.len() - 1]).is_err(), "truncated");
     }
 }

@@ -21,9 +21,15 @@
 //! File layout (all little-endian, via [`burst_snap`]):
 //!
 //! ```text
-//! "BCKP"  u32 version=1  u64 fingerprint  u64 state_hash
+//! "BCKP"  u32 version=2  u64 fingerprint  u64 state_hash
 //! u64 ops_consumed  RunCursor  bytes body
 //! ```
+//!
+//! Version 2 stores cache ways compactly (a flags byte and varint tag and
+//! age, see `burst_cpu::Cache::save_snap`). A version-1 file is refused
+//! with [`CheckpointError::UnsupportedVersion`], which
+//! [`try_simulate_checkpointed`] treats like any unusable file: the cell
+//! restarts from scratch.
 //!
 //! [`try_simulate_checkpointed`] is the harness entry point: it resumes
 //! from an existing valid checkpoint, simulates in
@@ -59,7 +65,7 @@ use crate::system::{
 /// Magic bytes opening every checkpoint file.
 const MAGIC: [u8; 4] = *b"BCKP";
 /// Current checkpoint format version.
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// Why a checkpoint file could not be written, read or restored.
 #[derive(Debug)]
@@ -283,7 +289,7 @@ impl Checkpoint {
         expected_fingerprint: u64,
         io: &dyn SimIo,
     ) -> Result<Checkpoint, CheckpointError> {
-        let bytes = io.read(IoSite::CkptRead, path)?;
+        let mut bytes = io.read(IoSite::CkptRead, path)?;
         let mut r = SnapReader::new(&bytes);
         let mut magic = [0u8; 4];
         for b in &mut magic {
@@ -322,12 +328,16 @@ impl Checkpoint {
                 found,
             });
         }
+        // The body is the file's tail: keep the read buffer as the body
+        // rather than copying it into a second allocation.
+        let header = bytes.len() - body.len();
+        bytes.drain(..header);
         Ok(Checkpoint {
             fingerprint,
             state_hash,
             ops_consumed,
             cursor,
-            body,
+            body: bytes,
         })
     }
 

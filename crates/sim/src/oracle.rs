@@ -246,7 +246,13 @@ where
     };
     let mut test = build(&test_cfg);
     let mut reference = build(&ref_cfg);
-    if test.sys.state_hash()? != reference.sys.state_hash()? {
+    // The last agreed state of each engine, kept so a mismatch can be
+    // replayed. Each epoch serialises each engine once: the snapshot taken
+    // after the advance both decides agreement and becomes the next
+    // epoch's agreed state.
+    let mut agreed_test = test.sys.checkpoint()?;
+    let mut agreed_ref = reference.sys.checkpoint()?;
+    if agreed_test.state_hash != agreed_ref.state_hash {
         // Construction or warm-up already disagrees — divergence at the
         // starting cycle, no bisection bracket to narrow.
         return Err(OracleError::Divergence(DivergenceError {
@@ -256,9 +262,6 @@ where
         }));
     }
     loop {
-        // Remember the last agreed state so a mismatch can be replayed.
-        let agreed_test = test.sys.checkpoint()?;
-        let agreed_ref = reference.sys.checkpoint()?;
         let agreed_test_ops = test.workload.consumed();
         let agreed_ref_ops = reference.workload.consumed();
         let agreed_test_cursor = test.cursor;
@@ -269,11 +272,14 @@ where
         let adv_r = reference.advance(len, epoch, None)?;
         let stride = adv_t.min(adv_r);
         let done = adv_t < epoch && adv_r < epoch && adv_t == adv_r;
-        let agree = adv_t == adv_r && test.sys.state_hash()? == reference.sys.state_hash()?;
-        if agree {
+        let snap_test = test.sys.checkpoint()?;
+        let snap_ref = reference.sys.checkpoint()?;
+        if adv_t == adv_r && snap_test.state_hash == snap_ref.state_hash {
             if done || stride == 0 {
                 return Ok(test.sys.report(test.workload.name().to_string()));
             }
+            agreed_test = snap_test;
+            agreed_ref = snap_ref;
             continue;
         }
 

@@ -11,6 +11,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::ops::Range;
 
 use burst_core::{
     Access, AccessId, AccessKind, AccessScheduler, Completion, CtrlConfig, CtrlStats, FaultConfig,
@@ -362,8 +363,6 @@ pub struct Snapshot {
     pub bytes: Vec<u8>,
     /// FNV-1a digest of the observable sections.
     pub state_hash: u64,
-    /// Per-component digests of the same sections.
-    pub components: ComponentHashes,
 }
 
 /// Persistent loop state of [`System::try_run_chunk`].
@@ -1425,10 +1424,12 @@ impl System {
         self.dram.protocol_violations()
     }
 
-    /// Serialises the four observable components. Shared by
+    /// Serialises the four observable sections (CPU, scheduler, DRAM,
+    /// system glue) into one writer, each as a length-prefixed run, and
+    /// returns the payload range of each. The one serialiser behind
     /// [`System::checkpoint`], [`System::state_hash`] and
-    /// [`System::component_hashes`] so they always agree byte-for-byte.
-    fn observable_sections(&self) -> Result<[Vec<u8>; 4], SnapError> {
+    /// [`System::component_hashes`], so they always agree byte-for-byte.
+    fn save_observable(&self) -> Result<(SnapWriter, [Range<usize>; 4]), SnapError> {
         let Self {
             cfg: _, // construction input; restore re-supplies it
             dram,
@@ -1447,49 +1448,50 @@ impl System {
             next_delivery: _, // execution-path memo, rebuilt from `pending` on restore
             profile: _,       // host-time accounting, not simulated state
         } = self;
-        let mut cw = SnapWriter::new();
-        cpu.save_snap(&mut cw);
-        let mut sw = SnapWriter::new();
-        sched.save_state(&mut sw)?;
-        let mut dw = SnapWriter::new();
-        dram.save_snap(&mut dw);
-        let mut yw = SnapWriter::new();
-        yw.u64(*mem_cycle);
-        yw.u64(*next_id);
-        // A BinaryHeap's internal layout depends on insertion history;
-        // serialise the pending deliveries sorted so two systems in the
-        // same logical state produce the same bytes.
-        let mut pending: Vec<(Cycle, u64)> = pending.iter().map(|Reverse(p)| *p).collect();
-        pending.sort_unstable();
-        yw.usize(pending.len());
-        for (at, line) in pending {
-            yw.u64(at);
-            yw.u64(line);
-        }
-        // Completions are drained within every step, so this is empty at
-        // any step boundary — written anyway so the format cannot lie.
-        yw.usize(completions.len());
-        for c in completions {
-            yw.u64(c.id.value());
-            yw.u8(match c.kind {
-                AccessKind::Read => 0,
-                AccessKind::Write => 1,
-            });
-            yw.u64(c.done_at);
-            yw.u64(c.latency);
-            yw.bool(c.forwarded);
-        }
-        yw.u64(*base);
-        yw.usize(slots.len());
-        for &line in slots {
-            yw.u64(line);
-        }
-        Ok([
-            cw.into_bytes(),
-            sw.into_bytes(),
-            dw.into_bytes(),
-            yw.into_bytes(),
-        ])
+        let mut w = SnapWriter::new();
+        let cpu = w.section(|w| {
+            cpu.save_snap(w);
+            Ok(())
+        })?;
+        let sched = w.section(|w| sched.save_state(w))?;
+        let dram = w.section(|w| {
+            dram.save_snap(w);
+            Ok(())
+        })?;
+        let system = w.section(|w| {
+            w.u64(*mem_cycle);
+            w.u64(*next_id);
+            // A BinaryHeap's internal layout depends on insertion history;
+            // serialise the pending deliveries sorted so two systems in the
+            // same logical state produce the same bytes.
+            let mut pending: Vec<(Cycle, u64)> = pending.iter().map(|Reverse(p)| *p).collect();
+            pending.sort_unstable();
+            w.usize(pending.len());
+            for (at, line) in pending {
+                w.u64(at);
+                w.u64(line);
+            }
+            // Completions are drained within every step, so this is empty at
+            // any step boundary — written anyway so the format cannot lie.
+            w.usize(completions.len());
+            for c in completions {
+                w.u64(c.id.value());
+                w.u8(match c.kind {
+                    AccessKind::Read => 0,
+                    AccessKind::Write => 1,
+                });
+                w.u64(c.done_at);
+                w.u64(c.latency);
+                w.bool(c.forwarded);
+            }
+            w.u64(*base);
+            w.usize(slots.len());
+            for &line in slots {
+                w.u64(line);
+            }
+            Ok::<(), SnapError>(())
+        })?;
+        Ok((w, [cpu, sched, dram, system]))
     }
 
     /// Serialises the complete simulation state into a [`Snapshot`].
@@ -1500,23 +1502,16 @@ impl System {
     /// rebuilt from its seed and fast-forwarded by the recorded op count —
     /// continues to a byte-identical [`SimReport`].
     ///
+    /// One pass: the sections are written straight into the snapshot's
+    /// buffer and hashed once. Per-component digests are not computed here;
+    /// ask [`System::component_hashes`] when they are needed.
+    ///
     /// # Errors
     ///
     /// [`SnapError::Unsupported`] when the scheduler is a caller-supplied
     /// type without checkpoint support.
     pub fn checkpoint(&self) -> Result<Snapshot, SnapError> {
-        let [cpu, sched, dram, system] = self.observable_sections()?;
-        let components = ComponentHashes {
-            cpu: fnv1a64(&cpu),
-            sched: fnv1a64(&sched),
-            dram: fnv1a64(&dram),
-            system: fnv1a64(&system),
-        };
-        let mut w = SnapWriter::new();
-        w.bytes(&cpu);
-        w.bytes(&sched);
-        w.bytes(&dram);
-        w.bytes(&system);
+        let (mut w, _) = self.save_observable()?;
         let state_hash = fnv1a64(w.as_slice());
         // Diagnostic section: skip bookkeeping and engine counters are
         // reported by `skipped_cycles`/`engine_stats` but deliberately
@@ -1531,7 +1526,6 @@ impl System {
         Ok(Snapshot {
             bytes: w.into_bytes(),
             state_hash,
-            components,
         })
     }
 
@@ -1578,16 +1572,16 @@ impl System {
             next_delivery,
             profile: _, // describes the host run; persists across restores untouched
         } = self;
-        let mut cr = SnapReader::new(&cpu_bytes);
+        let mut cr = SnapReader::new(cpu_bytes);
         cpu.load_snap(&mut cr)?;
         cr.finish()?;
-        let mut sr = SnapReader::new(&sched_bytes);
+        let mut sr = SnapReader::new(sched_bytes);
         sched.load_state(&mut sr)?;
         sr.finish()?;
-        let mut dr = SnapReader::new(&dram_bytes);
+        let mut dr = SnapReader::new(dram_bytes);
         dram.load_snap(&mut dr)?;
         dr.finish()?;
-        let mut yr = SnapReader::new(&system_bytes);
+        let mut yr = SnapReader::new(system_bytes);
         *mem_cycle = yr.u64()?;
         *next_id = yr.u64()?;
         let n_pending = yr.seq_len(16)?;
@@ -1646,34 +1640,29 @@ impl System {
     ///
     /// [`SnapError::Unsupported`] for schedulers without checkpoint
     /// support.
+    // The step loop reaches this only on a stall: kept out of line so the
+    // hashing loop is not inlined into `try_run_chunk`.
+    #[cold]
     pub fn state_hash(&self) -> Result<u64, SnapError> {
-        Ok(self.checkpoint_hash_parts()?.0)
+        Ok(fnv1a64(self.save_observable()?.0.as_slice()))
     }
 
     /// Per-component digests of the observable state (see
-    /// [`ComponentHashes`]).
+    /// [`ComponentHashes`]), computed on demand: only the lockstep oracle's
+    /// divergence report needs them.
     ///
     /// # Errors
     ///
     /// Same conditions as [`System::state_hash`].
     pub fn component_hashes(&self) -> Result<ComponentHashes, SnapError> {
-        Ok(self.checkpoint_hash_parts()?.1)
-    }
-
-    fn checkpoint_hash_parts(&self) -> Result<(u64, ComponentHashes), SnapError> {
-        let [cpu, sched, dram, system] = self.observable_sections()?;
-        let components = ComponentHashes {
-            cpu: fnv1a64(&cpu),
-            sched: fnv1a64(&sched),
-            dram: fnv1a64(&dram),
-            system: fnv1a64(&system),
-        };
-        let mut w = SnapWriter::new();
-        w.bytes(&cpu);
-        w.bytes(&sched);
-        w.bytes(&dram);
-        w.bytes(&system);
-        Ok((fnv1a64(w.as_slice()), components))
+        let (w, sections) = self.save_observable()?;
+        let [cpu, sched, dram, system] = sections.map(|r| fnv1a64(&w.as_slice()[r]));
+        Ok(ComponentHashes {
+            cpu,
+            sched,
+            dram,
+            system,
+        })
     }
 }
 
@@ -1790,7 +1779,12 @@ mod tests {
         let mut c = System::new(&cfg);
         c.restore(&snap.bytes).unwrap();
         assert_eq!(c.state_hash().unwrap(), snap.state_hash);
-        assert_eq!(c.component_hashes().unwrap(), snap.components);
+        assert_eq!(c.component_hashes().unwrap(), b.component_hashes().unwrap());
+        assert_eq!(
+            c.checkpoint().unwrap(),
+            snap,
+            "restore re-serialises identically"
+        );
         let mut wc = CountingSource::new(SpecBenchmark::Swim.workload(7));
         wc.skip(wb.consumed());
         let mut cw = SnapWriter::new();

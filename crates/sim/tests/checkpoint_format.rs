@@ -1,0 +1,142 @@
+//! The on-disk checkpoint format under hostile input: a flipped byte
+//! anywhere in the hashed body of a real checkpoint is refused, a file in
+//! the retired version-1 format is refused and its cell restarts fresh with
+//! an identical report, and the compact body stays compact.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests set up, corrupt and clean up fixture files directly"
+)]
+
+use std::path::PathBuf;
+use std::sync::OnceLock;
+
+use burst_core::Mechanism;
+use burst_sim::journal::fingerprint;
+use burst_sim::{
+    try_simulate, try_simulate_checkpointed, Checkpoint, CheckpointError, CheckpointPolicy,
+    RunCursor, RunLength, System, SystemConfig,
+};
+use burst_snap::SnapWriter;
+use burst_workloads::{CountingSource, SpecBenchmark};
+use proptest::prelude::*;
+
+/// Bytes after the hashed prefix of a body: `skipped` and the six engine
+/// counters, unhashed so engines agree.
+const DIAGNOSTIC_TAIL: usize = 7 * 8;
+
+fn tmp(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join("burst-checkpoint-format-tests");
+    let _ = std::fs::create_dir_all(&dir);
+    dir.join(format!("{}-{name}", std::process::id()))
+}
+
+/// A baseline swim/Burst_TH52 system, warmed and run briefly.
+fn swim_th52() -> (System, CountingSource<impl burst_workloads::OpSource>) {
+    let cfg = SystemConfig::baseline().with_mechanism(Mechanism::BurstTh(52));
+    let mut w = CountingSource::new(SpecBenchmark::Swim.workload(3));
+    let mut sys = System::new(&cfg);
+    sys.warm(&mut w);
+    (sys, w)
+}
+
+/// A real swim/Burst_TH52 checkpoint file's bytes and where its body
+/// starts, built once for every proptest case.
+fn real_checkpoint() -> &'static (Vec<u8>, usize) {
+    static FILE: OnceLock<(Vec<u8>, usize)> = OnceLock::new();
+    FILE.get_or_init(|| {
+        let (mut sys, mut w) = swim_th52();
+        sys.try_run(&mut w, RunLength::MemCycles(2_000))
+            .expect("run");
+        let ckpt = Checkpoint::capture(
+            &sys,
+            fingerprint("flip"),
+            w.consumed(),
+            RunCursor::start(&sys),
+        )
+        .expect("capture");
+        let path = tmp("real.ckpt");
+        ckpt.save(&path).expect("save");
+        let bytes = std::fs::read(&path).expect("read back");
+        let _ = std::fs::remove_file(&path);
+        let body_start = bytes.len() - ckpt.body.len();
+        assert_eq!(
+            &bytes[body_start..],
+            ckpt.body.as_slice(),
+            "body is the file's tail"
+        );
+        (bytes, body_start)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// One flipped byte in the hashed body — any section, any length
+    /// prefix — is refused before any state is touched. FNV-1a maps every
+    /// single-byte change to a different digest, so the refusal is always
+    /// the hash check.
+    #[test]
+    fn a_flipped_byte_in_the_hashed_body_is_refused(
+        at in any::<u64>(),
+        mask in 1u8..=255,
+    ) {
+        let (bytes, body_start) = real_checkpoint();
+        let hashed = bytes.len() - DIAGNOSTIC_TAIL - body_start;
+        let offset = body_start + (at % hashed as u64) as usize;
+        let mut bad = bytes.clone();
+        bad[offset] ^= mask;
+        let path = tmp(&format!("flip-{offset}-{mask}.ckpt"));
+        std::fs::write(&path, &bad).expect("write flipped file");
+        let got = Checkpoint::load(&path, fingerprint("flip"));
+        let _ = std::fs::remove_file(&path);
+        prop_assert!(
+            matches!(got, Err(CheckpointError::HashMismatch { .. })),
+            "flip {mask:#04x} at {offset} gave {got:?}"
+        );
+    }
+}
+
+/// A version-1 file (fixed-width cache ways) is refused by version alone,
+/// and a checkpointed run that finds one restarts fresh to the same report.
+#[test]
+fn a_version_1_checkpoint_is_refused_and_the_cell_restarts_fresh() {
+    let cfg = SystemConfig::baseline()
+        .with_mechanism(Mechanism::BurstTh(52))
+        .with_warm_mem_ops(1_000);
+    let len = RunLength::Instructions(8_000);
+    let fp = fingerprint("version 1");
+    let path = tmp("v1.ckpt");
+    let mut w = SnapWriter::new();
+    for b in *b"BCKP" {
+        w.u8(b);
+    }
+    w.u32(1);
+    w.u64(fp);
+    w.u64(0); // state hash
+    w.u64(0); // ops consumed
+    RunCursor::default().save_snap(&mut w);
+    w.bytes(&[0; 64]);
+    std::fs::write(&path, w.as_slice()).expect("write v1 file");
+
+    assert!(matches!(
+        Checkpoint::load(&path, fp),
+        Err(CheckpointError::UnsupportedVersion(1))
+    ));
+
+    let reference = try_simulate(&cfg, SpecBenchmark::Swim.workload(2), len).expect("reference");
+    let policy = CheckpointPolicy::new(2_000, path.clone(), fp);
+    let got = try_simulate_checkpointed(&cfg, || SpecBenchmark::Swim.workload(2), len, &policy)
+        .expect("fresh start");
+    assert_eq!(got, reference, "a v1 file must not change the results");
+    assert!(!path.exists(), "the completed cell removes its checkpoint");
+}
+
+/// The compact way encoding keeps a warmed baseline swim/Burst_TH52 body
+/// (L1 and L2 full of lines) under 256 KiB; fixed-width ways took 646 KB.
+#[test]
+fn a_warmed_baseline_checkpoint_body_stays_compact() {
+    let (sys, _) = swim_th52();
+    let body = sys.checkpoint().expect("checkpoint").bytes.len();
+    assert!(body <= 256 * 1024, "checkpoint body is {body} B");
+}

@@ -5,11 +5,11 @@
 //! restoring private component state, plus [`fnv1a64`] for cheap rolling
 //! state digests.
 //!
-//! Every quantity is written as a fixed-width little-endian integer (or a
-//! length-prefixed byte string), so the byte stream is identical across
-//! hosts and builds — which is what lets checkpoint files be fingerprinted,
-//! hashed and compared between the skip-enabled engine and the per-cycle
-//! reference oracle.
+//! Every quantity is written as a fixed-width little-endian integer, a
+//! canonical LEB128 varint, or a length-prefixed byte string, so the byte
+//! stream is identical across hosts and builds — which is what lets
+//! checkpoint files be fingerprinted, hashed and compared between the
+//! skip-enabled engine and the per-cycle reference oracle.
 //!
 //! The reader never panics on malformed input: truncated or corrupt
 //! streams surface as [`SnapError`] values, mirroring the sweep journal's
@@ -99,6 +99,7 @@ impl SnapWriter {
     }
 
     /// Writes one byte.
+    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -109,6 +110,7 @@ impl SnapWriter {
     }
 
     /// Writes a `u64`, little-endian.
+    #[inline]
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -162,10 +164,45 @@ impl SnapWriter {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
+    /// Writes a `u64` as an unsigned LEB128 varint: seven bits per byte,
+    /// low groups first, the high bit set on every byte but the last. Small
+    /// values take one byte, `u64::MAX` ten. The encoding is canonical (no
+    /// trailing zero groups), so equal values always produce equal bytes.
+    #[inline]
+    pub fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
     /// Writes raw bytes as a length-prefixed run.
     pub fn bytes(&mut self, b: &[u8]) {
         self.usize(b.len());
         self.buf.extend_from_slice(b);
+    }
+
+    /// Writes whatever `f` writes as one length-prefixed run, byte-identical
+    /// to [`SnapWriter::bytes`] of the same content but without an
+    /// intermediate buffer: the length prefix is reserved up front and
+    /// patched once `f` returns. Returns the byte range of the run's
+    /// payload within [`SnapWriter::as_slice`].
+    ///
+    /// # Errors
+    ///
+    /// Whatever `f` returns; the writer's contents are then unspecified.
+    pub fn section<E>(
+        &mut self,
+        f: impl FnOnce(&mut SnapWriter) -> Result<(), E>,
+    ) -> Result<core::ops::Range<usize>, E> {
+        let prefix = self.buf.len();
+        self.u64(0);
+        let start = self.buf.len();
+        f(self)?;
+        let len = (self.buf.len() - start) as u64;
+        self.buf[prefix..start].copy_from_slice(&len.to_le_bytes());
+        Ok(start..self.buf.len())
     }
 }
 
@@ -192,6 +229,7 @@ impl<'a> SnapReader<'a> {
         self.remaining() == 0
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
         if self.remaining() < n {
             return Err(SnapError::Truncated);
@@ -202,6 +240,7 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, SnapError> {
         Ok(self.take(1)?[0])
     }
@@ -213,6 +252,7 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, SnapError> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
@@ -259,6 +299,29 @@ impl<'a> SnapReader<'a> {
         }
     }
 
+    /// Reads a varint written by [`SnapWriter::varint`], rejecting
+    /// overlong encodings (a trailing zero group) and values wider than 64
+    /// bits as [`SnapError::Corrupt`].
+    #[inline]
+    pub fn varint(&mut self) -> Result<u64, SnapError> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.u8()?;
+            if shift == 63 && b > 1 {
+                return Err(SnapError::Corrupt("varint wider than 64 bits"));
+            }
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                if b == 0 && shift > 0 {
+                    return Err(SnapError::Corrupt("overlong varint"));
+                }
+                return Ok(v);
+            }
+        }
+        // The tenth byte either ends the varint or fails the width check.
+        Err(SnapError::Corrupt("varint wider than 64 bits"))
+    }
+
     /// Reads a collection length, validating it against a per-element
     /// lower bound on remaining bytes so a corrupt length cannot trigger a
     /// huge allocation.
@@ -280,10 +343,12 @@ impl<'a> SnapReader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| SnapError::Corrupt("invalid UTF-8 string"))
     }
 
-    /// Reads a byte run written by [`SnapWriter::bytes`].
-    pub fn bytes(&mut self) -> Result<Vec<u8>, SnapError> {
+    /// Reads a byte run written by [`SnapWriter::bytes`] (or
+    /// [`SnapWriter::section`]) as a slice of the underlying buffer,
+    /// without copying it.
+    pub fn bytes(&mut self) -> Result<&'a [u8], SnapError> {
         let len = self.seq_len(1)?;
-        Ok(self.take(len)?.to_vec())
+        self.take(len)
     }
 
     /// Asserts the whole stream was consumed — catches format drift where
@@ -329,7 +394,7 @@ mod tests {
         assert_eq!(r.opt_u32().unwrap(), Some(5));
         assert_eq!(r.opt_u8().unwrap(), Some(1));
         assert_eq!(r.str().unwrap(), "swim");
-        assert_eq!(r.bytes().unwrap(), vec![1, 2, 3]);
+        assert_eq!(r.bytes().unwrap(), [1, 2, 3]);
         r.finish().unwrap();
     }
 
@@ -368,6 +433,75 @@ mod tests {
         let mut r = SnapReader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 1);
         assert!(matches!(r.finish(), Err(SnapError::Corrupt(_))));
+    }
+
+    #[test]
+    fn varints_round_trip_at_every_width_boundary() {
+        let values = [0, 1, 127, 128, 16_383, 16_384, 1 << 56, 1 << 63, u64::MAX];
+        let mut w = SnapWriter::new();
+        for v in values {
+            w.varint(v);
+        }
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        for v in values {
+            assert_eq!(r.varint().unwrap(), v);
+        }
+        r.finish().unwrap();
+        let width = |v| {
+            let mut w = SnapWriter::new();
+            w.varint(v);
+            w.len()
+        };
+        assert_eq!(
+            [0, 127, 128, 1 << 63, u64::MAX].map(width),
+            [1, 1, 2, 10, 10]
+        );
+    }
+
+    #[test]
+    fn hostile_varints_are_rejected_without_panicking() {
+        let read = |bytes: &[u8]| SnapReader::new(bytes).varint();
+        // Overlong: zero with a continuation, and 127 padded to two bytes.
+        assert!(matches!(read(&[0x80, 0x00]), Err(SnapError::Corrupt(_))));
+        assert!(matches!(read(&[0xff, 0x00]), Err(SnapError::Corrupt(_))));
+        // 2^64: the tenth byte carries a second bit.
+        let mut wide = [0x80u8; 10];
+        wide[9] = 0x02;
+        assert!(matches!(read(&wide), Err(SnapError::Corrupt(_))));
+        // Eleven bytes: the tenth still has its continuation bit set.
+        let mut long = [0xffu8; 11];
+        long[10] = 0x01;
+        assert!(matches!(read(&long), Err(SnapError::Corrupt(_))));
+        // Cut mid-varint, and an empty stream.
+        assert_eq!(read(&[0x80, 0x80]), Err(SnapError::Truncated));
+        assert_eq!(read(&[]), Err(SnapError::Truncated));
+    }
+
+    #[test]
+    fn sections_match_length_prefixed_bytes() {
+        let mut nested = SnapWriter::new();
+        nested.u8(9);
+        let range = nested
+            .section(|w| {
+                w.u32(7);
+                w.varint(300);
+                Ok::<(), SnapError>(())
+            })
+            .unwrap();
+        let mut inner = SnapWriter::new();
+        inner.u32(7);
+        inner.varint(300);
+        let mut flat = SnapWriter::new();
+        flat.u8(9);
+        flat.bytes(inner.as_slice());
+        assert_eq!(nested.as_slice(), flat.as_slice());
+        assert_eq!(&nested.as_slice()[range], inner.as_slice());
+        let bytes = flat.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        assert_eq!(r.u8().unwrap(), 9);
+        assert_eq!(r.bytes().unwrap(), inner.as_slice());
+        r.finish().unwrap();
     }
 
     #[test]
