@@ -1,12 +1,11 @@
-//! Criterion bench: the discrete-event engine on busy-phase traffic.
+//! Criterion bench: the discrete-event engine against the per-cycle
+//! reference, on both traffic regimes.
 //!
-//! Where `cycle_skip` measures quiescent-stretch jumping (an idle-heavy
-//! win the legacy `Engine::Cycle` already gets), this bench measures the
-//! event engine's defining gain: jumping cycles *while the memory system
-//! is busy*. `swim` streams with high memory-level parallelism, so the
-//! controller is almost never quiescent and `Engine::Cycle` degenerates
-//! to per-cycle stepping — the gap to `Engine::Event` is pure busy-jump
-//! win. `mcf` mixes both regimes.
+//! `swim` streams with high memory-level parallelism, so the controller
+//! is almost never quiescent: the gap between `Engine::CycleNoSkip` and
+//! `Engine::Event` there is the engine's defining gain, jumping cycles
+//! *while the memory system is busy*. `mcf` is an idle-heavy pointer
+//! chase that mixes quiescent and busy jumps.
 
 use burst_core::Mechanism;
 use burst_sim::{simulate, Engine, RunLength, SystemConfig};

@@ -5,14 +5,15 @@
 //! measures the BkInOrder -> Burst_TH52 improvement at 1, 2 and 4 cores
 //! sharing the baseline memory subsystem.
 
+use std::num::NonZeroUsize;
+
 use burst_bench::{banner, HarnessOptions};
 use burst_core::Mechanism;
-use burst_sim::cmp::CmpSystem;
 use burst_sim::report::render_table;
-use burst_sim::SystemConfig;
-use burst_workloads::{OpSource, SpecBenchmark};
+use burst_sim::{RunLength, System};
+use burst_workloads::{MixWorkload, OpSource, SpecBenchmark};
 
-fn mix(cores: usize, seed: u64) -> Vec<Box<dyn OpSource>> {
+fn mix(cores: usize, seed: u64) -> Vec<MixWorkload> {
     // A spread of behaviours: streaming, integer, pointer chasing.
     let picks = [
         SpecBenchmark::Swim,
@@ -21,7 +22,7 @@ fn mix(cores: usize, seed: u64) -> Vec<Box<dyn OpSource>> {
         SpecBenchmark::Art,
     ];
     (0..cores)
-        .map(|i| Box::new(picks[i % picks.len()].workload(seed + i as u64)) as Box<dyn OpSource>)
+        .map(|i| picks[i % picks.len()].workload(seed + i as u64))
         .collect()
 }
 
@@ -32,26 +33,30 @@ fn main() {
         banner("cmp", "reordering gains vs core count (extension)", &opts)
     );
     let per_core = match opts.run {
-        burst_sim::RunLength::Instructions(n) => n,
-        burst_sim::RunLength::MemCycles(n) => n,
+        RunLength::Instructions(n) => n,
+        RunLength::MemCycles(n) => n,
     };
 
     let mut rows = Vec::new();
-    for cores in [1usize, 2, 4] {
+    for cores in [1, 2, 4].map(|n| NonZeroUsize::new(n).expect("nonzero")) {
         // Throughput view: run a fixed total instruction budget and compare
         // how many memory cycles each mechanism needs. `min share` shows
         // fairness — the slowest core's fraction of an equal split.
         let run = |mechanism: Mechanism| -> (u64, f64, f64) {
-            let cfg = SystemConfig::baseline().with_mechanism(mechanism);
-            let mut sys = CmpSystem::new(&cfg, cores);
-            let mut w = mix(cores, opts.seed);
-            sys.warm(&mut w);
-            sys.run_total_instructions(&mut w, per_core * cores as u64);
+            let cfg = opts.system_config().with_mechanism(mechanism);
+            let mut sys = System::with_cores(&cfg, cfg.scheduler(), cores);
+            let mut w = mix(cores.get(), opts.seed);
+            let mut w: Vec<&mut dyn OpSource> =
+                w.iter_mut().map(|w| w as &mut dyn OpSource).collect();
+            sys.warm_cores(&mut w);
+            let total = per_core * cores.get() as u64;
+            sys.try_run_cores(&mut w, RunLength::Instructions(total))
+                .expect("the CMP run makes progress");
             let r = sys.report("mix");
-            let min_share = (0..cores)
-                .map(|i| sys.retired(i) as f64)
+            let min_share = (0..cores.get())
+                .map(|i| sys.core_retired(i) as f64)
                 .fold(f64::INFINITY, f64::min)
-                / (sys.total_retired() as f64 / cores as f64);
+                / (sys.retired() as f64 / cores.get() as f64);
             (r.mem_cycles, r.ctrl.avg_read_latency(), min_share)
         };
         let (base_cycles, base_lat, base_fair) = run(Mechanism::BkInOrder);

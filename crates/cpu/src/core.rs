@@ -85,6 +85,22 @@ pub struct CpuStats {
     pub stall_cycles: u64,
 }
 
+/// Field-wise sum: the statistics of several cores taken together.
+impl core::ops::Add for CpuStats {
+    type Output = CpuStats;
+
+    fn add(self, o: CpuStats) -> CpuStats {
+        CpuStats {
+            retired: self.retired + o.retired,
+            loads: self.loads + o.loads,
+            stores: self.stores + o.stores,
+            mem_reads: self.mem_reads + o.mem_reads,
+            mem_writes: self.mem_writes + o.mem_writes,
+            stall_cycles: self.stall_cycles + o.stall_cycles,
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EntryState {
     /// Completed; retirable at the stored CPU cycle.

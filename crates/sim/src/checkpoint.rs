@@ -16,17 +16,21 @@
 //! 3. the **run position**: workload operations consumed (the workload is
 //!    rebuilt from its seed and fast-forwarded — PRNG internals never
 //!    touch the disk) and the [`RunCursor`] carrying the retirement
-//!    watchdog across the boundary.
+//!    watchdog across the boundary. These, with the body's unhashed
+//!    diagnostic tail, are covered by a second digest, so a flipped byte
+//!    there surfaces as [`CheckpointError::HeaderMismatch`] instead of a
+//!    resume at the wrong stream position.
 //!
 //! File layout (all little-endian, via [`burst_snap`]):
 //!
 //! ```text
-//! "BCKP"  u32 version=2  u64 fingerprint  u64 state_hash
+//! "BCKP"  u32 version=3  u64 fingerprint  u64 state_hash  u64 header_hash
 //! u64 ops_consumed  RunCursor  bytes body
 //! ```
 //!
-//! Version 2 stores cache ways compactly (a flags byte and varint tag and
-//! age, see `burst_cpu::Cache::save_snap`). A version-1 file is refused
+//! Version 3 serialises every CPU core and the owning core of each
+//! in-flight read, and adds `header_hash`. Version 2 stored one core;
+//! version 1 also stored cache ways at fixed width. Older files are refused
 //! with [`CheckpointError::UnsupportedVersion`], which
 //! [`try_simulate_checkpointed`] treats like any unusable file: the cell
 //! restarts from scratch.
@@ -65,7 +69,7 @@ use crate::system::{
 /// Magic bytes opening every checkpoint file.
 const MAGIC: [u8; 4] = *b"BCKP";
 /// Current checkpoint format version.
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 /// Why a checkpoint file could not be written, read or restored.
 #[derive(Debug)]
@@ -95,6 +99,14 @@ pub enum CheckpointError {
         /// Digest of the body as read.
         found: u64,
     },
+    /// The run position or the body's diagnostic tail does not hash to
+    /// the recorded header digest (bit rot or a hand-edited file).
+    HeaderMismatch {
+        /// Digest recorded in the header.
+        expected: u64,
+        /// Digest of the run position and diagnostic tail as read.
+        found: u64,
+    },
     /// The simulation state cannot be serialised (caller-supplied
     /// scheduler without checkpoint support).
     Unsupported(&'static str),
@@ -119,6 +131,11 @@ impl core::fmt::Display for CheckpointError {
                 f,
                 "checkpoint body hash {found:016x} does not match the \
                  recorded state hash {expected:016x}"
+            ),
+            CheckpointError::HeaderMismatch { expected, found } => write!(
+                f,
+                "checkpoint run position hashes to {found:016x}, not the \
+                 recorded header digest {expected:016x}"
             ),
             CheckpointError::Unsupported(what) => {
                 write!(f, "state cannot be checkpointed: {what}")
@@ -245,6 +262,7 @@ impl Checkpoint {
         scratch.u32(VERSION);
         scratch.u64(self.fingerprint);
         scratch.u64(self.state_hash);
+        scratch.u64(header_hash(self.ops_consumed, &self.cursor, &self.body));
         scratch.u64(self.ops_consumed);
         self.cursor.save_snap(scratch);
         scratch.bytes(&self.body);
@@ -267,8 +285,8 @@ impl Checkpoint {
         Ok(())
     }
 
-    /// Reads and validates a checkpoint: magic, version, fingerprint and
-    /// body hash are all checked before any state is touched.
+    /// Reads and validates a checkpoint: magic, version, fingerprint, body
+    /// hash and header digest are all checked before any state is touched.
     ///
     /// # Errors
     ///
@@ -310,6 +328,7 @@ impl Checkpoint {
             });
         }
         let state_hash = r.u64().map_err(|_| CheckpointError::Truncated)?;
+        let recorded_header = r.u64().map_err(|_| CheckpointError::Truncated)?;
         let ops_consumed = r.u64().map_err(|_| CheckpointError::Truncated)?;
         let cursor = RunCursor::load_snap(&mut r)?;
         let body = r.bytes()?;
@@ -325,6 +344,13 @@ impl Checkpoint {
         if found != state_hash {
             return Err(CheckpointError::HashMismatch {
                 expected: state_hash,
+                found,
+            });
+        }
+        let found = header_hash(ops_consumed, &cursor, body);
+        if found != recorded_header {
+            return Err(CheckpointError::HeaderMismatch {
+                expected: recorded_header,
                 found,
             });
         }
@@ -352,6 +378,20 @@ impl Checkpoint {
         sys.restore(&self.body)?;
         Ok(())
     }
+}
+
+/// FNV-1a digest of what the state hash leaves uncovered: the run
+/// position (`ops_consumed` and the cursor) and the body's diagnostic
+/// tail — about a hundred bytes, so it costs no pass over the body.
+fn header_hash(ops_consumed: u64, cursor: &RunCursor, body: &[u8]) -> u64 {
+    let mut w = SnapWriter::new();
+    w.u64(ops_consumed);
+    cursor.save_snap(&mut w);
+    let tail = body
+        .len()
+        .saturating_sub(crate::system::DIAGNOSTIC_TAIL_BYTES);
+    w.bytes(body.get(tail..).unwrap_or_default());
+    fnv1a64(w.as_slice())
 }
 
 fn tmp_path(path: &Path) -> PathBuf {
@@ -697,6 +737,22 @@ mod tests {
             Checkpoint::load(&path, fp),
             Err(CheckpointError::HashMismatch { .. })
         ));
+
+        // A flipped bit in the run position (`ops_consumed` follows magic,
+        // version and three digests) or in the diagnostic tail trips the
+        // header digest.
+        for at in [32, bytes.len() - 1] {
+            let mut bad = bytes.clone();
+            bad[at] ^= 0x01;
+            fs::write(&path, &bad).unwrap();
+            assert!(
+                matches!(
+                    Checkpoint::load(&path, fp),
+                    Err(CheckpointError::HeaderMismatch { .. })
+                ),
+                "flip at {at}"
+            );
+        }
 
         // Missing file is a plain Io error.
         let _ = fs::remove_file(&path);

@@ -70,7 +70,7 @@ use burst_dram::BusStats;
 
 use crate::simio::{real_io, IoSite, SimIo};
 use crate::supervisor::FailureKind;
-use crate::{RobustnessReport, SimReport};
+use crate::{EngineStats, RobustnessReport, SimReport};
 
 /// Hashes a canonical configuration description into a journal
 /// fingerprint. Built by chaining [`burst_core::splitmix64`] over the
@@ -690,7 +690,7 @@ fn report_from_wire(wire: &str) -> Option<SimReport> {
         max_access_age: rb_max_access_age,
     };
     let channels: u64 = channels_f.parse().ok()?;
-    Some(SimReport::from_parts(
+    Some(SimReport {
         mechanism,
         workload,
         cpu_cycles,
@@ -700,8 +700,9 @@ fn report_from_wire(wire: &str) -> Option<SimReport> {
         bus,
         cpu,
         robustness,
+        engine: EngineStats::default(),
         channels,
-    ))
+    })
 }
 
 #[cfg(test)]

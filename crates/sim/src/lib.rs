@@ -33,7 +33,6 @@
 )]
 
 pub mod checkpoint;
-pub mod cmp;
 pub mod executor;
 pub mod experiments;
 pub mod export;

@@ -11,6 +11,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::num::NonZeroUsize;
 use std::ops::Range;
 
 use burst_core::{
@@ -64,42 +65,37 @@ pub struct SystemConfig {
     /// write retries). `None` simulates a fault-free device. When set, it
     /// overrides `ctrl.faults`.
     pub faults: Option<FaultConfig>,
-    /// Which simulation engine advances the clock (see [`Engine`]). All
+    /// Which simulation engine advances the clock (see [`Engine`]). Both
     /// engines produce bit-identical results; they differ only in how many
     /// cycles they execute explicitly.
     pub engine: Engine,
 }
 
-/// How the simulation clock advances. Every engine is bit-identical in
-/// observable behaviour — reports, state hashes, checkpoints and CSVs
-/// match exactly; they differ only in speed.
+/// How the simulation clock advances: one fast engine and one reference.
+/// Both are bit-identical in observable behaviour — reports, state
+/// hashes, checkpoints and CSVs match exactly; they differ only in speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Engine {
     /// Full discrete-event engine (default): the clock jumps to the next
     /// cycle at which *any* component — CPU wake-up, read delivery, device
     /// timing window, refresh timer, scheduler arbiter/escalation/
-    /// adaptation, watchdog — could observably act, even while the memory
-    /// system holds outstanding work. Per-tick bookkeeping over a jump is
-    /// replayed in closed form.
+    /// adaptation, watchdog — could observably act, whether the memory
+    /// system is idle or holds outstanding work. Per-tick bookkeeping over
+    /// a jump is replayed in closed form.
     Event,
-    /// The legacy per-cycle loop with event-horizon skipping of *quiescent*
-    /// stretches only (the CPU fully stalled and the controller empty);
-    /// busy periods execute cycle by cycle.
-    Cycle,
     /// The plain per-cycle loop with no skipping at all — the reference
-    /// everything else is diffed against.
+    /// the event engine is diffed against.
     CycleNoSkip,
 }
 
 impl Engine {
-    /// All engines, fastest first — determinism suites iterate this.
-    pub const ALL: [Engine; 3] = [Engine::Event, Engine::Cycle, Engine::CycleNoSkip];
+    /// Both engines, fastest first — determinism suites iterate this.
+    pub const ALL: [Engine; 2] = [Engine::Event, Engine::CycleNoSkip];
 
     /// The `--engine` flag spelling of this variant.
     pub fn name(&self) -> &'static str {
         match self {
             Engine::Event => "event",
-            Engine::Cycle => "cycle",
             Engine::CycleNoSkip => "cycle-noskip",
         }
     }
@@ -109,7 +105,6 @@ impl Engine {
     pub fn from_name(name: &str) -> Option<Engine> {
         match name {
             "event" => Some(Engine::Event),
-            "cycle" => Some(Engine::Cycle),
             "cycle-noskip" => Some(Engine::CycleNoSkip),
             _ => None,
         }
@@ -139,7 +134,7 @@ impl SystemConfig {
     }
 
     /// Selects the simulation engine (see [`Engine`]; the results are
-    /// bit-identical for every choice).
+    /// bit-identical for either choice).
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self
@@ -236,14 +231,14 @@ impl SystemConfig {
         Ok(())
     }
 
-    /// The controller configuration with the system-level fault plan
-    /// folded in.
-    pub(crate) fn effective_ctrl(&self) -> CtrlConfig {
+    /// The scheduler [`System::new`] builds: the configured mechanism, with
+    /// the system-level fault plan folded into the controller configuration.
+    pub fn scheduler(&self) -> Box<dyn AccessScheduler> {
         let mut ctrl = self.ctrl;
         if self.faults.is_some() {
             ctrl.faults = self.faults;
         }
-        ctrl
+        self.mechanism.build(ctrl, self.dram.geometry)
     }
 }
 
@@ -316,8 +311,9 @@ impl Default for SystemConfig {
 /// How long to simulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RunLength {
-    /// Run until this many instructions retire (the paper runs 2 billion;
-    /// the harness defaults are smaller but shape-preserving).
+    /// Run until this many instructions retire, summed over cores (the
+    /// paper runs 2 billion; the harness defaults are smaller but
+    /// shape-preserving).
     Instructions(u64),
     /// Run a fixed number of memory-controller cycles.
     MemCycles(u64),
@@ -329,14 +325,14 @@ pub enum RunLength {
 /// is named, not just the failing cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ComponentHashes {
-    /// Digest of the CPU core, caches, ROB and MSHRs.
+    /// Digest of every CPU core, its caches, ROB and MSHRs.
     pub cpu: u64,
     /// Digest of the scheduler: queues, in-service state, adaptation.
     pub sched: u64,
     /// Digest of the DRAM device: bank/rank/channel timing state.
     pub dram: u64,
-    /// Digest of the system glue: cycle counters, pending deliveries,
-    /// outstanding read lines.
+    /// Digest of the system glue: core count, cycle counters, pending
+    /// deliveries and outstanding read lines with their owning cores.
     pub system: u64,
 }
 
@@ -353,10 +349,11 @@ impl core::fmt::Display for ComponentHashes {
 /// A serialised mid-run snapshot of a [`System`], produced by
 /// [`System::checkpoint`] and consumed by [`System::restore`].
 ///
-/// The byte stream holds four observable sections (CPU, scheduler, DRAM,
-/// system glue) followed by a diagnostic section (skip bookkeeping). The
-/// state hash covers only the observable sections, so a per-cycle run and
-/// a skip-enabled run hash identically at the same cycle.
+/// The byte stream holds four observable sections (every CPU core in
+/// order, scheduler, DRAM, system glue) followed by a diagnostic section
+/// (skip bookkeeping). The state hash covers only the observable sections,
+/// so a per-cycle run and a skip-enabled run hash identically at the same
+/// cycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     /// The serialised state, restorable with [`System::restore`].
@@ -501,8 +498,7 @@ pub struct EngineStats {
     pub quiescent_jumps: u64,
     /// Cycles covered by quiescent jumps.
     pub quiescent_skipped: u64,
-    /// Clock jumps taken while the memory system held outstanding work
-    /// (the event engine's contribution over quiescent-only skipping).
+    /// Clock jumps taken while the memory system held outstanding work.
     pub busy_jumps: u64,
     /// Cycles covered by busy jumps.
     pub busy_skipped: u64,
@@ -572,20 +568,20 @@ pub struct SimReport {
     pub cpu_cycles: u64,
     /// Memory-controller cycles elapsed.
     pub mem_cycles: u64,
-    /// Instructions retired.
+    /// Instructions retired, summed over cores.
     pub instructions: u64,
     /// Controller statistics (latencies, row states, occupancy).
     pub ctrl: CtrlStats,
     /// DRAM bus statistics (Figure 9b).
     pub bus: BusStats,
-    /// CPU statistics.
+    /// CPU statistics, summed over cores.
     pub cpu: CpuStats,
     /// Robustness summary (protocol checker, fault injection, watchdog).
     pub robustness: RobustnessReport,
     /// How the clock advanced (diagnostic; excluded from `PartialEq`).
     pub engine: EngineStats,
     /// Channel count, kept for utilisation denominators.
-    channels: u64,
+    pub(crate) channels: u64,
 }
 
 impl PartialEq for SimReport {
@@ -651,36 +647,6 @@ impl SimReport {
         self.data_bus_utilization() * 2.0 * f64::from(bus_bytes) * mem_clock_hz / 1e9
     }
 
-    /// Assembles a report from raw parts (used by the CMP harness, which
-    /// aggregates several cores over one shared memory subsystem).
-    #[allow(clippy::too_many_arguments, reason = "one parameter per report field")]
-    pub(crate) fn from_parts(
-        mechanism: Mechanism,
-        workload: String,
-        cpu_cycles: u64,
-        mem_cycles: u64,
-        instructions: u64,
-        ctrl: CtrlStats,
-        bus: BusStats,
-        cpu: CpuStats,
-        robustness: RobustnessReport,
-        channels: u64,
-    ) -> SimReport {
-        SimReport {
-            mechanism,
-            workload,
-            cpu_cycles,
-            mem_cycles,
-            instructions,
-            ctrl,
-            bus,
-            cpu,
-            robustness,
-            engine: EngineStats::default(),
-            channels,
-        }
-    }
-
     /// Channel count of the simulated device (utilisation denominators;
     /// also journalled so resumed sweeps rebuild reports losslessly).
     pub fn channels(&self) -> u64 {
@@ -699,11 +665,12 @@ impl SimReport {
     }
 }
 
-/// Line addresses of outstanding reads, keyed by dense access id.
+/// Owning core and line address of outstanding reads, keyed by dense
+/// access id.
 ///
 /// Access ids are assigned monotonically by [`System::enqueue`], so a
 /// windowed slab replaces the former `HashMap<AccessId, u64>` on the
-/// per-completion hot path: slot `id - base` holds the line, and the
+/// per-completion hot path: slot `id - base` holds the read, and the
 /// window's base advances as the oldest reads complete. Writes (and
 /// completed reads) occupy sentinel slots that are popped from the front
 /// as soon as they become the oldest, so the window length tracks the
@@ -714,19 +681,21 @@ impl SimReport {
 struct LineSlab {
     /// Access id of `slots[0]`.
     base: u64,
-    /// Line address per id, or [`LineSlab::EMPTY`] for ids that are not
+    /// `(core, line)` per id, or [`LineSlab::VACANT`] for ids that are not
     /// outstanding reads (writes, completed or forwarded reads).
-    slots: VecDeque<u64>,
+    slots: VecDeque<(usize, u64)>,
 }
 
 impl LineSlab {
-    /// Sentinel for "no line stored". Line addresses are physical cache
-    /// line addresses and never reach `u64::MAX`.
+    /// Sentinel line for "no read stored". Line addresses are physical
+    /// cache line addresses and never reach `u64::MAX`.
     const EMPTY: u64 = u64::MAX;
+    /// The slot of an id that holds no outstanding read.
+    const VACANT: (usize, u64) = (0, Self::EMPTY);
 
-    /// Stores `line` for `id`. Ids must not decrease below the window base
-    /// (they are assigned monotonically).
-    fn insert(&mut self, id: AccessId, line: u64) {
+    /// Stores core `core`'s read of `line` for `id`. Ids must not decrease
+    /// below the window base (they are assigned monotonically).
+    fn insert(&mut self, id: AccessId, core: usize, line: u64) {
         debug_assert_ne!(line, Self::EMPTY, "sentinel collision");
         if self.slots.is_empty() {
             // No reads outstanding: snap the window to this id so a run of
@@ -735,24 +704,24 @@ impl LineSlab {
         }
         let idx = id.value() - self.base;
         while (self.slots.len() as u64) <= idx {
-            self.slots.push_back(Self::EMPTY);
+            self.slots.push_back(Self::VACANT);
         }
-        self.slots[idx as usize] = line;
+        self.slots[idx as usize] = (core, line);
     }
 
-    /// Removes and returns the line stored for `id`, advancing the window
-    /// past any leading non-read slots.
-    fn remove(&mut self, id: AccessId) -> Option<u64> {
+    /// Removes and returns the `(core, line)` stored for `id`, advancing
+    /// the window past any leading vacant slots.
+    fn remove(&mut self, id: AccessId) -> Option<(usize, u64)> {
         let idx = id.value().checked_sub(self.base)?;
         if idx >= self.slots.len() as u64 {
             return None;
         }
-        let line = std::mem::replace(&mut self.slots[idx as usize], Self::EMPTY);
-        while self.slots.front() == Some(&Self::EMPTY) {
+        let slot = std::mem::replace(&mut self.slots[idx as usize], Self::VACANT);
+        while self.slots.front() == Some(&Self::VACANT) {
             self.slots.pop_front();
             self.base += 1;
         }
-        (line != Self::EMPTY).then_some(line)
+        (slot != Self::VACANT).then_some(slot)
     }
 
     #[cfg(test)]
@@ -762,9 +731,9 @@ impl LineSlab {
 }
 
 /// Size in bytes of the diagnostic tail [`System::checkpoint`] appends
-/// after the hashed observable sections: `skipped` plus the five
-/// [`EngineStats`] counters, one `u64` each.
-pub(crate) const DIAGNOSTIC_TAIL_BYTES: usize = 7 * 8;
+/// after the hashed observable sections: the six [`EngineStats`]
+/// counters, one `u64` each.
+pub(crate) const DIAGNOSTIC_TAIL_BYTES: usize = 6 * 8;
 
 /// A provably-skippable stretch of upcoming memory cycles, tagged with
 /// the closed-form replay it needs (see [`System::jump_horizon`]).
@@ -785,24 +754,31 @@ impl Jump {
     }
 }
 
-/// A stepped full-system simulation.
+/// A stepped full-system simulation: one or more CPU cores with private
+/// cache hierarchies sharing one memory controller and DRAM device.
+///
+/// [`System::new`] builds the paper's single-core machine, driven by
+/// [`System::warm`], [`System::try_run`] and friends. [`System::with_cores`]
+/// builds a chip multiprocessor (the paper's Section 6 extension), driven
+/// by the `*_cores` variants with one workload per core. Both go through
+/// the same step loop, engines, snapshots and error paths. Every entry
+/// point panics unless it is given exactly one workload per core.
 #[derive(Debug)]
 pub struct System {
     cfg: SystemConfig,
     dram: Dram,
     sched: Box<dyn AccessScheduler>,
-    cpu: Cpu,
+    /// One CPU per core, never empty.
+    cpus: Vec<Cpu>,
     mem_cycle: Cycle,
     next_id: u64,
     completions: Vec<Completion>,
-    /// Future read deliveries: (done_at, line address).
-    pending: BinaryHeap<Reverse<(Cycle, u64)>>,
+    /// Future read deliveries: (done_at, owning core, line address).
+    pending: BinaryHeap<Reverse<(Cycle, usize, u64)>>,
     read_lines: LineSlab,
-    /// Memory cycles jumped over by [`System::advance_idle`] and
-    /// [`System::advance_busy`]. Diagnostic only — deliberately excluded
-    /// from [`SimReport`]'s comparison, which must hold between engines.
-    skipped: u64,
-    /// Event-engine observability counters (diagnostic, like `skipped`).
+    /// Event-engine observability counters, including the memory cycles
+    /// jumped over. Diagnostic only — deliberately excluded from
+    /// [`SimReport`]'s comparison, which must hold between engines.
     engine_stats: EngineStats,
     /// Cached controller+device event horizon: `Some(e)` proves that a
     /// controller tick at any cycle in `[mem_cycle, e)` is a pure
@@ -842,16 +818,29 @@ const FOLD_MIN_PROFIT: u64 = 4;
 const FOLD_MAX_STRIDE: u64 = 64;
 
 impl System {
-    /// Builds an idle system.
+    /// Builds an idle single-core system.
     pub fn new(cfg: &SystemConfig) -> Self {
-        let sched = cfg.mechanism.build(cfg.effective_ctrl(), cfg.dram.geometry);
-        Self::with_scheduler(cfg, sched)
+        Self::with_scheduler(cfg, cfg.scheduler())
     }
 
-    /// Builds a system around a caller-supplied scheduler — the seam for
-    /// testing robustness machinery against schedulers outside
-    /// [`Mechanism`] (e.g. deliberately broken ones).
+    /// Builds a single-core system around a caller-supplied scheduler —
+    /// the seam for testing robustness machinery against schedulers
+    /// outside [`Mechanism`] (e.g. deliberately broken ones).
     pub fn with_scheduler(cfg: &SystemConfig, sched: Box<dyn AccessScheduler>) -> Self {
+        Self::with_cores(cfg, sched, NonZeroUsize::MIN)
+    }
+
+    /// Builds an idle chip multiprocessor: `cores` CPUs with private cache
+    /// hierarchies sharing `sched` and one DRAM device (pass
+    /// [`SystemConfig::scheduler`] for the configured mechanism). Each core
+    /// addresses its own slice of physical memory, as distinct processes
+    /// would; core 0's addresses are untranslated, so one core is exactly
+    /// [`System::with_scheduler`].
+    pub fn with_cores(
+        cfg: &SystemConfig,
+        sched: Box<dyn AccessScheduler>,
+        cores: NonZeroUsize,
+    ) -> Self {
         let mut dram = Dram::new(cfg.dram, cfg.mapping);
         if cfg.checker {
             dram.enable_checker();
@@ -860,13 +849,12 @@ impl System {
             cfg: *cfg,
             dram,
             sched,
-            cpu: Cpu::new(cfg.cpu),
+            cpus: (0..cores.get()).map(|_| Cpu::new(cfg.cpu)).collect(),
             mem_cycle: 0,
             next_id: 0,
             completions: Vec::new(),
             pending: BinaryHeap::new(),
             read_lines: LineSlab::default(),
-            skipped: 0,
             engine_stats: EngineStats::default(),
             tick_horizon: None,
             fold_cooldown: 0,
@@ -886,16 +874,21 @@ impl System {
         self.mem_cycle
     }
 
-    /// Instructions retired.
+    /// Instructions retired, summed over cores.
     pub fn retired(&self) -> u64 {
-        self.cpu.retired()
+        self.cpus.iter().map(Cpu::retired).sum()
+    }
+
+    /// Instructions retired by core `core` (panics past the last core).
+    pub fn core_retired(&self, core: usize) -> u64 {
+        self.cpus[core].retired()
     }
 
     /// Memory cycles jumped over by the engine so far (zero under
     /// [`Engine::CycleNoSkip`]). Counts toward [`System::mem_cycle`] like
     /// any stepped cycle.
     pub fn skipped_cycles(&self) -> u64 {
-        self.skipped
+        self.engine_stats.skipped()
     }
 
     /// Event-engine observability counters accumulated so far.
@@ -903,54 +896,92 @@ impl System {
         self.engine_stats
     }
 
-    /// Functionally warms the caches with the configured budget. Call once
-    /// before [`System::run`]; [`simulate`] does this automatically.
-    pub fn warm(&mut self, workload: &mut dyn OpSource) {
+    /// Panics unless there is exactly one workload per core.
+    fn check_sources(&self, workloads: &[&mut dyn OpSource]) {
+        assert_eq!(workloads.len(), self.cpus.len(), "one workload per core");
+    }
+
+    /// Functionally warms the caches of a single-core system with the
+    /// configured budget. Call once before [`System::run`]; [`simulate`]
+    /// does this automatically.
+    pub fn warm(&mut self, mut workload: &mut dyn OpSource) {
+        self.warm_cores(std::slice::from_mut(&mut workload));
+    }
+
+    /// [`System::warm`] for every core, each from its own workload.
+    pub fn warm_cores(&mut self, workloads: &mut [&mut dyn OpSource]) {
+        self.check_sources(workloads);
         let budget = self.cfg.warm_mem_ops;
         if budget > 0 {
-            self.cpu.warm_caches(workload, budget);
+            for (cpu, w) in self.cpus.iter_mut().zip(workloads) {
+                cpu.warm_caches(&mut **w, budget);
+            }
         }
     }
 
-    /// Advances one memory-controller cycle: `cpu_ratio` CPU cycles, then
-    /// request hand-off, then one scheduler tick.
-    pub fn step(&mut self, workload: &mut dyn OpSource) {
+    /// Advances a single-core system by one memory-controller cycle.
+    pub fn step(&mut self, mut workload: &mut dyn OpSource) {
+        let workloads = std::slice::from_mut(&mut workload);
+        self.check_sources(workloads);
+        self.step_all(workloads);
+    }
+
+    /// The one step loop body, for any core count: every core runs
+    /// `cpu_ratio` CPU cycles, then requests are handed off, then one
+    /// scheduler tick and read delivery. Callers have checked that
+    /// `workloads` pairs one workload with each core.
+    fn step_all(&mut self, workloads: &mut [&mut dyn OpSource]) {
         self.engine_stats.steps += 1;
         let t0 = Stamp::begin(self.profile.is_some());
-        // 1. CPU makes progress and generates cache-miss traffic. Under the
-        //    event engine, [`Cpu::run_until`] advances stalled stretches and
-        //    full-width compute streaks inside the step in closed form —
-        //    bit-identically to per-cycle stepping, since nothing external
-        //    (read delivery, hand-off) happens between the micro-cycles of
-        //    one step. The cycle engines keep the plain loop as an
-        //    independent reference implementation.
-        if self.cfg.engine == Engine::Event {
-            self.cpu
-                .run_until(self.cpu.now() + self.cfg.cpu.cpu_ratio, workload);
-        } else {
-            for _ in 0..self.cfg.cpu.cpu_ratio {
-                self.cpu.cycle(workload);
+        // 1. Every core makes progress and generates cache-miss traffic.
+        //    Under the event engine, [`Cpu::run_until`] advances stalled
+        //    stretches and full-width compute streaks inside the step in
+        //    closed form — bit-identically to per-cycle stepping, since
+        //    nothing external (read delivery, hand-off) happens between the
+        //    micro-cycles of one step. The reference engine keeps the plain
+        //    loop as an independent implementation.
+        let ratio = self.cfg.cpu.cpu_ratio;
+        let per_cycle = self.cfg.engine == Engine::CycleNoSkip;
+        for (cpu, w) in self.cpus.iter_mut().zip(workloads) {
+            if per_cycle {
+                for _ in 0..ratio {
+                    cpu.cycle(&mut **w);
+                }
+            } else {
+                cpu.run_until(cpu.now() + ratio, &mut **w);
             }
         }
         let t1 = t0.lap(self.profile.as_deref_mut(), |p| &mut p.cpu_ns);
         // 2. Hand requests to the controller while it accepts them. Reads
-        //    first (they are latency-critical), then writebacks. The
-        //    pending-count guards skip the virtual `can_accept` probe on the
-        //    (common) steps with nothing to hand off.
-        if self.cpu.pending_read_requests() != 0 {
-            while self.sched.can_accept(AccessKind::Read) {
-                let Some((line, critical)) = self.cpu.pop_read_request_tagged() else {
-                    break;
-                };
-                self.enqueue(AccessKind::Read, line, critical);
+        //    first (they are latency-critical), then writebacks, each
+        //    visiting the cores round-robin from core `mem_cycle % cores`
+        //    so no core is favoured. The pending-count guards skip the
+        //    virtual `can_accept` probe on the (common) steps with nothing
+        //    to hand off.
+        let cores = self.cpus.len();
+        // One core needs no 64-bit division per step.
+        let first = match cores {
+            1 => 0,
+            _ => (self.mem_cycle % cores as u64) as usize,
+        };
+        for core in (first..cores).chain(0..first) {
+            if self.cpus[core].pending_read_requests() != 0 {
+                while self.sched.can_accept(AccessKind::Read) {
+                    let Some((line, critical)) = self.cpus[core].pop_read_request_tagged() else {
+                        break;
+                    };
+                    self.enqueue(core, AccessKind::Read, line, critical);
+                }
             }
         }
-        if self.cpu.pending_writebacks() != 0 {
-            while self.sched.can_accept(AccessKind::Write) {
-                let Some(line) = self.cpu.pop_writeback() else {
-                    break;
-                };
-                self.enqueue(AccessKind::Write, line, false);
+        for core in (first..cores).chain(0..first) {
+            if self.cpus[core].pending_writebacks() != 0 {
+                while self.sched.can_accept(AccessKind::Write) {
+                    let Some(line) = self.cpus[core].pop_writeback() else {
+                        break;
+                    };
+                    self.enqueue(core, AccessKind::Write, line, false);
+                }
             }
         }
         let t2 = t1.lap(self.profile.as_deref_mut(), |p| &mut p.handoff_ns);
@@ -975,29 +1006,30 @@ impl System {
         }
         for c in self.completions.drain(..) {
             if c.kind == AccessKind::Read {
-                if let Some(line) = self.read_lines.remove(c.id) {
-                    self.pending.push(Reverse((c.done_at, line)));
+                if let Some((core, line)) = self.read_lines.remove(c.id) {
+                    self.pending.push(Reverse((c.done_at, core, line)));
                     self.next_delivery = self.next_delivery.min(c.done_at);
                 }
             }
         }
         let t3 = t2.lap(self.profile.as_deref_mut(), |p| &mut p.dram_ns);
-        // 4. Deliver read data whose transfer has finished. The cached
-        //    minimum makes the no-delivery step (the common case) a single
-        //    integer compare instead of a heap peek through two levels of
-        //    wrapper types.
+        // 4. Deliver read data whose transfer has finished to the core that
+        //    asked for it. The cached minimum makes the no-delivery step
+        //    (the common case) a single integer compare instead of a heap
+        //    peek through two levels of wrapper types.
         if self.next_delivery <= self.mem_cycle {
-            while let Some(&Reverse((at, line))) = self.pending.peek() {
+            while let Some(&Reverse((at, core, line))) = self.pending.peek() {
                 if at > self.mem_cycle {
                     break;
                 }
                 self.pending.pop();
-                self.cpu.complete_read(line, self.cpu.now());
+                let cpu = &mut self.cpus[core];
+                cpu.complete_read(line, cpu.now());
             }
             self.next_delivery = self
                 .pending
                 .peek()
-                .map_or(Cycle::MAX, |&Reverse((at, _))| at);
+                .map_or(Cycle::MAX, |&Reverse((at, _, _))| at);
         }
         t3.lap(self.profile.as_deref_mut(), |p| &mut p.deliver_ns);
         self.mem_cycle += 1;
@@ -1017,8 +1049,15 @@ impl System {
         self.profile.as_deref()
     }
 
-    fn enqueue(&mut self, kind: AccessKind, line: u64, critical: bool) {
-        let addr = PhysAddr::new(line);
+    fn enqueue(&mut self, core: usize, kind: AccessKind, line: u64, critical: bool) {
+        // Core 0 — every single-core system — is untranslated. Every other
+        // core is rotated by a large odd page multiple into its own slice
+        // of the 4 GiB space, as distinct processes would be: cores collide
+        // in banks (shared DRAM) but not in lines (private data).
+        let addr = PhysAddr::new(match core {
+            0 => line,
+            _ => line.wrapping_add(core as u64 * 0x2654_3000) % (4u64 << 30),
+        });
         let loc = self.dram.decode(addr);
         let id = AccessId::new(self.next_id);
         self.next_id += 1;
@@ -1032,7 +1071,7 @@ impl System {
             self.tick_horizon = None;
         }
         if kind == AccessKind::Read {
-            self.read_lines.insert(id, line);
+            self.read_lines.insert(id, core, line);
         }
         // Forwarded reads push a same-cycle completion, which the regular
         // delivery path below hands back to the CPU this very cycle.
@@ -1040,23 +1079,34 @@ impl System {
             .enqueue(access, self.mem_cycle, &mut self.completions);
     }
 
+    /// The earliest CPU cycle at which some core's dispatch could unblock
+    /// on its own (`u64::MAX` when every core waits on memory), or `None`
+    /// when some core is live.
+    fn cores_idle_until(&self) -> Option<u64> {
+        self.cpus
+            .iter()
+            .try_fold(u64::MAX, |wake, cpu| Some(wake.min(cpu.idle_until()?)))
+    }
+
     /// How many upcoming memory cycles are provably pure no-ops, or
     /// `None` when the system may make progress on the very next step.
     ///
-    /// A cycle qualifies only when nothing can change during it: the CPU
-    /// is fully stalled with no undelivered requests, the scheduler holds
-    /// no work, no read delivery is due, and the device reports no timing
-    /// event. The returned count may be enormous (a livelocked system has
-    /// no next event); callers cap it with their run budget before
-    /// calling [`System::advance_idle`].
-    fn skip_horizon(&self, quiescent: bool) -> Option<u64> {
-        if self.cfg.engine == Engine::CycleNoSkip || self.mem_cycle == 0 || !quiescent {
+    /// A cycle qualifies only when nothing can change during it: every
+    /// core is fully stalled with no undelivered requests, the scheduler
+    /// holds no work (callers have checked it is quiescent), no read
+    /// delivery is due, and the device reports no timing event. The
+    /// returned count may be enormous (a livelocked system has no next
+    /// event); callers cap it with their run budget before calling
+    /// [`System::advance_idle`].
+    fn skip_horizon(&self) -> Option<u64> {
+        if self
+            .cpus
+            .iter()
+            .any(|c| c.pending_read_requests() != 0 || c.pending_writebacks() != 0)
+        {
             return None;
         }
-        if self.cpu.pending_read_requests() != 0 || self.cpu.pending_writebacks() != 0 {
-            return None;
-        }
-        let wake = self.cpu.idle_until()?;
+        let wake = self.cores_idle_until()?;
         let cur = self.mem_cycle;
         let r = self.cfg.cpu.cpu_ratio;
         // Step `t` runs CPU cycles `t*r + 1..=(t+1)*r`, so the retirement
@@ -1082,12 +1132,19 @@ impl System {
     /// device state is exactly what `n` no-op ticks would have left.
     /// Callers must keep `n` within [`System::skip_horizon`].
     fn advance_idle(&mut self, n: u64) {
-        self.cpu.advance_stalled(n * self.cfg.cpu.cpu_ratio);
+        self.advance_cores(n);
         self.sched.advance_quiescent(self.mem_cycle, n);
         self.mem_cycle += n;
-        self.skipped += n;
         self.engine_stats.quiescent_jumps += 1;
         self.engine_stats.quiescent_skipped += n;
+    }
+
+    /// Burns `n` memory cycles of pure stall time on every core.
+    fn advance_cores(&mut self, n: u64) {
+        let cycles = n * self.cfg.cpu.cpu_ratio;
+        for cpu in &mut self.cpus {
+            cpu.advance_stalled(cycles);
+        }
     }
 
     /// The controller+device event horizon, memoised: the earliest cycle
@@ -1101,10 +1158,7 @@ impl System {
     /// so it cannot move the horizon; the two things that can — an
     /// enqueue, or the full tick at the horizon itself — both clear the
     /// cache.
-    fn tick_horizon(&mut self, quiescent: bool) -> Option<Cycle> {
-        if self.cfg.engine != Engine::Event || self.mem_cycle == 0 || quiescent {
-            return None;
-        }
+    fn tick_horizon(&mut self) -> Option<Cycle> {
         if let Some(e) = self.tick_horizon {
             if self.mem_cycle < e {
                 return Some(e);
@@ -1124,16 +1178,14 @@ impl System {
     ///
     /// This is the event engine's extension over [`System::skip_horizon`]:
     /// outstanding accesses may be in flight, but every component proves
-    /// it cannot observably act before the returned horizon — the CPU is
-    /// stalled past it, request hand-off is blocked (nothing pending, or
-    /// the controller pool is full and stays full because nothing issues),
-    /// no read delivery is due, the device reports no timing event, and
-    /// the scheduler's own arbiter/selection/watchdog/adaptation fixpoint
-    /// holds for the whole stretch ([`AccessScheduler::next_busy_event`]).
-    fn busy_horizon(&mut self, quiescent: bool) -> Option<u64> {
-        if self.cfg.engine != Engine::Event || self.mem_cycle == 0 || quiescent {
-            return None;
-        }
+    /// it cannot observably act before the returned horizon — every core
+    /// is stalled past it, request hand-off is blocked (nothing pending,
+    /// or the controller pool is full and stays full because nothing
+    /// issues), no read delivery is due, the device reports no timing
+    /// event, and the scheduler's own arbiter/selection/watchdog/adaptation
+    /// fixpoint holds for the whole stretch
+    /// ([`AccessScheduler::next_busy_event`]).
+    fn busy_horizon(&mut self) -> Option<u64> {
         // The cheap vetoes come first, so event-dense phases — where the
         // CPU is live and hand-off churns every step — never pay for the
         // scheduler fold below.
@@ -1142,13 +1194,17 @@ impl System {
         // controller on the very next step it can accept one. Occupancy is
         // constant over a no-op stretch (slots free only when commands
         // issue), so acceptance cannot open up mid-jump either.
-        if self.cpu.pending_read_requests() != 0 && self.sched.can_accept(AccessKind::Read) {
+        if self.cpus.iter().any(|c| c.pending_read_requests() != 0)
+            && self.sched.can_accept(AccessKind::Read)
+        {
             return None;
         }
-        if self.cpu.pending_writebacks() != 0 && self.sched.can_accept(AccessKind::Write) {
+        if self.cpus.iter().any(|c| c.pending_writebacks() != 0)
+            && self.sched.can_accept(AccessKind::Write)
+        {
             return None;
         }
-        let wake = self.cpu.idle_until()?;
+        let wake = self.cores_idle_until()?;
         // The controller and device can veto outright: `None` means "the
         // next tick may act" (or it cannot prove otherwise). The fold is
         // memoised — recomputed only after an enqueue or a full tick — and
@@ -1163,7 +1219,7 @@ impl System {
                     self.fold_cooldown -= 1;
                     return None;
                 }
-                match self.tick_horizon(quiescent) {
+                match self.tick_horizon() {
                     Some(e) => (e, true),
                     None => {
                         self.fold_backoff();
@@ -1207,25 +1263,27 @@ impl System {
     /// the cycle counter advance in closed form. Callers must keep `n`
     /// within [`System::busy_horizon`].
     fn advance_busy(&mut self, n: u64) {
-        self.cpu.advance_stalled(n * self.cfg.cpu.cpu_ratio);
+        self.advance_cores(n);
         self.sched.advance_blocked(self.mem_cycle, n);
         self.mem_cycle += n;
-        self.skipped += n;
         self.engine_stats.busy_jumps += 1;
         self.engine_stats.busy_skipped += n;
     }
 
     /// The provably skippable stretch starting at the next step, if any:
-    /// quiescent horizons first (cheaper to test, larger), then busy ones.
+    /// a quiescent horizon when the controller is empty, a busy one
+    /// otherwise. The reference engine never jumps, and no engine jumps
+    /// before the first tick (the device horizons read the last ticked
+    /// cycle).
     fn jump_horizon(&mut self) -> Option<Jump> {
-        // One virtual quiescence query feeds both horizon probes (and the
-        // busy path's tick-horizon fold) — they branch on opposite answers,
-        // so at most one runs its body.
-        let quiescent = self.sched.quiescent();
-        if let Some(n) = self.skip_horizon(quiescent) {
-            return Some(Jump::Quiescent(n));
+        if self.cfg.engine == Engine::CycleNoSkip || self.mem_cycle == 0 {
+            return None;
         }
-        self.busy_horizon(quiescent).map(Jump::Busy)
+        if self.sched.quiescent() {
+            self.skip_horizon().map(Jump::Quiescent)
+        } else {
+            self.busy_horizon().map(Jump::Busy)
+        }
     }
 
     /// Advances `n` cycles of the stretch `jump` was computed for.
@@ -1260,10 +1318,27 @@ impl System {
     /// configured limit); [`RunError::RetirementStall`] when the CPU stops
     /// retiring instructions for two million memory cycles although the
     /// controller itself reports no stall.
-    pub fn try_run(&mut self, workload: &mut dyn OpSource, len: RunLength) -> Result<(), RunError> {
+    pub fn try_run(
+        &mut self,
+        mut workload: &mut dyn OpSource,
+        len: RunLength,
+    ) -> Result<(), RunError> {
+        self.try_run_cores(std::slice::from_mut(&mut workload), len)
+    }
+
+    /// [`System::try_run`] for every core, each from its own workload.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`System::try_run`].
+    pub fn try_run_cores(
+        &mut self,
+        workloads: &mut [&mut dyn OpSource],
+        len: RunLength,
+    ) -> Result<(), RunError> {
         let mut cursor = RunCursor::start(self);
         loop {
-            match self.try_run_chunk(workload, len, &mut cursor, u64::MAX)? {
+            match self.try_run_chunk_cores(workloads, len, &mut cursor, u64::MAX)? {
                 ChunkOutcome::Done => return Ok(()),
                 ChunkOutcome::Paused => continue,
             }
@@ -1287,11 +1362,29 @@ impl System {
     /// the state hash at the failure cycle.
     pub fn try_run_chunk(
         &mut self,
-        workload: &mut dyn OpSource,
+        mut workload: &mut dyn OpSource,
         len: RunLength,
         cursor: &mut RunCursor,
         budget: u64,
     ) -> Result<ChunkOutcome, RunError> {
+        self.try_run_chunk_cores(std::slice::from_mut(&mut workload), len, cursor, budget)
+    }
+
+    /// [`System::try_run_chunk`] for every core, each from its own
+    /// workload — the one run loop behind every `try_run*` entry point.
+    /// [`RunLength::Instructions`] counts instructions summed over cores.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`System::try_run`].
+    pub fn try_run_chunk_cores(
+        &mut self,
+        workloads: &mut [&mut dyn OpSource],
+        len: RunLength,
+        cursor: &mut RunCursor,
+        budget: u64,
+    ) -> Result<ChunkOutcome, RunError> {
+        self.check_sources(workloads);
         let mut spent = 0u64;
         match len {
             RunLength::MemCycles(n) => {
@@ -1299,7 +1392,7 @@ impl System {
                     if spent >= budget {
                         return Ok(ChunkOutcome::Paused);
                     }
-                    self.step(workload);
+                    self.step_all(workloads);
                     cursor.done_cycles += 1;
                     spent += 1;
                     if let Some(diag) = self.stamped_stall() {
@@ -1323,16 +1416,20 @@ impl System {
                 }
             }
             RunLength::Instructions(n) => {
-                while self.cpu.retired() < n {
+                // Only a step retires instructions (a jump lies within a
+                // stall), so one sum over the cores per step suffices.
+                let mut retired = self.retired();
+                while retired < n {
                     if spent >= budget {
                         return Ok(ChunkOutcome::Paused);
                     }
-                    self.step(workload);
+                    self.step_all(workloads);
                     spent += 1;
                     if let Some(diag) = self.stamped_stall() {
                         return Err(RunError::ControllerStall(diag));
                     }
-                    if self.cpu.retired() == cursor.last_retired {
+                    retired = self.retired();
+                    if retired == cursor.last_retired {
                         cursor.idle += 1;
                         if cursor.idle >= 2_000_000 {
                             return Err(self.retirement_stall(cursor.last_retired));
@@ -1358,7 +1455,7 @@ impl System {
                         }
                     } else {
                         cursor.idle = 0;
-                        cursor.last_retired = self.cpu.retired();
+                        cursor.last_retired = retired;
                     }
                 }
             }
@@ -1382,17 +1479,22 @@ impl System {
         }
     }
 
-    /// Produces the run's report.
+    /// Produces the run's report: CPU cycles of the furthest core,
+    /// instructions and CPU statistics summed over cores.
     pub fn report(&self, workload_name: impl Into<String>) -> SimReport {
         SimReport {
             mechanism: self.sched.mechanism(),
             workload: workload_name.into(),
-            cpu_cycles: self.cpu.now(),
+            cpu_cycles: self.cpus.iter().map(Cpu::now).max().unwrap_or(0),
             mem_cycles: self.mem_cycle,
-            instructions: self.cpu.retired(),
+            instructions: self.retired(),
             ctrl: self.sched.stats().clone(),
             bus: self.dram.total_stats(),
-            cpu: *self.cpu.stats(),
+            cpu: self
+                .cpus
+                .iter()
+                .map(|c| *c.stats())
+                .fold(CpuStats::default(), |a, s| a + s),
             robustness: RobustnessReport::collect(
                 self.sched.stats(),
                 self.dram.protocol_violations(),
@@ -1403,13 +1505,13 @@ impl System {
     }
 
     /// Fault-injection hook for the lockstep oracle's self-check:
-    /// deterministically skews the CPU's stall-cycle accounting by
+    /// deterministically skews core 0's stall-cycle accounting by
     /// `cycles`, emulating the bookkeeping bug class event-horizon
     /// skipping could introduce. The skew is observable in the state hash
     /// from this cycle on, so the oracle must pinpoint exactly the cycle
     /// it was applied.
     pub fn perturb_stall_accounting(&mut self, cycles: u64) {
-        self.cpu.skew_stall_accounting(cycles);
+        self.cpus[0].skew_stall_accounting(cycles);
     }
 
     /// The stall diagnostic latched by the scheduler's watchdog, if any,
@@ -1434,13 +1536,12 @@ impl System {
             cfg: _, // construction input; restore re-supplies it
             dram,
             sched,
-            cpu,
+            cpus,
             mem_cycle,
             next_id,
             completions,
             pending,
             read_lines: LineSlab { base, slots },
-            skipped: _,       // engine diagnostic; `checkpoint` stores it unhashed
             engine_stats: _,  // engine diagnostic; `checkpoint` stores it unhashed
             tick_horizon: _,  // execution-path memo, recomputed lazily after a restore
             fold_cooldown: _, // execution-path tuning, reset on restore
@@ -1450,7 +1551,9 @@ impl System {
         } = self;
         let mut w = SnapWriter::new();
         let cpu = w.section(|w| {
-            cpu.save_snap(w);
+            for cpu in cpus {
+                cpu.save_snap(w);
+            }
             Ok(())
         })?;
         let sched = w.section(|w| sched.save_state(w))?;
@@ -1459,16 +1562,19 @@ impl System {
             Ok(())
         })?;
         let system = w.section(|w| {
+            w.usize(cpus.len());
             w.u64(*mem_cycle);
             w.u64(*next_id);
             // A BinaryHeap's internal layout depends on insertion history;
             // serialise the pending deliveries sorted so two systems in the
             // same logical state produce the same bytes.
-            let mut pending: Vec<(Cycle, u64)> = pending.iter().map(|Reverse(p)| *p).collect();
+            let mut pending: Vec<(Cycle, usize, u64)> =
+                pending.iter().map(|Reverse(p)| *p).collect();
             pending.sort_unstable();
             w.usize(pending.len());
-            for (at, line) in pending {
+            for (at, core, line) in pending {
                 w.u64(at);
+                w.usize(core);
                 w.u64(line);
             }
             // Completions are drained within every step, so this is empty at
@@ -1486,7 +1592,8 @@ impl System {
             }
             w.u64(*base);
             w.usize(slots.len());
-            for &line in slots {
+            for &(core, line) in slots {
+                w.usize(core);
                 w.u64(line);
             }
             Ok::<(), SnapError>(())
@@ -1513,10 +1620,9 @@ impl System {
     pub fn checkpoint(&self) -> Result<Snapshot, SnapError> {
         let (mut w, _) = self.save_observable()?;
         let state_hash = fnv1a64(w.as_slice());
-        // Diagnostic section: skip bookkeeping and engine counters are
-        // reported by `skipped_cycles`/`engine_stats` but deliberately
-        // excluded from the state hash, which must agree across engines.
-        w.u64(self.skipped);
+        // Diagnostic section: the engine counters are reported by
+        // `engine_stats` but deliberately excluded from the state hash,
+        // which must agree across engines.
         w.u64(self.engine_stats.steps);
         w.u64(self.engine_stats.quiescent_jumps);
         w.u64(self.engine_stats.quiescent_skipped);
@@ -1544,7 +1650,6 @@ impl System {
         let sched_bytes = r.bytes()?;
         let dram_bytes = r.bytes()?;
         let system_bytes = r.bytes()?;
-        let saved_skipped = r.u64()?;
         let saved_engine_stats = EngineStats {
             steps: r.u64()?,
             quiescent_jumps: r.u64()?,
@@ -1558,13 +1663,12 @@ impl System {
             cfg: _, // construction input; restore re-supplies it
             dram,
             sched,
-            cpu,
+            cpus,
             mem_cycle,
             next_id,
             completions,
             pending,
             read_lines: LineSlab { base, slots },
-            skipped,
             engine_stats,
             tick_horizon,
             fold_cooldown,
@@ -1572,8 +1676,17 @@ impl System {
             next_delivery,
             profile: _, // describes the host run; persists across restores untouched
         } = self;
+        // The core count leads the system section; check it before any
+        // per-core state is touched.
+        let mut yr = SnapReader::new(system_bytes);
+        let cores = cpus.len();
+        if yr.usize()? != cores {
+            return Err(SnapError::Corrupt("snapshot has a different core count"));
+        }
         let mut cr = SnapReader::new(cpu_bytes);
-        cpu.load_snap(&mut cr)?;
+        for cpu in cpus.iter_mut() {
+            cpu.load_snap(&mut cr)?;
+        }
         cr.finish()?;
         let mut sr = SnapReader::new(sched_bytes);
         sched.load_state(&mut sr)?;
@@ -1581,15 +1694,19 @@ impl System {
         let mut dr = SnapReader::new(dram_bytes);
         dram.load_snap(&mut dr)?;
         dr.finish()?;
-        let mut yr = SnapReader::new(system_bytes);
         *mem_cycle = yr.u64()?;
         *next_id = yr.u64()?;
-        let n_pending = yr.seq_len(16)?;
+        let read_core = |yr: &mut SnapReader| match yr.usize()? {
+            core if core < cores => Ok(core),
+            _ => Err(SnapError::Corrupt("owning core out of range")),
+        };
+        let n_pending = yr.seq_len(24)?;
         pending.clear();
         for _ in 0..n_pending {
             let at = yr.u64()?;
+            let core = read_core(&mut yr)?;
             let line = yr.u64()?;
-            pending.push(Reverse((at, line)));
+            pending.push(Reverse((at, core, line)));
         }
         let n_completions = yr.seq_len(25)?;
         completions.clear();
@@ -1612,23 +1729,26 @@ impl System {
             });
         }
         *base = yr.u64()?;
-        let n_slots = yr.seq_len(8)?;
+        let n_slots = yr.seq_len(16)?;
         slots.clear();
         for _ in 0..n_slots {
-            slots.push_back(yr.u64()?);
+            let slot = (read_core(&mut yr)?, yr.u64()?);
+            if slot.1 == LineSlab::EMPTY && slot != LineSlab::VACANT {
+                return Err(SnapError::Corrupt("vacant read-line slot names a core"));
+            }
+            slots.push_back(slot);
         }
         yr.finish()?;
         if *base + slots.len() as u64 > *next_id {
             return Err(SnapError::Corrupt("read-line window past the id counter"));
         }
-        *skipped = saved_skipped;
         *engine_stats = saved_engine_stats;
         // Execution-path memos: reset the horizon and fold backoff, and
         // rebuild the delivery minimum from the restored heap.
         *tick_horizon = None;
         *fold_cooldown = 0;
         *fold_stride = 1;
-        *next_delivery = pending.peek().map_or(Cycle::MAX, |&Reverse((at, _))| at);
+        *next_delivery = pending.peek().map_or(Cycle::MAX, |&Reverse((at, _, _))| at);
         Ok(())
     }
 
@@ -1680,12 +1800,8 @@ impl System {
 /// let report = simulate(&cfg, SpecBenchmark::Swim.workload(42), RunLength::Instructions(5_000));
 /// assert!(report.instructions >= 5_000);
 /// ```
-pub fn simulate<W: OpSource>(cfg: &SystemConfig, mut workload: W, len: RunLength) -> SimReport {
-    let mut sys = System::new(cfg);
-    sys.warm(&mut workload);
-    sys.run(&mut workload, len);
-    let name = workload.name().to_string();
-    sys.report(name)
+pub fn simulate<W: OpSource>(cfg: &SystemConfig, workload: W, len: RunLength) -> SimReport {
+    try_simulate(cfg, workload, len).unwrap_or_else(|e| panic!("simulation stalled: {e}"))
 }
 
 /// [`simulate`] with forward-progress stalls surfaced as values instead of
@@ -1718,10 +1834,10 @@ mod tests {
     #[test]
     fn line_slab_round_trips_in_order() {
         let mut slab = LineSlab::default();
-        slab.insert(id(0), 64);
-        slab.insert(id(1), 128);
-        assert_eq!(slab.remove(id(0)), Some(64));
-        assert_eq!(slab.remove(id(1)), Some(128));
+        slab.insert(id(0), 0, 64);
+        slab.insert(id(1), 0, 128);
+        assert_eq!(slab.remove(id(0)), Some((0, 64)));
+        assert_eq!(slab.remove(id(1)), Some((0, 128)));
         assert_eq!(slab.window_len(), 0);
     }
 
@@ -1729,21 +1845,21 @@ mod tests {
     fn line_slab_handles_write_gaps_and_out_of_order_removal() {
         let mut slab = LineSlab::default();
         // Ids 3 and 5 are writes / forwarded reads: never inserted.
-        slab.insert(id(2), 200);
-        slab.insert(id(4), 400);
-        slab.insert(id(6), 600);
-        assert_eq!(slab.remove(id(4)), Some(400));
+        slab.insert(id(2), 0, 200);
+        slab.insert(id(4), 0, 400);
+        slab.insert(id(6), 0, 600);
+        assert_eq!(slab.remove(id(4)), Some((0, 400)));
         assert_eq!(slab.remove(id(3)), None, "gap ids hold no line");
-        assert_eq!(slab.remove(id(6)), Some(600));
-        assert_eq!(slab.remove(id(2)), Some(200));
+        assert_eq!(slab.remove(id(6)), Some((0, 600)));
+        assert_eq!(slab.remove(id(2)), Some((0, 200)));
         assert_eq!(slab.window_len(), 0, "window compacts once drained");
     }
 
     #[test]
     fn line_slab_double_remove_returns_none() {
         let mut slab = LineSlab::default();
-        slab.insert(id(7), 700);
-        assert_eq!(slab.remove(id(7)), Some(700));
+        slab.insert(id(7), 0, 700);
+        assert_eq!(slab.remove(id(7)), Some((0, 700)));
         assert_eq!(slab.remove(id(7)), None, "a retry must not double-deliver");
     }
 
@@ -1836,7 +1952,15 @@ mod tests {
         for e in Engine::ALL {
             assert_eq!(Engine::from_name(e.name()), Some(e));
         }
-        for name in ["", "warp", "Event", "noskip", "cycle_noskip", "no-skip"] {
+        for name in [
+            "",
+            "warp",
+            "Event",
+            "cycle",
+            "noskip",
+            "cycle_noskip",
+            "no-skip",
+        ] {
             assert_eq!(Engine::from_name(name), None, "{name:?} must be rejected");
         }
     }
@@ -1874,13 +1998,13 @@ mod tests {
     #[test]
     fn line_slab_rebases_after_draining() {
         let mut slab = LineSlab::default();
-        slab.insert(id(10), 1);
-        assert_eq!(slab.remove(id(10)), Some(1));
+        slab.insert(id(10), 0, 1);
+        assert_eq!(slab.remove(id(10)), Some((0, 1)));
         // A long run of writes advanced the id counter far past the old
         // window; the next read must not pay for the gap.
-        slab.insert(id(1_000_000), 2);
+        slab.insert(id(1_000_000), 0, 2);
         assert_eq!(slab.window_len(), 1, "base snaps to the new id");
-        assert_eq!(slab.remove(id(1_000_000)), Some(2));
+        assert_eq!(slab.remove(id(1_000_000)), Some((0, 2)));
         assert_eq!(
             slab.remove(id(999_999)),
             None,

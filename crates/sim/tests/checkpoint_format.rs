@@ -1,7 +1,7 @@
 //! The on-disk checkpoint format under hostile input: a flipped byte
-//! anywhere in the hashed body of a real checkpoint is refused, a file in
-//! the retired version-1 format is refused and its cell restarts fresh with
-//! an identical report, and the compact body stays compact.
+//! anywhere in a real checkpoint file is refused, a file in a retired
+//! format version is refused and its cell restarts fresh with an identical
+//! report, and the compact body stays compact.
 
 #![expect(
     clippy::disallowed_methods,
@@ -21,9 +21,9 @@ use burst_snap::SnapWriter;
 use burst_workloads::{CountingSource, SpecBenchmark};
 use proptest::prelude::*;
 
-/// Bytes after the hashed prefix of a body: `skipped` and the six engine
-/// counters, unhashed so engines agree.
-const DIAGNOSTIC_TAIL: usize = 7 * 8;
+/// Bytes after the hashed prefix of a body: the six engine counters,
+/// unhashed so engines agree.
+const DIAGNOSTIC_TAIL: usize = 6 * 8;
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("burst-checkpoint-format-tests");
@@ -95,9 +95,30 @@ proptest! {
             "flip {mask:#04x} at {offset} gave {got:?}"
         );
     }
+
+    /// One flipped byte anywhere in the file — magic, version, fingerprint,
+    /// either digest, the run position, a length prefix, the body or its
+    /// unhashed diagnostic tail — is refused: an error, never a panic and
+    /// never a checkpoint that would resume at the wrong stream position.
+    #[test]
+    fn a_flipped_byte_anywhere_in_the_file_is_refused(
+        at in any::<u64>(),
+        mask in 1u8..=255,
+    ) {
+        let (bytes, _) = real_checkpoint();
+        let offset = (at % bytes.len() as u64) as usize;
+        let mut bad = bytes.clone();
+        bad[offset] ^= mask;
+        let path = tmp(&format!("anyflip-{offset}-{mask}.ckpt"));
+        std::fs::write(&path, &bad).expect("write flipped file");
+        let got = Checkpoint::load(&path, fingerprint("flip"));
+        let _ = std::fs::remove_file(&path);
+        prop_assert!(got.is_err(), "flip {mask:#04x} at {offset} loaded");
+    }
 }
 
-/// A version-1 file (fixed-width cache ways) is refused by version alone,
+/// Files in the retired formats — version 1 (fixed-width cache ways) and
+/// version 2 (one core, no header digest) — are refused by version alone,
 /// and a checkpointed run that finds one restarts fresh to the same report.
 #[test]
 fn a_version_1_checkpoint_is_refused_and_the_cell_restarts_fresh() {
@@ -105,31 +126,37 @@ fn a_version_1_checkpoint_is_refused_and_the_cell_restarts_fresh() {
         .with_mechanism(Mechanism::BurstTh(52))
         .with_warm_mem_ops(1_000);
     let len = RunLength::Instructions(8_000);
-    let fp = fingerprint("version 1");
-    let path = tmp("v1.ckpt");
-    let mut w = SnapWriter::new();
-    for b in *b"BCKP" {
-        w.u8(b);
-    }
-    w.u32(1);
-    w.u64(fp);
-    w.u64(0); // state hash
-    w.u64(0); // ops consumed
-    RunCursor::default().save_snap(&mut w);
-    w.bytes(&[0; 64]);
-    std::fs::write(&path, w.as_slice()).expect("write v1 file");
-
-    assert!(matches!(
-        Checkpoint::load(&path, fp),
-        Err(CheckpointError::UnsupportedVersion(1))
-    ));
-
     let reference = try_simulate(&cfg, SpecBenchmark::Swim.workload(2), len).expect("reference");
-    let policy = CheckpointPolicy::new(2_000, path.clone(), fp);
-    let got = try_simulate_checkpointed(&cfg, || SpecBenchmark::Swim.workload(2), len, &policy)
-        .expect("fresh start");
-    assert_eq!(got, reference, "a v1 file must not change the results");
-    assert!(!path.exists(), "the completed cell removes its checkpoint");
+    for version in [1, 2] {
+        let fp = fingerprint(&format!("version {version}"));
+        let path = tmp(&format!("v{version}.ckpt"));
+        let mut w = SnapWriter::new();
+        for b in *b"BCKP" {
+            w.u8(b);
+        }
+        w.u32(version);
+        w.u64(fp);
+        w.u64(0); // state hash
+        w.u64(0); // ops consumed
+        RunCursor::default().save_snap(&mut w);
+        w.bytes(&[0; 64]);
+        std::fs::write(&path, w.as_slice()).expect("write old-version file");
+
+        let got = Checkpoint::load(&path, fp);
+        assert!(
+            matches!(got, Err(CheckpointError::UnsupportedVersion(v)) if v == version),
+            "version {version} gave {got:?}"
+        );
+
+        let policy = CheckpointPolicy::new(2_000, path.clone(), fp);
+        let got = try_simulate_checkpointed(&cfg, || SpecBenchmark::Swim.workload(2), len, &policy)
+            .expect("fresh start");
+        assert_eq!(
+            got, reference,
+            "a version-{version} file must not change the results"
+        );
+        assert!(!path.exists(), "the completed cell removes its checkpoint");
+    }
 }
 
 /// The compact way encoding keeps a warmed baseline swim/Burst_TH52 body

@@ -228,8 +228,6 @@ fn base(engine: Engine) -> SystemConfig {
     SystemConfig::baseline().with_engine(engine)
 }
 
-const ENGINES: [Engine; 2] = [Engine::Event, Engine::CycleNoSkip];
-
 #[test]
 fn sweep_figures_are_engine_invariant() {
     // One grid feeds Figures 7, 9 and 10 (BkInOrder included so the
@@ -242,7 +240,7 @@ fn sweep_figures_are_engine_invariant() {
         Mechanism::BurstTh(52),
     ];
     let len = RunLength::Instructions(1_200);
-    let csvs: Vec<[String; 4]> = ENGINES
+    let csvs: Vec<[String; 4]> = Engine::ALL
         .iter()
         .map(|&engine| {
             let sweep = Sweep::run_with_config(&base(engine), &benchmarks, &mechanisms, len, 9, 1);
@@ -260,7 +258,7 @@ fn sweep_figures_are_engine_invariant() {
 #[test]
 fn outstanding_figures_are_engine_invariant() {
     let len = RunLength::Instructions(1_000);
-    let csvs: Vec<[String; 2]> = ENGINES
+    let csvs: Vec<[String; 2]> = Engine::ALL
         .iter()
         .map(|&engine| {
             [
@@ -287,7 +285,7 @@ fn outstanding_figures_are_engine_invariant() {
 #[test]
 fn threshold_sweep_is_engine_invariant() {
     let len = RunLength::Instructions(600);
-    let csvs: Vec<String> = ENGINES
+    let csvs: Vec<String> = Engine::ALL
         .iter()
         .map(|&engine| {
             fig12_to_csv(&fig12_with_config(

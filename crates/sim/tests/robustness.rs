@@ -9,7 +9,7 @@ use burst_core::{
 use burst_dram::{Cycle, Dram};
 use burst_sim::{simulate, RunError, RunLength, System, SystemConfig};
 use burst_snap::{SnapError, SnapReader, SnapWriter};
-use burst_workloads::SpecBenchmark;
+use burst_workloads::{OpSource, SpecBenchmark};
 
 #[test]
 fn checker_defaults_on_in_debug_builds() {
@@ -220,38 +220,45 @@ impl AccessScheduler for DeadScheduler {
 }
 
 /// Acceptance: a no-progress stall surfaces as a structured diagnostic
-/// error from `try_run` instead of hanging or tripping a bare assert.
+/// error from `try_run` instead of hanging or tripping a bare assert — on
+/// one core and on a chip multiprocessor alike.
 #[test]
 fn stalled_controller_returns_diagnostic_error() {
     let cfg = SystemConfig::baseline();
-    let mut sys = System::with_scheduler(&cfg, Box::new(DeadScheduler::new(500)));
-    let mut workload = SpecBenchmark::Swim.workload(11);
-    let err = sys
-        .try_run(&mut workload, RunLength::Instructions(1_000_000))
-        .expect_err("a dead controller must be reported, not spun on");
-    match err {
-        RunError::ControllerStall(diag) => {
-            assert!(
-                diag.reads + diag.writes > 0,
-                "stall with nothing outstanding: {diag}"
-            );
-            assert!(
-                diag.at - diag.since > 500,
-                "stall declared too early: {diag}"
-            );
-            assert!(diag.oldest_id.is_some());
-            let msg = err.to_string();
-            assert!(
-                msg.contains("no forward progress"),
-                "diagnostic text: {msg}"
-            );
+    for cores in [1, 2] {
+        let cores = std::num::NonZeroUsize::new(cores).expect("nonzero");
+        let mut sys = System::with_cores(&cfg, Box::new(DeadScheduler::new(500)), cores);
+        let mut w: Vec<_> = (0..cores.get() as u64)
+            .map(|i| SpecBenchmark::Swim.workload(11 + i))
+            .collect();
+        let mut w: Vec<&mut dyn OpSource> = w.iter_mut().map(|w| w as &mut dyn OpSource).collect();
+        let err = sys
+            .try_run_cores(&mut w, RunLength::Instructions(1_000_000))
+            .expect_err("a dead controller must be reported, not spun on");
+        match err {
+            RunError::ControllerStall(diag) => {
+                assert!(
+                    diag.reads + diag.writes > 0,
+                    "stall with nothing outstanding: {diag}"
+                );
+                assert!(
+                    diag.at - diag.since > 500,
+                    "stall declared too early: {diag}"
+                );
+                assert!(diag.oldest_id.is_some());
+                let msg = err.to_string();
+                assert!(
+                    msg.contains("no forward progress"),
+                    "diagnostic text: {msg}"
+                );
+            }
+            other => panic!("expected a controller stall, got {other:?}"),
         }
-        other => panic!("expected a controller stall, got {other:?}"),
+        assert!(
+            sys.stall_diagnostic().is_some(),
+            "diagnostic stays latched on the system"
+        );
     }
-    assert!(
-        sys.stall_diagnostic().is_some(),
-        "diagnostic stays latched on the system"
-    );
 }
 
 /// The watchdog's escalation bound holds end-to-end: with a small

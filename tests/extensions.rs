@@ -4,7 +4,7 @@
 
 use burst_scheduling::dram::EnergyParams;
 use burst_scheduling::prelude::*;
-use burst_scheduling::sim::cmp::CmpSystem;
+use burst_scheduling::sim::System;
 use burst_scheduling::workloads::OpSource;
 
 fn run(mechanism: Mechanism, bench: SpecBenchmark, n: u64) -> SimReport {
@@ -82,14 +82,15 @@ fn latency_percentiles_consistent() {
 #[test]
 fn symmetric_cmp_is_fair() {
     let cfg = SystemConfig::baseline().with_mechanism(Mechanism::BurstTh(52));
-    let mut sys = CmpSystem::new(&cfg, 2);
-    let mut w: Vec<Box<dyn OpSource>> = vec![
-        Box::new(SpecBenchmark::Mgrid.workload(5)),
-        Box::new(SpecBenchmark::Mgrid.workload(6)),
-    ];
-    sys.warm(&mut w);
-    sys.run_total_instructions(&mut w, 16_000);
-    let (a, b) = (sys.retired(0) as f64, sys.retired(1) as f64);
+    let cores = std::num::NonZeroUsize::new(2).expect("nonzero");
+    let mut sys = System::with_cores(&cfg, cfg.scheduler(), cores);
+    let mut w0 = SpecBenchmark::Mgrid.workload(5);
+    let mut w1 = SpecBenchmark::Mgrid.workload(6);
+    let mut w: [&mut dyn OpSource; 2] = [&mut w0, &mut w1];
+    sys.warm_cores(&mut w);
+    sys.try_run_cores(&mut w, RunLength::Instructions(16_000))
+        .expect("the dual-core run makes progress");
+    let (a, b) = (sys.core_retired(0) as f64, sys.core_retired(1) as f64);
     let ratio = a.min(b) / a.max(b);
     assert!(
         ratio > 0.6,
