@@ -2,8 +2,8 @@
 //!
 //! The benchmark harness regenerating every table and figure of the
 //! paper's evaluation. Each `src/bin/<id>.rs` binary prints the rows/series
-//! the paper reports; the Criterion benches under `benches/` measure the
-//! simulator itself.
+//! the paper reports. Simulator throughput is measured by the separate
+//! `benchmark/` package.
 //!
 //! Run, e.g.:
 //!

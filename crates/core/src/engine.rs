@@ -177,24 +177,6 @@ pub struct Core {
     /// entries. `u64::MAX` forces the drop (fresh core or restored
     /// checkpoint).
     cand_epoch: Vec<u64>,
-    /// Per-channel aggregate of `cand_cache`: `Some(t)` proves no occupied
-    /// slot of the channel yields an unblocked candidate before cycle `t`,
-    /// valid while the slot set, the per-bank device states (refresh
-    /// epoch) and the channel's issue history are unchanged — any of those
-    /// clears it. Lets a barren stretch skip the candidate scan outright.
-    chan_bound: Vec<Option<Cycle>>,
-    /// Candidate-scan worklist, one bit per global bank: set iff the next
-    /// [`Core::fill_candidates`] scan must examine the bank — its cached
-    /// entry is gone (slot or device state changed) or its bound has come
-    /// due. A clear bit carries a proof: the bank's cached bound lies in
-    /// the future (see the monotonicity argument on `cand_cache`), and
-    /// `next_due` is never later than any cleared bound, so the scan skips
-    /// the bank with no per-slot work at all until it is promoted back.
-    due_mask: Vec<u64>,
-    /// Per-channel minimum cached bound over cleared-`due_mask` occupied
-    /// banks (`Cycle::MAX` when none is cleared): once `now` reaches it,
-    /// the scan first promotes newly due banks back into the worklist.
-    next_due: Vec<Cycle>,
     /// Arrival cycle of every outstanding access, keyed by id. Ids and
     /// arrivals are both monotone, so the first entry is the oldest access.
     ages: AgeWindow,
@@ -229,9 +211,6 @@ impl Core {
             ongoing_mask: vec![0; nbanks.div_ceil(64)],
             cand_cache: vec![None; nbanks],
             cand_epoch: vec![u64::MAX; nch],
-            chan_bound: vec![None; nch],
-            due_mask: vec![!0; nbanks.div_ceil(64)],
-            next_due: vec![Cycle::MAX; nch],
             reads_outstanding: 0,
             writes_outstanding: 0,
             ages: AgeWindow::default(),
@@ -374,9 +353,7 @@ impl Core {
         });
         self.ongoing_mask[bank >> 6] |= 1 << (bank & 63);
         self.cand_cache[bank] = None;
-        self.due_mask[bank >> 6] |= 1 << (bank & 63);
         let chan = bank / self.banks_per_channel();
-        self.chan_bound[chan] = None;
         // An insertion merges into the steering minimum in O(1); a clean
         // cache stays clean, so the rescan in `steer_to_oldest` runs only
         // after the tracked oldest itself left its slot.
@@ -407,9 +384,7 @@ impl Core {
         if taken.is_some() {
             self.ongoing_mask[bank >> 6] &= !(1 << (bank & 63));
             self.cand_cache[bank] = None;
-            self.due_mask[bank >> 6] |= 1 << (bank & 63);
             let chan = bank / self.banks_per_channel();
-            self.chan_bound[chan] = None;
             self.note_ongoing_removed(chan, bank);
         }
         taken
@@ -456,38 +431,35 @@ impl Core {
         self.fill_candidates_impl(dram, channel, now, out, true);
     }
 
-    /// Calls `f` for every bank of `channel` holding an ongoing access, in
-    /// ascending bank order, walking the occupied-slot bitmap instead of
-    /// probing every slot.
-    fn for_each_occupied(&self, channel: usize, mut f: impl FnMut(usize, &Ongoing)) {
-        let range = self.bank_range(channel);
+    /// Every bank of `channel` holding an ongoing access, with that
+    /// access, in ascending bank order. Walks the occupied-slot bitmap
+    /// instead of probing every slot; takes the two fields rather than
+    /// `&self` so callers may update other fields while iterating.
+    fn occupied<'a>(
+        ongoing_mask: &'a [u64],
+        ongoing: &'a [Option<Ongoing>],
+        range: core::ops::Range<usize>,
+    ) -> impl Iterator<Item = (usize, &'a Ongoing)> {
         let mut bank = range.start;
-        while bank < range.end {
-            let shifted = self.ongoing_mask[bank >> 6] >> (bank & 63);
-            if shifted == 0 {
-                bank = (bank | 63) + 1;
-                continue;
+        core::iter::from_fn(move || {
+            while bank < range.end {
+                let shifted = ongoing_mask[bank >> 6] >> (bank & 63);
+                if shifted == 0 {
+                    bank = (bank | 63) + 1;
+                    continue;
+                }
+                let found = bank + shifted.trailing_zeros() as usize;
+                if found >= range.end {
+                    return None;
+                }
+                bank = found + 1;
+                let og = ongoing[found]
+                    .as_ref()
+                    .expect("ongoing_mask bit set on an empty slot");
+                return Some((found, og));
             }
-            bank += shifted.trailing_zeros() as usize;
-            if bank >= range.end {
-                break;
-            }
-            let og = self.ongoing[bank]
-                .as_ref()
-                .expect("ongoing_mask bit set on an empty slot");
-            f(bank, og);
-            bank += 1;
-        }
-    }
-
-    /// O(1) pre-check for the burst transaction scheduler: `true` proves
-    /// the channel yields no unblocked candidate at `now` (see
-    /// `chan_bound`), so the candidate scan and selection can be skipped
-    /// without observable difference. Conservative: a stale refresh epoch
-    /// simply reports `false` and the scan runs.
-    pub fn candidates_barren(&self, dram: &Dram, channel: usize, now: Cycle) -> bool {
-        self.cand_epoch[channel] == dram.channel(channel).stats().refreshes
-            && self.chan_bound[channel].is_some_and(|t| now < t)
+            None
+        })
     }
 
     fn fill_candidates_impl(
@@ -502,65 +474,13 @@ impl Core {
         let ch = dram.channel(channel);
         let epoch = ch.stats().refreshes;
         if self.cand_epoch[channel] != epoch {
-            for bank in self.bank_range(channel) {
-                self.cand_cache[bank] = None;
-                self.due_mask[bank >> 6] |= 1 << (bank & 63);
-            }
+            let range = self.bank_range(channel);
+            self.cand_cache[range].fill(None);
             self.cand_epoch[channel] = epoch;
-            self.chan_bound[channel] = None;
-            self.next_due[channel] = Cycle::MAX;
         }
         let escalate_age = self.cfg.watchdog.escalate_age;
         let range = self.bank_range(channel);
-        // Promote newly due banks back into the scan worklist: a cleared
-        // bank's cached bound is a valid lower bound forever (monotone
-        // device timing), so it re-enters the scan exactly when `now`
-        // reaches it. `include_blocked` callers report blocked candidates
-        // too and always take the full walk below.
-        if !include_blocked && now >= self.next_due[channel] {
-            let mut still_clear = Cycle::MAX;
-            let mut bank = range.start;
-            while bank < range.end {
-                let word = bank >> 6;
-                let shifted = (self.ongoing_mask[word] & !self.due_mask[word]) >> (bank & 63);
-                if shifted == 0 {
-                    bank = (bank | 63) + 1;
-                    continue;
-                }
-                bank += shifted.trailing_zeros() as usize;
-                if bank >= range.end {
-                    break;
-                }
-                match self.cand_cache[bank] {
-                    Some((_, bound)) if bound > now => still_clear = still_clear.min(bound),
-                    _ => self.due_mask[bank >> 6] |= 1 << (bank & 63),
-                }
-                bank += 1;
-            }
-            self.next_due[channel] = still_clear;
-        }
-        let mut min_bound = u64::MAX;
-        let mut any_unblocked = false;
-        let mut bank = range.start;
-        while bank < range.end {
-            let word = bank >> 6;
-            let mask = if include_blocked {
-                self.ongoing_mask[word]
-            } else {
-                self.ongoing_mask[word] & self.due_mask[word]
-            };
-            let shifted = mask >> (bank & 63);
-            if shifted == 0 {
-                bank = (bank | 63) + 1;
-                continue;
-            }
-            bank += shifted.trailing_zeros() as usize;
-            if bank >= range.end {
-                break;
-            }
-            let og = self.ongoing[bank]
-                .as_ref()
-                .expect("ongoing_mask bit set on an empty slot");
+        for (bank, og) in Self::occupied(&self.ongoing_mask, &self.ongoing, range) {
             let (cmd, bound) = match self.cand_cache[bank] {
                 Some(c) => c,
                 None => {
@@ -574,27 +494,14 @@ impl Core {
             // timing query needed. At or past it, verify for real; a miss
             // there (command bus taken this cycle, refresh pending on the
             // rank) re-derives the bound from the current timing state.
-            let unblocked = if now < bound {
-                min_bound = min_bound.min(bound);
-                if !include_blocked {
-                    self.due_mask[word] &= !(1 << (bank & 63));
-                    self.next_due[channel] = self.next_due[channel].min(bound);
-                }
-                false
-            } else {
+            let unblocked = now >= bound && {
                 let ok = ch.can_issue(&cmd, now);
                 if !ok {
                     let bound = ch.earliest_issue(&cmd, now).unwrap_or(now);
                     self.cand_cache[bank] = Some((cmd, bound));
-                    min_bound = min_bound.min(bound);
-                    if !include_blocked && bound > now {
-                        self.due_mask[word] &= !(1 << (bank & 63));
-                        self.next_due[channel] = self.next_due[channel].min(bound);
-                    }
                 }
                 ok
             };
-            any_unblocked |= unblocked;
             if unblocked || include_blocked {
                 out.push(Candidate {
                     bank,
@@ -608,19 +515,6 @@ impl Core {
                     escalated: now.saturating_sub(og.access.arrival) >= escalate_age,
                 });
             }
-            bank += 1;
-        }
-        // With every occupied slot provably blocked until `min_bound` (the
-        // worklist-skipped slots are blocked until at least `next_due`),
-        // the whole scan is skippable until then — or until a slot, device
-        // or issue change drops the aggregate.
-        if !any_unblocked {
-            let skipped_until = if include_blocked {
-                Cycle::MAX
-            } else {
-                self.next_due[channel]
-            };
-            self.chan_bound[channel] = Some(min_bound.min(skipped_until));
         }
     }
 
@@ -633,14 +527,10 @@ impl Core {
     /// cycle toward the bank holding the oldest ongoing access.
     pub fn steer_to_oldest(&mut self, channel: usize) {
         if self.ongoing_dirty[channel] {
-            let mut min = None;
-            self.for_each_occupied(channel, |b, o| {
-                let entry = (o.access.id, b, o.access.loc.rank);
-                if min.is_none_or(|m| entry < m) {
-                    min = Some(entry);
-                }
-            });
-            self.oldest_ongoing[channel] = min;
+            let range = self.bank_range(channel);
+            self.oldest_ongoing[channel] = Self::occupied(&self.ongoing_mask, &self.ongoing, range)
+                .map(|(b, o)| (o.access.id, b, o.access.loc.rank))
+                .min();
             self.ongoing_dirty[channel] = false;
         }
         if let Some((_, bank, rank)) = self.oldest_ongoing[channel] {
@@ -683,8 +573,6 @@ impl Core {
         // transaction must be re-derived. Other banks' cached entries stay
         // valid lower bounds (see `cand_cache`).
         self.cand_cache[cand.bank] = None;
-        self.due_mask[cand.bank >> 6] |= 1 << (cand.bank & 63);
-        self.chan_bound[chan] = None;
         self.last_bank[chan] = Some(cand.bank);
         self.last_rank[chan] = Some(cand.loc.rank);
         self.last_progress = now;
@@ -876,11 +764,8 @@ impl Core {
         for channel in 0..self.channel_count() {
             let ch = dram.channel(channel);
             let mut target = None;
-            let mut bail = false;
-            self.for_each_occupied(channel, |bank, og| {
-                if bail {
-                    return;
-                }
+            let range = self.bank_range(channel);
+            for (bank, og) in Self::occupied(&self.ongoing_mask, &self.ongoing, range) {
                 let entry = (og.access.id, bank, og.access.loc.rank);
                 if target.is_none_or(|t| entry < t) {
                     target = Some(entry);
@@ -892,7 +777,7 @@ impl Core {
                 {
                     // Blocked until the refresh performs; Dram::next_event
                     // reports that instant.
-                    return;
+                    continue;
                 }
                 let mut at = ch.earliest_issue(&cmd, last + 1).unwrap_or(last + 1);
                 if matches!(cmd, Command::Precharge(_)) {
@@ -902,13 +787,9 @@ impl Core {
                     at = at.max(ch.rank(rank).busy_until());
                 }
                 if at <= last + 1 {
-                    bail = true;
-                    return;
+                    return None;
                 }
                 event = event.min(at);
-            });
-            if bail {
-                return None;
             }
             if let Some((_, bank, rank)) = target {
                 if self.last_bank[channel] != Some(bank) || self.last_rank[channel] != Some(rank) {
@@ -981,9 +862,6 @@ impl Core {
             ongoing_mask: _,   // bitmap mirror of `ongoing`; restore rebuilds it
             cand_cache: _,     // per-bank candidate cache; restore drops every entry
             cand_epoch: _,     // refresh-epoch stamps; restore forces the drop via u64::MAX
-            chan_bound: _,     // aggregate of `cand_cache`; restore clears it
-            due_mask: _,       // scan worklist over `cand_cache` bounds; restore sets every bit
-            next_due: _,       // promotion clock for `due_mask`; restore resets to MAX
             ages,
             attempts,
             retry_pending,
@@ -1056,9 +934,6 @@ impl Core {
             ongoing_mask,
             cand_cache,
             cand_epoch,
-            chan_bound,
-            due_mask,
-            next_due,
             ages,
             attempts,
             retry_pending,
@@ -1128,9 +1003,6 @@ impl Core {
         // device state; force a full re-derivation.
         cand_cache.fill(None);
         cand_epoch.fill(u64::MAX);
-        chan_bound.fill(None);
-        due_mask.fill(!0);
-        next_due.fill(Cycle::MAX);
         Ok(())
     }
 }
@@ -1277,6 +1149,92 @@ mod tests {
             "the displaced access comes back"
         );
         assert_eq!(core.ongoing(0).unwrap().access.id, AccessId::new(1));
+    }
+
+    /// `(bank, cmd, unblocked)` of every occupied bank of `channel`, derived
+    /// from scratch: no cache, one timing query per slot.
+    fn fresh_scan(
+        core: &Core,
+        dram: &Dram,
+        channel: usize,
+        now: Cycle,
+    ) -> Vec<(usize, Command, bool)> {
+        let ch = dram.channel(channel);
+        core.bank_range(channel)
+            .filter_map(|bank| {
+                let og = core.ongoing(bank)?;
+                let cmd = core.next_command(og.access.loc, og.access.kind, dram);
+                Some((bank, cmd, ch.can_issue(&cmd, now)))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn candidate_cache_matches_a_fresh_scan_every_cycle() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let (mut core, mut dram) = setup();
+        let g = Geometry::baseline();
+        let mut rng = SmallRng::seed_from_u64(0x5ca1);
+        let (mut cands, mut done) = (Vec::new(), Vec::new());
+        let (mut next_id, mut issued) = (0, 0);
+        for now in 0..12_000 {
+            dram.tick(now);
+            if rng.gen_bool(0.3) {
+                // A few rows per bank, so hits, empties and conflicts mix.
+                let loc = Loc::new(
+                    rng.gen_range(0..g.channels),
+                    rng.gen_range(0..g.ranks_per_channel),
+                    rng.gen_range(0..g.banks_per_rank),
+                    rng.gen_range(0..3),
+                    0,
+                );
+                let kind = if rng.gen_bool(0.5) {
+                    AccessKind::Read
+                } else {
+                    AccessKind::Write
+                };
+                let acc = Access::new(AccessId::new(next_id), kind, PhysAddr::new(0), loc, now);
+                next_id += 1;
+                core.note_arrival(&acc);
+                // An occupied slot hands the access back; drop it.
+                let _ = core.set_ongoing(core.global_bank(loc), acc);
+            }
+            for channel in 0..core.channel_count() {
+                let want = fresh_scan(&core, &dram, channel, now);
+                let project = |c: &Vec<Candidate>| -> Vec<(usize, Command, bool)> {
+                    c.iter().map(|c| (c.bank, c.cmd, c.unblocked)).collect()
+                };
+                let unblocked: Vec<_> = want.iter().copied().filter(|w| w.2).collect();
+                // Either call may run first; each must see a coherent cache.
+                let all_first = rng.gen_bool(0.5);
+                if all_first {
+                    core.fill_all_candidates(&dram, channel, now, &mut cands);
+                    assert_eq!(project(&cands), want, "fill_all_candidates at {now}");
+                }
+                core.fill_candidates(&dram, channel, now, &mut cands);
+                assert_eq!(project(&cands), unblocked, "fill_candidates at {now}");
+                if !all_first {
+                    core.fill_all_candidates(&dram, channel, now, &mut cands);
+                    assert_eq!(project(&cands), want, "fill_all_candidates at {now}");
+                    cands.retain(|c| c.unblocked);
+                }
+                if !cands.is_empty() && rng.gen_bool(0.7) {
+                    let pick = cands[rng.gen_range(0..cands.len())];
+                    core.issue_candidate(&mut dram, now, &pick, &mut done);
+                    issued += 1;
+                }
+            }
+        }
+        assert!(
+            issued > 1_000,
+            "the walk must keep the device busy: {issued}"
+        );
+        assert!(
+            dram.total_stats().refreshes > 0,
+            "the walk must cross refreshes"
+        );
     }
 
     #[test]

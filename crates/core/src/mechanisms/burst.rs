@@ -647,12 +647,6 @@ impl AccessScheduler for BurstScheduler {
                 self.refresh_act(bank_idx, dram, now);
                 bank_idx += 1;
             }
-            if self.core.candidates_barren(dram, channel, now) {
-                // Figure 6 lines 14-15 fire every barren cycle; the write
-                // is idempotent while the ongoing set is unchanged.
-                self.core.steer_to_oldest(channel);
-                continue;
-            }
             let mut cands = std::mem::take(&mut self.scratch);
             self.core.fill_candidates(dram, channel, now, &mut cands);
             let (last_bank, last_rank) = self.core.last_target(channel);

@@ -2,8 +2,8 @@
 //!
 //! This module is *report-only* instrumentation: it measures how host
 //! wall time splits across the step's phases (CPU model, request
-//! hand-off, controller+device tick, read delivery) so the perf harness
-//! can publish a `phase_profile` section in `BENCH_perf.json`. Nothing
+//! hand-off, controller+device tick, read delivery) for the
+//! `phase_profile` example and the benchmark's traced run. Nothing
 //! here ever feeds simulated timing — the stamps read the clock and
 //! accumulate nanosecond counters, full stop — which is why this module
 //! may call `Instant::now` (allowed at the `burst-sim` crate root) while

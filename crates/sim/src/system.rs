@@ -804,7 +804,7 @@ pub struct System {
     /// (always equal to `pending.peek()`), rebuilt on restore.
     next_delivery: Cycle,
     /// Opt-in wall-clock phase profile (see [`PhaseProfile`]): report-only
-    /// host-time accounting, `None` unless the perf harness enables it.
+    /// host-time accounting, `None` unless a profiler enables it.
     /// Never serialised — it describes the host run, not simulated state.
     profile: Option<Box<PhaseProfile>>,
 }
