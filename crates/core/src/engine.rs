@@ -964,7 +964,15 @@ impl Core {
             };
             *lr = r.opt_u8()?;
         }
-        stats.load_snap(r)?;
+        *stats = CtrlStats::load_snap(r)?;
+        // The stream sizes the occupancy histograms; they must match the
+        // pool they sample.
+        let buckets = cfg.pool_capacity + 1;
+        if stats.outstanding_reads.counts().len() != buckets
+            || stats.outstanding_writes.counts().len() != buckets
+        {
+            return Err(SnapError::Corrupt("occupancy bucket count mismatch"));
+        }
         *reads_outstanding = r.usize()?;
         *writes_outstanding = r.usize()?;
         if *reads_outstanding + *writes_outstanding > cfg.pool_capacity {
@@ -1329,6 +1337,26 @@ mod tests {
         );
         let mut r = burst_snap::SnapReader::new(&bytes);
         assert!(small.load_snap(&mut r).is_err());
+    }
+
+    #[test]
+    fn core_snapshot_rejects_pool_capacity_mismatch() {
+        let (core, _) = setup();
+        let mut w = burst_snap::SnapWriter::new();
+        core.save_snap(&mut w);
+        let bytes = w.into_bytes();
+        let cfg = CtrlConfig {
+            pool_capacity: CtrlConfig::default().pool_capacity / 2,
+            ..CtrlConfig::default()
+        };
+        let mut smaller = Core::new(cfg, Geometry::baseline());
+        let mut r = burst_snap::SnapReader::new(&bytes);
+        assert_eq!(
+            smaller.load_snap(&mut r),
+            Err(burst_snap::SnapError::Corrupt(
+                "occupancy bucket count mismatch"
+            ))
+        );
     }
 
     #[test]

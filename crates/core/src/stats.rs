@@ -100,40 +100,32 @@ impl OccupancyHistogram {
         &self.counts
     }
 
-    /// Rebuilds a histogram from raw parts, exactly inverting
-    /// [`OccupancyHistogram::counts`] and [`OccupancyHistogram::samples`].
-    /// Used by the sweep journal to round-trip completed cells losslessly.
-    pub fn from_raw(counts: Vec<u64>, samples: u64) -> Self {
-        OccupancyHistogram { counts, samples }
-    }
-
-    /// Serialises the histogram for a checkpoint.
+    /// Serialises the histogram: the bucket count, then every bucket and
+    /// the sample total as varints (most buckets are zero or small).
     pub fn save_snap(&self, w: &mut burst_snap::SnapWriter) {
         let Self { counts, samples } = self;
         w.usize(counts.len());
         for &c in counts {
-            w.u64(c);
+            w.varint(c);
         }
-        w.u64(*samples);
+        w.varint(*samples);
     }
 
-    /// Restores state written by [`OccupancyHistogram::save_snap`] into a
-    /// histogram of the same bucket count (set by the pool capacity).
-    pub fn load_snap(
-        &mut self,
-        r: &mut burst_snap::SnapReader,
-    ) -> Result<(), burst_snap::SnapError> {
-        let Self { counts, samples } = self;
-        if r.seq_len(8)? != counts.len() {
-            return Err(burst_snap::SnapError::Corrupt(
-                "occupancy bucket count mismatch",
-            ));
+    /// Reads a histogram written by [`OccupancyHistogram::save_snap`],
+    /// sized by the stream. Callers that know the pool capacity check the
+    /// bucket count themselves.
+    pub fn load_snap(r: &mut burst_snap::SnapReader) -> Result<Self, burst_snap::SnapError> {
+        let len = r.seq_len(1)?;
+        if len == 0 {
+            return Err(burst_snap::SnapError::Corrupt("empty occupancy histogram"));
         }
-        for c in counts.iter_mut() {
-            *c = r.u64()?;
-        }
-        *samples = r.u64()?;
-        Ok(())
+        let counts = (0..len)
+            .map(|_| r.varint())
+            .collect::<Result<Vec<u64>, _>>()?;
+        Ok(OccupancyHistogram {
+            counts,
+            samples: r.varint()?,
+        })
     }
 }
 
@@ -222,19 +214,8 @@ impl LatencyHistogram {
         &self.buckets
     }
 
-    /// Rebuilds a histogram from raw parts, exactly inverting
-    /// [`LatencyHistogram::buckets`], [`LatencyHistogram::count`] and
-    /// [`LatencyHistogram::max`]. Used by the sweep journal to round-trip
-    /// completed cells losslessly.
-    pub fn from_raw(buckets: [u64; 32], count: u64, max: Cycle) -> Self {
-        LatencyHistogram {
-            buckets,
-            count,
-            max,
-        }
-    }
-
-    /// Serialises the histogram for a checkpoint.
+    /// Serialises the histogram: every bucket, the sample count and the
+    /// maximum as varints.
     pub fn save_snap(&self, w: &mut burst_snap::SnapWriter) {
         let Self {
             buckets,
@@ -242,28 +223,23 @@ impl LatencyHistogram {
             max,
         } = self;
         for &b in buckets {
-            w.u64(b);
+            w.varint(b);
         }
-        w.u64(*count);
-        w.u64(*max);
+        w.varint(*count);
+        w.varint(*max);
     }
 
-    /// Restores state written by [`LatencyHistogram::save_snap`].
-    pub fn load_snap(
-        &mut self,
-        r: &mut burst_snap::SnapReader,
-    ) -> Result<(), burst_snap::SnapError> {
-        let Self {
-            buckets,
-            count,
-            max,
-        } = self;
-        for b in buckets.iter_mut() {
-            *b = r.u64()?;
+    /// Reads a histogram written by [`LatencyHistogram::save_snap`].
+    pub fn load_snap(r: &mut burst_snap::SnapReader) -> Result<Self, burst_snap::SnapError> {
+        let mut buckets = [0; 32];
+        for b in &mut buckets {
+            *b = r.varint()?;
         }
-        *count = r.u64()?;
-        *max = r.u64()?;
-        Ok(())
+        Ok(LatencyHistogram {
+            buckets,
+            count: r.varint()?,
+            max: r.varint()?,
+        })
     }
 }
 
@@ -466,7 +442,8 @@ impl CtrlStats {
         }
     }
 
-    /// Serialises every counter and histogram for a checkpoint.
+    /// Serialises every counter (as a varint) and histogram, for a
+    /// checkpoint or a sweep-journal record.
     pub fn save_snap(&self, w: &mut burst_snap::SnapWriter) {
         let Self {
             reads_done,
@@ -510,7 +487,7 @@ impl CtrlStats {
             *watchdog_trips,
             *max_access_age,
         ] {
-            w.u64(v);
+            w.varint(v);
         }
         outstanding_reads.save_snap(w);
         outstanding_writes.save_snap(w);
@@ -518,61 +495,32 @@ impl CtrlStats {
         write_latencies.save_snap(w);
     }
 
-    /// Restores state written by [`CtrlStats::save_snap`] into statistics
-    /// built for the same pool capacity.
-    pub fn load_snap(
-        &mut self,
-        r: &mut burst_snap::SnapReader,
-    ) -> Result<(), burst_snap::SnapError> {
-        let Self {
-            reads_done,
-            writes_done,
-            forwards,
-            read_latency_sum,
-            write_latency_sum,
-            row_hits,
-            row_empties,
-            row_conflicts,
-            cycles,
-            write_saturated_cycles,
-            preemptions,
-            piggybacks,
-            faults_injected,
-            retries,
-            escalations,
-            watchdog_trips,
-            max_access_age,
-            outstanding_reads,
-            outstanding_writes,
-            read_latencies,
-            write_latencies,
-        } = self;
-        for v in [
-            reads_done,
-            writes_done,
-            forwards,
-            read_latency_sum,
-            write_latency_sum,
-            row_hits,
-            row_empties,
-            row_conflicts,
-            cycles,
-            write_saturated_cycles,
-            preemptions,
-            piggybacks,
-            faults_injected,
-            retries,
-            escalations,
-            watchdog_trips,
-            max_access_age,
-        ] {
-            *v = r.u64()?;
-        }
-        outstanding_reads.load_snap(r)?;
-        outstanding_writes.load_snap(r)?;
-        read_latencies.load_snap(r)?;
-        write_latencies.load_snap(r)?;
-        Ok(())
+    /// Reads statistics written by [`CtrlStats::save_snap`], with the
+    /// occupancy histograms sized by the stream.
+    pub fn load_snap(r: &mut burst_snap::SnapReader) -> Result<Self, burst_snap::SnapError> {
+        Ok(CtrlStats {
+            reads_done: r.varint()?,
+            writes_done: r.varint()?,
+            forwards: r.varint()?,
+            read_latency_sum: r.varint()?,
+            write_latency_sum: r.varint()?,
+            row_hits: r.varint()?,
+            row_empties: r.varint()?,
+            row_conflicts: r.varint()?,
+            cycles: r.varint()?,
+            write_saturated_cycles: r.varint()?,
+            preemptions: r.varint()?,
+            piggybacks: r.varint()?,
+            faults_injected: r.varint()?,
+            retries: r.varint()?,
+            escalations: r.varint()?,
+            watchdog_trips: r.varint()?,
+            max_access_age: r.varint()?,
+            outstanding_reads: OccupancyHistogram::load_snap(r)?,
+            outstanding_writes: OccupancyHistogram::load_snap(r)?,
+            read_latencies: LatencyHistogram::load_snap(r)?,
+            write_latencies: LatencyHistogram::load_snap(r)?,
+        })
     }
 
     /// Fraction of sampled cycles the write queue was saturated

@@ -85,6 +85,43 @@ pub struct CpuStats {
     pub stall_cycles: u64,
 }
 
+impl CpuStats {
+    /// Serialises the counters as varints, for a checkpoint or a
+    /// sweep-journal record.
+    pub fn save_snap(&self, w: &mut burst_snap::SnapWriter) {
+        let Self {
+            retired,
+            loads,
+            stores,
+            mem_reads,
+            mem_writes,
+            stall_cycles,
+        } = self;
+        for v in [
+            *retired,
+            *loads,
+            *stores,
+            *mem_reads,
+            *mem_writes,
+            *stall_cycles,
+        ] {
+            w.varint(v);
+        }
+    }
+
+    /// Reads counters written by [`CpuStats::save_snap`].
+    pub fn load_snap(r: &mut burst_snap::SnapReader) -> Result<Self, burst_snap::SnapError> {
+        Ok(CpuStats {
+            retired: r.varint()?,
+            loads: r.varint()?,
+            stores: r.varint()?,
+            mem_reads: r.varint()?,
+            mem_writes: r.varint()?,
+            stall_cycles: r.varint()?,
+        })
+    }
+}
+
 /// Field-wise sum: the statistics of several cores taken together.
 impl core::ops::Add for CpuStats {
     type Output = CpuStats;
@@ -994,12 +1031,7 @@ impl Cpu {
         save_opt_op(w, *stalled_op);
         w.opt_u64(*stalled_miss);
         w.opt_u64(*chase_block);
-        w.u64(stats.retired);
-        w.u64(stats.loads);
-        w.u64(stats.stores);
-        w.u64(stats.mem_reads);
-        w.u64(stats.mem_writes);
-        w.u64(stats.stall_cycles);
+        stats.save_snap(w);
     }
 
     /// Restores state written by [`Cpu::save_snap`] into a core built from
@@ -1070,12 +1102,7 @@ impl Cpu {
         *stalled_op = load_opt_op(r)?;
         *stalled_miss = r.opt_u64()?;
         *chase_block = r.opt_u64()?;
-        stats.retired = r.u64()?;
-        stats.loads = r.u64()?;
-        stats.stores = r.u64()?;
-        stats.mem_reads = r.u64()?;
-        stats.mem_writes = r.u64()?;
-        stats.stall_cycles = r.u64()?;
+        *stats = CpuStats::load_snap(r)?;
         rob.clear();
         *waitmem_entries = 0;
         *max_entry_at = 0;

@@ -621,7 +621,7 @@ impl Channel {
         }
         *next_refresh_min = r.u64()?;
         *any_refresh_pending = r.bool()?;
-        stats.load_snap(r)?;
+        *stats = BusStats::load_snap(r)?;
         let has_checker = r.bool()?;
         match (has_checker, checker.as_deref_mut()) {
             (true, Some(chk)) => chk.load_snap(r)?,

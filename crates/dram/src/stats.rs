@@ -63,7 +63,8 @@ impl BusStats {
         self.data_bus_utilization(elapsed) * 2.0 * f64::from(bus_bytes)
     }
 
-    /// Serialises the counters for a checkpoint.
+    /// Serialises the counters as varints, for a checkpoint or a
+    /// sweep-journal record.
     pub fn save_snap(&self, w: &mut burst_snap::SnapWriter) {
         let Self {
             cmd_cycles,
@@ -75,40 +76,32 @@ impl BusStats {
             auto_precharges,
             refreshes,
         } = self;
-        w.u64(*cmd_cycles);
-        w.u64(*data_cycles);
-        w.u64(*reads);
-        w.u64(*writes);
-        w.u64(*activates);
-        w.u64(*precharges);
-        w.u64(*auto_precharges);
-        w.u64(*refreshes);
+        for v in [
+            *cmd_cycles,
+            *data_cycles,
+            *reads,
+            *writes,
+            *activates,
+            *precharges,
+            *auto_precharges,
+            *refreshes,
+        ] {
+            w.varint(v);
+        }
     }
 
-    /// Restores counters written by [`BusStats::save_snap`].
-    pub fn load_snap(
-        &mut self,
-        r: &mut burst_snap::SnapReader,
-    ) -> Result<(), burst_snap::SnapError> {
-        let Self {
-            cmd_cycles,
-            data_cycles,
-            reads,
-            writes,
-            activates,
-            precharges,
-            auto_precharges,
-            refreshes,
-        } = self;
-        *cmd_cycles = r.u64()?;
-        *data_cycles = r.u64()?;
-        *reads = r.u64()?;
-        *writes = r.u64()?;
-        *activates = r.u64()?;
-        *precharges = r.u64()?;
-        *auto_precharges = r.u64()?;
-        *refreshes = r.u64()?;
-        Ok(())
+    /// Reads counters written by [`BusStats::save_snap`].
+    pub fn load_snap(r: &mut burst_snap::SnapReader) -> Result<Self, burst_snap::SnapError> {
+        Ok(BusStats {
+            cmd_cycles: r.varint()?,
+            data_cycles: r.varint()?,
+            reads: r.varint()?,
+            writes: r.varint()?,
+            activates: r.varint()?,
+            precharges: r.varint()?,
+            auto_precharges: r.varint()?,
+            refreshes: r.varint()?,
+        })
     }
 
     /// Merges another counter set into this one.

@@ -24,14 +24,15 @@
 //! File layout (all little-endian, via [`burst_snap`]):
 //!
 //! ```text
-//! "BCKP"  u32 version=3  u64 fingerprint  u64 state_hash  u64 header_hash
+//! "BCKP"  u32 version=4  u64 fingerprint  u64 state_hash  u64 header_hash
 //! u64 ops_consumed  RunCursor  bytes body
 //! ```
 //!
-//! Version 3 serialises every CPU core and the owning core of each
-//! in-flight read, and adds `header_hash`. Version 2 stored one core;
-//! version 1 also stored cache ways at fixed width. Older files are refused
-//! with [`CheckpointError::UnsupportedVersion`], which
+//! Version 4 writes the statistics counters and histogram buckets as
+//! varints. Version 3 wrote them at fixed width; it added every CPU core,
+//! the owning core of each in-flight read and `header_hash`. Version 2
+//! stored one core; version 1 also stored cache ways at fixed width. Older
+//! files are refused with [`CheckpointError::UnsupportedVersion`], which
 //! [`try_simulate_checkpointed`] treats like any unusable file: the cell
 //! restarts from scratch.
 //!
@@ -69,7 +70,7 @@ use crate::system::{
 /// Magic bytes opening every checkpoint file.
 const MAGIC: [u8; 4] = *b"BCKP";
 /// Current checkpoint format version.
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 
 /// Why a checkpoint file could not be written, read or restored.
 #[derive(Debug)]

@@ -3,20 +3,24 @@
 //!
 //! A journal records every *successfully completed* `(scope, benchmark,
 //! mechanism)` cell of a sweep as one self-contained line holding the
-//! cell's full [`SimReport`] in a lossless integer wire format. Each line
-//! is flushed and fsynced before the supervisor moves on, so a run killed
-//! at any instant loses at most the cell in flight. Restarting with
+//! cell's full [`SimReport`], encoded by [`SimReport::save_snap`] (the
+//! same `burst-snap` encoders checkpoints use) and written as hex. Each
+//! line is flushed and fsynced before the supervisor moves on, so a run
+//! killed at any instant loses at most the cell in flight. Restarting with
 //! `--resume <journal>` replays the completed cells from the file and
 //! simulates only the rest — and because every simulation is
-//! deterministic and the wire format round-trips exactly, the resumed
-//! sweep's CSV output is byte-identical to an uninterrupted run (enforced
-//! by the kill-and-resume CI job).
+//! deterministic and the snapshot encoding round-trips exactly, the
+//! resumed sweep's CSV output is byte-identical to an uninterrupted run
+//! (enforced by the kill-and-resume CI job).
 //!
-//! The file begins with a header binding it to a *config fingerprint* — a
-//! hash over everything that changes cell results (instruction budget,
-//! seed, benchmark list, skip toggle, binary id). Resuming against a
-//! journal written under a different fingerprint is refused: stale results
-//! must never leak into a differently-configured sweep.
+//! The file begins with a header binding it to a format version and a
+//! *config fingerprint* — a hash over everything that changes cell results
+//! (instruction budget, seed, benchmark list, skip toggle, binary id).
+//! Resuming against a journal written under a different fingerprint is
+//! refused: stale results must never leak into a differently-configured
+//! sweep. A journal in another format version (v1 used a hand-written
+//! text encoding) is refused with [`JournalError::UnsupportedVersion`]
+//! and left untouched.
 //!
 //! *Retryable* failed cells are deliberately not journalled: a resume
 //! retries them from scratch, which is exactly what an operator wants
@@ -28,8 +32,8 @@
 //! Format (line-oriented UTF-8, no external dependencies):
 //!
 //! ```text
-//! burst-journal v1 fp=<16-hex-digit fingerprint>
-//! ok <key> <attempts> <report-wire> [checkpoint-path]
+//! burst-journal v2 fp=<16-hex-digit fingerprint>
+//! ok <key> <attempts> <hex SimReport snapshot> [checkpoint-path]
 //! quarantine <key> <failure-kind> <attempts> <payload...>
 //! ```
 //!
@@ -65,22 +69,19 @@ use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use burst_core::{CtrlStats, LatencyHistogram, Mechanism, OccupancyHistogram};
-use burst_dram::BusStats;
+use burst_snap::{SnapReader, SnapWriter};
 
 use crate::simio::{real_io, IoSite, SimIo};
 use crate::supervisor::FailureKind;
-use crate::{EngineStats, RobustnessReport, SimReport};
+use crate::SimReport;
+
+/// Format version written in the journal header.
+const VERSION: u32 = 2;
 
 /// Hashes a canonical configuration description into a journal
-/// fingerprint. Built by chaining [`burst_core::splitmix64`] over the
-/// bytes, so it is stable across hosts and builds.
+/// fingerprint: FNV-1a, stable across hosts and builds.
 pub fn fingerprint(desc: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in desc.as_bytes() {
-        h = burst_core::splitmix64(h ^ u64::from(b));
-    }
-    h
+    burst_snap::fnv1a64(desc.as_bytes())
 }
 
 /// Why a journal could not be opened for resume.
@@ -97,6 +98,9 @@ pub enum JournalError {
     },
     /// The file exists but does not start with a journal header.
     NotAJournal,
+    /// The header names a format version this build does not read. The
+    /// file is left untouched.
+    UnsupportedVersion(u32),
     /// Two records claim the same cell — the writer never does that, so
     /// the file was hand-edited or concatenated; refusing is safer than
     /// silently picking one of two possibly-different results.
@@ -117,6 +121,11 @@ impl core::fmt::Display for JournalError {
                  rerun without --resume or delete the journal"
             ),
             JournalError::NotAJournal => write!(f, "file is not a burst sweep journal"),
+            JournalError::UnsupportedVersion(v) => write!(
+                f,
+                "journal format version {v} is not supported (this build reads \
+                 version {VERSION}); move the old journal aside and rerun"
+            ),
             JournalError::DuplicateCell { key } => write!(
                 f,
                 "journal holds more than one record for cell {key} — the \
@@ -213,7 +222,7 @@ impl Journal {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        let header = format!("burst-journal v1 fp={fingerprint:016x}\n");
+        let header = format!("burst-journal v{VERSION} fp={fingerprint:016x}\n");
         let file = io.write_new(IoSite::JournalAppend, &path, header.as_bytes())?;
         io.sync(IoSite::JournalSync, &file)?;
         Ok(Journal {
@@ -236,7 +245,8 @@ impl Journal {
     ///
     /// [`JournalError::FingerprintMismatch`] when the journal belongs to a
     /// differently-configured sweep, [`JournalError::NotAJournal`] when
-    /// the header is absent, [`JournalError::DuplicateCell`] when two
+    /// the header is absent, [`JournalError::UnsupportedVersion`] when it
+    /// names another format version, [`JournalError::DuplicateCell`] when two
     /// records claim one cell, or any I/O failure.
     pub fn resume(path: impl Into<PathBuf>, fingerprint: u64) -> Result<Journal, JournalError> {
         Self::resume_with_io(path, fingerprint, real_io())
@@ -271,11 +281,16 @@ impl Journal {
             // never completed, so there is nothing to resume.
             return Err(JournalError::NotAJournal);
         }
-        let found = header
+        let (version, found) = header
             .trim_end()
-            .strip_prefix("burst-journal v1 fp=")
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
+            .strip_prefix("burst-journal v")
+            .and_then(|h| h.split_once(" fp="))
             .ok_or(JournalError::NotAJournal)?;
+        let version: u32 = version.parse().map_err(|_| JournalError::NotAJournal)?;
+        if version != VERSION {
+            return Err(JournalError::UnsupportedVersion(version));
+        }
+        let found = u64::from_str_radix(found, 16).map_err(|_| JournalError::NotAJournal)?;
         if found != fingerprint {
             return Err(JournalError::FingerprintMismatch {
                 expected: fingerprint,
@@ -369,8 +384,8 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Any filesystem error writing or syncing; also a key or report that
-    /// cannot be represented in the line format (whitespace in names).
+    /// Any filesystem error writing or syncing; also a key that cannot be
+    /// represented in the line format (empty, or containing whitespace).
     pub fn record(&self, key: &str, attempts: u32, report: &SimReport) -> Result<(), JournalError> {
         self.record_with_checkpoint(key, attempts, report, None)
     }
@@ -391,12 +406,7 @@ impl Journal {
         report: &SimReport,
         checkpoint: Option<&Path>,
     ) -> Result<(), JournalError> {
-        if key.chars().any(char::is_whitespace) || key.is_empty() {
-            return Err(JournalError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("journal keys must be non-empty and whitespace-free: {key:?}"),
-            )));
-        }
+        check_key(key)?;
         let ckpt = match checkpoint {
             Some(p) => {
                 let s = p.to_str().unwrap_or("");
@@ -410,8 +420,10 @@ impl Journal {
             }
             None => String::new(),
         };
-        let wire = report_to_wire(report)?;
-        self.append_line(format!("ok {key} {attempts} {wire}{ckpt}\n"))
+        let mut w = SnapWriter::new();
+        report.save_snap(&mut w);
+        let hex = to_hex(w.as_slice());
+        self.append_line(format!("ok {key} {attempts} {hex}{ckpt}\n"))
     }
 
     /// Appends a quarantine record for a cell that exhausted its retry
@@ -430,12 +442,7 @@ impl Journal {
         attempts: u32,
         payload: &str,
     ) -> Result<(), JournalError> {
-        if key.chars().any(char::is_whitespace) || key.is_empty() {
-            return Err(JournalError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("journal keys must be non-empty and whitespace-free: {key:?}"),
-            )));
-        }
+        check_key(key)?;
         let payload: String = payload
             .chars()
             .map(|c| if c == '\n' || c == '\r' { ' ' } else { c })
@@ -467,6 +474,17 @@ impl Journal {
     }
 }
 
+/// Refuses a key the space-delimited line format cannot hold.
+fn check_key(key: &str) -> Result<(), JournalError> {
+    if key.is_empty() || key.chars().any(char::is_whitespace) {
+        return Err(JournalError::Io(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("journal keys must be non-empty and whitespace-free: {key:?}"),
+        )));
+    }
+    Ok(())
+}
+
 /// Parses one `quarantine <key> <kind> <attempts> <payload...>` record.
 fn parse_quarantine(line: &str) -> Option<(String, QuarantineEntry)> {
     let mut parts = line.splitn(5, ' ');
@@ -487,7 +505,7 @@ fn parse_quarantine(line: &str) -> Option<(String, QuarantineEntry)> {
     ))
 }
 
-/// Parses one `ok <key> <attempts> <wire> [checkpoint-path]` record.
+/// Parses one `ok <key> <attempts> <hex> [checkpoint-path]` record.
 fn parse_record(line: &str) -> Option<(String, JournalEntry)> {
     let mut parts = line.splitn(5, ' ');
     if parts.next()? != "ok" {
@@ -495,7 +513,10 @@ fn parse_record(line: &str) -> Option<(String, JournalEntry)> {
     }
     let key = parts.next()?.to_string();
     let attempts: u32 = parts.next()?.parse().ok()?;
-    let report = report_from_wire(parts.next()?)?;
+    let bytes = from_hex(parts.next()?)?;
+    let mut r = SnapReader::new(&bytes);
+    let report = SimReport::load_snap(&mut r).ok()?;
+    r.finish().ok()?;
     let checkpoint = parts.next().map(PathBuf::from);
     Some((
         key,
@@ -507,202 +528,29 @@ fn parse_record(line: &str) -> Option<(String, JournalEntry)> {
     ))
 }
 
-// --- SimReport wire format -------------------------------------------------
-//
-// Fields are '|'-separated; composite fields use ';' between sub-fields and
-// ',' between list elements. Every quantity is an integer (or a name), so
-// the round trip is exact — which is what makes resumed CSVs byte-identical.
-
-fn join(values: &[u64]) -> String {
-    values
-        .iter()
-        .map(u64::to_string)
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-fn split(field: &str) -> Option<Vec<u64>> {
-    if field.is_empty() {
-        return Some(Vec::new());
+/// Lower-case hex of `bytes`, so a binary report fits one text line.
+fn to_hex(bytes: &[u8]) -> String {
+    use std::fmt::Write;
+    let mut hex = String::with_capacity(2 * bytes.len());
+    for b in bytes {
+        let _ = write!(hex, "{b:02x}"); // writing to a String cannot fail
     }
-    field.split(',').map(|v| v.parse().ok()).collect()
+    hex
 }
 
-fn report_to_wire(r: &SimReport) -> Result<String, JournalError> {
-    for name in [r.mechanism.name().as_str(), r.workload.as_str()] {
-        if name.contains('|') || name.contains('\n') || name.is_empty() {
-            return Err(JournalError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("name not representable in journal wire format: {name:?}"),
-            )));
-        }
+/// Inverts [`to_hex`]; `None` for an odd length or a non-hex digit.
+fn from_hex(hex: &str) -> Option<Vec<u8>> {
+    if !hex.len().is_multiple_of(2) {
+        return None;
     }
-    let c = &r.ctrl;
-    let ctrl_scalars = join(&[
-        c.reads_done,
-        c.writes_done,
-        c.forwards,
-        c.read_latency_sum,
-        c.write_latency_sum,
-        c.row_hits,
-        c.row_empties,
-        c.row_conflicts,
-        c.cycles,
-        c.write_saturated_cycles,
-        c.preemptions,
-        c.piggybacks,
-        c.faults_injected,
-        c.retries,
-        c.escalations,
-        c.watchdog_trips,
-        c.max_access_age,
-    ]);
-    let occ = |h: &OccupancyHistogram| format!("{};{}", h.samples(), join(h.counts()));
-    let lat = |h: &LatencyHistogram| format!("{};{};{}", h.count(), h.max(), join(h.buckets()));
-    let b = &r.bus;
-    let bus = join(&[
-        b.cmd_cycles,
-        b.data_cycles,
-        b.reads,
-        b.writes,
-        b.activates,
-        b.precharges,
-        b.auto_precharges,
-        b.refreshes,
-    ]);
-    let p = &r.cpu;
-    let cpu = join(&[
-        p.retired,
-        p.loads,
-        p.stores,
-        p.mem_reads,
-        p.mem_writes,
-        p.stall_cycles,
-    ]);
-    let rb = &r.robustness;
-    let rob = join(&[
-        rb.violations,
-        rb.faults_injected,
-        rb.retries,
-        rb.escalations,
-        rb.watchdog_trips,
-        rb.max_access_age,
-    ]);
-    Ok(format!(
-        "{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}",
-        r.mechanism.name(),
-        r.workload,
-        r.cpu_cycles,
-        r.mem_cycles,
-        r.instructions,
-        ctrl_scalars,
-        occ(&c.outstanding_reads),
-        occ(&c.outstanding_writes),
-        lat(&c.read_latencies),
-        lat(&c.write_latencies),
-        bus,
-        cpu,
-        rob,
-        r.channels(),
-    ))
-}
-
-fn parse_occ(field: &str) -> Option<OccupancyHistogram> {
-    let (samples, counts) = field.split_once(';')?;
-    Some(OccupancyHistogram::from_raw(
-        split(counts)?,
-        samples.parse().ok()?,
-    ))
-}
-
-fn parse_lat(field: &str) -> Option<LatencyHistogram> {
-    let mut parts = field.splitn(3, ';');
-    let count = parts.next()?.parse().ok()?;
-    let max = parts.next()?.parse().ok()?;
-    let buckets: [u64; 32] = split(parts.next()?)?.try_into().ok()?;
-    Some(LatencyHistogram::from_raw(buckets, count, max))
-}
-
-fn report_from_wire(wire: &str) -> Option<SimReport> {
-    // Fixed-arity destructuring throughout: a malformed journal line (a
-    // crashed writer, a truncated flush) must come back as `None`, never
-    // as an out-of-range panic inside the supervisor.
-    let fields: [&str; 14] = wire.split('|').collect::<Vec<&str>>().try_into().ok()?;
-    let [mech_f, workload_f, cpu_cycles_f, mem_cycles_f, instructions_f, ctrl_f, occ_reads_f, occ_writes_f, lat_reads_f, lat_writes_f, bus_f, cpu_f, rb_f, channels_f] =
-        fields;
-    let mechanism = Mechanism::from_name(mech_f)?;
-    let workload = workload_f.to_string();
-    let cpu_cycles: u64 = cpu_cycles_f.parse().ok()?;
-    let mem_cycles: u64 = mem_cycles_f.parse().ok()?;
-    let instructions: u64 = instructions_f.parse().ok()?;
-    let [reads_done, writes_done, forwards, read_latency_sum, write_latency_sum, row_hits, row_empties, row_conflicts, cycles, write_saturated_cycles, preemptions, piggybacks, faults_injected, retries, escalations, watchdog_trips, max_access_age]: [u64; 17] = split(ctrl_f)?.try_into().ok()?;
-    let ctrl = CtrlStats {
-        reads_done,
-        writes_done,
-        forwards,
-        read_latency_sum,
-        write_latency_sum,
-        row_hits,
-        row_empties,
-        row_conflicts,
-        cycles,
-        write_saturated_cycles,
-        preemptions,
-        piggybacks,
-        faults_injected,
-        retries,
-        escalations,
-        watchdog_trips,
-        max_access_age,
-        outstanding_reads: parse_occ(occ_reads_f)?,
-        outstanding_writes: parse_occ(occ_writes_f)?,
-        read_latencies: parse_lat(lat_reads_f)?,
-        write_latencies: parse_lat(lat_writes_f)?,
-    };
-    let [cmd_cycles, data_cycles, reads, writes, activates, precharges, auto_precharges, refreshes]: [u64; 8] = split(bus_f)?.try_into().ok()?;
-    let bus = BusStats {
-        cmd_cycles,
-        data_cycles,
-        reads,
-        writes,
-        activates,
-        precharges,
-        auto_precharges,
-        refreshes,
-    };
-    let [retired, loads, stores, mem_reads, mem_writes, stall_cycles]: [u64; 6] =
-        split(cpu_f)?.try_into().ok()?;
-    let cpu = burst_cpu::CpuStats {
-        retired,
-        loads,
-        stores,
-        mem_reads,
-        mem_writes,
-        stall_cycles,
-    };
-    let [violations, rb_faults_injected, rb_retries, rb_escalations, rb_watchdog_trips, rb_max_access_age]: [u64; 6] = split(rb_f)?.try_into().ok()?;
-    let robustness = RobustnessReport {
-        violations,
-        faults_injected: rb_faults_injected,
-        retries: rb_retries,
-        escalations: rb_escalations,
-        watchdog_trips: rb_watchdog_trips,
-        max_access_age: rb_max_access_age,
-    };
-    let channels: u64 = channels_f.parse().ok()?;
-    Some(SimReport {
-        mechanism,
-        workload,
-        cpu_cycles,
-        mem_cycles,
-        instructions,
-        ctrl,
-        bus,
-        cpu,
-        robustness,
-        engine: EngineStats::default(),
-        channels,
-    })
+    let nibble = |c: &u8| char::from(*c).to_digit(16);
+    hex.as_bytes()
+        .chunks_exact(2)
+        .map(|pair| match pair {
+            [hi, lo] => u8::try_from(nibble(hi)? << 4 | nibble(lo)?).ok(),
+            _ => None,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -712,9 +560,12 @@ fn report_from_wire(wire: &str) -> Option<SimReport> {
 )]
 mod tests {
     use super::*;
-    use crate::{try_simulate, RunLength, SystemConfig};
+    use crate::{try_simulate, EngineStats, RobustnessReport, RunLength, System, SystemConfig};
+    use burst_core::{CtrlStats, Mechanism};
+    use burst_dram::BusStats;
     use burst_workloads::SpecBenchmark;
     use std::fs::OpenOptions;
+    use std::num::NonZeroUsize;
 
     fn sample_report() -> SimReport {
         let cfg = SystemConfig::baseline().with_mechanism(Mechanism::BurstTh(52));
@@ -726,12 +577,115 @@ mod tests {
         .expect("small run completes")
     }
 
+    /// A report whose integer fields and histogram buckets are all
+    /// distinct and non-zero, so an encoder that swaps two fields cannot
+    /// round-trip it.
+    fn distinct_report() -> SimReport {
+        let mut next = 1_000u64..;
+        let mut n = || next.next().unwrap_or(0);
+        let mut ctrl = CtrlStats::new(8);
+        for v in [
+            &mut ctrl.reads_done,
+            &mut ctrl.writes_done,
+            &mut ctrl.forwards,
+            &mut ctrl.read_latency_sum,
+            &mut ctrl.write_latency_sum,
+            &mut ctrl.row_hits,
+            &mut ctrl.row_empties,
+            &mut ctrl.row_conflicts,
+            &mut ctrl.cycles,
+            &mut ctrl.write_saturated_cycles,
+            &mut ctrl.preemptions,
+            &mut ctrl.piggybacks,
+            &mut ctrl.faults_injected,
+            &mut ctrl.retries,
+            &mut ctrl.escalations,
+            &mut ctrl.watchdog_trips,
+            &mut ctrl.max_access_age,
+        ] {
+            *v = n();
+        }
+        for occupancy in 0..=8 {
+            ctrl.outstanding_reads.record_n(occupancy, n());
+            ctrl.outstanding_writes.record_n(occupancy, n());
+        }
+        // Bucket b of a latency histogram holds latencies in
+        // [2^(b-1), 2^b); give each bucket its own sample count, and each
+        // histogram its own maximum (the top bucket is open-ended).
+        for (h, extra, top) in [
+            (&mut ctrl.read_latencies, 1, 1 << 40),
+            (&mut ctrl.write_latencies, 40, 1 << 41),
+        ] {
+            for b in 0..32u64 {
+                let latency = if b == 0 { 0 } else { 1 << (b - 1) };
+                for _ in 0..b + extra {
+                    h.record(latency);
+                }
+            }
+            h.record(top);
+        }
+        let bus = BusStats {
+            cmd_cycles: n(),
+            data_cycles: n(),
+            reads: n(),
+            writes: n(),
+            activates: n(),
+            precharges: n(),
+            auto_precharges: n(),
+            refreshes: n(),
+        };
+        let cpu = burst_cpu::CpuStats {
+            retired: n(),
+            loads: n(),
+            stores: n(),
+            mem_reads: n(),
+            mem_writes: n(),
+            stall_cycles: n(),
+        };
+        SimReport {
+            mechanism: Mechanism::BurstTh(52),
+            workload: "swim".to_string(),
+            cpu_cycles: n(),
+            mem_cycles: n(),
+            instructions: n(),
+            robustness: RobustnessReport::collect(&ctrl, n()),
+            ctrl,
+            bus,
+            cpu,
+            engine: EngineStats::default(),
+            channels: n(),
+        }
+    }
+
+    fn snapshot_round_trip(report: &SimReport) -> SimReport {
+        let mut w = SnapWriter::new();
+        report.save_snap(&mut w);
+        let mut r = SnapReader::new(w.as_slice());
+        let back = SimReport::load_snap(&mut r).expect("own encoding loads");
+        r.finish()
+            .expect("the loader reads every byte the saver wrote");
+        back
+    }
+
     #[test]
-    fn wire_round_trip_is_lossless() {
-        let report = sample_report();
-        let wire = report_to_wire(&report).expect("serialisable");
-        let back = report_from_wire(&wire).expect("parseable");
-        assert_eq!(report, back, "journal wire format must be exact");
+    fn report_snapshot_round_trip_is_lossless() {
+        let distinct = distinct_report();
+        assert_eq!(snapshot_round_trip(&distinct), distinct);
+
+        let cfg = SystemConfig::baseline()
+            .with_mechanism(Mechanism::BurstTh(52))
+            .with_warm_mem_ops(10_000);
+        let two = NonZeroUsize::new(2).expect("2 > 0");
+        let mut sys = System::with_cores(&cfg, cfg.scheduler(), two);
+        let mut a = SpecBenchmark::Swim.workload(11);
+        let mut b = SpecBenchmark::Mcf.workload(12);
+        let mut sources: [&mut dyn burst_workloads::OpSource; 2] = [&mut a, &mut b];
+        sys.warm_cores(&mut sources);
+        sys.try_run_cores(&mut sources, RunLength::Instructions(3_000))
+            .expect("two-core run completes");
+        let real = sys.report("swim+mcf");
+        assert!(real.ctrl.reads_done > 0 && real.cpu.retired > 0);
+        assert_eq!(snapshot_round_trip(&real), real);
     }
 
     #[test]
@@ -819,6 +773,31 @@ mod tests {
     }
 
     #[test]
+    fn resume_refuses_a_version_1_journal_and_leaves_it_untouched() {
+        let dir = std::env::temp_dir().join("burst-journal-test-v1");
+        let _ = std::fs::create_dir_all(&dir);
+        let path = dir.join("sweep.journal");
+        let fp = fingerprint("v1");
+        let old = format!(
+            "burst-journal v1 fp={fp:016x}\n\
+             ok sweep/swim/Burst_TH52 1 Burst_TH52|swim|1|2|3\n"
+        );
+        std::fs::write(&path, &old).expect("write v1 journal");
+        let err = Journal::resume(&path, fp).expect_err("v1 must be refused");
+        assert!(
+            matches!(err, JournalError::UnsupportedVersion(1)),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("version 1"), "{err}");
+        assert_eq!(
+            std::fs::read_to_string(&path).expect("read back"),
+            old,
+            "a refused journal is not modified"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn resume_drops_truncated_tail() {
         let dir = std::env::temp_dir().join("burst-journal-test-tail");
         let path = dir.join("sweep.journal");
@@ -873,8 +852,13 @@ mod tests {
                 .append(true)
                 .open(&path)
                 .expect("open");
-            let wire = report_to_wire(&report).expect("wire");
-            writeln!(f, "ok sweep/swim/Burst_TH52 2 {wire}").expect("write");
+            let record = std::fs::read_to_string(&path)
+                .expect("read")
+                .lines()
+                .find(|l| l.starts_with("ok "))
+                .expect("one ok record")
+                .to_string();
+            writeln!(f, "{record}").expect("write");
         }
         let err = Journal::resume(&path, fp).expect_err("duplicates must be refused");
         assert!(

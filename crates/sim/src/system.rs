@@ -601,6 +601,71 @@ impl PartialEq for SimReport {
     }
 }
 
+impl SimReport {
+    /// Serialises every observable field (the sweep journal stores
+    /// completed cells this way). Of the robustness summary only
+    /// `violations` is written: the rest is derived from `ctrl`.
+    pub fn save_snap(&self, w: &mut SnapWriter) {
+        let Self {
+            mechanism,
+            workload,
+            cpu_cycles,
+            mem_cycles,
+            instructions,
+            ctrl,
+            bus,
+            cpu,
+            robustness,
+            engine: _, // diagnostic and outside `PartialEq`; loads as default
+            channels,
+        } = self;
+        w.str(&mechanism.name());
+        w.str(workload);
+        w.varint(*cpu_cycles);
+        w.varint(*mem_cycles);
+        w.varint(*instructions);
+        ctrl.save_snap(w);
+        bus.save_snap(w);
+        cpu.save_snap(w);
+        w.varint(robustness.violations);
+        w.varint(*channels);
+    }
+
+    /// Restores a report written by [`SimReport::save_snap`], rebuilding
+    /// the robustness summary with [`RobustnessReport::collect`].
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Truncated`] when the stream ends early,
+    /// [`SnapError::Corrupt`] for an unknown mechanism or a malformed
+    /// field.
+    pub fn load_snap(r: &mut SnapReader) -> Result<Self, SnapError> {
+        let mechanism =
+            Mechanism::from_name(&r.str()?).ok_or(SnapError::Corrupt("unknown mechanism name"))?;
+        let workload = r.str()?;
+        let cpu_cycles = r.varint()?;
+        let mem_cycles = r.varint()?;
+        let instructions = r.varint()?;
+        let ctrl = CtrlStats::load_snap(r)?;
+        let bus = BusStats::load_snap(r)?;
+        let cpu = CpuStats::load_snap(r)?;
+        let robustness = RobustnessReport::collect(&ctrl, r.varint()?);
+        Ok(SimReport {
+            mechanism,
+            workload,
+            cpu_cycles,
+            mem_cycles,
+            instructions,
+            ctrl,
+            bus,
+            cpu,
+            robustness,
+            engine: EngineStats::default(),
+            channels: r.varint()?,
+        })
+    }
+}
+
 #[expect(
     clippy::disallowed_types,
     clippy::float_arithmetic,

@@ -117,9 +117,10 @@ proptest! {
     }
 }
 
-/// Files in the retired formats — version 1 (fixed-width cache ways) and
-/// version 2 (one core, no header digest) — are refused by version alone,
-/// and a checkpointed run that finds one restarts fresh to the same report.
+/// Files in the retired formats — version 1 (fixed-width cache ways),
+/// version 2 (one core, no header digest) and version 3 (fixed-width
+/// statistics counters) — are refused by version alone, and a
+/// checkpointed run that finds one restarts fresh to the same report.
 #[test]
 fn a_version_1_checkpoint_is_refused_and_the_cell_restarts_fresh() {
     let cfg = SystemConfig::baseline()
@@ -127,7 +128,7 @@ fn a_version_1_checkpoint_is_refused_and_the_cell_restarts_fresh() {
         .with_warm_mem_ops(1_000);
     let len = RunLength::Instructions(8_000);
     let reference = try_simulate(&cfg, SpecBenchmark::Swim.workload(2), len).expect("reference");
-    for version in [1, 2] {
+    for version in [1, 2, 3] {
         let fp = fingerprint(&format!("version {version}"));
         let path = tmp(&format!("v{version}.ckpt"));
         let mut w = SnapWriter::new();
