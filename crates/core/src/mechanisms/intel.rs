@@ -5,6 +5,12 @@
 //! so it finishes as quickly as possible, reducing the degree of
 //! reordering. The `Intel_RP` variant (not in the patent) additionally lets
 //! reads preempt ongoing writes.
+//!
+//! The single logical write queue is stored as one queue per bank, each
+//! sorted by access id. Ids are handed out in increasing order and every
+//! reinsertion keeps id order, so the union of the bank queues in id order
+//! is exactly the global queue: its front is the least id over the bank
+//! fronts, and a bank's oldest write is its own front.
 
 use std::collections::VecDeque;
 
@@ -35,7 +41,8 @@ const LOOKAHEAD: usize = 3;
 pub struct IntelScheduler {
     core: Core,
     read_queues: Vec<VecDeque<Access>>,
-    write_queue: VecDeque<Access>,
+    /// The global write queue, split by target bank; each sorted by id.
+    write_queues: Vec<VecDeque<Access>>,
     read_preemption: bool,
     /// Write-buffer flush mode: entered at the high-water mark (3/4 of
     /// capacity), left at the low-water mark (1/2). While draining, idle
@@ -58,30 +65,30 @@ impl IntelScheduler {
         IntelScheduler {
             core,
             read_queues: vec![VecDeque::new(); nbanks],
-            write_queue: VecDeque::new(),
+            write_queues: vec![VecDeque::new(); nbanks],
             read_preemption,
             draining: false,
             scratch: Vec::new(),
         }
     }
 
-    /// Removes the oldest write targeting `bank_idx` from the global write
-    /// queue.
-    fn pop_write_for_bank(&mut self, bank_idx: usize) -> Option<Access> {
-        let idx = self
-            .write_queue
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| self.core.global_bank(w.loc) == bank_idx)
-            .min_by_key(|(_, w)| w.id)
-            .map(|(i, _)| i)?;
-        self.write_queue.remove(idx)
+    /// Inserts a write into its bank's queue, keeping the queue sorted by
+    /// id: a new write lands at the back, a preempted or retried one near
+    /// the front.
+    fn insert_write(&mut self, write: Access) {
+        let queue = &mut self.write_queues[self.core.global_bank(write.loc)];
+        let pos = queue.partition_point(|w| w.id < write.id);
+        queue.insert(pos, write);
     }
 
-    /// Re-inserts a preempted write keeping the queue sorted by age.
-    fn reinsert_write(&mut self, write: Access) {
-        let pos = self.write_queue.partition_point(|w| w.id < write.id);
-        self.write_queue.insert(pos, write);
+    /// The front of the global write queue and its bank: the least id over
+    /// the bank fronts.
+    fn oldest_write(&self) -> Option<(usize, &Access)> {
+        self.write_queues
+            .iter()
+            .enumerate()
+            .filter_map(|(bank, q)| q.front().map(|w| (bank, w)))
+            .min_by_key(|(_, w)| w.id)
     }
 
     fn arbiter(&mut self, bank_idx: usize, dram: &Dram, now: Cycle) {
@@ -94,7 +101,7 @@ impl IntelScheduler {
                 && !self.read_queues[bank_idx].is_empty()
             {
                 let write = self.core.clear_ongoing(bank_idx).expect("ongoing write");
-                self.reinsert_write(write);
+                self.insert_write(write);
                 let read = self
                     .pick_read(bank_idx, dram, now)
                     .expect("read queue non-empty");
@@ -105,17 +112,23 @@ impl IntelScheduler {
             }
             return;
         }
-        // Starvation watchdog: the oldest write sits at the queue front
-        // (FIFO plus age-sorted reinsertion). Once it exceeds the
+        // Starvation watchdog: the oldest write sits at the global queue
+        // front (the least id over the bank fronts). Once it exceeds the
         // escalation age, drain it even while reads are outstanding —
         // without this a single write behind an endless read stream never
-        // drains (the queue never fills, reads never reach zero).
+        // drains (the queue never fills, reads never reach zero). Only
+        // the bank holding the global front escalates; the scan over bank
+        // fronts runs only once this bank's front is old enough.
         let escalate_age = self.core.cfg().watchdog.escalate_age;
-        if let Some(front) = self.write_queue.front() {
+        if let Some(front) = self.write_queues[bank_idx].front() {
             if now.saturating_sub(front.arrival) >= escalate_age
-                && self.core.global_bank(front.loc) == bank_idx
+                && self
+                    .oldest_write()
+                    .is_some_and(|(bank, _)| bank == bank_idx)
             {
-                let write = self.write_queue.pop_front().expect("front exists");
+                let write = self.write_queues[bank_idx]
+                    .pop_front()
+                    .expect("front exists");
                 self.core
                     .set_ongoing(bank_idx, write)
                     .expect("bank verified idle before escalation");
@@ -128,7 +141,7 @@ impl IntelScheduler {
         // outstanding writes (paper Figure 8b) without saturating as often
         // as Burst.
         if self.draining || self.core.reads_outstanding() == 0 {
-            if let Some(write) = self.pop_write_for_bank(bank_idx) {
+            if let Some(write) = self.write_queues[bank_idx].pop_front() {
                 self.core
                     .set_ongoing(bank_idx, write)
                     .expect("bank verified idle at arbiter entry");
@@ -186,7 +199,7 @@ impl IntelScheduler {
                 self.read_queues[bank_idx].push_front(access);
             }
             // Age-sorted reinsertion puts the (old) retry near the front.
-            AccessKind::Write => self.reinsert_write(access),
+            AccessKind::Write => self.insert_write(access),
         }
     }
 }
@@ -217,8 +230,11 @@ impl AccessScheduler for IntelScheduler {
         match access.kind {
             AccessKind::Read => {
                 // Reads search the write queue; a hit forwards the latest
-                // write's data.
-                let queued_hit = self.write_queue.iter().any(|w| w.addr == access.addr);
+                // write's data. The same address decodes to the same bank,
+                // so only this bank's writes can match.
+                let queued_hit = self.write_queues[bank_idx]
+                    .iter()
+                    .any(|w| w.addr == access.addr);
                 let ongoing_hit = self
                     .core
                     .ongoing(bank_idx)
@@ -234,7 +250,7 @@ impl AccessScheduler for IntelScheduler {
             }
             AccessKind::Write => {
                 self.core.note_arrival(&access);
-                self.write_queue.push_back(access);
+                self.insert_write(access);
                 EnqueueOutcome::Queued
             }
         }
@@ -321,8 +337,7 @@ impl AccessScheduler for IntelScheduler {
                 }
             }
         }
-        if let Some(front) = self.write_queue.front() {
-            let bank = self.core.global_bank(front.loc);
+        if let Some((bank, front)) = self.oldest_write() {
             if self.core.ongoing(bank).is_none() {
                 // Only the front write ever escalates, and only once its
                 // target bank is idle — idleness is static mid-stretch.
@@ -334,9 +349,10 @@ impl AccessScheduler for IntelScheduler {
             }
             if (draining || self.core.reads_outstanding() == 0)
                 && self
-                    .write_queue
+                    .write_queues
                     .iter()
-                    .any(|w| self.core.ongoing(self.core.global_bank(w.loc)).is_none())
+                    .enumerate()
+                    .any(|(bank, q)| !q.is_empty() && self.core.ongoing(bank).is_none())
             {
                 // Drain mode installs any write whose bank is idle.
                 return None;
@@ -361,15 +377,18 @@ impl AccessScheduler for IntelScheduler {
         let Self {
             core,
             read_queues,
-            write_queue,
+            write_queues,
             read_preemption,
             draining,
             scratch: _, // per-tick candidate scratch buffer, cleared before each use
         } = self;
         core.save_snap(w);
         super::save_queue_set(read_queues, w);
-        w.usize(write_queue.len());
-        for a in write_queue {
+        // The global queue, merged back into id order.
+        let mut writes: Vec<&Access> = write_queues.iter().flatten().collect();
+        writes.sort_unstable_by_key(|a| a.id);
+        w.usize(writes.len());
+        for a in writes {
             a.save_snap(w);
         }
         w.bool(*read_preemption);
@@ -381,7 +400,7 @@ impl AccessScheduler for IntelScheduler {
         let Self {
             core,
             read_queues,
-            write_queue,
+            write_queues,
             read_preemption,
             draining,
             scratch: _, // per-tick candidate scratch buffer, cleared before each use
@@ -389,14 +408,228 @@ impl AccessScheduler for IntelScheduler {
         core.load_snap(r)?;
         super::load_queue_set(read_queues, r)?;
         let n = r.seq_len(24)?;
-        write_queue.clear();
+        write_queues.iter_mut().for_each(VecDeque::clear);
+        let mut last = None;
         for _ in 0..n {
-            write_queue.push_back(Access::load_snap(r)?);
+            let write = Access::load_snap(r)?;
+            // Pushing to the back keeps each bank queue sorted only if the
+            // global sequence ascends.
+            if last.is_some_and(|id| write.id <= id) {
+                return Err(burst_snap::SnapError::Corrupt("write queue out of order"));
+            }
+            last = Some(write.id);
+            write_queues
+                .get_mut(core.global_bank(write.loc))
+                .ok_or(burst_snap::SnapError::Corrupt("write bank out of range"))?
+                .push_back(write);
         }
         if r.bool()? != *read_preemption {
             return Err(burst_snap::SnapError::Corrupt("variant mismatch"));
         }
         *draining = r.bool()?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{AccessId, WatchdogConfig};
+    use burst_dram::{AddressMapping, DramConfig, PhysAddr};
+    use burst_snap::{SnapError, SnapReader, SnapWriter};
+
+    fn setup(cfg: CtrlConfig, read_preemption: bool) -> (IntelScheduler, Dram) {
+        let dram_cfg = DramConfig::baseline();
+        (
+            IntelScheduler::new(cfg, dram_cfg.geometry, read_preemption),
+            Dram::new(dram_cfg, AddressMapping::PageInterleaving),
+        )
+    }
+
+    /// An access to the `nth` cache line, in address order, that maps to
+    /// global bank `bank`.
+    fn access(
+        s: &IntelScheduler,
+        dram: &Dram,
+        id: u64,
+        kind: AccessKind,
+        (bank, nth): (usize, usize),
+        arrival: Cycle,
+    ) -> Access {
+        let addr = (0u64..)
+            .map(|line| PhysAddr::new(line * 64))
+            .filter(|&a| s.core.global_bank(dram.decode(a)) == bank)
+            .nth(nth)
+            .expect("every bank owns lines");
+        Access::new(AccessId::new(id), kind, addr, dram.decode(addr), arrival)
+    }
+
+    fn ongoing_id(s: &IntelScheduler, bank: usize) -> Option<u64> {
+        s.core.ongoing(bank).map(|og| og.access.id.value())
+    }
+
+    fn write_ids(s: &IntelScheduler, bank: usize) -> Vec<u64> {
+        s.write_queues[bank].iter().map(|w| w.id.value()).collect()
+    }
+
+    #[test]
+    fn read_forwards_only_from_a_queued_write_to_its_address() {
+        let (mut s, dram) = setup(CtrlConfig::default(), false);
+        let mut done = Vec::new();
+        let write = access(&s, &dram, 0, AccessKind::Write, (6, 0), 0);
+        assert_eq!(s.enqueue(write, 0, &mut done), EnqueueOutcome::Queued);
+        let same = access(&s, &dram, 1, AccessKind::Read, (6, 0), 0);
+        assert_eq!(s.enqueue(same, 0, &mut done), EnqueueOutcome::Forwarded);
+        assert_eq!(done.len(), 1);
+        assert!(done[0].forwarded && done[0].id == AccessId::new(1));
+        // Same bank, different line: the read queues behind the write.
+        let other = access(&s, &dram, 2, AccessKind::Read, (6, 1), 0);
+        assert_eq!(s.enqueue(other, 0, &mut done), EnqueueOutcome::Queued);
+        assert_eq!(done.len(), 1);
+        assert_eq!(s.stats().forwards, 1);
+    }
+
+    #[test]
+    fn drain_mode_installs_each_banks_oldest_write_over_its_reads() {
+        for (write_capacity, want3, want5) in [(4, Some(1), Some(2)), (8, Some(0), None)] {
+            let cfg = CtrlConfig {
+                write_capacity,
+                ..CtrlConfig::default()
+            };
+            let (mut s, mut dram) = setup(cfg, false);
+            let mut done = Vec::new();
+            let read = access(&s, &dram, 0, AccessKind::Read, (3, 0), 0);
+            s.enqueue(read, 0, &mut done);
+            for (id, bank, nth) in [(1, 3, 1), (2, 5, 0), (3, 3, 2), (4, 5, 1)] {
+                let w = access(&s, &dram, id, AccessKind::Write, (bank, nth), 0);
+                assert_eq!(s.enqueue(w, 0, &mut done), EnqueueOutcome::Queued);
+            }
+            s.tick(&mut dram, 0, &mut done);
+            // A full buffer (4 of 4) drains; otherwise reads keep priority
+            // and bank 5, with only writes, waits while a read is out.
+            assert_eq!(s.draining, write_capacity == 4);
+            assert_eq!(ongoing_id(&s, 3), want3, "capacity {write_capacity}");
+            assert_eq!(ongoing_id(&s, 5), want5, "capacity {write_capacity}");
+        }
+    }
+
+    #[test]
+    fn only_the_globally_oldest_escalated_write_beats_reads() {
+        let cfg = CtrlConfig {
+            watchdog: WatchdogConfig {
+                escalate_age: 50,
+                ..WatchdogConfig::default()
+            },
+            ..CtrlConfig::default()
+        };
+        let (mut s, mut dram) = setup(cfg, false);
+        let mut done = Vec::new();
+        // Both writes are past the escalation age at cycle 100. The older
+        // one targets bank 1, which arbitrates after bank 0.
+        let older = access(&s, &dram, 0, AccessKind::Write, (1, 0), 0);
+        let younger = access(&s, &dram, 1, AccessKind::Write, (0, 0), 0);
+        let read0 = access(&s, &dram, 2, AccessKind::Read, (0, 1), 100);
+        let read1 = access(&s, &dram, 3, AccessKind::Read, (1, 1), 100);
+        for a in [older, younger, read0, read1] {
+            assert_eq!(s.enqueue(a, 100, &mut done), EnqueueOutcome::Queued);
+        }
+        s.tick(&mut dram, 100, &mut done);
+        assert_eq!(ongoing_id(&s, 1), Some(0), "oldest write escalates");
+        assert_eq!(ongoing_id(&s, 0), Some(2), "younger write waits");
+        assert_eq!(write_ids(&s, 0), vec![1]);
+        assert_eq!(s.read_queues[1].len(), 1);
+    }
+
+    #[test]
+    fn read_preemption_requeues_the_write_in_id_order() {
+        let (mut s, mut dram) = setup(CtrlConfig::default(), true);
+        let mut done = Vec::new();
+        for id in 0..3 {
+            let w = access(&s, &dram, id, AccessKind::Write, (0, id as usize), 0);
+            s.enqueue(w, 0, &mut done);
+        }
+        // No reads outstanding: the bank takes its oldest write.
+        s.tick(&mut dram, 0, &mut done);
+        assert_eq!(ongoing_id(&s, 0), Some(0));
+        assert_eq!(write_ids(&s, 0), vec![1, 2]);
+        let read = access(&s, &dram, 3, AccessKind::Read, (0, 5), 1);
+        assert_eq!(s.enqueue(read, 1, &mut done), EnqueueOutcome::Queued);
+        s.tick(&mut dram, 1, &mut done);
+        assert_eq!(ongoing_id(&s, 0), Some(3), "the read preempts the write");
+        assert_eq!(write_ids(&s, 0), vec![0, 1, 2]);
+        assert_eq!(s.stats().preemptions, 1);
+    }
+
+    #[test]
+    fn no_busy_skip_while_draining_could_install_a_write() {
+        let cfg = CtrlConfig {
+            write_capacity: 4,
+            ..CtrlConfig::default()
+        };
+        let (mut s, mut dram) = setup(cfg, false);
+        let mut done = Vec::new();
+        let read = access(&s, &dram, 0, AccessKind::Read, (0, 0), 0);
+        s.enqueue(read, 0, &mut done);
+        s.tick(&mut dram, 0, &mut done);
+        assert_eq!(ongoing_id(&s, 0), Some(0));
+        for id in 1..4 {
+            let w = access(&s, &dram, id, AccessKind::Write, (2, id as usize), 1);
+            s.enqueue(w, 1, &mut done);
+        }
+        // Below capacity with a read outstanding, idle bank 2 holds its
+        // writes: the stretch until the read's next command is skippable.
+        assert!(s.next_busy_event(&dram, 0).is_some());
+        let w = access(&s, &dram, 4, AccessKind::Write, (2, 4), 1);
+        s.enqueue(w, 1, &mut done);
+        // At capacity the next tick drains into idle bank 2.
+        assert_eq!(s.next_busy_event(&dram, 0), None);
+    }
+
+    /// A snapshot of `s` with `writes` as its write sequence.
+    fn snapshot_with_writes(s: &IntelScheduler, writes: &[Access]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        s.core.save_snap(&mut w);
+        super::super::save_queue_set(&s.read_queues, &mut w);
+        w.usize(writes.len());
+        for a in writes {
+            a.save_snap(&mut w);
+        }
+        w.bool(s.read_preemption);
+        w.bool(s.draining);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn load_splits_the_write_sequence_by_bank_and_refuses_disorder() {
+        let (s, dram) = setup(CtrlConfig::default(), false);
+        let write = |id, bank, nth| access(&s, &dram, id, AccessKind::Write, (bank, nth), 0);
+        let ok = snapshot_with_writes(&s, &[write(3, 4, 0), write(5, 7, 0), write(6, 4, 1)]);
+        let (mut fresh, _) = setup(CtrlConfig::default(), false);
+        fresh
+            .load_state(&mut SnapReader::new(&ok))
+            .expect("ascending ids load");
+        assert_eq!(write_ids(&fresh, 4), vec![3, 6]);
+        assert_eq!(write_ids(&fresh, 7), vec![5]);
+        let mut again = SnapWriter::new();
+        fresh.save_state(&mut again).expect("save");
+        assert_eq!(again.into_bytes(), ok, "re-save merges back into id order");
+        for ids in [[5, 3], [3, 3]] {
+            let bad = snapshot_with_writes(&s, &[write(ids[0], 4, 0), write(ids[1], 7, 0)]);
+            let (mut fresh, _) = setup(CtrlConfig::default(), false);
+            assert_eq!(
+                fresh.load_state(&mut SnapReader::new(&bad)),
+                Err(SnapError::Corrupt("write queue out of order")),
+                "{ids:?}"
+            );
+        }
+        // A location outside the geometry maps to no bank queue.
+        let mut stray = write(8, 4, 0);
+        stray.loc.channel = 9;
+        let bad = snapshot_with_writes(&s, &[stray]);
+        let (mut fresh, _) = setup(CtrlConfig::default(), false);
+        assert_eq!(
+            fresh.load_state(&mut SnapReader::new(&bad)),
+            Err(SnapError::Corrupt("write bank out of range"))
+        );
     }
 }

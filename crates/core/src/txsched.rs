@@ -104,14 +104,14 @@ pub fn select_round_robin_limited(
     let len = bank_range.end - bank_range.start;
     let start = bank_range.start;
     let pointer = (*next_bank).clamp(start, bank_range.end - 1);
-    let key = |bank: usize| (bank + len - pointer) % len;
-    let mut ordered: Vec<&Candidate> = cands.iter().collect();
-    ordered.sort_by_key(|c| (!c.escalated, key(c.bank), c.arrival, c.id));
-    let chosen = ordered
-        .into_iter()
-        .take(lookahead.max(1))
-        .find(|c| c.unblocked)
-        .copied();
+    let chosen = select_limited(cands, lookahead, |c| {
+        (
+            !c.escalated,
+            (c.bank + len - pointer) % len,
+            c.arrival,
+            c.id,
+        )
+    });
     if let Some(c) = &chosen {
         *next_bank = if c.bank + 1 >= bank_range.end {
             start
@@ -133,13 +133,29 @@ pub fn select_intel(cands: &[Candidate]) -> Option<Candidate> {
 /// accesses in priority order are considered; if all of them are blocked
 /// the cycle bubbles.
 pub fn select_intel_limited(cands: &[Candidate], lookahead: usize) -> Option<Candidate> {
-    let mut ordered: Vec<&Candidate> = cands.iter().collect();
-    ordered.sort_by_key(|c| (!c.escalated, !c.started, c.arrival, !c.kind.is_read(), c.id));
-    ordered
-        .into_iter()
-        .take(lookahead.max(1))
-        .find(|c| c.unblocked)
-        .copied()
+    select_limited(cands, lookahead, |c| {
+        (!c.escalated, !c.started, c.arrival, !c.kind.is_read(), c.id)
+    })
+}
+
+/// Limited-lookahead selection by a priority key, lower first: the same
+/// choice as sorting `cands` by `key`, keeping the first `lookahead` (at
+/// least one) and taking the first unblocked, in O(n) and without
+/// allocating. The least-key unblocked candidate is chosen only if fewer
+/// than `lookahead` candidates rank ahead of it. Every key ends in the
+/// access id, so keys are unique and "ahead" is well defined.
+fn select_limited<K: Ord>(
+    cands: &[Candidate],
+    lookahead: usize,
+    key: impl Fn(&Candidate) -> K,
+) -> Option<Candidate> {
+    let best = cands
+        .iter()
+        .filter(|c| c.unblocked)
+        .min_by_key(|c| key(c))?;
+    let best_key = key(best);
+    let ahead = cands.iter().filter(|c| key(c) < best_key).count();
+    (ahead < lookahead.max(1)).then_some(*best)
 }
 
 #[cfg(test)]
@@ -349,6 +365,91 @@ mod tests {
         let mut ptr = 0usize;
         let rr = select_round_robin(&[best, starved], &mut ptr, 0..16).unwrap();
         assert_eq!(rr.bank, 8, "round robin also serves escalated first");
+    }
+
+    /// Reference for `select_limited`: sort every candidate by `key`, keep
+    /// the first `lookahead`, take the first unblocked.
+    fn sorted_reference<K: Ord>(
+        cands: &[Candidate],
+        lookahead: usize,
+        key: impl Fn(&Candidate) -> K,
+    ) -> Option<AccessId> {
+        let mut ordered: Vec<&Candidate> = cands.iter().collect();
+        ordered.sort_by_key(|c| key(c));
+        ordered
+            .into_iter()
+            .take(lookahead.max(1))
+            .find(|c| c.unblocked)
+            .map(|c| c.id)
+    }
+
+    #[test]
+    fn limited_selectors_match_a_sort_based_reference() {
+        let mut state = 17u64;
+        let mut draw = |n: u64| {
+            state = crate::splitmix64(state);
+            state % n
+        };
+        let mut checked = 0;
+        for trial in 0..3_000u64 {
+            let range = if trial % 2 == 0 { 0..16 } else { 16..32 };
+            // At most one candidate per bank, in shuffled slice order, with
+            // few distinct arrivals so the id tie-break matters.
+            let mut banks: Vec<usize> = range.clone().collect();
+            for i in (1..banks.len()).rev() {
+                banks.swap(i, draw(i as u64 + 1) as usize);
+            }
+            banks.truncate(draw(17) as usize);
+            let cands: Vec<Candidate> = banks
+                .iter()
+                .map(|&bank| {
+                    let kind = if draw(2) == 0 {
+                        AccessKind::Read
+                    } else {
+                        AccessKind::Write
+                    };
+                    let mut c = cand(
+                        bank,
+                        (bank % 16 / 4) as u8,
+                        kind,
+                        col(0, bank),
+                        draw(4),
+                        draw(1_000) * 32 + bank as u64,
+                        draw(2) == 0,
+                    );
+                    c.unblocked = draw(3) != 0;
+                    c.escalated = draw(5) == 0;
+                    c
+                })
+                .collect();
+            for lookahead in 1..=cands.len() + 1 {
+                let want = sorted_reference(&cands, lookahead, |c| {
+                    (!c.escalated, !c.started, c.arrival, !c.kind.is_read(), c.id)
+                });
+                let got = select_intel_limited(&cands, lookahead).map(|c| c.id);
+                assert_eq!(got, want, "intel, trial {trial}, lookahead {lookahead}");
+
+                let len = range.len();
+                let mut pointer = range.start + draw(len as u64) as usize;
+                let start = pointer;
+                let want = sorted_reference(&cands, lookahead, |c| {
+                    (!c.escalated, (c.bank + len - start) % len, c.arrival, c.id)
+                });
+                let got =
+                    select_round_robin_limited(&cands, &mut pointer, range.clone(), lookahead);
+                assert_eq!(got.map(|c| c.id), want, "round robin, trial {trial}");
+                let want_pointer = got.map_or(start, |c| {
+                    if c.bank + 1 >= range.end {
+                        range.start
+                    } else {
+                        c.bank + 1
+                    }
+                });
+                assert_eq!(pointer, want_pointer, "round robin pointer, trial {trial}");
+                checked += usize::from(want.is_some());
+            }
+        }
+        assert!(checked > 10_000, "too few non-empty selections: {checked}");
     }
 
     #[test]

@@ -168,3 +168,47 @@ fn a_warmed_baseline_checkpoint_body_stays_compact() {
     let body = sys.checkpoint().expect("checkpoint").bytes.len();
     assert!(body <= 256 * 1024, "checkpoint body is {body} B");
 }
+
+/// `System::state_hash` of the Intel schedulers after `warm` and a
+/// 20k-instruction run (seed 7), taken with writes outstanding so the
+/// write queue is part of the hashed state. However the queue is held in
+/// memory, its format-v4 encoding, and so this hash, must not move.
+#[test]
+fn intel_state_hashes_with_queued_writes_are_pinned() {
+    const PINNED: [(Mechanism, SpecBenchmark, u64); 4] = [
+        (Mechanism::Intel, SpecBenchmark::Swim, 0x7b3e_2eeb_9b48_89ec),
+        (
+            Mechanism::IntelRp,
+            SpecBenchmark::Swim,
+            0xed2a_69a0_2d0c_3ef1,
+        ),
+        (Mechanism::Intel, SpecBenchmark::Gcc, 0x3b8b_2a87_d9a9_efb3),
+        (
+            Mechanism::IntelRp,
+            SpecBenchmark::Gcc,
+            0xb995_dcf3_d0be_baa5,
+        ),
+    ];
+    for (mechanism, bench, pinned) in PINNED {
+        // The protocol checker's state is hashed too; its default follows
+        // the build profile, so fix it.
+        let cfg = SystemConfig::baseline()
+            .with_mechanism(mechanism)
+            .with_checker(false);
+        let mut w = bench.workload(7);
+        let mut sys = System::new(&cfg);
+        sys.warm(&mut w);
+        sys.try_run(&mut w, RunLength::Instructions(20_000))
+            .expect("run");
+        // Every writeback the CPU hands off enters the controller at once,
+        // so the difference is the writes queued or ongoing there.
+        let r = sys.report(bench.to_string());
+        let outstanding = r.cpu.mem_writes - r.ctrl.writes_done;
+        let hash = sys.state_hash().expect("Intel supports snapshots");
+        assert!(
+            outstanding > 0,
+            "{mechanism} on {bench}: no write outstanding"
+        );
+        assert_eq!(hash, pinned, "{mechanism} on {bench}: state hash moved");
+    }
+}
