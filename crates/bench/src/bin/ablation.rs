@@ -7,23 +7,38 @@
 //! 2. Row policy: open page vs close-page autoprecharge under BkInOrder.
 //! 3. Dynamic threshold (Section 7 future work) vs the static optimum.
 //!
-//! Every grid runs under the sweep supervisor: a failing cell is retried,
-//! then excluded from its aggregate (printed as `n/a` if the whole group
-//! is lost) and the binary exits nonzero.
+//! Every grid is one `Sweep::run_supervised` call, scoped by the value of
+//! the parameter it varies: a failing cell is retried, then excluded from
+//! its aggregate (printed as `n/a` if the whole group is lost) and the
+//! binary exits nonzero.
 
 use std::process::ExitCode;
 
 use burst_bench::{banner, FailureLedger, HarnessOptions};
 use burst_core::Mechanism;
 use burst_dram::{AddressMapping, RowPolicy};
+use burst_sim::experiments::Sweep;
 use burst_sim::report::render_table;
-use burst_sim::{supervise, try_simulate, CellError, CellFailure, CellOutcome};
+use burst_sim::{SimReport, SystemConfig};
 use burst_workloads::SpecBenchmark;
+
+/// The completed reports of `mechanism` in `sweep`, in `benches` order.
+fn reports<'a>(
+    sweep: &'a Sweep,
+    benches: &'a [SpecBenchmark],
+    mechanism: Mechanism,
+) -> impl Iterator<Item = &'a SimReport> {
+    benches
+        .iter()
+        .filter_map(move |&b| sweep.cell(b, mechanism).map(|c| &c.report))
+}
 
 /// Averages the completed cells of one aggregation group; `n/a` when every
 /// cell in the group failed.
-fn avg_or_na(group: &[CellOutcome<u64>]) -> String {
-    let done: Vec<u64> = group.iter().filter_map(|o| o.clone().value()).collect();
+fn avg_or_na(sweep: &Sweep, benches: &[SpecBenchmark], mechanism: Mechanism) -> String {
+    let done: Vec<u64> = reports(sweep, benches, mechanism)
+        .map(|r| r.cpu_cycles)
+        .collect();
     if done.is_empty() {
         "n/a".to_string()
     } else {
@@ -50,12 +65,25 @@ fn main() -> ExitCode {
     };
     let base = opts.system_config();
     let sup = opts.supervisor_config();
-    let (seed, run) = (opts.seed, opts.run);
+    let journal = opts.open_journal();
+    let ckpt = opts.checkpoint_plan();
+    let grid = |scope: &str, base: &SystemConfig, mechanisms: &[Mechanism]| {
+        Sweep::run_supervised(
+            scope,
+            base,
+            &benches,
+            mechanisms,
+            opts.run,
+            opts.seed,
+            opts.jobs,
+            &sup,
+            journal.as_ref(),
+            ckpt.as_ref(),
+        )
+    };
     let mut ledger = FailureLedger::new();
 
-    // 1. Address mapping x mechanism: every (mapping, mechanism, benchmark)
-    // cell is an independent simulation — run the whole grid supervised in
-    // parallel and aggregate afterwards.
+    // 1. Address mapping x mechanism: one grid per mapping.
     println!(
         "--- address mapping x mechanism (avg cpu cycles over {} benchmarks)\n",
         benches.len()
@@ -67,50 +95,15 @@ fn main() -> ExitCode {
         AddressMapping::BitReversal,
     ];
     let mechanisms = [Mechanism::BkInOrder, Mechanism::BurstTh(52)];
-    let mut grid = Vec::new();
-    for mapping in mappings {
-        for mechanism in mechanisms {
-            for &b in &benches {
-                grid.push((mapping, mechanism, b));
-            }
-        }
-    }
-    let outcomes = supervise(
-        &grid,
-        opts.jobs,
-        &sup,
-        move |_, &(mapping, mechanism, b), _| {
-            let cfg = base.with_mechanism(mechanism).with_mapping(mapping);
-            try_simulate(&cfg, b.workload(seed), run)
-                .map(|r| r.cpu_cycles)
-                .map_err(CellError::from)
-        },
-    );
-    for (&(_, mechanism, b), o) in grid.iter().zip(&outcomes) {
-        if let CellOutcome::Failed {
-            kind,
-            attempts,
-            payload,
-        } = o
-        {
-            ledger.note(CellFailure {
-                scope: "ablation-mapping".into(),
-                benchmark: b,
-                mechanism,
-                kind: *kind,
-                attempts: *attempts,
-                payload: payload.clone(),
-                quarantined: false,
-            });
-        }
-    }
     let mut rows = Vec::new();
-    let mut cell = outcomes.chunks_exact(benches.len());
     for mapping in mappings {
+        let sweep = ledger.absorb(grid(
+            &format!("ablation-mapping-{mapping:?}"),
+            &base.with_mapping(mapping),
+            &mechanisms,
+        ));
         let mut row = vec![format!("{mapping:?}")];
-        for _mechanism in mechanisms {
-            row.push(avg_or_na(cell.next().expect("full grid")));
-        }
+        row.extend(mechanisms.map(|m| avg_or_na(&sweep, &benches, m)));
         rows.push(row);
     }
     println!(
@@ -120,46 +113,21 @@ fn main() -> ExitCode {
 
     // 2. Row policy under the baseline mechanism.
     println!("--- row policy (BkInOrder)\n");
-    let policies = [RowPolicy::OpenPage, RowPolicy::ClosePageAutoprecharge];
-    let mut grid = Vec::new();
-    for policy in policies {
-        for &b in &benches {
-            grid.push((policy, b));
-        }
-    }
-    let outcomes = supervise(&grid, opts.jobs, &sup, move |_, &(policy, b), _| {
+    let mut rows = Vec::new();
+    for policy in [RowPolicy::OpenPage, RowPolicy::ClosePageAutoprecharge] {
         let mut cfg = base;
         cfg.ctrl.row_policy = policy;
-        try_simulate(&cfg, b.workload(seed), run)
-            .map(|r| (r.cpu_cycles, r.ctrl.row_hit_rate()))
-            .map_err(CellError::from)
-    });
-    for (&(_, b), o) in grid.iter().zip(&outcomes) {
-        if let CellOutcome::Failed {
-            kind,
-            attempts,
-            payload,
-        } = o
-        {
-            ledger.note(CellFailure {
-                scope: "ablation-policy".into(),
-                benchmark: b,
-                mechanism: base.mechanism,
-                kind: *kind,
-                attempts: *attempts,
-                payload: payload.clone(),
-                quarantined: false,
-            });
-        }
-    }
-    let mut rows = Vec::new();
-    for (policy, chunk) in policies.iter().zip(outcomes.chunks_exact(benches.len())) {
-        let done: Vec<(u64, f64)> = chunk.iter().filter_map(|o| o.clone().value()).collect();
+        let sweep = ledger.absorb(grid(
+            &format!("ablation-policy-{policy:?}"),
+            &cfg,
+            &[cfg.mechanism],
+        ));
+        let done: Vec<&SimReport> = reports(&sweep, &benches, cfg.mechanism).collect();
         let (cycles, hits) = if done.is_empty() {
             ("n/a".to_string(), "n/a".to_string())
         } else {
-            let total: u64 = done.iter().map(|&(c, _)| c).sum();
-            let hit_sum: f64 = done.iter().map(|&(_, h)| h).sum();
+            let total: u64 = done.iter().map(|r| r.cpu_cycles).sum();
+            let hit_sum: f64 = done.iter().map(|r| r.ctrl.row_hit_rate()).sum();
             (
                 format!("{}", total / done.len() as u64),
                 format!("{:.1}%", hit_sum / done.len() as f64 * 100.0),
@@ -180,41 +148,12 @@ fn main() -> ExitCode {
         Mechanism::BurstCrit,
         Mechanism::AdaptiveHistory,
     ];
-    let mut grid = Vec::new();
-    for mechanism in future {
-        for &b in &benches {
-            grid.push((mechanism, b));
-        }
-    }
-    let outcomes = supervise(&grid, opts.jobs, &sup, move |_, &(mechanism, b), _| {
-        let cfg = base.with_mechanism(mechanism);
-        try_simulate(&cfg, b.workload(seed), run)
-            .map(|r| r.cpu_cycles)
-            .map_err(CellError::from)
-    });
-    for (&(mechanism, b), o) in grid.iter().zip(&outcomes) {
-        if let CellOutcome::Failed {
-            kind,
-            attempts,
-            payload,
-        } = o
-        {
-            ledger.note(CellFailure {
-                scope: "ablation-future".into(),
-                benchmark: b,
-                mechanism,
-                kind: *kind,
-                attempts: *attempts,
-                payload: payload.clone(),
-                quarantined: false,
-            });
-        }
-    }
+    let sweep = ledger.absorb(grid("ablation-future", &base, &future));
     let mut rows = Vec::new();
-    for (mechanism, chunk) in future.iter().zip(outcomes.chunks_exact(benches.len())) {
+    for mechanism in future {
         let mut row = vec![mechanism.name()];
-        row.extend(chunk.iter().map(|o| match o.clone().value() {
-            Some(c) => format!("{c}"),
+        row.extend(benches.iter().map(|&b| match sweep.cell(b, mechanism) {
+            Some(c) => format!("{}", c.report.cpu_cycles),
             None => "n/a".to_string(),
         }));
         rows.push(row);

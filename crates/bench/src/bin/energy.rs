@@ -2,14 +2,18 @@
 //! mix (row hits avoid activate/precharge pairs) and the run time (faster
 //! runs pay less standby power). This harness compares estimated DRAM
 //! energy per mechanism using the Micron IDD-based model.
+//!
+//! The grid is one `Sweep::run_supervised` call under scope `energy`: a
+//! failing cell is retried, then left out of its mechanism's sums, and the
+//! binary exits nonzero.
 
 use std::process::ExitCode;
 
 use burst_bench::{banner, FailureLedger, HarnessOptions};
 use burst_core::Mechanism;
 use burst_dram::EnergyParams;
+use burst_sim::experiments::Sweep;
 use burst_sim::report::render_table;
-use burst_sim::{try_simulate, CellError, CellFailure};
 
 fn main() -> ExitCode {
     let opts = HarnessOptions::from_args(40_000);
@@ -25,6 +29,20 @@ fn main() -> ExitCode {
     };
     let ranks = 8; // 2 channels x 4 ranks
     let mut ledger = FailureLedger::new();
+    let journal = opts.open_journal();
+    let ckpt = opts.checkpoint_plan();
+    let sweep = ledger.absorb(Sweep::run_supervised(
+        "energy",
+        &opts.system_config(),
+        &benches,
+        &Mechanism::all_paper(),
+        opts.run,
+        opts.seed,
+        opts.jobs,
+        &opts.supervisor_config(),
+        journal.as_ref(),
+        ckpt.as_ref(),
+    ));
 
     let mut rows = Vec::new();
     for mechanism in Mechanism::all_paper() {
@@ -34,24 +52,9 @@ fn main() -> ExitCode {
         let mut accesses = 0u64;
         let mut cycles = 0u64;
         let mut completed = 0usize;
-        for b in &benches {
-            let cfg = opts.system_config().with_mechanism(mechanism);
-            let r = match try_simulate(&cfg, b.workload(opts.seed), opts.run) {
-                Ok(r) => r,
-                Err(e) => {
-                    let err = CellError::from(e);
-                    ledger.note(CellFailure {
-                        scope: "energy".into(),
-                        benchmark: *b,
-                        mechanism,
-                        kind: err.kind,
-                        attempts: 1,
-                        payload: err.payload,
-                        quarantined: false,
-                    });
-                    continue;
-                }
-            };
+        // Sum in benchmark order: float addition is not associative.
+        for cell in benches.iter().filter_map(|&b| sweep.cell(b, mechanism)) {
+            let r = &cell.report;
             let e = r.energy(ranks, &params);
             total_mj += e.total_mj();
             act_nj += e.activate_nj;

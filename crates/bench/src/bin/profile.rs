@@ -1,12 +1,16 @@
 //! Profiles each benchmark surrogate's memory traffic under the baseline
 //! mechanism: reads/writes reaching main memory, cache hit rates, IPC and
 //! bus pressure. A calibration aid, not a paper figure.
+//!
+//! The grid is one `Sweep::run_supervised` call under scope `profile`: a
+//! failing cell is retried, then left out of the table, and the binary
+//! exits nonzero.
 
 use std::process::ExitCode;
 
 use burst_bench::{banner, FailureLedger, HarnessOptions};
+use burst_sim::experiments::Sweep;
 use burst_sim::report::render_table;
-use burst_sim::{try_simulate, CellError, CellFailure};
 
 fn main() -> ExitCode {
     let opts = HarnessOptions::from_args(40_000);
@@ -14,26 +18,28 @@ fn main() -> ExitCode {
         "{}",
         banner("profile", "workload traffic calibration", &opts)
     );
+    let base = opts.system_config();
+    let journal = opts.open_journal();
+    let ckpt = opts.checkpoint_plan();
     let mut ledger = FailureLedger::new();
+    let sweep = ledger.absorb(Sweep::run_supervised(
+        "profile",
+        &base,
+        &opts.benchmarks,
+        &[base.mechanism],
+        opts.run,
+        opts.seed,
+        opts.jobs,
+        &opts.supervisor_config(),
+        journal.as_ref(),
+        ckpt.as_ref(),
+    ));
     let mut rows = Vec::new();
     for &b in &opts.benchmarks {
-        let cfg = opts.system_config();
-        let report = match try_simulate(&cfg, b.workload(opts.seed), opts.run) {
-            Ok(r) => r,
-            Err(e) => {
-                let err = CellError::from(e);
-                ledger.note(CellFailure {
-                    scope: "profile".into(),
-                    benchmark: b,
-                    mechanism: cfg.mechanism,
-                    kind: err.kind,
-                    attempts: 1,
-                    payload: err.payload,
-                    quarantined: false,
-                });
-                continue;
-            }
+        let Some(cell) = sweep.cell(b, base.mechanism) else {
+            continue;
         };
+        let report = &cell.report;
         rows.push(vec![
             b.name().to_string(),
             format!("{:.3}", report.ipc()),

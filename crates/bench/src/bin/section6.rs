@@ -2,15 +2,19 @@
 //! to DDR2 PC2-6400 (5-5-5 at 400 MHz) bus frequency tripled while timing
 //! in nanoseconds barely moved, so latency *in cycles* grew (row conflict:
 //! 6 -> 15 cycles) — and with it the headroom for access reordering. This
-//! harness measures the Burst_TH52 improvement on both devices.
+//! harness measures the Burst_TH52 improvement on each device.
+//!
+//! Each device is one `Sweep::run_supervised` call, scoped by the device
+//! (`section6-DDR-PC-2100`, ...): a failing cell is retried, then left out
+//! of the ratio, and the binary exits nonzero.
 
 use std::process::ExitCode;
 
 use burst_bench::{banner, FailureLedger, HarnessOptions};
 use burst_core::Mechanism;
 use burst_dram::{DramConfig, TimingParams};
+use burst_sim::experiments::Sweep;
 use burst_sim::report::render_table;
-use burst_sim::{try_simulate, CellError, CellFailure};
 
 fn main() -> ExitCode {
     let opts = HarnessOptions::from_args(40_000);
@@ -38,49 +42,37 @@ fn main() -> ExitCode {
     } else {
         opts.benchmarks.clone()
     };
+    let sup = opts.supervisor_config();
+    let journal = opts.open_journal();
+    let ckpt = opts.checkpoint_plan();
     let mut ledger = FailureLedger::new();
 
     let mut rows = Vec::new();
-    for (name, dram) in [
-        ("DDR PC-2100 (2-2-2)", ddr),
-        ("DDR2 PC2-6400 (5-5-5)", ddr2),
-        ("DDR3-1333 (9-9-9)", ddr3),
+    for (tag, name, dram) in [
+        ("DDR-PC-2100", "DDR PC-2100 (2-2-2)", ddr),
+        ("DDR2-PC2-6400", "DDR2 PC2-6400 (5-5-5)", ddr2),
+        ("DDR3-1333", "DDR3-1333 (9-9-9)", ddr3),
     ] {
-        // Sums cycles over the benchmarks where the run completed; a failed
-        // cell is recorded in the ledger and excluded from *both* sums so
+        let sweep = ledger.absorb(Sweep::run_supervised(
+            &format!("section6-{tag}"),
+            &opts.system_config().with_dram(dram),
+            &benches,
+            &[Mechanism::BkInOrder, Mechanism::BurstTh(52)],
+            opts.run,
+            opts.seed,
+            opts.jobs,
+            &sup,
+            journal.as_ref(),
+            ckpt.as_ref(),
+        ));
+        // Sums cycles over the benchmarks where both runs completed, so
         // the ratio stays apples-to-apples.
-        let run = |mechanism: Mechanism, ledger: &mut FailureLedger| -> Vec<Option<u64>> {
-            benches
-                .iter()
-                .map(|b| {
-                    let cfg = opts
-                        .system_config()
-                        .with_dram(dram)
-                        .with_mechanism(mechanism);
-                    match try_simulate(&cfg, b.workload(opts.seed), opts.run) {
-                        Ok(r) => Some(r.cpu_cycles),
-                        Err(e) => {
-                            let err = CellError::from(e);
-                            ledger.note(CellFailure {
-                                scope: "section6".into(),
-                                benchmark: *b,
-                                mechanism,
-                                kind: err.kind,
-                                attempts: 1,
-                                payload: err.payload,
-                                quarantined: false,
-                            });
-                            None
-                        }
-                    }
-                })
-                .collect()
-        };
-        let base_cells = run(Mechanism::BkInOrder, &mut ledger);
-        let th_cells = run(Mechanism::BurstTh(52), &mut ledger);
         let (mut base, mut th) = (0u64, 0u64);
-        for (b, t) in base_cells.iter().zip(&th_cells) {
-            if let (Some(b), Some(t)) = (b, t) {
+        for &b in &benches {
+            let cycles = |m| sweep.cell(b, m).map(|c| c.report.cpu_cycles);
+            if let (Some(b), Some(t)) =
+                (cycles(Mechanism::BkInOrder), cycles(Mechanism::BurstTh(52)))
+            {
                 base += b;
                 th += t;
             }

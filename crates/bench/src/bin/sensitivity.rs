@@ -4,74 +4,38 @@
 //! (memory-level parallelism) and the channel count, reporting the
 //! Burst_TH improvement over BkInOrder at each point.
 //!
-//! Cells run supervised: a failing run drops its sweep point to `n/a`
-//! instead of aborting the study, and the binary exits nonzero.
+//! Each sweep point is one `Sweep::run_supervised` call, scoped by the
+//! point (`sensitivity-wq-16`, `sensitivity-lsq-8`, `sensitivity-ch-1`): a
+//! failing run drops its point to `n/a` instead of aborting the study, and
+//! the binary exits nonzero.
 
 use std::process::ExitCode;
 
 use burst_bench::{banner, FailureLedger, HarnessOptions};
 use burst_core::Mechanism;
+use burst_sim::experiments::Sweep;
 use burst_sim::report::render_table;
-use burst_sim::{
-    supervise, try_simulate, CellError, CellFailure, CellOutcome, SupervisorConfig, SystemConfig,
-};
+use burst_sim::SystemConfig;
 use burst_workloads::SpecBenchmark;
 
-/// The Burst_TH improvement over the baseline config, or `None` when any
-/// of the eight cells stayed unrecovered (a partial ratio would mislead).
-fn improvement(
-    scope: &str,
-    base_cfg: SystemConfig,
-    th_cfg: SystemConfig,
-    opts: &HarnessOptions,
-    sup: &SupervisorConfig,
-    ledger: &mut FailureLedger,
-) -> Option<f64> {
-    let benches = [
-        SpecBenchmark::Swim,
-        SpecBenchmark::Gcc,
-        SpecBenchmark::Art,
-        SpecBenchmark::Parser,
-    ];
-    // All eight (config, benchmark) runs are independent — fan them out.
-    let mut grid = Vec::new();
-    for cfg in [base_cfg, th_cfg] {
-        for b in benches {
-            grid.push((cfg, b));
-        }
-    }
-    let (seed, run) = (opts.seed, opts.run);
-    let outcomes = supervise(&grid, opts.jobs, sup, move |_, &(cfg, b), _| {
-        try_simulate(&cfg, b.workload(seed), run)
-            .map(|r| r.cpu_cycles)
-            .map_err(CellError::from)
-    });
-    let mut complete = true;
-    for (&(cfg, b), o) in grid.iter().zip(&outcomes) {
-        if let CellOutcome::Failed {
-            kind,
-            attempts,
-            payload,
-        } = o
-        {
-            complete = false;
-            ledger.note(CellFailure {
-                scope: scope.into(),
-                benchmark: b,
-                mechanism: cfg.mechanism,
-                kind: *kind,
-                attempts: *attempts,
-                payload: payload.clone(),
-                quarantined: false,
-            });
-        }
-    }
-    if !complete {
-        return None;
-    }
-    let cycles: Vec<u64> = outcomes.into_iter().filter_map(|o| o.value()).collect();
-    let (base, th) = cycles.split_at(benches.len());
-    Some(1.0 - th.iter().sum::<u64>() as f64 / base.iter().sum::<u64>() as f64)
+/// The benchmarks every sweep point runs.
+const BENCHES: [SpecBenchmark; 4] = [
+    SpecBenchmark::Swim,
+    SpecBenchmark::Gcc,
+    SpecBenchmark::Art,
+    SpecBenchmark::Parser,
+];
+
+/// The `th` improvement over `base` in `sweep`, or `None` when any of the
+/// eight cells stayed unrecovered (a partial ratio would mislead).
+fn improvement(sweep: &Sweep, base: Mechanism, th: Mechanism) -> Option<f64> {
+    let total = |m: Mechanism| -> Option<u64> {
+        BENCHES
+            .iter()
+            .map(|&b| sweep.cell(b, m).map(|c| c.report.cpu_cycles))
+            .sum()
+    };
+    Some(1.0 - total(th)? as f64 / total(base)? as f64)
 }
 
 fn fmt_gain(gain: Option<f64>) -> String {
@@ -88,7 +52,25 @@ fn main() -> ExitCode {
         banner("sensitivity", "TH52 advantage vs machine parameters", &opts)
     );
     let sup = opts.supervisor_config();
+    let journal = opts.open_journal();
+    let ckpt = opts.checkpoint_plan();
     let mut ledger = FailureLedger::new();
+    // One sweep point: BkInOrder against `th`, both on `base`.
+    let mut gain = |scope: &str, base: &SystemConfig, th: Mechanism| {
+        let sweep = ledger.absorb(Sweep::run_supervised(
+            scope,
+            base,
+            &BENCHES,
+            &[base.mechanism, th],
+            opts.run,
+            opts.seed,
+            opts.jobs,
+            &sup,
+            journal.as_ref(),
+            ckpt.as_ref(),
+        ));
+        fmt_gain(improvement(&sweep, base.mechanism, th))
+    };
 
     // 1. Write queue capacity (threshold scaled to ~80% of capacity).
     let mut rows = Vec::new();
@@ -96,9 +78,12 @@ fn main() -> ExitCode {
         let th = (cap * 52 / 64) as u32;
         let mut base = opts.system_config();
         base.ctrl.write_capacity = cap;
-        let th_cfg = base.with_mechanism(Mechanism::BurstTh(th));
-        let gain = improvement("sensitivity-wq", base, th_cfg, &opts, &sup, &mut ledger);
-        rows.push(vec![format!("{cap} (th {th})"), fmt_gain(gain)]);
+        let g = gain(
+            &format!("sensitivity-wq-{cap}"),
+            &base,
+            Mechanism::BurstTh(th),
+        );
+        rows.push(vec![format!("{cap} (th {th})"), g]);
     }
     println!("--- write queue capacity\n");
     println!("{}", render_table(&["capacity", "TH improvement"], &rows));
@@ -108,9 +93,12 @@ fn main() -> ExitCode {
     for lsq in [8usize, 16, 32, 64] {
         let mut base = opts.system_config();
         base.cpu.lsq_size = lsq;
-        let th_cfg = base.with_mechanism(Mechanism::BurstTh(52));
-        let gain = improvement("sensitivity-lsq", base, th_cfg, &opts, &sup, &mut ledger);
-        rows.push(vec![format!("{lsq}"), fmt_gain(gain)]);
+        let g = gain(
+            &format!("sensitivity-lsq-{lsq}"),
+            &base,
+            Mechanism::BurstTh(52),
+        );
+        rows.push(vec![format!("{lsq}"), g]);
     }
     println!("--- LSQ size (outstanding-miss limit)\n");
     println!("{}", render_table(&["LSQ", "TH improvement"], &rows));
@@ -120,9 +108,12 @@ fn main() -> ExitCode {
     for channels in [1u8, 2, 4] {
         let mut base = opts.system_config();
         base.dram.geometry.channels = channels;
-        let th_cfg = base.with_mechanism(Mechanism::BurstTh(52));
-        let gain = improvement("sensitivity-ch", base, th_cfg, &opts, &sup, &mut ledger);
-        rows.push(vec![format!("{channels}"), fmt_gain(gain)]);
+        let g = gain(
+            &format!("sensitivity-ch-{channels}"),
+            &base,
+            Mechanism::BurstTh(52),
+        );
+        rows.push(vec![format!("{channels}"), g]);
     }
     println!("--- channel count\n");
     println!("{}", render_table(&["channels", "TH improvement"], &rows));

@@ -142,7 +142,14 @@ fn fresh_dir(dir: &Path) {
 
 /// Runs the reference sweep with clean I/O and returns its CSV.
 fn reference_csv(cfg: &MatrixConfig) -> String {
-    let sweep = Sweep::run(&cfg.benchmarks, &cfg.mechanisms, cfg.run, cfg.seed);
+    let sweep = Sweep::run(
+        &SystemConfig::baseline(),
+        &cfg.benchmarks,
+        &cfg.mechanisms,
+        cfg.run,
+        cfg.seed,
+        0,
+    );
     sweep_to_csv(&sweep)
 }
 

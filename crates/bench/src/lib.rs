@@ -99,8 +99,10 @@ impl HarnessOptions {
     /// from `std::env::args`, with the given default instruction budget.
     ///
     /// Unknown arguments are ignored so binaries can be combined with cargo
-    /// flags freely. An unknown `--engine` name exits with status 2: a
-    /// typo would otherwise run (and diff) the default engine unnoticed.
+    /// flags freely. An unknown `--engine` name, and a numeric flag whose
+    /// value does not parse (`--instructions 2e5`, `--jobs four`), exit
+    /// with status 2: a typo would otherwise run (and diff) the default
+    /// unnoticed.
     pub fn from_args(default_instructions: u64) -> Self {
         let args: Vec<String> = std::env::args().collect();
         Self::from_arg_slice(&args, default_instructions)
@@ -109,42 +111,28 @@ impl HarnessOptions {
     /// [`HarnessOptions::from_args`] over an explicit argument slice
     /// (testable without touching the process environment).
     pub fn from_arg_slice(args: &[String], default_instructions: u64) -> Self {
-        let value_of = |flag: &str| -> Option<String> {
-            args.iter()
-                .position(|a| a == flag)
-                .and_then(|i| args.get(i + 1))
-                .cloned()
-        };
-        let instructions = value_of("--instructions")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default_instructions);
-        let seed = value_of("--seed")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(42);
-        let jobs = value_of("--jobs").and_then(|v| v.parse().ok()).unwrap_or(0);
-        let csv = value_of("--csv").map(std::path::PathBuf::from);
-        let engine = match value_of("--engine") {
+        let instructions = number(args, "--instructions").unwrap_or(default_instructions);
+        let seed = number(args, "--seed").unwrap_or(42);
+        let jobs = number(args, "--jobs").unwrap_or(0);
+        let csv = value_of(args, "--csv").map(std::path::PathBuf::from);
+        let engine = match value_of(args, "--engine") {
             Some(name) => Engine::from_name(&name).unwrap_or_else(|| {
-                eprintln!(
-                    "error: unknown --engine {name:?} (valid: {})",
+                exit_usage(format!(
+                    "unknown --engine {name:?} (valid: {})",
                     Engine::ALL.map(|e| e.name()).join(", ")
-                );
-                std::process::exit(2);
+                ))
             }),
             None => Engine::Event,
         };
-        let journal = value_of("--journal").map(std::path::PathBuf::from);
-        let resume = value_of("--resume").map(std::path::PathBuf::from);
-        let deadline = value_of("--deadline").and_then(|v| v.parse().ok());
-        let max_retries = value_of("--max-retries")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(2);
-        let inject_cell_faults = value_of("--inject-cell-faults").and_then(|v| v.parse().ok());
-        let checkpoint_every = value_of("--checkpoint-every")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        let checkpoint_dir = value_of("--checkpoint-dir").map(std::path::PathBuf::from);
-        let checkpoint_durable = match value_of("--checkpoint-durable").as_deref() {
+        let journal = value_of(args, "--journal").map(std::path::PathBuf::from);
+        let resume = value_of(args, "--resume").map(std::path::PathBuf::from);
+        let deadline = value_of(args, "--deadline")
+            .map(|v| parse_deadline(&v).unwrap_or_else(|e| exit_usage(e)));
+        let max_retries = number(args, "--max-retries").unwrap_or(2);
+        let inject_cell_faults = number(args, "--inject-cell-faults");
+        let checkpoint_every = number(args, "--checkpoint-every").unwrap_or(0);
+        let checkpoint_dir = value_of(args, "--checkpoint-dir").map(std::path::PathBuf::from);
+        let checkpoint_durable = match value_of(args, "--checkpoint-durable").as_deref() {
             Some("false") | Some("0") | Some("no") => false,
             Some("true") | Some("1") | Some("yes") | None => true,
             Some(other) => {
@@ -156,11 +144,11 @@ impl HarnessOptions {
             }
         };
         let oracle = args.iter().any(|a| a == "--oracle");
-        let chaos_seed = value_of("--chaos-seed").and_then(|v| v.parse().ok());
-        let chaos_site = value_of("--chaos-site");
-        let chaos_kind = value_of("--chaos-kind");
-        let chaos_op = value_of("--chaos-op").and_then(|v| v.parse().ok());
-        let benchmarks = value_of("--benchmarks")
+        let chaos_seed = number(args, "--chaos-seed");
+        let chaos_site = value_of(args, "--chaos-site");
+        let chaos_kind = value_of(args, "--chaos-kind");
+        let chaos_op = number(args, "--chaos-op");
+        let benchmarks = value_of(args, "--benchmarks")
             .map(|list| {
                 let mut picks = Vec::new();
                 for name in list.split(',') {
@@ -211,26 +199,24 @@ impl HarnessOptions {
         match (&self.chaos_site, &self.chaos_kind, self.chaos_op) {
             (Some(site), Some(kind), Some(op)) => {
                 let site = IoSite::from_name(site).unwrap_or_else(|| {
-                    eprintln!(
-                        "error: unknown --chaos-site {site:?} (valid: {})",
+                    exit_usage(format!(
+                        "unknown --chaos-site {site:?} (valid: {})",
                         IoSite::all()
                             .iter()
                             .map(|s| s.name())
                             .collect::<Vec<_>>()
                             .join(", ")
-                    );
-                    std::process::exit(2);
+                    ))
                 });
                 let kind = IoFaultKind::from_name(kind).unwrap_or_else(|| {
-                    eprintln!(
-                        "error: unknown --chaos-kind {kind:?} (valid: {})",
+                    exit_usage(format!(
+                        "unknown --chaos-kind {kind:?} (valid: {})",
                         IoFaultKind::all()
                             .iter()
                             .map(|k| k.name())
                             .collect::<Vec<_>>()
                             .join(", ")
-                    );
-                    std::process::exit(2);
+                    ))
                 });
                 std::sync::Arc::new(ChaosIo::scripted(site, kind, op))
             }
@@ -238,13 +224,9 @@ impl HarnessOptions {
                 Some(seed) => std::sync::Arc::new(ChaosIo::seeded(seed)),
                 None => burst_sim::real_io(),
             },
-            _ => {
-                eprintln!(
-                    "error: --chaos-site, --chaos-kind and --chaos-op \
-                     must be given together"
-                );
-                std::process::exit(2);
-            }
+            _ => exit_usage(
+                "--chaos-site, --chaos-kind and --chaos-op must be given together".to_string(),
+            ),
         }
     }
 
@@ -314,10 +296,7 @@ impl HarnessOptions {
                 }
                 Some(j)
             }
-            Err(e) => {
-                eprintln!("error: cannot open journal {}: {e}", path.display());
-                std::process::exit(2);
-            }
+            Err(e) => exit_usage(format!("cannot open journal {}: {e}", path.display())),
         }
     }
 
@@ -428,6 +407,47 @@ impl HarnessOptions {
     }
 }
 
+/// The value following `flag` in `args`, if the flag is present.
+fn value_of(args: &[String], flag: &str) -> Option<String> {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))
+        .cloned()
+}
+
+/// `flag`'s value parsed as a `T`, `None` when the flag is absent. A value
+/// that does not parse exits with status 2 (see [`parse_flag`]).
+fn number<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
+    value_of(args, flag).map(|v| parse_flag::<T>(flag, &v).unwrap_or_else(|e| exit_usage(e)))
+}
+
+/// `value` parsed as the `T` that `flag` takes, or an error message naming
+/// both the flag and the value.
+fn parse_flag<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value.parse().map_err(|_| {
+        format!(
+            "invalid {flag} value {value:?} (expected {})",
+            std::any::type_name::<T>()
+        )
+    })
+}
+
+/// A `--deadline` value: seconds that [`std::time::Duration`] can hold, so
+/// [`HarnessOptions::supervisor_config`] cannot panic on it.
+fn parse_deadline(value: &str) -> Result<f64, String> {
+    let secs = parse_flag::<f64>("--deadline", value)?;
+    std::time::Duration::try_from_secs_f64(secs)
+        .map(|_| secs)
+        .map_err(|_| format!("invalid --deadline value {value:?} (expected seconds >= 0)"))
+}
+
+/// Prints `error: <msg>` and exits with status 2, the harness's status for
+/// a run it refuses to start (a malformed flag, an unusable journal).
+fn exit_usage(msg: String) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
 /// A short header naming the experiment, printed by every binary.
 pub fn banner(id: &str, caption: &str, opts: &HarnessOptions) -> String {
     let budget = match opts.run {
@@ -462,12 +482,6 @@ impl FailureLedger {
         self.failures.extend(s.failures);
         self.resumed += s.resumed;
         s.value
-    }
-
-    /// Records one failure observed outside the supervised sweep paths
-    /// (serial harness loops using `try_simulate`).
-    pub fn note(&mut self, f: CellFailure) {
-        self.failures.push(f);
     }
 
     /// Every failure absorbed so far, in observation order.
@@ -582,7 +596,7 @@ mod tests {
         assert_eq!(sweep_value, 41);
         assert!(ledger.failures().is_empty());
         assert_eq!(ledger.resumed(), 3);
-        ledger.note(CellFailure {
+        let failure = CellFailure {
             scope: "profile".into(),
             benchmark: SpecBenchmark::Swim,
             mechanism: Mechanism::BkInOrder,
@@ -590,8 +604,37 @@ mod tests {
             attempts: 1,
             payload: "boom".into(),
             quarantined: false,
+        };
+        let partial = ledger.absorb(Supervised {
+            value: 7,
+            failures: vec![failure],
+            resumed: 1,
         });
+        assert_eq!(partial, 7);
         assert_eq!(ledger.failures().len(), 1);
+        assert_eq!(ledger.failures()[0].key(), "profile/swim/BkInOrder");
+        assert_eq!(ledger.resumed(), 4);
+    }
+
+    #[test]
+    fn malformed_numeric_flags_name_the_flag_and_value() {
+        let err = parse_flag::<u64>("--instructions", "2e5").unwrap_err();
+        assert!(
+            err.contains("--instructions") && err.contains("\"2e5\""),
+            "{err}"
+        );
+        let err = parse_flag::<usize>("--jobs", "four").unwrap_err();
+        assert!(err.contains("--jobs") && err.contains("\"four\""), "{err}");
+        assert!(parse_flag::<u32>("--max-retries", "-1").is_err());
+        assert!(parse_flag::<f64>("--deadline", "soon").is_err());
+        assert_eq!(parse_flag::<u64>("--instructions", "200000"), Ok(200_000));
+        assert_eq!(parse_flag::<f64>("--deadline", "2e5"), Ok(2e5));
+        // A deadline `Duration` cannot hold would panic in `supervisor_config`.
+        for bad in ["-1", "NaN", "inf", "soon"] {
+            let err = parse_deadline(bad).unwrap_err();
+            assert!(err.contains("--deadline") && err.contains(bad), "{err}");
+        }
+        assert_eq!(parse_deadline("1.5"), Ok(1.5));
     }
 
     #[test]

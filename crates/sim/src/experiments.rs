@@ -147,44 +147,22 @@ pub struct Sweep {
 }
 
 impl Sweep {
-    /// Runs `benchmarks` x `mechanisms`, each for `len` at `seed`, on the
-    /// default number of worker threads (see [`crate::default_jobs`]).
+    /// The unsupervised reference runner: `benchmarks` x `mechanisms` on
+    /// `base` (each cell overrides only the mechanism), each for `len` at
+    /// `seed`, with no panic isolation, retries, journal or checkpoints.
+    /// Every harness grid runs through [`Sweep::run_supervised`]; this
+    /// plain path exists so tests and the chaos matrix have an independent
+    /// result to compare the production path against.
+    ///
+    /// `jobs` is the worker-thread count: `0` auto-detects, `1` runs
+    /// serially inline. Cell order, and every cell's report, is identical
+    /// for any job count: each cell is an independent seeded simulation and
+    /// [`crate::map_parallel`] returns results in input order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cell's simulation fails (see [`crate::simulate`]).
     pub fn run(
-        benchmarks: &[SpecBenchmark],
-        mechanisms: &[Mechanism],
-        len: RunLength,
-        seed: u64,
-    ) -> Sweep {
-        Self::run_with_jobs(benchmarks, mechanisms, len, seed, 0)
-    }
-
-    /// Like [`Sweep::run`], with an explicit worker-thread count: `0`
-    /// auto-detects, `1` runs serially inline. Cell order — and every cell's
-    /// report — is identical for any job count: each cell is an independent
-    /// seeded simulation and [`crate::map_parallel`] returns results in
-    /// input order.
-    pub fn run_with_jobs(
-        benchmarks: &[SpecBenchmark],
-        mechanisms: &[Mechanism],
-        len: RunLength,
-        seed: u64,
-        jobs: usize,
-    ) -> Sweep {
-        Self::run_with_config(
-            &SystemConfig::baseline(),
-            benchmarks,
-            mechanisms,
-            len,
-            seed,
-            jobs,
-        )
-    }
-
-    /// Like [`Sweep::run_with_jobs`], on a caller-supplied base system
-    /// configuration (each cell overrides only the mechanism) — the seam
-    /// the harnesses use to thread global toggles such as
-    /// [`SystemConfig::skip`] through every experiment.
-    pub fn run_with_config(
         base: &SystemConfig,
         benchmarks: &[SpecBenchmark],
         mechanisms: &[Mechanism],
@@ -192,12 +170,7 @@ impl Sweep {
         seed: u64,
         jobs: usize,
     ) -> Sweep {
-        let mut grid = Vec::with_capacity(benchmarks.len() * mechanisms.len());
-        for &b in benchmarks {
-            for &m in mechanisms {
-                grid.push((b, m));
-            }
-        }
+        let grid = grid_of(benchmarks, mechanisms);
         let cells = crate::map_parallel(&grid, jobs, |_, &(b, m)| {
             let cfg = base.with_mechanism(m);
             let report = simulate(&cfg, b.workload(seed), len);
@@ -210,9 +183,10 @@ impl Sweep {
         Sweep { cells }
     }
 
-    /// Like [`Sweep::run_with_config`], but crash-isolated: every cell runs
-    /// under [`crate::supervise`] with per-cell deadlines, bounded retries
-    /// and (optionally) journalled resume. A panicking, stalling or wedged
+    /// The grid runner every harness binary uses: `benchmarks` x
+    /// `mechanisms` on `base` like [`Sweep::run`], but crash-isolated. Every
+    /// cell runs under [`crate::supervise`] with per-cell deadlines, bounded
+    /// retries and (optionally) journalled resume. A panicking, stalling or wedged
     /// cell becomes a [`CellFailure`] record instead of tearing down the
     /// sweep; the returned [`Sweep`] holds every cell that *did* complete,
     /// still in grid order, so figure extraction degrades gracefully.
@@ -245,12 +219,7 @@ impl Sweep {
         journal: Option<&Journal>,
         ckpt: Option<&CheckpointPlan>,
     ) -> Supervised<Sweep> {
-        let mut grid = Vec::with_capacity(benchmarks.len() * mechanisms.len());
-        for &b in benchmarks {
-            for &m in mechanisms {
-                grid.push((b, m));
-            }
-        }
+        let grid = grid_of(benchmarks, mechanisms);
         let ckpt = ckpt.filter(|p| p.every > 0);
         if let Some(plan) = ckpt {
             // Scratch files from writes that crashed mid-protocol are
@@ -538,6 +507,17 @@ impl Sweep {
     }
 }
 
+/// The cells of a `benchmarks` x `mechanisms` grid, benchmark-major.
+fn grid_of(
+    benchmarks: &[SpecBenchmark],
+    mechanisms: &[Mechanism],
+) -> Vec<(SpecBenchmark, Mechanism)> {
+    benchmarks
+        .iter()
+        .flat_map(|&b| mechanisms.iter().map(move |&m| (b, m)))
+        .collect()
+}
+
 /// The journal key for one `(scope, benchmark, mechanism)` cell —
 /// `scope/benchmark/mechanism`, e.g. `sweep/swim/Burst_TH52`. Mechanism
 /// names round-trip through [`Mechanism::from_name`], so the key is both
@@ -550,7 +530,12 @@ pub fn cell_key(scope: &str, benchmark: SpecBenchmark, mechanism: Mechanism) -> 
 /// taxonomy summary.
 #[derive(Debug, Clone)]
 pub struct CellFailure {
-    /// Which grid the cell belonged to (`sweep`, `fig8`, `fig11`, `fig12`).
+    /// Which grid the cell belonged to: `sweep`, `fig8`, `fig11` and
+    /// `fig12` for the paper's figures; `energy` and `profile`; and, for
+    /// the studies that vary a parameter, one scope per value, such as
+    /// `ablation-mapping-Permutation`, `ablation-policy-OpenPage`,
+    /// `ablation-future`, `sensitivity-wq-16`, `sensitivity-lsq-8`,
+    /// `sensitivity-ch-1` and `section6-DDR3-1333`.
     pub scope: String,
     /// Benchmark of the failed cell.
     pub benchmark: SpecBenchmark,
@@ -651,60 +636,6 @@ pub struct OutstandingRow {
     pub mean_writes: f64,
 }
 
-/// Figure 8: distribution of outstanding accesses for `benchmark` (the
-/// paper uses swim) under the Figure 8 mechanisms.
-pub fn fig8(benchmark: SpecBenchmark, len: RunLength, seed: u64) -> Vec<OutstandingRow> {
-    fig8_with_jobs(benchmark, len, seed, 0)
-}
-
-/// [`fig8`] with an explicit worker-thread count (`0` = auto-detect).
-pub fn fig8_with_jobs(
-    benchmark: SpecBenchmark,
-    len: RunLength,
-    seed: u64,
-    jobs: usize,
-) -> Vec<OutstandingRow> {
-    fig8_with_config(&SystemConfig::baseline(), benchmark, len, seed, jobs)
-}
-
-/// [`fig8_with_jobs`] on a caller-supplied base configuration.
-pub fn fig8_with_config(
-    base: &SystemConfig,
-    benchmark: SpecBenchmark,
-    len: RunLength,
-    seed: u64,
-    jobs: usize,
-) -> Vec<OutstandingRow> {
-    outstanding_rows(base, benchmark, &fig8_mechanisms(), len, seed, jobs)
-}
-
-/// Figure 11: distribution of outstanding accesses for `benchmark` under
-/// the threshold sweep.
-pub fn fig11(benchmark: SpecBenchmark, len: RunLength, seed: u64) -> Vec<OutstandingRow> {
-    fig11_with_jobs(benchmark, len, seed, 0)
-}
-
-/// [`fig11`] with an explicit worker-thread count (`0` = auto-detect).
-pub fn fig11_with_jobs(
-    benchmark: SpecBenchmark,
-    len: RunLength,
-    seed: u64,
-    jobs: usize,
-) -> Vec<OutstandingRow> {
-    fig11_with_config(&SystemConfig::baseline(), benchmark, len, seed, jobs)
-}
-
-/// [`fig11_with_jobs`] on a caller-supplied base configuration.
-pub fn fig11_with_config(
-    base: &SystemConfig,
-    benchmark: SpecBenchmark,
-    len: RunLength,
-    seed: u64,
-    jobs: usize,
-) -> Vec<OutstandingRow> {
-    outstanding_rows(base, benchmark, &fig12_mechanisms(), len, seed, jobs)
-}
-
 /// Derives one outstanding-access row from a finished report. Everything
 /// Figure 8/11 plots lives in the controller stats, so rows can equally be
 /// rebuilt from journalled reports on resume.
@@ -719,23 +650,8 @@ fn outstanding_row(mechanism: Mechanism, report: &SimReport) -> OutstandingRow {
     }
 }
 
-fn outstanding_rows(
-    base: &SystemConfig,
-    benchmark: SpecBenchmark,
-    mechanisms: &[Mechanism],
-    len: RunLength,
-    seed: u64,
-    jobs: usize,
-) -> Vec<OutstandingRow> {
-    crate::map_parallel(mechanisms, jobs, |_, &m| {
-        let cfg = base.with_mechanism(m);
-        let report = simulate(&cfg, benchmark.workload(seed), len);
-        outstanding_row(m, &report)
-    })
-}
-
-/// Crash-isolated [`outstanding_rows`]: the supervised backend for
-/// Figures 8 and 11. Pass [`fig8_mechanisms`] with scope `"fig8"` or
+/// Figures 8 and 11: the distribution of outstanding accesses for one
+/// `benchmark` under `mechanisms`, run through [`Sweep::run_supervised`]. Pass [`fig8_mechanisms`] with scope `"fig8"` or
 /// [`fig12_mechanisms`] with scope `"fig11"`. Rows for failed cells are
 /// simply missing; the failures travel in [`Supervised::failures`].
 #[allow(
@@ -792,36 +708,8 @@ pub struct Fig12Row {
     pub normalized_exec: f64,
 }
 
-/// Figure 12: the threshold sweep over `benchmarks`.
-pub fn fig12(benchmarks: &[SpecBenchmark], len: RunLength, seed: u64) -> Vec<Fig12Row> {
-    fig12_with_jobs(benchmarks, len, seed, 0)
-}
-
-/// [`fig12`] with an explicit worker-thread count (`0` = auto-detect).
-pub fn fig12_with_jobs(
-    benchmarks: &[SpecBenchmark],
-    len: RunLength,
-    seed: u64,
-    jobs: usize,
-) -> Vec<Fig12Row> {
-    fig12_with_config(&SystemConfig::baseline(), benchmarks, len, seed, jobs)
-}
-
-/// [`fig12_with_jobs`] on a caller-supplied base configuration.
-pub fn fig12_with_config(
-    base: &SystemConfig,
-    benchmarks: &[SpecBenchmark],
-    len: RunLength,
-    seed: u64,
-    jobs: usize,
-) -> Vec<Fig12Row> {
-    let mechanisms = fig12_mechanisms();
-    let sweep = Sweep::run_with_config(base, benchmarks, &mechanisms, len, seed, jobs);
-    fig12_rows_from_sweep(&sweep, &mechanisms)
-}
-
-/// Crash-isolated Figure 12: the threshold sweep under supervision, with
-/// journalled resume under scope `"fig12"`. Mechanisms whose every cell
+/// Figure 12: the threshold sweep over `benchmarks`, run through
+/// [`Sweep::run_supervised`] under scope `"fig12"`. Mechanisms whose every cell
 /// failed are dropped from the rows; normalisation falls back to `NaN` if
 /// the plain-`Burst` baseline itself is entirely missing.
 #[allow(
@@ -1051,7 +939,7 @@ mod tests {
         let bs = [SpecBenchmark::Swim];
         let ms = [Mechanism::BkInOrder, Mechanism::BurstTh(52)];
         let len = RunLength::Instructions(3_000);
-        let plain = Sweep::run_with_config(&base, &bs, &ms, len, 1, 1);
+        let plain = Sweep::run(&base, &bs, &ms, len, 1, 1);
         let sup = SupervisorConfig {
             backoff_base_ms: 0,
             ..SupervisorConfig::default()
@@ -1131,7 +1019,7 @@ mod tests {
         let fp = crate::journal::fingerprint("experiments-ckpt-test");
         let plan = CheckpointPlan::new(500, dir.clone(), fp);
         let jpath = dir.join("sweep.journal");
-        let plain = Sweep::run_with_config(&base, &bs, &ms, len, 1, 1);
+        let plain = Sweep::run(&base, &bs, &ms, len, 1, 1);
         let first = {
             let journal = crate::Journal::create(&jpath, fp).unwrap();
             Sweep::run_supervised(
@@ -1222,10 +1110,12 @@ mod tests {
     #[test]
     fn sweep_runs_and_extracts_rows() {
         let sweep = Sweep::run(
+            &SystemConfig::baseline(),
             &[SpecBenchmark::Swim],
             &[Mechanism::BkInOrder, Mechanism::BurstTh(52)],
             RunLength::Instructions(3_000),
             1,
+            0,
         );
         assert_eq!(sweep.cells.len(), 2);
         let fig7 = sweep.fig7_rows();

@@ -226,10 +226,12 @@ mod tests {
 
     fn mini_sweep() -> Sweep {
         Sweep::run(
+            &crate::SystemConfig::baseline(),
             &[SpecBenchmark::Gzip],
             &[Mechanism::BkInOrder, Mechanism::BurstTh(52)],
             RunLength::Instructions(2_000),
             1,
+            0,
         )
     }
 
@@ -264,7 +266,19 @@ mod tests {
 
     #[test]
     fn outstanding_csv_long_format() {
-        let rows = crate::experiments::fig8(SpecBenchmark::Gzip, RunLength::Instructions(2_000), 1);
+        let rows = crate::experiments::outstanding_supervised(
+            "fig8",
+            &crate::SystemConfig::baseline(),
+            SpecBenchmark::Gzip,
+            &crate::experiments::fig8_mechanisms(),
+            RunLength::Instructions(2_000),
+            1,
+            0,
+            &crate::SupervisorConfig::default(),
+            None,
+            None,
+        )
+        .value;
         let csv = outstanding_to_csv(&rows);
         assert!(csv.starts_with("mechanism,kind,occupancy,fraction\n"));
         assert!(csv.contains(",read,"));

@@ -5,7 +5,6 @@ use crate::experiments::{
     CellFailure, Fig10Row, Fig12Row, Fig7Row, Fig9Row, OutstandingRow, Table1Row,
 };
 use crate::supervisor::FailureKind;
-use crate::SimReport;
 
 /// Error returned when a renderer or exporter is handed an empty row set:
 /// the artefact would silently be an empty table, which almost always means
@@ -206,40 +205,6 @@ pub fn render_fig10(
     avg_row.extend(average.iter().map(|(_, v)| format!("{v:.3}")));
     body.push(avg_row);
     Ok(render_table(&headers, &body))
-}
-
-/// Renders the robustness summary of a set of runs (protocol violations,
-/// injected faults, watchdog activity) — one row per report.
-pub fn render_robustness(reports: &[SimReport]) -> String {
-    let body: Vec<Vec<String>> = reports
-        .iter()
-        .map(|r| {
-            let rb = &r.robustness;
-            vec![
-                r.mechanism.name(),
-                r.workload.clone(),
-                rb.violations.to_string(),
-                rb.faults_injected.to_string(),
-                rb.retries.to_string(),
-                rb.escalations.to_string(),
-                rb.watchdog_trips.to_string(),
-                rb.max_access_age.to_string(),
-            ]
-        })
-        .collect();
-    render_table(
-        &[
-            "Mechanism",
-            "Workload",
-            "Violations",
-            "Faults",
-            "Retries",
-            "Escalations",
-            "WD trips",
-            "Max age",
-        ],
-        &body,
-    )
 }
 
 /// Renders Figure 12 (threshold sweep).

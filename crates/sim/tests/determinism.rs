@@ -1,18 +1,21 @@
 //! Determinism guarantees of the parallel executor and the dense read-line
 //! slab: a sweep must produce byte-identical exports at any `--jobs` value,
+//! on the plain reference path and the supervised production path alike,
 //! and read-line tracking must survive write-queue forwarding and
 //! fault-injected retries.
 
 use burst_core::{FaultConfig, Mechanism};
 use burst_sim::experiments::Sweep;
-use burst_sim::{export, map_parallel, simulate, RunLength, SystemConfig};
+use burst_sim::{export, map_parallel, simulate, RunLength, SupervisorConfig, SystemConfig};
 use burst_workloads::SpecBenchmark;
 
 const LEN: RunLength = RunLength::Instructions(4_000);
 
 /// The tentpole guarantee: a parallel sweep is *byte-identical* to a serial
 /// one. `jobs = 4` forces a real thread pool even on single-core CI runners
-/// (the executor clamps only to the item count, not the core count).
+/// (the executor clamps only to the item count, not the core count). The
+/// supervised sweep every harness binary runs must export the same bytes as
+/// the plain reference at either job count.
 #[test]
 fn parallel_sweep_csv_is_byte_identical_to_serial() {
     let benchmarks = [SpecBenchmark::Swim, SpecBenchmark::Gcc];
@@ -21,13 +24,36 @@ fn parallel_sweep_csv_is_byte_identical_to_serial() {
         Mechanism::BurstTh(52),
         Mechanism::Intel,
     ];
-    let serial = Sweep::run_with_jobs(&benchmarks, &mechanisms, LEN, 42, 1);
-    let parallel = Sweep::run_with_jobs(&benchmarks, &mechanisms, LEN, 42, 4);
+    let base = SystemConfig::baseline();
+    let serial = Sweep::run(&base, &benchmarks, &mechanisms, LEN, 42, 1);
+    let parallel = Sweep::run(&base, &benchmarks, &mechanisms, LEN, 42, 4);
+    let reference = export::sweep_to_csv(&serial);
     assert_eq!(
-        export::sweep_to_csv(&serial),
+        reference,
         export::sweep_to_csv(&parallel),
         "sweep export must not depend on the job count"
     );
+    for jobs in [1, 4] {
+        let supervised = Sweep::run_supervised(
+            "sweep",
+            &base,
+            &benchmarks,
+            &mechanisms,
+            LEN,
+            42,
+            jobs,
+            &SupervisorConfig::default(),
+            None,
+            None,
+        );
+        assert!(supervised.ok(), "jobs {jobs}: {:?}", supervised.failures);
+        assert_eq!(supervised.resumed, 0);
+        assert_eq!(
+            export::sweep_to_csv(&supervised.value),
+            reference,
+            "supervised sweep at jobs {jobs} must match the plain reference"
+        );
+    }
     // Cell identity, not just aggregate equality: same order, same reports.
     for (s, p) in serial.cells.iter().zip(&parallel.cells) {
         assert_eq!(s.benchmark, p.benchmark);
@@ -42,8 +68,9 @@ fn parallel_sweep_csv_is_byte_identical_to_serial() {
 fn oversubscribed_sweep_matches_serial() {
     let benchmarks = [SpecBenchmark::Art];
     let mechanisms = [Mechanism::BurstWp, Mechanism::RowHit];
-    let serial = Sweep::run_with_jobs(&benchmarks, &mechanisms, LEN, 7, 1);
-    let wide = Sweep::run_with_jobs(&benchmarks, &mechanisms, LEN, 7, 64);
+    let base = SystemConfig::baseline();
+    let serial = Sweep::run(&base, &benchmarks, &mechanisms, LEN, 7, 1);
+    let wide = Sweep::run(&base, &benchmarks, &mechanisms, LEN, 7, 64);
     assert_eq!(export::sweep_to_csv(&serial), export::sweep_to_csv(&wide));
 }
 

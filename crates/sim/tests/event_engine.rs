@@ -14,11 +14,13 @@
 
 use burst_core::{Access, AccessId, AccessKind, AccessScheduler, CtrlConfig, Mechanism};
 use burst_dram::{AddressMapping, Dram, DramConfig, Loc, PhysAddr};
-use burst_sim::experiments::{fig11_with_config, fig12_with_config, fig8_with_config, Sweep};
+use burst_sim::experiments::{
+    fig12_mechanisms, fig12_supervised, fig8_mechanisms, outstanding_supervised, Sweep,
+};
 use burst_sim::export::{
     fig10_to_csv, fig12_to_csv, fig7_to_csv, fig9_to_csv, outstanding_to_csv, sweep_to_csv,
 };
-use burst_sim::{Engine, RunLength, SystemConfig};
+use burst_sim::{Engine, RunLength, SupervisorConfig, SystemConfig};
 use burst_snap::{SnapReader, SnapWriter};
 use burst_workloads::SpecBenchmark;
 use proptest::prelude::*;
@@ -243,7 +245,7 @@ fn sweep_figures_are_engine_invariant() {
     let csvs: Vec<[String; 4]> = Engine::ALL
         .iter()
         .map(|&engine| {
-            let sweep = Sweep::run_with_config(&base(engine), &benchmarks, &mechanisms, len, 9, 1);
+            let sweep = Sweep::run(&base(engine), &benchmarks, &mechanisms, len, 9, 1);
             [
                 sweep_to_csv(&sweep),
                 fig7_to_csv(&sweep.fig7_rows()),
@@ -255,6 +257,31 @@ fn sweep_figures_are_engine_invariant() {
     assert_eq!(csvs[0], csvs[1], "sweep CSVs differ between engines");
 }
 
+/// The production Figure 8/11 path: supervised, serial, no journal. A
+/// failed cell would drop its row, so each run must also be complete.
+fn outstanding_csv(
+    scope: &str,
+    engine: Engine,
+    benchmark: SpecBenchmark,
+    mechanisms: &[Mechanism],
+    len: RunLength,
+) -> String {
+    let s = outstanding_supervised(
+        scope,
+        &base(engine),
+        benchmark,
+        mechanisms,
+        len,
+        11,
+        1,
+        &SupervisorConfig::default(),
+        None,
+        None,
+    );
+    assert!(s.ok(), "{scope} lost cells: {:?}", s.failures);
+    outstanding_to_csv(&s.value)
+}
+
 #[test]
 fn outstanding_figures_are_engine_invariant() {
     let len = RunLength::Instructions(1_000);
@@ -262,20 +289,14 @@ fn outstanding_figures_are_engine_invariant() {
         .iter()
         .map(|&engine| {
             [
-                outstanding_to_csv(&fig8_with_config(
-                    &base(engine),
-                    SpecBenchmark::Swim,
-                    len,
-                    11,
-                    1,
-                )),
-                outstanding_to_csv(&fig11_with_config(
-                    &base(engine),
+                outstanding_csv("fig8", engine, SpecBenchmark::Swim, &fig8_mechanisms(), len),
+                outstanding_csv(
+                    "fig11",
+                    engine,
                     SpecBenchmark::Mcf,
+                    &fig12_mechanisms(),
                     len,
-                    11,
-                    1,
-                )),
+                ),
             ]
         })
         .collect();
@@ -288,13 +309,18 @@ fn threshold_sweep_is_engine_invariant() {
     let csvs: Vec<String> = Engine::ALL
         .iter()
         .map(|&engine| {
-            fig12_to_csv(&fig12_with_config(
+            let s = fig12_supervised(
                 &base(engine),
                 &[SpecBenchmark::Swim],
                 len,
                 3,
                 1,
-            ))
+                &SupervisorConfig::default(),
+                None,
+                None,
+            );
+            assert!(s.ok(), "fig12 lost cells: {:?}", s.failures);
+            fig12_to_csv(&s.value)
         })
         .collect();
     assert_eq!(csvs[0], csvs[1], "Figure 12 CSV differs between engines");

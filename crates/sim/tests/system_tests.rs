@@ -68,10 +68,12 @@ fn warm_caches_affect_write_traffic() {
 #[test]
 fn sweep_cell_lookup() {
     let sweep = Sweep::run(
+        &SystemConfig::baseline(),
         &[SpecBenchmark::Gzip],
         &[Mechanism::BkInOrder, Mechanism::Burst],
         RunLength::Instructions(2_000),
         1,
+        0,
     );
     assert!(sweep.cell(SpecBenchmark::Gzip, Mechanism::Burst).is_some());
     assert!(sweep.cell(SpecBenchmark::Swim, Mechanism::Burst).is_none());
