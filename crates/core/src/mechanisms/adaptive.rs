@@ -295,13 +295,6 @@ impl AccessScheduler for AdaptiveHistoryScheduler {
         self.core.busy_event_base(dram, last)
     }
 
-    fn enqueue_may_advance_horizon(&self, _access: &Access) -> bool {
-        // Conservative: any arrival may land on an idle bank and turn the
-        // next tick into a real one (see `next_busy_event`), so every
-        // enqueue invalidates a computed horizon.
-        true
-    }
-
     fn advance_blocked(&mut self, from: Cycle, n: u64) {
         self.core.advance_blocked(from, n);
     }

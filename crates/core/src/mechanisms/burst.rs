@@ -731,42 +731,6 @@ impl AccessScheduler for BurstScheduler {
         }
     }
 
-    fn enqueue_may_advance_horizon(&self, access: &Access) -> bool {
-        // Mirrors `next_busy_event`'s veto arms. An arrival can create an
-        // *earlier* observable tick only through those arms; everything
-        // else it touches — watchdog progress, adaptation arrival
-        // windows, attention bits — moves the horizon later or not at
-        // all, which the conservative-early contract already permits.
-        let Some(og) = self.core.ongoing(self.core.global_bank(access.loc)) else {
-            // Idle slot: the bank arbiter may install this access on the
-            // very next tick (and escalation/write-drain arms apply).
-            return true;
-        };
-        match access.kind {
-            // A read behind an ongoing write arms preemption. Behind an
-            // ongoing read the slot stays pinned through any valid
-            // horizon (its completion bounds `busy_event_base`), the
-            // idle-bank arms cannot see the bank, and a read trips no
-            // global threshold — `no_reads_anywhere` can only flip
-            // towards *disabling* the write-drain arm elsewhere.
-            AccessKind::Read => og.access.kind == AccessKind::Write,
-            // A write behind a busy slot of either kind cannot be chosen
-            // locally before the horizon, but the global write count it
-            // bumps feeds the saturation and piggyback arms at *other*
-            // banks — preserve only while the incremented count stays
-            // strictly clear of both thresholds. (`preempt_below` needs
-            // no check: a larger count only disables preemption.)
-            AccessKind::Write => {
-                let writes_after = self.core.writes_outstanding() as u32 + 1;
-                writes_after >= self.core.cfg().write_capacity as u32
-                    || self
-                        .opts
-                        .piggyback_above
-                        .is_some_and(|th| writes_after > th)
-            }
-        }
-    }
-
     fn next_busy_event(&self, dram: &Dram, last: Cycle) -> Option<Cycle> {
         let mut event = self.core.busy_event_base(dram, last)?;
         let t = last + 1;

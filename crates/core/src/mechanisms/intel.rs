@@ -361,14 +361,6 @@ impl AccessScheduler for IntelScheduler {
         Some(event)
     }
 
-    fn enqueue_may_advance_horizon(&self, _access: &Access) -> bool {
-        // Conservative: an arriving read can trigger preemption or land on
-        // an idle bank, and an arriving write changes the escalation front
-        // (see `next_busy_event`), so every enqueue invalidates a computed
-        // horizon.
-        true
-    }
-
     fn advance_blocked(&mut self, from: Cycle, n: u64) {
         self.core.advance_blocked(from, n);
     }

@@ -118,17 +118,13 @@ pub trait AccessScheduler: core::fmt::Debug {
     fn next_busy_event(&self, dram: &Dram, last: Cycle) -> Option<Cycle>;
 
     /// Whether enqueueing `access` could move the cycle reported by
-    /// [`AccessScheduler::next_busy_event`] *earlier*. The simulator uses
-    /// this to decide if a cached busy horizon must be discarded on
-    /// arrival. Returning `true` is always safe (the cache is rebuilt);
-    /// returning `false` asserts that the arrival cannot create an
-    /// earlier observable tick — e.g. the access lands behind an ongoing
-    /// transfer that already pins its bank busy through the horizon and
-    /// cannot be preempted by this access kind. Arrivals may still move
-    /// the event *later* (the watchdog's progress clock advances); a
-    /// conservatively early horizon is allowed by the `next_busy_event`
-    /// contract, so that direction needs no invalidation.
-    fn enqueue_may_advance_horizon(&self, access: &Access) -> bool;
+    /// [`AccessScheduler::next_busy_event`] *earlier*. The simulator no
+    /// longer calls this: it computes that event afresh whenever it
+    /// attempts a jump, so nothing is cached across an enqueue. `true` is
+    /// always a safe answer.
+    fn enqueue_may_advance_horizon(&self, _access: &Access) -> bool {
+        true
+    }
 
     /// Batch-advances per-tick bookkeeping (cycle counters, occupancy
     /// sampling at the live outstanding counts, the watchdog's running

@@ -176,13 +176,6 @@ impl AccessScheduler for RowHitScheduler {
         self.core.busy_event_base(dram, last)
     }
 
-    fn enqueue_may_advance_horizon(&self, _access: &Access) -> bool {
-        // Conservative: an arrival on an idle bank makes the next tick a
-        // real one (see `next_busy_event`), so every enqueue invalidates
-        // a computed horizon.
-        true
-    }
-
     fn advance_blocked(&mut self, from: Cycle, n: u64) {
         self.core.advance_blocked(from, n);
     }

@@ -24,12 +24,14 @@
 //! File layout (all little-endian, via [`burst_snap`]):
 //!
 //! ```text
-//! "BCKP"  u32 version=4  u64 fingerprint  u64 state_hash  u64 header_hash
+//! "BCKP"  u32 version=5  u64 fingerprint  u64 state_hash  u64 header_hash
 //! u64 ops_consumed  RunCursor  bytes body
 //! ```
 //!
-//! Version 4 writes the statistics counters and histogram buckets as
-//! varints. Version 3 wrote them at fixed width; it added every CPU core,
+//! Version 5 drops the no-op tick counter from the body's diagnostic
+//! tail: every stepped cycle now runs the full controller tick, so there
+//! is nothing left to count. Version 4 wrote the statistics counters and
+//! histogram buckets as varints. Version 3 wrote them at fixed width; it added every CPU core,
 //! the owning core of each in-flight read and `header_hash`. Version 2
 //! stored one core; version 1 also stored cache ways at fixed width. Older
 //! files are refused with [`CheckpointError::UnsupportedVersion`], which
@@ -70,7 +72,7 @@ use crate::system::{
 /// Magic bytes opening every checkpoint file.
 const MAGIC: [u8; 4] = *b"BCKP";
 /// Current checkpoint format version.
-const VERSION: u32 = 4;
+const VERSION: u32 = 5;
 
 /// Why a checkpoint file could not be written, read or restored.
 #[derive(Debug)]

@@ -491,8 +491,7 @@ impl core::fmt::Display for RobustnessReport {
 /// sections. Every observable statistic is independent of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct EngineStats {
-    /// Cycles executed explicitly (including no-op controller ticks —
-    /// see [`EngineStats::noop_ticks`]).
+    /// Cycles executed explicitly, each with a full controller tick.
     pub steps: u64,
     /// Clock jumps taken while the whole system was quiescent.
     pub quiescent_jumps: u64,
@@ -502,11 +501,6 @@ pub struct EngineStats {
     pub busy_jumps: u64,
     /// Cycles covered by busy jumps.
     pub busy_skipped: u64,
-    /// Stepped cycles whose controller tick was provably a pure
-    /// bookkeeping no-op (below the cached tick horizon) and was replayed
-    /// in closed form instead of running arbitration — the CPU still
-    /// micro-stepped, so these cycles could not be jumped outright.
-    pub noop_ticks: u64,
 }
 
 #[expect(
@@ -515,10 +509,10 @@ pub struct EngineStats {
     reason = "report-only jump metrics derived from integer counters"
 )]
 impl EngineStats {
-    /// Events dispatched: stepped cycles at which the controller actually
-    /// ran a full tick (some component could observably act).
+    /// Events dispatched: stepped cycles, each of which ran a full
+    /// controller tick (equal to [`EngineStats::steps`]).
     pub fn events_dispatched(&self) -> u64 {
-        self.steps - self.noop_ticks
+        self.steps
     }
 
     /// Total clock jumps, quiescent plus busy.
@@ -541,8 +535,7 @@ impl EngineStats {
     }
 
     /// Events dispatched per thousand simulated memory cycles — 1000.0
-    /// for a pure per-cycle run, approaching zero as jumps and no-op
-    /// ticks dominate.
+    /// for a pure per-cycle run, approaching zero as jumps dominate.
     pub fn events_per_kcycle(&self, mem_cycles: u64) -> f64 {
         if mem_cycles == 0 {
             0.0
@@ -796,9 +789,9 @@ impl LineSlab {
 }
 
 /// Size in bytes of the diagnostic tail [`System::checkpoint`] appends
-/// after the hashed observable sections: the six [`EngineStats`]
+/// after the hashed observable sections: the five [`EngineStats`]
 /// counters, one `u64` each.
-pub(crate) const DIAGNOSTIC_TAIL_BYTES: usize = 6 * 8;
+pub(crate) const DIAGNOSTIC_TAIL_BYTES: usize = 5 * 8;
 
 /// A provably-skippable stretch of upcoming memory cycles, tagged with
 /// the closed-form replay it needs (see [`System::jump_horizon`]).
@@ -845,19 +838,12 @@ pub struct System {
     /// jumped over. Diagnostic only — deliberately excluded from
     /// [`SimReport`]'s comparison, which must hold between engines.
     engine_stats: EngineStats,
-    /// Cached controller+device event horizon: `Some(e)` proves that a
-    /// controller tick at any cycle in `[mem_cycle, e)` is a pure
-    /// bookkeeping no-op, as long as no access is enqueued in the
-    /// interim. Invalidated on every enqueue and every full tick. Purely
-    /// an execution-path memo — both paths are bit-identical — so it is
-    /// absent from checkpoints and recomputed lazily after a restore.
-    tick_horizon: Option<Cycle>,
     /// Fruitless-fold backoff: steps to wait before the next
     /// [`AccessScheduler::next_busy_event`] attempt. Declining to attempt
     /// a jump is always safe (the cycle is stepped instead, and jumps are
     /// bit-identical to steps), so this is pure execution-path tuning for
-    /// event-dense phases where the fold rarely buys a jump — like the
-    /// tick-horizon memo it is absent from checkpoints.
+    /// event-dense phases where the fold rarely buys a jump — so it is
+    /// absent from checkpoints.
     fold_cooldown: u64,
     /// Current backoff stride, doubled (up to [`FOLD_MAX_STRIDE`]) on
     /// every fruitless fold and reset by a profitable jump.
@@ -921,7 +907,6 @@ impl System {
             pending: BinaryHeap::new(),
             read_lines: LineSlab::default(),
             engine_stats: EngineStats::default(),
-            tick_horizon: None,
             fold_cooldown: 0,
             fold_stride: 1,
             next_delivery: Cycle::MAX,
@@ -1050,25 +1035,9 @@ impl System {
             }
         }
         let t2 = t1.lap(self.profile.as_deref_mut(), |p| &mut p.handoff_ns);
-        // 3. One controller + device cycle. Below the cached tick horizon
-        //    the tick is provably a pure bookkeeping no-op (and the device
-        //    equally inert), so it is replayed in closed form — the cheap
-        //    path that lets busy phases advance event-to-event even while
-        //    the CPU is live and each cycle must still be stepped. Only an
-        //    *already cached* horizon is consulted: recomputing the fold
-        //    here would charge every ordinary busy cycle for it, which is
-        //    exactly the cost profile the cache exists to avoid.
-        match self.tick_horizon {
-            Some(e) if self.mem_cycle < e => {
-                self.sched.advance_blocked(self.mem_cycle, 1);
-                self.engine_stats.noop_ticks += 1;
-            }
-            _ => {
-                self.tick_horizon = None;
-                self.sched
-                    .tick(&mut self.dram, self.mem_cycle, &mut self.completions);
-            }
-        }
+        // 3. One controller + device cycle.
+        self.sched
+            .tick(&mut self.dram, self.mem_cycle, &mut self.completions);
         for c in self.completions.drain(..) {
             if c.kind == AccessKind::Read {
                 if let Some((core, line)) = self.read_lines.remove(c.id) {
@@ -1127,14 +1096,6 @@ impl System {
         let id = AccessId::new(self.next_id);
         self.next_id += 1;
         let access = Access::new(id, kind, addr, loc, self.mem_cycle).with_critical(critical);
-        // New work can move the controller's next event earlier — but
-        // only through the arms the scheduler vouches for. An arrival it
-        // rules out (e.g. one landing behind an ongoing transfer that
-        // pins its bank busy through the horizon) keeps the cached
-        // horizon, and with it the cheap no-op tick path, alive.
-        if self.tick_horizon.is_some() && self.sched.enqueue_may_advance_horizon(&access) {
-            self.tick_horizon = None;
-        }
         if kind == AccessKind::Read {
             self.read_lines.insert(id, core, line);
         }
@@ -1212,32 +1173,6 @@ impl System {
         }
     }
 
-    /// The controller+device event horizon, memoised: the earliest cycle
-    /// at which a controller tick could differ from a pure bookkeeping
-    /// no-op (or at which the device itself has a timing/refresh event),
-    /// assuming no access is enqueued in the interim. `None` when the
-    /// scheduler cannot prove one (its next tick may act).
-    ///
-    /// The cached value stays valid across steps because the contract is
-    /// self-sustaining: every tick strictly below the horizon is a no-op,
-    /// so it cannot move the horizon; the two things that can — an
-    /// enqueue, or the full tick at the horizon itself — both clear the
-    /// cache.
-    fn tick_horizon(&mut self) -> Option<Cycle> {
-        if let Some(e) = self.tick_horizon {
-            if self.mem_cycle < e {
-                return Some(e);
-            }
-        }
-        let last = self.mem_cycle - 1;
-        let mut event = self.sched.next_busy_event(&self.dram, last)?;
-        if let Some(at) = self.dram.next_event(last) {
-            event = event.min(at);
-        }
-        self.tick_horizon = Some(event);
-        Some(event)
-    }
-
     /// How many upcoming memory cycles are provably no-ops *while the
     /// memory system is busy*, or `None` when the next step may act.
     ///
@@ -1270,30 +1205,25 @@ impl System {
             return None;
         }
         let wake = self.cores_idle_until()?;
-        // The controller and device can veto outright: `None` means "the
-        // next tick may act" (or it cannot prove otherwise). The fold is
-        // memoised — recomputed only after an enqueue or a full tick — and
-        // recomputation sits behind an exponential backoff: during dense
-        // phases most folds buy no jump, and declining to attempt one is
-        // always bit-identical (the cycle is simply stepped).
-        let cached = self.tick_horizon.filter(|&e| self.mem_cycle < e);
-        let (mut event, fresh) = match cached {
-            Some(e) => (e, false),
-            None => {
-                if self.fold_cooldown > 0 {
-                    self.fold_cooldown -= 1;
-                    return None;
-                }
-                match self.tick_horizon() {
-                    Some(e) => (e, true),
-                    None => {
-                        self.fold_backoff();
-                        return None;
-                    }
-                }
-            }
-        };
+        // The controller can veto outright: `None` means "the next tick
+        // may act" (or it cannot prove otherwise). The fold sits behind an
+        // exponential backoff: during dense phases most folds buy no jump,
+        // and declining to attempt one is always bit-identical (the cycle
+        // is simply stepped).
+        if self.fold_cooldown > 0 {
+            self.fold_cooldown -= 1;
+            return None;
+        }
         let cur = self.mem_cycle;
+        // Both horizons read the last ticked cycle (`cur - 1`): an event
+        // due exactly at `cur` must force a normal step.
+        let Some(mut event) = self.sched.next_busy_event(&self.dram, cur - 1) else {
+            self.fold_backoff();
+            return None;
+        };
+        if let Some(at) = self.dram.next_event(cur - 1) {
+            event = event.min(at);
+        }
         let r = self.cfg.cpu.cpu_ratio;
         if wake != u64::MAX {
             // Step `t` runs CPU cycles `t*r + 1..=(t+1)*r`, so the
@@ -1303,14 +1233,10 @@ impl System {
         }
         event = event.min(self.next_delivery);
         let n = (event > cur).then(|| event - cur);
-        if fresh {
-            match n {
-                Some(n) if n >= FOLD_MIN_PROFIT => self.fold_stride = 1,
-                // A clamped or empty jump still leaves the memo warm (the
-                // cheap-tick path uses it), but the fold itself did not
-                // pay: back off.
-                _ => self.fold_backoff(),
-            }
+        match n {
+            Some(n) if n >= FOLD_MIN_PROFIT => self.fold_stride = 1,
+            // A clamped or empty jump: the fold did not pay, back off.
+            _ => self.fold_backoff(),
         }
         n
     }
@@ -1608,7 +1534,6 @@ impl System {
             pending,
             read_lines: LineSlab { base, slots },
             engine_stats: _,  // engine diagnostic; `checkpoint` stores it unhashed
-            tick_horizon: _,  // execution-path memo, recomputed lazily after a restore
             fold_cooldown: _, // execution-path tuning, reset on restore
             fold_stride: _,   // execution-path tuning, reset on restore
             next_delivery: _, // execution-path memo, rebuilt from `pending` on restore
@@ -1693,7 +1618,6 @@ impl System {
         w.u64(self.engine_stats.quiescent_skipped);
         w.u64(self.engine_stats.busy_jumps);
         w.u64(self.engine_stats.busy_skipped);
-        w.u64(self.engine_stats.noop_ticks);
         Ok(Snapshot {
             bytes: w.into_bytes(),
             state_hash,
@@ -1721,7 +1645,6 @@ impl System {
             quiescent_skipped: r.u64()?,
             busy_jumps: r.u64()?,
             busy_skipped: r.u64()?,
-            noop_ticks: r.u64()?,
         };
         r.finish()?;
         let Self {
@@ -1735,7 +1658,6 @@ impl System {
             pending,
             read_lines: LineSlab { base, slots },
             engine_stats,
-            tick_horizon,
             fold_cooldown,
             fold_stride,
             next_delivery,
@@ -1808,9 +1730,8 @@ impl System {
             return Err(SnapError::Corrupt("read-line window past the id counter"));
         }
         *engine_stats = saved_engine_stats;
-        // Execution-path memos: reset the horizon and fold backoff, and
-        // rebuild the delivery minimum from the restored heap.
-        *tick_horizon = None;
+        // Execution-path memos: reset the fold backoff and rebuild the
+        // delivery minimum from the restored heap.
         *fold_cooldown = 0;
         *fold_stride = 1;
         *next_delivery = pending.peek().map_or(Cycle::MAX, |&Reverse((at, _, _))| at);

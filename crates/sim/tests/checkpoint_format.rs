@@ -21,9 +21,9 @@ use burst_snap::SnapWriter;
 use burst_workloads::{CountingSource, SpecBenchmark};
 use proptest::prelude::*;
 
-/// Bytes after the hashed prefix of a body: the six engine counters,
+/// Bytes after the hashed prefix of a body: the five engine counters,
 /// unhashed so engines agree.
-const DIAGNOSTIC_TAIL: usize = 6 * 8;
+const DIAGNOSTIC_TAIL: usize = 5 * 8;
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("burst-checkpoint-format-tests");
@@ -118,8 +118,9 @@ proptest! {
 }
 
 /// Files in the retired formats — version 1 (fixed-width cache ways),
-/// version 2 (one core, no header digest) and version 3 (fixed-width
-/// statistics counters) — are refused by version alone, and a
+/// version 2 (one core, no header digest), version 3 (fixed-width
+/// statistics counters) and version 4 (a sixth, no-op tick, engine
+/// counter) — are refused by version alone, and a
 /// checkpointed run that finds one restarts fresh to the same report.
 #[test]
 fn a_version_1_checkpoint_is_refused_and_the_cell_restarts_fresh() {
@@ -128,7 +129,7 @@ fn a_version_1_checkpoint_is_refused_and_the_cell_restarts_fresh() {
         .with_warm_mem_ops(1_000);
     let len = RunLength::Instructions(8_000);
     let reference = try_simulate(&cfg, SpecBenchmark::Swim.workload(2), len).expect("reference");
-    for version in [1, 2, 3] {
+    for version in [1, 2, 3, 4] {
         let fp = fingerprint(&format!("version {version}"));
         let path = tmp(&format!("v{version}.ckpt"));
         let mut w = SnapWriter::new();

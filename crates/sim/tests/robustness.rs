@@ -198,10 +198,6 @@ impl AccessScheduler for DeadScheduler {
         None
     }
 
-    fn enqueue_may_advance_horizon(&self, _access: &Access) -> bool {
-        true
-    }
-
     fn advance_blocked(&mut self, _from: Cycle, _n: u64) {
         unreachable!("never reports a busy event");
     }
