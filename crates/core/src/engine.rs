@@ -190,8 +190,6 @@ pub struct Core {
     last_progress: Cycle,
     /// Latched forward-progress failure, if any.
     stall: Option<StallDiagnostic>,
-    /// Ticks until the next occupancy sample (interval-based sampling).
-    sample_countdown: u32,
 }
 
 impl Core {
@@ -218,7 +216,6 @@ impl Core {
             retry_pending: Vec::new(),
             last_progress: 0,
             stall: None,
-            sample_countdown: 1,
         }
     }
 
@@ -633,12 +630,6 @@ impl Core {
         std::mem::take(&mut self.retry_pending)
     }
 
-    /// Retry attempts recorded for `id` (0 for accesses that never
-    /// faulted).
-    pub fn retry_count(&self, id: AccessId) -> u32 {
-        self.attempts.get(&id).copied().unwrap_or(0)
-    }
-
     /// The id and age (at `now`) of the oldest outstanding access.
     pub fn oldest_outstanding(&self, now: Cycle) -> Option<(AccessId, Cycle)> {
         self.ages
@@ -682,21 +673,15 @@ impl Core {
         self.stall
     }
 
-    /// Per-cycle statistics bookkeeping; call once per tick. The cycle
-    /// counter advances every call; occupancy histograms are recorded every
-    /// `sample_interval` ticks (every tick at the default interval of 1,
-    /// reproducing the paper's per-cycle Figure 8/11 distributions).
+    /// Per-cycle statistics bookkeeping; call once per tick. Advances the
+    /// cycle counter and records the occupancy histograms, reproducing the
+    /// paper's per-cycle Figure 8/11 distributions.
     pub fn sample(&mut self) {
-        self.stats.cycles += 1;
-        self.sample_countdown -= 1;
-        if self.sample_countdown == 0 {
-            self.sample_countdown = self.cfg.sample_interval.max(1);
-            self.stats.record_occupancy(
-                self.reads_outstanding,
-                self.writes_outstanding,
-                self.cfg.write_capacity,
-            );
-        }
+        self.stats.sample(
+            self.reads_outstanding,
+            self.writes_outstanding,
+            self.cfg.write_capacity,
+        );
     }
 
     /// Whether the controller is *quiescent*: no access is outstanding
@@ -714,22 +699,12 @@ impl Core {
     /// Batch-advances the per-tick bookkeeping over `n` quiescent ticks at
     /// cycles `from..from + n` — exactly equivalent to `n` calls of
     /// [`Core::sample`] plus [`Core::watchdog_tick`] with zero outstanding
-    /// accesses: the cycle counter, the interval-sampling countdown, the
-    /// occupancy histograms (all samples at occupancy 0) and the watchdog's
+    /// accesses: the cycle counter, the occupancy histograms (all samples at occupancy 0) and the watchdog's
     /// progress clock land on identical values.
     pub fn advance_quiescent(&mut self, from: Cycle, n: u64) {
         debug_assert!(self.quiescent(), "batch advance requires quiescence");
         debug_assert!(n >= 1);
-        self.stats.cycles += n;
-        let s = u64::from(self.cfg.sample_interval.max(1));
-        let c = u64::from(self.sample_countdown);
-        // Per-tick: countdown hits zero at tick c, then every s ticks.
-        let hits = if n >= c { 1 + (n - c) / s } else { 0 };
-        self.sample_countdown = if n < c { c - n } else { s - ((n - c) % s) } as u32;
-        if hits > 0 {
-            self.stats
-                .record_occupancy_n(0, 0, self.cfg.write_capacity, hits);
-        }
+        self.stats.sample_n(0, 0, self.cfg.write_capacity, n);
         // watchdog_tick with zero outstanding sets last_progress = now on
         // every tick; the final skipped tick is `from + n - 1`.
         self.last_progress = from + n - 1;
@@ -824,19 +799,12 @@ impl Core {
             to.saturating_sub(self.last_progress) <= self.cfg.watchdog.stall_limit,
             "stall latch would fire inside a skipped stretch"
         );
-        self.stats.cycles += n;
-        let s = u64::from(self.cfg.sample_interval.max(1));
-        let c = u64::from(self.sample_countdown);
-        let hits = if n >= c { 1 + (n - c) / s } else { 0 };
-        self.sample_countdown = if n < c { c - n } else { s - ((n - c) % s) } as u32;
-        if hits > 0 {
-            self.stats.record_occupancy_n(
-                self.reads_outstanding,
-                self.writes_outstanding,
-                self.cfg.write_capacity,
-                hits,
-            );
-        }
+        self.stats.sample_n(
+            self.reads_outstanding,
+            self.writes_outstanding,
+            self.cfg.write_capacity,
+            n,
+        );
         if let Some((_, age)) = self.oldest_outstanding(to) {
             self.stats.max_access_age = self.stats.max_access_age.max(age);
         }
@@ -867,7 +835,6 @@ impl Core {
             retry_pending,
             last_progress,
             stall,
-            sample_countdown,
         } = self;
         w.usize(ongoing.len());
         for slot in ongoing {
@@ -908,7 +875,6 @@ impl Core {
                 d.save_snap(w);
             }
         }
-        w.u32(*sample_countdown);
     }
 
     /// Restores state written by [`Core::save_snap`] into a core built from
@@ -939,7 +905,6 @@ impl Core {
             retry_pending,
             last_progress,
             stall,
-            sample_countdown,
         } = self;
         if r.seq_len(1)? != ongoing.len() {
             return Err(SnapError::Corrupt("bank count mismatch"));
@@ -997,7 +962,6 @@ impl Core {
         } else {
             None
         };
-        *sample_countdown = r.u32()?;
         // Rebuild the derived occupied-slot bitmap from the restored slots.
         ongoing_mask.fill(0);
         for (b, slot) in ongoing.iter().enumerate() {

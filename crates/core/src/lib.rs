@@ -77,12 +77,6 @@ pub struct CtrlConfig {
     pub watchdog: WatchdogConfig,
     /// Deterministic fault injection; `None` disables it (the default).
     pub faults: Option<FaultConfig>,
-    /// Occupancy-sampling interval in memory cycles. 1 (the default)
-    /// samples every cycle, exactly reproducing the paper's Figure 8/11
-    /// distributions; larger intervals trade histogram resolution for
-    /// simulation speed (the cycle counter itself always advances every
-    /// tick). 0 is treated as 1.
-    pub sample_interval: u32,
 }
 
 impl CtrlConfig {
@@ -95,15 +89,7 @@ impl CtrlConfig {
             row_policy: RowPolicy::OpenPage,
             watchdog: WatchdogConfig::baseline(),
             faults: None,
-            sample_interval: 1,
         }
-    }
-
-    /// Sets the occupancy-sampling interval (see
-    /// [`CtrlConfig::sample_interval`]).
-    pub fn with_sample_interval(mut self, interval: u32) -> Self {
-        self.sample_interval = interval;
-        self
     }
 }
 
@@ -125,10 +111,6 @@ mod tests {
         assert_eq!(c.row_policy, RowPolicy::OpenPage);
         assert_eq!(c.watchdog, WatchdogConfig::baseline());
         assert_eq!(c.faults, None, "fault injection is opt-in");
-        assert_eq!(
-            c.sample_interval, 1,
-            "per-cycle sampling reproduces the paper"
-        );
         assert_eq!(CtrlConfig::default(), c);
     }
 }

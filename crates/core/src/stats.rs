@@ -350,20 +350,11 @@ impl CtrlStats {
         self.write_latencies.record(lat);
     }
 
-    /// Samples per-cycle occupancy (advances the cycle counter and records
-    /// one occupancy sample — the every-cycle special case of
-    /// interval-based sampling).
+    /// Samples per-cycle occupancy: advances the cycle counter and records
+    /// one occupancy sample, reproducing the paper's per-cycle Figure 8/11
+    /// distributions.
     pub fn sample(&mut self, reads: usize, writes: usize, write_capacity: usize) {
         self.cycles += 1;
-        self.record_occupancy(reads, writes, write_capacity);
-    }
-
-    /// Records one occupancy sample without advancing the cycle counter.
-    /// With interval-based sampling (see `CtrlConfig::sample_interval`) the
-    /// cycle counter advances every tick while occupancy is recorded only
-    /// on sampled ticks; saturation is judged against the sampled
-    /// population, so its rate stays a fraction of observed cycles.
-    pub fn record_occupancy(&mut self, reads: usize, writes: usize, write_capacity: usize) {
         self.outstanding_reads.record(reads);
         self.outstanding_writes.record(writes);
         if writes >= write_capacity {
@@ -371,17 +362,12 @@ impl CtrlStats {
         }
     }
 
-    /// Records `k` identical occupancy samples in one step — equivalent to
-    /// `k` calls to [`CtrlStats::record_occupancy`] with the same
-    /// arguments. Used by the cycle-skipping batch advance, where every
-    /// skipped cycle would have sampled the same (unchanging) occupancy.
-    pub fn record_occupancy_n(
-        &mut self,
-        reads: usize,
-        writes: usize,
-        write_capacity: usize,
-        k: u64,
-    ) {
+    /// Samples `k` cycles of identical occupancy in one step — equivalent
+    /// to `k` calls to [`CtrlStats::sample`] with the same arguments. Used
+    /// by the cycle-skipping batch advance, where every skipped cycle would
+    /// have sampled the same (unchanging) occupancy.
+    pub fn sample_n(&mut self, reads: usize, writes: usize, write_capacity: usize, k: u64) {
+        self.cycles += k;
         self.outstanding_reads.record_n(reads, k);
         self.outstanding_writes.record_n(writes, k);
         if writes >= write_capacity {

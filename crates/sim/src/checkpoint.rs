@@ -29,8 +29,9 @@
 //! ```
 //!
 //! Version 5 drops the no-op tick counter from the body's diagnostic
-//! tail: every stepped cycle now runs the full controller tick, so there
-//! is nothing left to count. Version 4 wrote the statistics counters and
+//! tail (every stepped cycle now runs the full controller tick, so there
+//! is nothing left to count) and the occupancy-sampling countdown from
+//! the controller state (occupancy is recorded on every tick). Version 4 wrote the statistics counters and
 //! histogram buckets as varints. Version 3 wrote them at fixed width; it added every CPU core,
 //! the owning core of each in-flight read and `header_hash`. Version 2
 //! stored one core; version 1 also stored cache ways at fixed width. Older

@@ -173,21 +173,21 @@ fn a_warmed_baseline_checkpoint_body_stays_compact() {
 /// `System::state_hash` of the Intel schedulers after `warm` and a
 /// 20k-instruction run (seed 7), taken with writes outstanding so the
 /// write queue is part of the hashed state. However the queue is held in
-/// memory, its format-v4 encoding, and so this hash, must not move.
+/// memory, its format-v5 encoding, and so this hash, must not move.
 #[test]
 fn intel_state_hashes_with_queued_writes_are_pinned() {
     const PINNED: [(Mechanism, SpecBenchmark, u64); 4] = [
-        (Mechanism::Intel, SpecBenchmark::Swim, 0x7b3e_2eeb_9b48_89ec),
+        (Mechanism::Intel, SpecBenchmark::Swim, 0xbfce_a451_6c50_929b),
         (
             Mechanism::IntelRp,
             SpecBenchmark::Swim,
-            0xed2a_69a0_2d0c_3ef1,
+            0xc6ab_a8aa_1d04_309e,
         ),
-        (Mechanism::Intel, SpecBenchmark::Gcc, 0x3b8b_2a87_d9a9_efb3),
+        (Mechanism::Intel, SpecBenchmark::Gcc, 0xd39a_9e50_8de1_3af0),
         (
             Mechanism::IntelRp,
             SpecBenchmark::Gcc,
-            0xb995_dcf3_d0be_baa5,
+            0xc63e_68a7_e18d_80d8,
         ),
     ];
     for (mechanism, bench, pinned) in PINNED {
