@@ -4,8 +4,13 @@
 //! outstanding main memory accesses from which to select." This harness
 //! measures the BkInOrder -> Burst_TH52 improvement at 1, 2 and 4 cores
 //! sharing the baseline memory subsystem.
+//!
+//! A run that fails (a controller stall, no retirement progress) is
+//! reported on stderr with its core count and mechanism, and the binary
+//! exits with status 1.
 
 use std::num::NonZeroUsize;
+use std::process::ExitCode;
 
 use burst_bench::{banner, HarnessOptions};
 use burst_core::Mechanism;
@@ -26,7 +31,7 @@ fn mix(cores: usize, seed: u64) -> Vec<MixWorkload> {
         .collect()
 }
 
-fn main() {
+fn main() -> ExitCode {
     let opts = HarnessOptions::from_args(15_000);
     println!(
         "{}",
@@ -42,7 +47,7 @@ fn main() {
         // Throughput view: run a fixed total instruction budget and compare
         // how many memory cycles each mechanism needs. `min share` shows
         // fairness — the slowest core's fraction of an equal split.
-        let run = |mechanism: Mechanism| -> (u64, f64, f64) {
+        let run = |mechanism: Mechanism| -> Result<(u64, f64, f64), ()> {
             let cfg = opts.system_config().with_mechanism(mechanism);
             let mut sys = System::with_cores(&cfg, cfg.scheduler(), cores);
             let mut w = mix(cores.get(), opts.seed);
@@ -50,17 +55,23 @@ fn main() {
                 w.iter_mut().map(|w| w as &mut dyn OpSource).collect();
             sys.warm_cores(&mut w);
             let total = per_core * cores.get() as u64;
-            sys.try_run_cores(&mut w, RunLength::Instructions(total))
-                .expect("the CMP run makes progress");
+            if let Err(e) = sys.try_run_cores(&mut w, RunLength::Instructions(total)) {
+                eprintln!("error: the {cores}-core CMP run under {mechanism} failed: {e}");
+                return Err(());
+            }
             let r = sys.report("mix");
             let min_share = (0..cores.get())
                 .map(|i| sys.core_retired(i) as f64)
                 .fold(f64::INFINITY, f64::min)
                 / (sys.retired() as f64 / cores.get() as f64);
-            (r.mem_cycles, r.ctrl.avg_read_latency(), min_share)
+            Ok((r.mem_cycles, r.ctrl.avg_read_latency(), min_share))
         };
-        let (base_cycles, base_lat, base_fair) = run(Mechanism::BkInOrder);
-        let (th_cycles, th_lat, th_fair) = run(Mechanism::BurstTh(52));
+        let Ok((base_cycles, base_lat, base_fair)) = run(Mechanism::BkInOrder) else {
+            return ExitCode::FAILURE;
+        };
+        let Ok((th_cycles, th_lat, th_fair)) = run(Mechanism::BurstTh(52)) else {
+            return ExitCode::FAILURE;
+        };
         rows.push(vec![
             format!("{cores}"),
             format!("{base_cycles}"),
@@ -95,4 +106,5 @@ fn main() {
          schedulers were designed to fix, and a concrete instance of the paper's\n\
          Section 6 observation that CMPs raise the stakes for access reordering."
     );
+    ExitCode::SUCCESS
 }

@@ -188,7 +188,7 @@ impl HarnessOptions {
     }
 
     /// The I/O layer implied by the `--chaos-*` flags: a scripted
-    /// single-fault [`ChaosIo`] when `--chaos-site`/`--chaos-kind`/
+    /// single-fault [`burst_sim::ChaosIo`] when `--chaos-site`/`--chaos-kind`/
     /// `--chaos-op` are all given, a seeded one for `--chaos-seed`, and
     /// the zero-overhead real-filesystem passthrough otherwise. Exits
     /// with status 2 on an unparseable site or kind name — a chaos run

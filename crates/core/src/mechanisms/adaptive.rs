@@ -66,7 +66,7 @@ impl AdaptiveHistoryScheduler {
 
     /// The read share the history currently targets, in `[0, 1]`.
     /// Report-only: scheduling decisions use the integer form in
-    /// [`Self::wants_read`].
+    /// `wants_read`.
     #[expect(
         clippy::disallowed_types,
         clippy::float_arithmetic,

@@ -285,7 +285,9 @@ impl ProtocolChecker {
         self.total
     }
 
-    /// The first [`MAX_RECORDED`] violations with full context.
+    /// The violations recorded with full context: the first ones, up to a
+    /// fixed cap (see [`ProtocolChecker::total_violations`] for the full
+    /// count).
     pub fn violations(&self) -> &[Violation] {
         &self.recorded
     }

@@ -234,7 +234,8 @@ enum ChaosMode {
 }
 
 /// A deterministic chaos filesystem: wraps [`RealIo`] and injects labeled
-/// faults per [`ChaosMode`]. Interior counters make each instance one
+/// faults, either one scripted fault ([`ChaosIo::scripted`]) or a seeded
+/// schedule ([`ChaosIo::seeded`]). Interior counters make each instance one
 /// run's worth of schedule — build a fresh one per simulated crash.
 #[derive(Debug)]
 pub struct ChaosIo {

@@ -625,7 +625,7 @@ impl SimReport {
     }
 
     /// Restores a report written by [`SimReport::save_snap`], rebuilding
-    /// the robustness summary with [`RobustnessReport::collect`].
+    /// the robustness summary from the restored controller statistics.
     ///
     /// # Errors
     ///
