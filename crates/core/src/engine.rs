@@ -699,8 +699,9 @@ impl Core {
     /// Batch-advances the per-tick bookkeeping over `n` quiescent ticks at
     /// cycles `from..from + n` — exactly equivalent to `n` calls of
     /// [`Core::sample`] plus [`Core::watchdog_tick`] with zero outstanding
-    /// accesses: the cycle counter, the occupancy histograms (all samples at occupancy 0) and the watchdog's
-    /// progress clock land on identical values.
+    /// accesses: the cycle counter, the occupancy histograms (all samples
+    /// at occupancy 0) and the watchdog's progress clock land on identical
+    /// values.
     pub fn advance_quiescent(&mut self, from: Cycle, n: u64) {
         debug_assert!(self.quiescent(), "batch advance requires quiescence");
         debug_assert!(n >= 1);

@@ -860,7 +860,7 @@ pub struct System {
     profile: Option<Box<PhaseProfile>>,
 }
 
-/// A fresh busy-event fold that yields a jump at least this long resets
+/// A busy-event fold that yields a jump at least this long resets
 /// the backoff stride; shorter outcomes grow it.
 const FOLD_MIN_PROFIT: u64 = 4;
 
