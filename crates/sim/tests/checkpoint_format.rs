@@ -174,14 +174,58 @@ fn a_warmed_baseline_checkpoint_body_stays_compact() {
 /// 20k-instruction run (seed 7), taken with writes outstanding so the
 /// write queue is part of the hashed state. However the queue is held in
 /// memory, its format-v5 encoding, and so this hash, must not move.
+/// Every mechanism's full state hash, taken mid-run with writes still
+/// queued, pinned so a refactor of the schedulers can be shown to move no
+/// bit of any controller's state or its snapshot encoding.
 #[test]
-fn intel_state_hashes_with_queued_writes_are_pinned() {
-    const PINNED: [(Mechanism, SpecBenchmark, u64); 4] = [
+fn state_hashes_with_queued_writes_are_pinned() {
+    const PINNED: [(Mechanism, SpecBenchmark, u64); 13] = [
+        (
+            Mechanism::BkInOrder,
+            SpecBenchmark::Swim,
+            0x82cd_34fc_31e1_0d98,
+        ),
+        (
+            Mechanism::RowHit,
+            SpecBenchmark::Swim,
+            0xa031_7a83_029b_11c2,
+        ),
         (Mechanism::Intel, SpecBenchmark::Swim, 0xbfce_a451_6c50_929b),
         (
             Mechanism::IntelRp,
             SpecBenchmark::Swim,
             0xc6ab_a8aa_1d04_309e,
+        ),
+        (Mechanism::Burst, SpecBenchmark::Swim, 0x28b4_bc91_929b_ee13),
+        (
+            Mechanism::BurstRp,
+            SpecBenchmark::Swim,
+            0x0d4e_00f3_32e9_4129,
+        ),
+        (
+            Mechanism::BurstWp,
+            SpecBenchmark::Swim,
+            0x4e2c_d258_86a9_bfb2,
+        ),
+        (
+            Mechanism::BurstTh(52),
+            SpecBenchmark::Swim,
+            0x193c_d348_473e_64dc,
+        ),
+        (
+            Mechanism::BurstDyn,
+            SpecBenchmark::Swim,
+            0x6209_477e_dbba_c3b9,
+        ),
+        (
+            Mechanism::BurstCrit,
+            SpecBenchmark::Swim,
+            0xe562_70a7_c6fd_4a66,
+        ),
+        (
+            Mechanism::AdaptiveHistory,
+            SpecBenchmark::Swim,
+            0xdaa9_e755_58f1_3c29,
         ),
         (Mechanism::Intel, SpecBenchmark::Gcc, 0xd39a_9e50_8de1_3af0),
         (
@@ -205,7 +249,7 @@ fn intel_state_hashes_with_queued_writes_are_pinned() {
         // so the difference is the writes queued or ongoing there.
         let r = sys.report(bench.to_string());
         let outstanding = r.cpu.mem_writes - r.ctrl.writes_done;
-        let hash = sys.state_hash().expect("Intel supports snapshots");
+        let hash = sys.state_hash().expect("built-ins support snapshots");
         assert!(
             outstanding > 0,
             "{mechanism} on {bench}: no write outstanding"
