@@ -24,13 +24,7 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 
 fn mechanism_strategy() -> impl Strategy<Value = Mechanism> {
     prop_oneof![
-        Just(Mechanism::BkInOrder),
-        Just(Mechanism::RowHit),
-        Just(Mechanism::Intel),
-        Just(Mechanism::IntelRp),
-        Just(Mechanism::Burst),
-        Just(Mechanism::BurstRp),
-        Just(Mechanism::BurstWp),
+        (0usize..11).prop_map(|i| Mechanism::all()[i]),
         (0u32..=64).prop_map(Mechanism::BurstTh),
     ]
 }

@@ -8,8 +8,8 @@
 )]
 
 use burst_core::{
-    Access, AccessId, AccessKind, AccessScheduler, Completion, CtrlConfig, EnqueueOutcome,
-    Mechanism,
+    splitmix64, Access, AccessId, AccessKind, AccessScheduler, Completion, CtrlConfig,
+    EnqueueOutcome, Mechanism,
 };
 use burst_dram::{AddressMapping, Cycle, Dram, DramConfig, PhysAddr};
 
@@ -71,7 +71,7 @@ impl Harness {
 /// Every mechanism must complete every access exactly once.
 #[test]
 fn all_mechanisms_complete_mixed_stream() {
-    for m in Mechanism::all_paper() {
+    for m in Mechanism::all() {
         let mut h = Harness::new(m);
         let mut expected = 0;
         for i in 0..200u64 {
@@ -268,7 +268,7 @@ fn write_queue_saturation_blocks_and_recovers() {
 /// either forwards from the write queue or is ordered behind the write.
 #[test]
 fn raw_hazard_order_all_mechanisms() {
-    for m in Mechanism::all_paper() {
+    for m in Mechanism::all() {
         let mut h = Harness::new(m);
         let addr = 0x8000u64;
         h.push(AccessKind::Write, addr); // id 0
@@ -305,7 +305,7 @@ fn raw_hazard_order_all_mechanisms() {
 /// still keeps bursts intact. Both must never starve any access.
 #[test]
 fn no_starvation_under_continuous_load() {
-    for m in Mechanism::all_paper() {
+    for m in Mechanism::all() {
         let mut h = Harness::new(m);
         // A single old access to a "cold" bank, then a flood elsewhere.
         h.push(AccessKind::Read, 1 << 26);
@@ -328,7 +328,7 @@ fn no_starvation_under_continuous_load() {
 /// Writes are drained even with no reads at all.
 #[test]
 fn pure_write_stream_drains() {
-    for m in Mechanism::all_paper() {
+    for m in Mechanism::all() {
         let mut h = Harness::new(m);
         for i in 0..32u64 {
             h.push(AccessKind::Write, i * 64 + (i % 4) * (1 << 20));
@@ -337,6 +337,48 @@ fn pure_write_stream_drains() {
         assert_eq!(h.done.len(), 32, "{m}");
         assert!(h.done.iter().all(|c| c.kind == AccessKind::Write));
     }
+}
+
+/// Section 5.4: with the baseline 64-entry write queue, `Burst_RP` is
+/// `Burst_TH64` (occupancy never exceeds 64, so piggybacking never fires)
+/// and `Burst_WP` is `Burst_TH0` (occupancy is never below 0, so
+/// preemption never fires). Each pair must schedule one seeded mixed
+/// stream identically, with preemptions and piggybacks actually taken.
+#[test]
+fn burst_rp_and_wp_equal_the_threshold_extremes() {
+    let drive = |m: Mechanism| {
+        let mut h = Harness::new(m);
+        for i in 0..4_000u64 {
+            let r = splitmix64(i);
+            let kind = if r.is_multiple_of(3) {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            // A few hot rows per bank so bursts form and writes can hit
+            // an open row.
+            let addr = (r >> 8) % 4 * (1 << 20) + (r >> 16) % 16 * 8192 + (r >> 24) % 32 * 64;
+            if h.sched.can_accept(kind) {
+                h.push(kind, addr);
+            }
+            h.run(1 + (r >> 40) % 4);
+        }
+        h.run_until_drained(500_000);
+        let st = h.sched.stats();
+        let counters = [st.preemptions, st.piggybacks, st.row_hits, st.cycles];
+        (h.done, counters)
+    };
+    let cap = CtrlConfig::default().write_capacity as u32;
+    let rp = drive(Mechanism::BurstRp);
+    assert_eq!(
+        rp,
+        drive(Mechanism::BurstTh(cap)),
+        "Burst_RP vs Burst_TH{cap}"
+    );
+    assert!(rp.1[0] > 0, "Burst_RP took no preemption");
+    let wp = drive(Mechanism::BurstWp);
+    assert_eq!(wp, drive(Mechanism::BurstTh(0)), "Burst_WP vs Burst_TH0");
+    assert!(wp.1[1] > 0, "Burst_WP took no piggyback");
 }
 
 /// Average read latency must be lower for burst TH than BkInOrder on a

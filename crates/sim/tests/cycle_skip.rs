@@ -12,18 +12,6 @@ use burst_sim::{simulate, Engine, RunLength, SimReport, System, SystemConfig};
 use burst_workloads::SpecBenchmark;
 use proptest::prelude::*;
 
-/// All mechanisms, paper set plus extensions — every `AccessScheduler`
-/// implementation must honour the batch-advance contract.
-fn all_mechanisms() -> Vec<Mechanism> {
-    let mut v = Mechanism::all_paper().to_vec();
-    v.extend([
-        Mechanism::BurstDyn,
-        Mechanism::BurstCrit,
-        Mechanism::AdaptiveHistory,
-    ]);
-    v
-}
-
 fn config(mechanism: Mechanism, engine: Engine) -> SystemConfig {
     SystemConfig::baseline()
         .with_mechanism(mechanism)
@@ -44,7 +32,7 @@ fn engines_agree(m: Mechanism, bench: SpecBenchmark, seed: u64, len: RunLength) 
 fn every_engine_is_bit_identical_on_idle_heavy_workload() {
     // mcf is 80% pointer chase (MLP 1): the CPU spends most of its time
     // fully stalled, so this workload maximises skipping opportunity.
-    for m in all_mechanisms() {
+    for m in Mechanism::all() {
         engines_agree(m, SpecBenchmark::Mcf, 7, RunLength::Instructions(2_000));
     }
 }
@@ -54,7 +42,7 @@ fn event_engine_is_bit_identical_on_bandwidth_bound_workload() {
     // swim streams with high MLP: the memory system is busy almost
     // throughout, so this workload exercises the event engine's
     // busy-period jumps (quiescent skipping barely fires here).
-    for m in all_mechanisms() {
+    for m in Mechanism::all() {
         engines_agree(m, SpecBenchmark::Swim, 13, RunLength::Instructions(2_000));
     }
 }
@@ -256,7 +244,7 @@ proptest! {
         mech_idx in 0usize..11,
         bench_idx in 0usize..3,
     ) {
-        let mechanism = all_mechanisms()[mech_idx];
+        let mechanism = Mechanism::all()[mech_idx];
         let bench = [
             SpecBenchmark::Mcf,
             SpecBenchmark::Swim,

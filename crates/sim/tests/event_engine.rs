@@ -25,16 +25,6 @@ use burst_snap::{SnapReader, SnapWriter};
 use burst_workloads::SpecBenchmark;
 use proptest::prelude::*;
 
-fn all_mechanisms() -> Vec<Mechanism> {
-    let mut v = Mechanism::all_paper().to_vec();
-    v.extend([
-        Mechanism::BurstDyn,
-        Mechanism::BurstCrit,
-        Mechanism::AdaptiveHistory,
-    ]);
-    v
-}
-
 // ---------------------------------------------------------------------------
 // Component-level contract: next_busy_event / advance_blocked.
 // ---------------------------------------------------------------------------
@@ -176,7 +166,7 @@ proptest! {
         mech_idx in 0usize..11,
         reqs in prop::collection::vec(req_strategy(), 1..24),
     ) {
-        let mechanism = all_mechanisms()[mech_idx];
+        let mechanism = Mechanism::all()[mech_idx];
         let cfg = CtrlConfig::baseline();
         let dcfg = DramConfig::small();
         let mut dram = Dram::new(dcfg, AddressMapping::PageInterleaving);

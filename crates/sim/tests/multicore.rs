@@ -64,15 +64,9 @@ fn run(cfg: &SystemConfig, workloads: &mut [impl OpSource], len: RunLength) -> S
 
 #[test]
 fn event_engine_matches_the_reference_on_two_and_four_cores() {
-    let mut mechanisms = Mechanism::all_paper().to_vec();
-    mechanisms.extend([
-        Mechanism::BurstDyn,
-        Mechanism::BurstCrit,
-        Mechanism::AdaptiveHistory,
-    ]);
     for n in [2, 4] {
         let len = RunLength::Instructions(1_500 * n as u64);
-        for &m in &mechanisms {
+        for m in Mechanism::all() {
             let sim = |engine| run(&config(m, engine), &mut mix(&CMP_MIX, n, 7), len);
             assert_eq!(
                 sim(Engine::Event).report("mix"),
