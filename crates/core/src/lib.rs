@@ -6,9 +6,13 @@
 //! threshold, plus the three mechanisms it is compared against
 //! (`BkInOrder`, `RowHit`, Intel's patented out-of-order scheduler).
 //!
-//! A scheduler owns the controller-side queues (access pool, per-bank read
-//! and write queues, bursts) and drives a [`burst_dram::Dram`] device one
-//! transaction per channel per cycle.
+//! [`Mechanism::build`] returns each mechanism as a boxed
+//! [`AccessScheduler`]: one generic controller that owns the shared
+//! bookkeeping ([`engine::Core`]: access pool, per-bank ongoing slots,
+//! watchdog, statistics) and drives a [`burst_dram::Dram`] device one
+//! transaction per channel per cycle, and a per-mechanism policy that
+//! keeps only its queues (per-bank read and write queues, bursts) and the
+//! decisions of its bank arbiter and transaction scheduler.
 //!
 //! ## Example
 //!
@@ -53,10 +57,7 @@ mod watchdog;
 
 pub use access::{Access, AccessId, AccessKind, Completion, EnqueueOutcome, Outstanding};
 pub use faults::{splitmix64, FaultConfig, TransientFaultPlan};
-pub use mechanisms::{
-    AccessScheduler, AdaptiveHistoryScheduler, BkInOrderScheduler, BurstOptions, BurstScheduler,
-    IntelScheduler, Mechanism, RowHitScheduler,
-};
+pub use mechanisms::{AccessScheduler, Mechanism};
 pub use stats::{CtrlStats, LatencyHistogram, OccupancyHistogram};
 pub use watchdog::{StallDiagnostic, WatchdogConfig};
 

@@ -11,18 +11,16 @@
 
 use std::collections::VecDeque;
 
+use super::{oldest_row_hit, Policy};
 use crate::engine::{Candidate, Core};
 use crate::txsched::select_table2;
-use crate::{
-    Access, AccessKind, AccessScheduler, Completion, CtrlConfig, CtrlStats, EnqueueOutcome,
-    Mechanism, Outstanding,
-};
-use burst_dram::{Cycle, Dram, Geometry};
+use crate::{Access, AccessKind, Completion, EnqueueOutcome, Mechanism};
+use burst_dram::{Cycle, Dram};
 
 /// Tuning knobs distinguishing the four burst variants of Table 4 plus the
 /// dynamic-threshold extension from the paper's future work (Section 7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BurstOptions {
+pub(crate) struct BurstOptions {
     /// Read preemption is enabled while global write-queue occupancy is
     /// *below* this value. `0` disables preemption; the write-queue
     /// capacity enables it whenever the queue is not full (`Burst_RP`).
@@ -49,7 +47,7 @@ pub struct BurstOptions {
 
 impl BurstOptions {
     /// Options for a static-threshold variant (the four Table 4 entries).
-    pub fn static_threshold(
+    pub(crate) fn static_threshold(
         preempt_below: u32,
         piggyback_above: Option<u32>,
         mechanism: Mechanism,
@@ -92,7 +90,7 @@ impl BankQueues {
     }
 }
 
-/// The burst scheduling access reordering mechanism.
+/// The burst scheduling policy.
 ///
 /// # Examples
 ///
@@ -114,8 +112,7 @@ impl BankQueues {
 /// assert_eq!(done.len(), 1);
 /// ```
 #[derive(Debug)]
-pub struct BurstScheduler {
-    core: Core,
+pub(crate) struct BurstScheduler {
     banks: Vec<BankQueues>,
     opts: BurstOptions,
     /// Read/write arrivals in the current adaptation window (dynamic
@@ -151,8 +148,6 @@ pub struct BurstScheduler {
     /// Earliest cycle a gate-blocked idle write could escalate: rebuild
     /// `act_now` no later than this. Conservative-early (min-folded).
     next_escal: Cycle,
-    /// Reusable candidate buffer for the per-channel transaction scan.
-    scratch: Vec<Candidate>,
 }
 
 /// Sentinel `gate_cache` value (never produced by [`BurstScheduler::gates`],
@@ -160,13 +155,11 @@ pub struct BurstScheduler {
 const GATES_STALE: u8 = 0xFF;
 
 impl BurstScheduler {
-    /// Creates a burst scheduler for a device of the given geometry.
-    pub fn new(cfg: CtrlConfig, geom: Geometry, opts: BurstOptions) -> Self {
-        let core = Core::new(cfg, geom);
+    /// The policy for a controller with `core`'s geometry.
+    pub(crate) fn new(core: &Core, opts: BurstOptions) -> Self {
         let nbanks = core.bank_count();
         let next_adapt = opts.dynamic_period.unwrap_or(0);
         BurstScheduler {
-            core,
             banks: vec![BankQueues::default(); nbanks],
             opts,
             window_reads: 0,
@@ -176,7 +169,6 @@ impl BurstScheduler {
             act_now: vec![0; nbanks.div_ceil(64)],
             gate_cache: GATES_STALE,
             next_escal: 0,
-            scratch: Vec::new(),
         }
     }
 
@@ -185,13 +177,13 @@ impl BurstScheduler {
     /// no-reads-anywhere, piggyback qualification and preemption headroom.
     /// `act_now` bits are valid only for the byte they were computed
     /// under.
-    fn gates(&self) -> u8 {
-        let wg = self.core.writes_outstanding() as u32;
+    fn gates(&self, core: &Core) -> u8 {
+        let wg = core.writes_outstanding() as u32;
         let mut g = 0u8;
-        if wg >= self.core.cfg().write_capacity as u32 {
+        if wg >= core.cfg().write_capacity as u32 {
             g |= 1;
         }
-        if self.core.reads_outstanding() == 0 {
+        if core.reads_outstanding() == 0 {
             g |= 2;
         }
         if self.opts.piggyback_above.is_some_and(|th| wg > th) {
@@ -209,10 +201,10 @@ impl BurstScheduler {
     /// target ageing into escalation immunity) are left conservative-set,
     /// while the one that drifts towards "action" (an idle write crossing
     /// the starvation age) min-folds its firing cycle into `next_escal`.
-    fn refresh_act(&mut self, bank_idx: usize, dram: &Dram, now: Cycle) {
+    fn refresh_act(&mut self, core: &Core, bank_idx: usize, dram: &Dram, now: Cycle) {
         let gates = self.gate_cache;
-        let escalate_age = self.core.cfg().watchdog.escalate_age;
-        let need = match self.core.ongoing(bank_idx) {
+        let escalate_age = core.cfg().watchdog.escalate_age;
+        let need = match core.ongoing(bank_idx) {
             // Preemption is the only arm that can touch a busy slot.
             Some(og) => {
                 og.access.kind == AccessKind::Write
@@ -230,19 +222,18 @@ impl BurstScheduler {
                 } else if gates & (1 | 2) != 0 {
                     // Saturation drain or no-reads drain.
                     true
-                } else if gates & 4 != 0 && b.at_burst_end && {
+                } else if gates & 4 != 0
+                    && b.at_burst_end
                     // Piggyback window: acts only when a queued write hits
                     // the open row. Safe to test here rather than keep the
                     // bit conservative-set: an idle bank's open row cannot
                     // drift towards a new match (no ongoing access means no
                     // activates; refresh only closes rows), and a freshly
                     // arrived write re-marks the bank on enqueue.
-                    let (ch, rank, bk) = self.core.bank_coords(bank_idx);
-                    dram.channel(usize::from(ch))
-                        .bank(rank, bk)
-                        .open_row()
+                    && core
+                        .open_row(dram, bank_idx)
                         .is_some_and(|row| b.writes.iter().any(|w| w.loc.row == row))
-                } {
+                {
                     true
                 } else {
                     // Writes present but every gate is shut: only the
@@ -267,10 +258,10 @@ impl BurstScheduler {
 
     /// Rebuilds every `act_now` bit for the current `gate_cache` byte and
     /// recomputes the escalation deadline from scratch.
-    fn rebuild_act(&mut self, dram: &Dram, now: Cycle) {
+    fn rebuild_act(&mut self, core: &Core, dram: &Dram, now: Cycle) {
         self.next_escal = Cycle::MAX;
         for b in 0..self.banks.len() {
-            self.refresh_act(b, dram, now);
+            self.refresh_act(core, b, dram, now);
         }
     }
 
@@ -282,8 +273,8 @@ impl BurstScheduler {
     }
 
     /// Recomputes `bank_idx`'s attention bit from its slot and queues.
-    fn refresh_attention(&mut self, bank_idx: usize) {
-        let need = match self.core.ongoing(bank_idx) {
+    fn refresh_attention(&mut self, core: &Core, bank_idx: usize) {
+        let need = match core.ongoing(bank_idx) {
             None => {
                 let b = &self.banks[bank_idx];
                 b.has_reads() || !b.writes.is_empty()
@@ -298,17 +289,11 @@ impl BurstScheduler {
         }
     }
 
-    /// The threshold currently in effect (static configurations report
-    /// their `preempt_below`).
-    pub fn current_threshold(&self) -> u32 {
-        self.opts.preempt_below
-    }
-
     /// Dynamic-threshold adaptation (Section 7 future work): pick the
     /// threshold proportional to the write share of recent arrivals. A
     /// write-heavy window pulls the threshold down so piggybacking starts
     /// early; a read-heavy window pushes it up so reads may preempt.
-    fn adapt_threshold(&mut self, now: burst_dram::Cycle) {
+    fn adapt_threshold(&mut self, core: &Core, now: burst_dram::Cycle) {
         let Some(period) = self.opts.dynamic_period else {
             return;
         };
@@ -326,7 +311,7 @@ impl BurstScheduler {
             // so the arithmetic is exact — no float may feed a scheduling
             // decision. `1.6` is exactly 16/10 here, where the f64 it
             // replaced carried the nearest-double approximation.
-            let cap = self.core.cfg().write_capacity as i128;
+            let cap = core.cfg().write_capacity as i128;
             let num = cap * (10 * i128::from(total) - 16 * i128::from(self.window_writes));
             let den = 10 * i128::from(total);
             let th = num.div_euclid(den).clamp(cap / 8, cap - 4).max(0) as u32;
@@ -335,11 +320,6 @@ impl BurstScheduler {
         }
         self.window_reads = 0;
         self.window_writes = 0;
-    }
-
-    /// The variant options in effect.
-    pub fn options(&self) -> &BurstOptions {
-        &self.opts
     }
 
     /// Pops the first read of the next burst (Figure 5 line 8), discarding
@@ -355,56 +335,15 @@ impl BurstScheduler {
         bank.bursts.front_mut()?.accesses.pop_front()
     }
 
-    /// Removes the oldest write in the bank's write queue.
-    fn pop_oldest_write(bank: &mut BankQueues) -> Option<Access> {
-        bank.writes.pop_front()
-    }
-
-    /// Removes the oldest write directed at `row` (qualified for
-    /// piggybacking), if any.
-    fn pop_row_hit_write(bank: &mut BankQueues, row: u32) -> Option<Access> {
-        let idx = bank
-            .writes
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.loc.row == row)
-            .min_by_key(|(_, w)| w.id)
-            .map(|(i, _)| i)?;
-        bank.writes.remove(idx)
-    }
-
-    /// Re-enqueues a faulted access at the very front of its queue: a
-    /// retry is the oldest work its bank has.
-    fn requeue_front(&mut self, access: Access) {
-        let bank_idx = self.core.global_bank(access.loc);
-        self.mark_attention(bank_idx);
-        let bank = &mut self.banks[bank_idx];
-        match access.kind {
-            AccessKind::Read => {
-                if let Some(front) = bank.bursts.front_mut() {
-                    if front.row == access.loc.row {
-                        front.accesses.push_front(access);
-                        return;
-                    }
-                }
-                bank.bursts.push_front(Burst {
-                    row: access.loc.row,
-                    accesses: VecDeque::from([access]),
-                });
-            }
-            AccessKind::Write => bank.writes.push_front(access),
-        }
-    }
-
     /// The bank arbiter subroutine (Figure 5), run per bank per cycle.
     /// Returns `true` iff it changed any bank or slot state (installed,
     /// preempted or escalated an access); `false` visits leave the queues,
     /// the slot and `at_burst_end` exactly as found.
-    fn bank_arbiter(&mut self, bank_idx: usize, dram: &Dram, now: Cycle) -> bool {
-        let writes_global = self.core.writes_outstanding() as u32;
-        let write_cap = self.core.cfg().write_capacity as u32;
+    fn bank_arbiter(&mut self, core: &mut Core, bank_idx: usize, dram: &Dram, now: Cycle) -> bool {
+        let writes_global = core.writes_outstanding() as u32;
+        let write_cap = core.cfg().write_capacity as u32;
 
-        if let Some(og) = self.core.ongoing(bank_idx) {
+        if let Some(og) = core.ongoing(bank_idx) {
             // Figure 5 lines 9-11: read preemption — a waiting read
             // interrupts an ongoing write while occupancy is below the
             // threshold. The preempted write restarts later.
@@ -413,17 +352,16 @@ impl BurstScheduler {
             // starved it, re-starving it indefinitely.
             let preemptable = og.access.kind == AccessKind::Write
                 && writes_global < self.opts.preempt_below
-                && now.saturating_sub(og.access.arrival) < self.core.cfg().watchdog.escalate_age
+                && now.saturating_sub(og.access.arrival) < core.cfg().watchdog.escalate_age
                 && self.banks[bank_idx].has_reads();
             if preemptable {
-                let write = self.core.clear_ongoing(bank_idx).expect("ongoing write");
+                let write = core.clear_ongoing(bank_idx).expect("ongoing write");
                 self.banks[bank_idx].writes.push_front(write);
                 let read = Self::pop_next_read(&mut self.banks[bank_idx]).expect("has_reads");
                 self.banks[bank_idx].at_burst_end = false;
-                self.core
-                    .set_ongoing(bank_idx, read)
+                core.set_ongoing(bank_idx, read)
                     .expect("slot was just cleared for preemption");
-                self.core.stats_mut().preemptions += 1;
+                core.stats_mut().preemptions += 1;
             }
             return preemptable;
         }
@@ -432,7 +370,7 @@ impl BurstScheduler {
         // burst formation and piggyback qualification and is served
         // oldest-first — a write starved behind an endless read stream is
         // the canonical case (Section 5.1's pile-up, bounded).
-        let escalate_age = self.core.cfg().watchdog.escalate_age;
+        let escalate_age = core.cfg().watchdog.escalate_age;
         {
             let bank = &mut self.banks[bank_idx];
             let oldest_read = bank
@@ -445,43 +383,37 @@ impl BurstScheduler {
                 if now.saturating_sub(arrival) >= escalate_age {
                     let access = match kind {
                         AccessKind::Read => Self::pop_next_read(bank).expect("front read exists"),
-                        AccessKind::Write => {
-                            Self::pop_oldest_write(bank).expect("front write exists")
-                        }
+                        AccessKind::Write => bank.writes.pop_front().expect("front write exists"),
                     };
                     bank.at_burst_end = false;
-                    self.core
-                        .set_ongoing(bank_idx, access)
+                    core.set_ongoing(bank_idx, access)
                         .expect("bank verified idle before escalation");
                     return true;
                 }
             }
         }
 
-        let open_row = {
-            let (ch, rank, bk) = self.core.bank_coords(bank_idx);
-            dram.channel(usize::from(ch)).bank(rank, bk).open_row()
-        };
+        let open_row = core.open_row(dram, bank_idx);
         let bank = &mut self.banks[bank_idx];
 
         // Reads are prioritised over writes globally: plain writes drain
         // only when no reads are outstanding anywhere, or when the write
         // queue saturates — which is why Intel and Burst pile up writes
         // (paper Section 5.1) and why write piggybacking exists.
-        let no_reads_anywhere = self.core.reads_outstanding() == 0;
+        let no_reads_anywhere = core.reads_outstanding() == 0;
 
         // Figure 5 lines 1-8.
         let mut piggybacked = false;
         let pick: Option<Access> = if writes_global >= write_cap && !bank.writes.is_empty() {
             // Line 2-3: write queue full — drain the oldest write.
-            Self::pop_oldest_write(bank)
+            bank.writes.pop_front()
         } else if let (Some(th), true, Some(row)) =
             (self.opts.piggyback_above, bank.at_burst_end, open_row)
         {
-            // Line 4-5: write piggybacking at the end of a burst.
-            let qualified = writes_global > th;
-            let picked = if qualified {
-                Self::pop_row_hit_write(bank, row)
+            // Line 4-5: write piggybacking at the end of a burst: the
+            // oldest write directed at the open row, if qualified.
+            let picked = if writes_global > th {
+                oldest_row_hit(&bank.writes, row, usize::MAX).and_then(|i| bank.writes.remove(i))
             } else {
                 None
             };
@@ -498,13 +430,12 @@ impl BurstScheduler {
 
         if let Some(access) = pick {
             if piggybacked {
-                self.core.stats_mut().piggybacks += 1;
+                core.stats_mut().piggybacks += 1;
             } else {
                 // Any non-piggyback pick leaves the burst-end window.
                 self.banks[bank_idx].at_burst_end = false;
             }
-            self.core
-                .set_ongoing(bank_idx, access)
+            core.set_ongoing(bank_idx, access)
                 .expect("bank verified idle at arbiter entry");
             true
         } else {
@@ -517,56 +448,47 @@ impl BurstScheduler {
     fn fallthrough_pick(bank: &mut BankQueues, no_reads_anywhere: bool) -> Option<Access> {
         if bank.has_reads() {
             Self::pop_next_read(bank)
-        } else if no_reads_anywhere && !bank.writes.is_empty() {
-            Self::pop_oldest_write(bank)
+        } else if no_reads_anywhere {
+            bank.writes.pop_front()
         } else {
             None
         }
     }
 }
 
-impl AccessScheduler for BurstScheduler {
+impl Policy for BurstScheduler {
+    /// Table 2 picks among unblocked transactions only.
+    const INCLUDE_BLOCKED: bool = false;
+
     fn mechanism(&self) -> Mechanism {
         self.opts.mechanism
     }
 
-    fn can_accept(&self, kind: AccessKind) -> bool {
-        self.core.can_accept(kind)
-    }
-
     fn enqueue(
         &mut self,
+        core: &mut Core,
         access: Access,
-        _now: Cycle,
+        now: Cycle,
         completions: &mut Vec<Completion>,
     ) -> EnqueueOutcome {
-        if !self.can_accept(access.kind) {
-            return EnqueueOutcome::Rejected;
-        }
-        let bank_idx = self.core.global_bank(access.loc);
+        let bank_idx = core.global_bank(access.loc);
         match access.kind {
             AccessKind::Read => {
                 // Figure 4 lines 2-4: search the write queue (including an
                 // ongoing, not-yet-issued write) for the latest write to the
                 // same line and forward its data.
-                let queued_hit = self.banks[bank_idx]
-                    .writes
-                    .iter()
-                    .filter(|w| w.addr == access.addr)
-                    .max_by_key(|w| w.id)
-                    .is_some();
-                let ongoing_hit = self
-                    .core
-                    .ongoing(bank_idx)
-                    .map(|o| o.access.kind == AccessKind::Write && o.access.addr == access.addr)
-                    .unwrap_or(false);
-                if queued_hit || ongoing_hit {
-                    self.core.note_forward(&access, _now, completions);
+                if core.forward_read(
+                    bank_idx,
+                    &self.banks[bank_idx].writes,
+                    &access,
+                    now,
+                    completions,
+                ) {
                     return EnqueueOutcome::Forwarded;
                 }
                 // Figure 4 lines 5-8: join an existing burst or append a new
                 // single-access burst at the end of the read queue.
-                self.core.note_arrival(&access);
+                core.note_arrival(&access);
                 self.window_reads += 1;
                 self.mark_attention(bank_idx);
                 let bank = &mut self.banks[bank_idx];
@@ -589,150 +511,118 @@ impl AccessScheduler for BurstScheduler {
                         accesses: VecDeque::from([access]),
                     });
                 }
-                EnqueueOutcome::Queued
             }
             AccessKind::Write => {
                 // Figure 4 lines 9-10: writes enter the write queue in order
                 // and complete immediately from the CPU's view.
-                self.core.note_arrival(&access);
+                core.note_arrival(&access);
                 self.window_writes += 1;
                 self.mark_attention(bank_idx);
                 self.banks[bank_idx].writes.push_back(access);
-                EnqueueOutcome::Queued
             }
         }
+        EnqueueOutcome::Queued
     }
 
-    fn tick(&mut self, dram: &mut Dram, now: Cycle, completions: &mut Vec<Completion>) {
-        dram.tick(now);
-        self.core.sample();
-        self.core.watchdog_tick(now);
-        for access in self.core.take_retries() {
-            self.requeue_front(access);
-        }
-        self.adapt_threshold(now);
-        for channel in 0..self.core.channel_count() {
-            // Gate check per channel, not per tick: an issue on an earlier
-            // channel can move the global counters, and this channel's
-            // walk must see bits consistent with the counters its arbiter
-            // will read. (Picks inside a walk never move them — counters
-            // change only on enqueue, issue and completion.)
-            let gates = self.gates();
-            if gates != self.gate_cache || now >= self.next_escal {
-                self.gate_cache = gates;
-                self.rebuild_act(dram, now);
-            }
-            // Visit only actionable banks: a clear `act_now` bit proves
-            // the arbiter call would mutate nothing this tick (see the
-            // field's invariant).
-            let range = self.core.bank_range(channel);
-            let mut bank_idx = range.start;
-            while bank_idx < range.end {
-                let shifted = self.act_now[bank_idx >> 6] >> (bank_idx & 63);
-                if shifted == 0 {
-                    bank_idx = (bank_idx | 63) + 1;
-                    continue;
-                }
-                bank_idx += shifted.trailing_zeros() as usize;
-                if bank_idx >= range.end {
-                    break;
-                }
-                // A mutating visit invalidates both bitmaps; a futile one
-                // left the bank state untouched, so only the gate-scoped
-                // bit needs recomputing (clearing it is what stops the
-                // futile visit from repeating every tick).
-                if self.bank_arbiter(bank_idx, dram, now) {
-                    self.refresh_attention(bank_idx);
-                }
-                self.refresh_act(bank_idx, dram, now);
-                bank_idx += 1;
-            }
-            let mut cands = std::mem::take(&mut self.scratch);
-            self.core.fill_candidates(dram, channel, now, &mut cands);
-            let (last_bank, last_rank) = self.core.last_target(channel);
-            match select_table2(&cands, last_bank, last_rank) {
-                Some(cand) => {
-                    let col_issued = self.core.issue_candidate(dram, now, &cand, completions);
-                    if col_issued {
-                        match cand.kind {
-                            AccessKind::Read => {
-                                // A read burst ends when its last read's
-                                // column access has been scheduled and no
-                                // new read joined.
-                                let bank = &mut self.banks[cand.bank];
-                                if let Some(front) = bank.bursts.front() {
-                                    if front.row == cand.loc.row && front.accesses.is_empty() {
-                                        bank.bursts.pop_front();
-                                        bank.at_burst_end = true;
-                                    }
-                                }
-                            }
-                            AccessKind::Write => {
-                                // A completed write leaves its row open:
-                                // qualified (same-row) writes may be
-                                // appended behind it, draining whole
-                                // row-clusters of writebacks — "exploits
-                                // the locality of row hits from writes"
-                                // (Section 3.2).
-                                self.banks[cand.bank].at_burst_end = true;
-                            }
-                        }
-                        // The column freed the bank's slot (or parked a
-                        // faulted access for retry): recompute its bits.
-                        self.refresh_attention(cand.bank);
-                        self.refresh_act(cand.bank, dram, now);
+    /// Re-enqueues a faulted access at the very front of its queue: a
+    /// retry is the oldest work its bank has.
+    fn requeue(&mut self, core: &Core, access: Access) {
+        let bank_idx = core.global_bank(access.loc);
+        self.mark_attention(bank_idx);
+        let bank = &mut self.banks[bank_idx];
+        match access.kind {
+            AccessKind::Read => {
+                if let Some(front) = bank.bursts.front_mut() {
+                    if front.row == access.loc.row {
+                        front.accesses.push_front(access);
+                        return;
                     }
                 }
-                None => {
-                    // Figure 6 lines 14-15: steer toward the oldest access.
-                    self.core.steer_to_oldest(channel);
+                bank.bursts.push_front(Burst {
+                    row: access.loc.row,
+                    accesses: VecDeque::from([access]),
+                });
+            }
+            AccessKind::Write => bank.writes.push_front(access),
+        }
+    }
+
+    fn pre_tick(&mut self, core: &Core, now: Cycle) {
+        self.adapt_threshold(core, now);
+    }
+
+    fn arbitrate(&mut self, core: &mut Core, dram: &Dram, channel: usize, now: Cycle) {
+        // Gate check per channel, not per tick: an issue on an earlier
+        // channel can move the global counters, and this channel's walk
+        // must see bits consistent with the counters its arbiter will
+        // read. (Picks inside a walk never move them — counters change
+        // only on enqueue, issue and completion.)
+        let gates = self.gates(core);
+        if gates != self.gate_cache || now >= self.next_escal {
+            self.gate_cache = gates;
+            self.rebuild_act(core, dram, now);
+        }
+        // Visit only actionable banks: a clear `act_now` bit proves the
+        // arbiter call would mutate nothing this tick (see the field's
+        // invariant).
+        let range = core.bank_range(channel);
+        let mut bank_idx = range.start;
+        while bank_idx < range.end {
+            let shifted = self.act_now[bank_idx >> 6] >> (bank_idx & 63);
+            if shifted == 0 {
+                bank_idx = (bank_idx | 63) + 1;
+                continue;
+            }
+            bank_idx += shifted.trailing_zeros() as usize;
+            if bank_idx >= range.end {
+                break;
+            }
+            // A mutating visit invalidates both bitmaps; a futile one left
+            // the bank state untouched, so only the gate-scoped bit needs
+            // recomputing (clearing it is what stops the futile visit from
+            // repeating every tick).
+            if self.bank_arbiter(core, bank_idx, dram, now) {
+                self.refresh_attention(core, bank_idx);
+            }
+            self.refresh_act(core, bank_idx, dram, now);
+            bank_idx += 1;
+        }
+    }
+
+    fn select(&mut self, core: &Core, channel: usize, cands: &[Candidate]) -> Option<Candidate> {
+        let (last_bank, last_rank) = core.last_target(channel);
+        select_table2(cands, last_bank, last_rank)
+    }
+
+    fn column_issued(&mut self, core: &Core, dram: &Dram, cand: &Candidate, now: Cycle) {
+        match cand.kind {
+            AccessKind::Read => {
+                // A read burst ends when its last read's column access has
+                // been scheduled and no new read joined.
+                let bank = &mut self.banks[cand.bank];
+                if let Some(front) = bank.bursts.front() {
+                    if front.row == cand.loc.row && front.accesses.is_empty() {
+                        bank.bursts.pop_front();
+                        bank.at_burst_end = true;
+                    }
                 }
             }
-            self.scratch = cands;
-        }
-    }
-
-    fn stats(&self) -> &CtrlStats {
-        self.core.stats()
-    }
-
-    fn outstanding(&self) -> Outstanding {
-        Outstanding {
-            reads: self.core.reads_outstanding(),
-            writes: self.core.writes_outstanding(),
-        }
-    }
-
-    fn stall_diagnostic(&self) -> Option<crate::StallDiagnostic> {
-        self.core.stall()
-    }
-
-    fn quiescent(&self) -> bool {
-        self.core.quiescent()
-    }
-
-    fn advance_quiescent(&mut self, from: Cycle, n: u64) {
-        self.core.advance_quiescent(from, n);
-        // Replay the adaptation timer over the skipped window. The first
-        // fire must run for real — arrival-window counters accumulated
-        // before quiescence may still cross the adaptation minimum — and
-        // it zeroes the windows, so every later fire in the window is a
-        // pure re-arm. `end - f0` stays exact: f0 <= end by the guard.
-        if let Some(period) = self.opts.dynamic_period {
-            let end = from + n - 1;
-            if self.next_adapt <= end {
-                let f0 = self.next_adapt.max(from);
-                self.adapt_threshold(f0);
-                self.next_adapt = match (end - f0).checked_div(period) {
-                    Some(intervals) => f0 + (intervals + 1) * period,
-                    None => end, // period == 0: re-arm at the window edge
-                };
+            AccessKind::Write => {
+                // A completed write leaves its row open: qualified
+                // (same-row) writes may be appended behind it, draining
+                // whole row-clusters of writebacks — "exploits the locality
+                // of row hits from writes" (Section 3.2).
+                self.banks[cand.bank].at_burst_end = true;
             }
         }
+        // The column freed the bank's slot (or parked a faulted access for
+        // retry): recompute its bits.
+        self.refresh_attention(core, cand.bank);
+        self.refresh_act(core, cand.bank, dram, now);
     }
 
-    fn next_busy_event(&self, dram: &Dram, last: Cycle) -> Option<Cycle> {
-        let mut event = self.core.busy_event_base(dram, last)?;
+    fn busy_event(&self, core: &Core, dram: &Dram, last: Cycle, event: Cycle) -> Option<Cycle> {
+        let mut event = event;
         let t = last + 1;
         if self.opts.dynamic_period.is_some() {
             // The adaptation timer rewrites the thresholds and zeroes the
@@ -742,10 +632,10 @@ impl AccessScheduler for BurstScheduler {
             }
             event = event.min(self.next_adapt);
         }
-        let escalate_age = self.core.cfg().watchdog.escalate_age;
-        let writes_global = self.core.writes_outstanding() as u32;
-        let write_cap = self.core.cfg().write_capacity as u32;
-        let no_reads_anywhere = self.core.reads_outstanding() == 0;
+        let escalate_age = core.cfg().watchdog.escalate_age;
+        let writes_global = core.writes_outstanding() as u32;
+        let write_cap = core.cfg().write_capacity as u32;
+        let no_reads_anywhere = core.reads_outstanding() == 0;
         // Only attention-flagged banks can veto or bound the horizon: a
         // clear bit means the bank is either slot-busy with a read, a
         // write with no reads behind it, or idle and empty — and every
@@ -758,7 +648,7 @@ impl AccessScheduler for BurstScheduler {
                 let bank_idx = (w << 6) + word.trailing_zeros() as usize;
                 word &= word - 1;
                 let bank = &self.banks[bank_idx];
-                if let Some(og) = self.core.ongoing(bank_idx) {
+                if let Some(og) = core.ongoing(bank_idx) {
                     // Preemption's terms are static over a no-op stretch
                     // except the age guard, which can only turn an eligible
                     // write immune — so eligibility at the next tick decides.
@@ -790,13 +680,11 @@ impl AccessScheduler for BurstScheduler {
                 if writes_global >= write_cap && !bank.writes.is_empty() {
                     return None;
                 }
-                let open_row = {
-                    let (ch, rank, bk) = self.core.bank_coords(bank_idx);
-                    dram.channel(usize::from(ch)).bank(rank, bk).open_row()
-                };
-                if let (Some(th), true, Some(row)) =
-                    (self.opts.piggyback_above, bank.at_burst_end, open_row)
-                {
+                if let (Some(th), true, Some(row)) = (
+                    self.opts.piggyback_above,
+                    bank.at_burst_end,
+                    core.open_row(dram, bank_idx),
+                ) {
                     if writes_global > th && bank.writes.iter().any(|w| w.loc.row == row) {
                         return None;
                     }
@@ -809,31 +697,46 @@ impl AccessScheduler for BurstScheduler {
         Some(event)
     }
 
-    fn advance_blocked(&mut self, from: Cycle, n: u64) {
-        if let Some(_period) = self.opts.dynamic_period {
+    fn advance_quiescent(&mut self, core: &Core, from: Cycle, n: u64) {
+        // Replay the adaptation timer over the skipped window. The first
+        // fire must run for real — arrival-window counters accumulated
+        // before quiescence may still cross the adaptation minimum — and
+        // it zeroes the windows, so every later fire in the window is a
+        // pure re-arm. `end - f0` stays exact: f0 <= end by the guard.
+        if let Some(period) = self.opts.dynamic_period {
+            let end = from + n - 1;
+            if self.next_adapt <= end {
+                let f0 = self.next_adapt.max(from);
+                self.adapt_threshold(core, f0);
+                self.next_adapt = match (end - f0).checked_div(period) {
+                    Some(intervals) => f0 + (intervals + 1) * period,
+                    None => end, // period == 0: re-arm at the window edge
+                };
+            }
+        }
+    }
+
+    fn advance_blocked(&self, from: Cycle, n: u64) {
+        if self.opts.dynamic_period.is_some() {
             debug_assert!(
                 from + n - 1 < self.next_adapt,
                 "adaptation timer would fire inside a skipped busy stretch"
             );
         }
-        self.core.advance_blocked(from, n);
     }
 
-    fn save_state(&self, w: &mut burst_snap::SnapWriter) -> Result<(), burst_snap::SnapError> {
+    fn save_snap(&self, w: &mut burst_snap::SnapWriter) {
         let Self {
-            core,
             banks,
             opts,
             window_reads,
             window_writes,
             next_adapt,
-            attention: _,  // attention bitmap; load_state rebuilds it from the queues
+            attention: _,  // attention bitmap; load_snap rebuilds it from the queues
             act_now: _,    // gate-scoped attention; rebuilt lazily after restore
             gate_cache: _, // act_now cache key; STALE after restore
             next_escal: _, // act_now rebuild deadline; reset after restore
-            scratch: _,    // per-tick candidate scratch buffer, cleared before each use
         } = self;
-        core.save_snap(w);
         w.usize(banks.len());
         for bank in banks {
             w.usize(bank.bursts.len());
@@ -858,13 +761,15 @@ impl AccessScheduler for BurstScheduler {
         w.u64(*window_reads);
         w.u64(*window_writes);
         w.u64(*next_adapt);
-        Ok(())
     }
 
-    fn load_state(&mut self, r: &mut burst_snap::SnapReader) -> Result<(), burst_snap::SnapError> {
+    fn load_snap(
+        &mut self,
+        core: &Core,
+        r: &mut burst_snap::SnapReader,
+    ) -> Result<(), burst_snap::SnapError> {
         use burst_snap::SnapError;
         let Self {
-            core,
             banks,
             opts,
             window_reads,
@@ -874,9 +779,7 @@ impl AccessScheduler for BurstScheduler {
             act_now: _,   // rebuilt lazily by the first tick: `gate_cache` is STALE
             gate_cache,
             next_escal,
-            scratch: _, // per-tick candidate scratch buffer, cleared before each use
         } = self;
-        core.load_snap(r)?;
         if r.seq_len(3)? != banks.len() {
             return Err(SnapError::Corrupt("bank queue count mismatch"));
         }
@@ -909,7 +812,7 @@ impl AccessScheduler for BurstScheduler {
         // The attention bitmap is derived state: rebuild it from the
         // restored slots and queues.
         for b in 0..self.banks.len() {
-            self.refresh_attention(b);
+            self.refresh_attention(core, b);
         }
         Ok(())
     }
@@ -918,13 +821,23 @@ impl AccessScheduler for BurstScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AccessId;
-    use burst_dram::{AddressMapping, DramConfig, Loc, PhysAddr};
+    use crate::mechanisms::{AccessScheduler, Controller};
+    use crate::{AccessId, CtrlConfig};
+    use burst_dram::{AddressMapping, DramConfig, Geometry, Loc, PhysAddr};
 
-    fn setup(opts: BurstOptions) -> (BurstScheduler, Dram) {
+    /// A burst-scheduling controller with `opts`.
+    pub(super) fn burst(
+        ctrl: CtrlConfig,
+        geom: Geometry,
+        opts: BurstOptions,
+    ) -> Controller<BurstScheduler> {
+        Controller::new(ctrl, geom, |core| BurstScheduler::new(core, opts))
+    }
+
+    fn setup(opts: BurstOptions) -> (Controller<BurstScheduler>, Dram) {
         let cfg = DramConfig::baseline();
         (
-            BurstScheduler::new(CtrlConfig::default(), cfg.geometry, opts),
+            burst(CtrlConfig::default(), cfg.geometry, opts),
             Dram::new(cfg, AddressMapping::PageInterleaving),
         )
     }
@@ -953,7 +866,7 @@ mod tests {
         s.enqueue(read(1, 0, 5, 8), 0, &mut done);
         s.enqueue(read(2, 0, 6, 0), 0, &mut done);
         s.enqueue(read(3, 0, 5, 16), 0, &mut done);
-        let bank = &s.banks[s.core.global_bank(Loc::new(0, 0, 0, 0, 0))];
+        let bank = &s.policy.banks[s.core.global_bank(Loc::new(0, 0, 0, 0, 0))];
         assert_eq!(bank.bursts.len(), 2, "rows 5 and 6");
         assert_eq!(
             bank.bursts[0].accesses.len(),
@@ -1010,7 +923,7 @@ mod tests {
         s.tick(&mut dram, 1, &mut done);
         assert_eq!(s.stats().preemptions, 1);
         // The read becomes ongoing; the write returns to its queue.
-        let bank = &s.banks[s.core.global_bank(Loc::new(0, 0, 0, 0, 0))];
+        let bank = &s.policy.banks[s.core.global_bank(Loc::new(0, 0, 0, 0, 0))];
         assert_eq!(bank.writes.len(), 1);
     }
 
@@ -1098,9 +1011,9 @@ mod tests {
             s.tick(&mut dram, now, &mut done);
         }
         assert!(
-            s.current_threshold() < 52,
+            s.policy.opts.preempt_below < 52,
             "write flood should lower the threshold, got {}",
-            s.current_threshold()
+            s.policy.opts.preempt_below
         );
         // Read-heavy phase: threshold should rise again.
         for now in 256..1024u64 {
@@ -1111,9 +1024,9 @@ mod tests {
             s.tick(&mut dram, now, &mut done);
         }
         assert!(
-            s.current_threshold() > 16,
+            s.policy.opts.preempt_below > 16,
             "read flood should raise the threshold, got {}",
-            s.current_threshold()
+            s.policy.opts.preempt_below
         );
     }
 
@@ -1130,7 +1043,7 @@ mod tests {
             },
             ..CtrlConfig::default()
         };
-        let mut s = BurstScheduler::new(ctrl, cfg.geometry, th(52));
+        let mut s = burst(ctrl, cfg.geometry, th(52));
         let mut dram = Dram::new(cfg, AddressMapping::PageInterleaving);
         let mut done = Vec::new();
         s.enqueue(write(0, 0, 7, 0), 0, &mut done);
@@ -1174,7 +1087,7 @@ mod tests {
             write_capacity: 2,
             ..CtrlConfig::default()
         };
-        let mut s = BurstScheduler::new(ctrl, cfg.geometry, th(52));
+        let mut s = burst(ctrl, cfg.geometry, th(52));
         let mut done = Vec::new();
         assert_eq!(
             s.enqueue(read(0, 0, 5, 0), 0, &mut done),
@@ -1205,7 +1118,7 @@ mod tests {
             write_capacity: 4,
             ..CtrlConfig::default()
         };
-        let mut s = BurstScheduler::new(ctrl, cfg.geometry, th(52));
+        let mut s = burst(ctrl, cfg.geometry, th(52));
         let mut dram = Dram::new(cfg, AddressMapping::PageInterleaving);
         let mut done = Vec::new();
         for i in 0..4 {
@@ -1227,8 +1140,10 @@ mod tests {
 
 #[cfg(test)]
 mod critical_tests {
+    use super::tests::burst;
     use super::*;
-    use crate::AccessId;
+    use crate::mechanisms::AccessScheduler;
+    use crate::{AccessId, CtrlConfig};
     use burst_dram::{AddressMapping, DramConfig, Loc, PhysAddr};
 
     fn crit_opts() -> BurstOptions {
@@ -1252,7 +1167,7 @@ mod critical_tests {
     #[test]
     fn critical_reads_jump_fills_within_a_burst() {
         let cfg = DramConfig::baseline();
-        let mut s = BurstScheduler::new(CtrlConfig::default(), cfg.geometry, crit_opts());
+        let mut s = burst(CtrlConfig::default(), cfg.geometry, crit_opts());
         let mut dram = Dram::new(cfg, AddressMapping::PageInterleaving);
         let mut done = Vec::new();
         // Three non-critical fills arrive first, then a critical demand load
@@ -1277,7 +1192,7 @@ mod critical_tests {
     #[test]
     fn without_flag_order_is_arrival() {
         let cfg = DramConfig::baseline();
-        let mut s = BurstScheduler::new(
+        let mut s = burst(
             CtrlConfig::default(),
             cfg.geometry,
             BurstOptions::static_threshold(52, Some(52), Mechanism::BurstTh(52)),
@@ -1303,7 +1218,7 @@ mod critical_tests {
     #[test]
     fn criticality_never_loses_accesses() {
         let cfg = DramConfig::baseline();
-        let mut s = BurstScheduler::new(CtrlConfig::default(), cfg.geometry, crit_opts());
+        let mut s = burst(CtrlConfig::default(), cfg.geometry, crit_opts());
         let mut dram = Dram::new(cfg, AddressMapping::PageInterleaving);
         let mut done = Vec::new();
         for i in 0..60u64 {

@@ -1,26 +1,31 @@
-//! Row-hit-first scheduling (Rixner et al., ISCA 2000) as simulated by the
-//! paper: a unified access queue per bank; the oldest access directed to
-//! the same row as the last access to that bank is selected first, else the
-//! oldest access overall; banks are served round robin.
+//! The two conventional baselines of the paper's Table 4, which differ only
+//! in how far a bank arbiter may reorder its queue:
 //!
+//! - `BkInOrder` (the paper's baseline): accesses within the same bank are
+//!   scheduled in the order they were issued. Transactions still interleave
+//!   across banks (bank parallelism), but no access ever bypasses an older
+//!   access to the same bank. This is a reorder window of 0.
+//! - `RowHit` (Rixner et al., ISCA 2000): the oldest access directed to the
+//!   same row as the last access to that bank is selected first, else the
+//!   oldest access overall. This is an unbounded reorder window.
+//!
+//! Both keep a unified access queue per bank and serve banks round robin.
 //! Reads and writes are treated equally, which is why RowHit achieves the
 //! lowest write latency of all mechanisms in Figure 7(b).
 
 use std::collections::VecDeque;
 
+use super::{oldest_row_hit, Policy};
 use crate::engine::{Candidate, Core};
 use crate::txsched::select_round_robin_limited;
-use crate::{
-    Access, AccessKind, AccessScheduler, Completion, CtrlConfig, CtrlStats, EnqueueOutcome,
-    Mechanism, Outstanding,
-};
-use burst_dram::{Cycle, Dram, Geometry};
+use crate::{Access, Completion, EnqueueOutcome, Mechanism};
+use burst_dram::{Cycle, Dram};
 
 /// Banks the controller can examine per cycle; a blocked pick wastes the
 /// cycle (the paper's "best effort" bubble cycles).
 const LOOKAHEAD: usize = 16;
 
-/// The `RowHit` scheduler.
+/// The `BkInOrder` and `RowHit` policy.
 ///
 /// # Examples
 ///
@@ -32,177 +37,129 @@ const LOOKAHEAD: usize = 16;
 /// assert_eq!(sched.mechanism(), Mechanism::RowHit);
 /// ```
 #[derive(Debug)]
-pub struct RowHitScheduler {
-    core: Core,
+pub(crate) struct RowHitScheduler {
+    /// How many oldest queue entries the row-hit search may reorder
+    /// across: 0 for `BkInOrder`, unbounded for `RowHit`.
+    window: usize,
     queues: Vec<VecDeque<Access>>,
     rr: Vec<usize>,
-    scratch: Vec<Candidate>,
 }
 
 impl RowHitScheduler {
-    /// Creates a row-hit-first scheduler for a device of the given geometry.
-    pub fn new(cfg: CtrlConfig, geom: Geometry) -> Self {
-        let core = Core::new(cfg, geom);
+    /// The policy for a controller with `core`'s geometry and the given
+    /// reorder window.
+    pub(crate) fn new(core: &Core, window: usize) -> Self {
         let nbanks = core.bank_count();
         let nch = core.channel_count();
         RowHitScheduler {
-            core,
+            window,
             queues: vec![VecDeque::new(); nbanks],
             rr: (0..nch).map(|c| c * nbanks / nch).collect(),
-            scratch: Vec::new(),
         }
     }
 
     /// Selects the bank's next ongoing access: oldest row hit against the
-    /// open row, else the oldest access. Same-row accesses keep arrival
-    /// order, so same-address hazards cannot reorder. A front (oldest)
-    /// access past the watchdog's escalation age bypasses the row-hit
-    /// preference entirely.
-    fn arbiter(&mut self, bank_idx: usize, dram: &Dram, now: Cycle) {
-        if self.core.ongoing(bank_idx).is_some() || self.queues[bank_idx].is_empty() {
+    /// open row within the window, else the oldest access. Same-row
+    /// accesses keep arrival order, so same-address hazards cannot reorder.
+    /// A front (oldest) access past the watchdog's escalation age bypasses
+    /// the row-hit preference entirely.
+    fn arbiter(&mut self, core: &mut Core, bank_idx: usize, dram: &Dram, now: Cycle) {
+        let queue = &mut self.queues[bank_idx];
+        let Some(front) = queue.front() else {
+            return;
+        };
+        if core.ongoing(bank_idx).is_some() {
             return;
         }
-        let escalate_age = self.core.cfg().watchdog.escalate_age;
-        let front_escalated = self.queues[bank_idx]
-            .front()
-            .map(|a| now.saturating_sub(a.arrival) >= escalate_age)
-            .unwrap_or(false);
-        let (ch, rank, bk) = self.core.bank_coords(bank_idx);
-        let open_row = dram.channel(usize::from(ch)).bank(rank, bk).open_row();
-        let queue = &mut self.queues[bank_idx];
+        let front_escalated = now.saturating_sub(front.arrival) >= core.cfg().watchdog.escalate_age;
         let idx = if front_escalated {
             0
         } else {
-            open_row
-                .and_then(|row| {
-                    queue
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, a)| a.loc.row == row)
-                        .min_by_key(|(_, a)| a.id)
-                        .map(|(i, _)| i)
-                })
+            core.open_row(dram, bank_idx)
+                .and_then(|row| oldest_row_hit(queue, row, self.window))
                 .unwrap_or(0)
         };
         let access = queue.remove(idx).expect("index in range");
-        self.core
-            .set_ongoing(bank_idx, access)
+        core.set_ongoing(bank_idx, access)
             .expect("bank verified idle at arbiter entry");
     }
 }
 
-impl AccessScheduler for RowHitScheduler {
-    fn mechanism(&self) -> Mechanism {
-        Mechanism::RowHit
-    }
+impl Policy for RowHitScheduler {
+    const INCLUDE_BLOCKED: bool = true;
 
-    fn can_accept(&self, kind: AccessKind) -> bool {
-        self.core.can_accept(kind)
+    fn mechanism(&self) -> Mechanism {
+        if self.window == 0 {
+            Mechanism::BkInOrder
+        } else {
+            Mechanism::RowHit
+        }
     }
 
     fn enqueue(
         &mut self,
+        core: &mut Core,
         access: Access,
         _now: Cycle,
         _completions: &mut Vec<Completion>,
     ) -> EnqueueOutcome {
-        if !self.can_accept(access.kind) {
-            return EnqueueOutcome::Rejected;
-        }
-        self.core.note_arrival(&access);
-        let bank = self.core.global_bank(access.loc);
-        self.queues[bank].push_back(access);
+        core.note_arrival(&access);
+        self.queues[core.global_bank(access.loc)].push_back(access);
         EnqueueOutcome::Queued
     }
 
-    fn tick(&mut self, dram: &mut Dram, now: Cycle, completions: &mut Vec<Completion>) {
-        dram.tick(now);
-        self.core.sample();
-        self.core.watchdog_tick(now);
-        for access in self.core.take_retries() {
-            let bank = self.core.global_bank(access.loc);
-            self.queues[bank].push_front(access);
-        }
-        for channel in 0..self.core.channel_count() {
-            for bank in self.core.bank_range(channel) {
-                self.arbiter(bank, dram, now);
-            }
-            let mut cands = std::mem::take(&mut self.scratch);
-            self.core
-                .fill_all_candidates(dram, channel, now, &mut cands);
-            let range = self.core.bank_range(channel);
-            match select_round_robin_limited(&cands, &mut self.rr[channel], range, LOOKAHEAD) {
-                Some(cand) => {
-                    self.core.issue_candidate(dram, now, &cand, completions);
-                }
-                None => self.core.steer_to_oldest(channel),
-            }
-            self.scratch = cands;
+    fn requeue(&mut self, core: &Core, access: Access) {
+        // A retry is its bank's oldest access, so intra-bank order holds.
+        self.queues[core.global_bank(access.loc)].push_front(access);
+    }
+
+    fn arbitrate(&mut self, core: &mut Core, dram: &Dram, channel: usize, now: Cycle) {
+        for bank in core.bank_range(channel) {
+            self.arbiter(core, bank, dram, now);
         }
     }
 
-    fn stats(&self) -> &CtrlStats {
-        self.core.stats()
+    fn select(&mut self, core: &Core, channel: usize, cands: &[Candidate]) -> Option<Candidate> {
+        let range = core.bank_range(channel);
+        select_round_robin_limited(cands, &mut self.rr[channel], range, LOOKAHEAD)
     }
 
-    fn outstanding(&self) -> Outstanding {
-        Outstanding {
-            reads: self.core.reads_outstanding(),
-            writes: self.core.writes_outstanding(),
-        }
-    }
-
-    fn stall_diagnostic(&self) -> Option<crate::StallDiagnostic> {
-        self.core.stall()
-    }
-
-    fn quiescent(&self) -> bool {
-        self.core.quiescent()
-    }
-
-    fn advance_quiescent(&mut self, from: Cycle, n: u64) {
-        self.core.advance_quiescent(from, n);
-    }
-
-    fn next_busy_event(&self, dram: &Dram, last: Cycle) -> Option<Cycle> {
+    fn busy_event(&self, core: &Core, _dram: &Dram, _last: Cycle, event: Cycle) -> Option<Cycle> {
         // The arbiter installs whenever a bank is idle with a non-empty
-        // queue (the row-hit preference only changes *which* access, not
-        // *whether* one installs), so such a tick is never a no-op.
-        for (bank, q) in self.queues.iter().enumerate() {
-            if !q.is_empty() && self.core.ongoing(bank).is_none() {
-                return None;
-            }
-        }
-        self.core.busy_event_base(dram, last)
+        // queue (the window only changes *which* access, not *whether* one
+        // installs), so such a tick is never a no-op. Otherwise only SDRAM
+        // timing (or the watchdog) can change a tick's outcome.
+        let idle_with_work = self
+            .queues
+            .iter()
+            .enumerate()
+            .any(|(bank, q)| !q.is_empty() && core.ongoing(bank).is_none());
+        (!idle_with_work).then_some(event)
     }
 
-    fn advance_blocked(&mut self, from: Cycle, n: u64) {
-        self.core.advance_blocked(from, n);
-    }
+    fn advance_quiescent(&mut self, _core: &Core, _from: Cycle, _n: u64) {}
 
-    fn save_state(&self, w: &mut burst_snap::SnapWriter) -> Result<(), burst_snap::SnapError> {
+    fn save_snap(&self, w: &mut burst_snap::SnapWriter) {
         let Self {
-            core,
+            window: _, // construction input, fixed by the mechanism
             queues,
             rr,
-            scratch: _, // per-tick candidate scratch buffer, cleared before each use
         } = self;
-        core.save_snap(w);
         super::save_queue_set(queues, w);
         super::save_cursors(rr, w);
-        Ok(())
     }
 
-    fn load_state(&mut self, r: &mut burst_snap::SnapReader) -> Result<(), burst_snap::SnapError> {
+    fn load_snap(
+        &mut self,
+        _core: &Core,
+        r: &mut burst_snap::SnapReader,
+    ) -> Result<(), burst_snap::SnapError> {
         let Self {
-            core,
+            window: _, // construction input, fixed by the mechanism
             queues,
             rr,
-            scratch: _, // per-tick candidate scratch buffer, cleared before each use
         } = self;
-        core.load_snap(r)?;
         super::load_queue_set(queues, r)?;
-        super::load_cursors(rr, r)?;
-        Ok(())
+        super::load_cursors(rr, r)
     }
 }

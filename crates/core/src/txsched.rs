@@ -74,21 +74,11 @@ pub fn select_table2(
         .copied()
 }
 
-/// Round-robin selection across banks (BkInOrder and RowHit): chooses the
-/// first candidate at or after `*next_bank` in cyclic bank order within
-/// `bank_range`, then advances the pointer past it.
-pub fn select_round_robin(
-    cands: &[Candidate],
-    next_bank: &mut usize,
-    bank_range: core::ops::Range<usize>,
-) -> Option<Candidate> {
-    select_round_robin_limited(cands, next_bank, bank_range, usize::MAX)
-}
-
-/// Round-robin selection with limited lookahead, as conventional
-/// controllers implement it: scan at most `lookahead` banks holding
-/// candidates (in cyclic order from the pointer) and issue the first
-/// unblocked one. If every inspected candidate is blocked, the cycle is
+/// Round-robin selection across banks (BkInOrder and RowHit) with limited
+/// lookahead, as conventional controllers implement it: scan at most
+/// `lookahead` banks holding candidates (in cyclic order from `*next_bank`
+/// within `bank_range`), issue the first unblocked one and advance the
+/// pointer past it. If every inspected candidate is blocked, the cycle is
 /// wasted — the "bubble cycles" the paper attributes to schedulers that
 /// ignore SDRAM timing constraints. Pass `cands` including blocked
 /// candidates (see [`crate::engine::Core::fill_all_candidates`]).
@@ -124,14 +114,9 @@ pub fn select_round_robin_limited(
 
 /// Intel's selection: started accesses get the highest priority so they
 /// finish as quickly as possible (reducing the degree of reordering);
-/// otherwise oldest first, reads before writes on ties.
-pub fn select_intel(cands: &[Candidate]) -> Option<Candidate> {
-    select_intel_limited(cands, usize::MAX)
-}
-
-/// Intel's selection with limited lookahead: only the first `lookahead`
-/// accesses in priority order are considered; if all of them are blocked
-/// the cycle bubbles.
+/// otherwise oldest first, reads before writes on ties. Only the first
+/// `lookahead` accesses in priority order are considered; if all of them
+/// are blocked the cycle bubbles.
 pub fn select_intel_limited(cands: &[Candidate], lookahead: usize) -> Option<Candidate> {
     select_limited(cands, lookahead, |c| {
         (!c.escalated, !c.started, c.arrival, !c.kind.is_read(), c.id)
@@ -325,22 +310,22 @@ mod tests {
         let mk = |bank: usize, id: u64| cand(bank, 0, AccessKind::Read, col(0, bank), 0, id, true);
         let cands = [mk(0, 1), mk(2, 2), mk(3, 3)];
         let mut ptr = 0usize;
-        let first = select_round_robin(&cands, &mut ptr, 0..4).unwrap();
+        let first = select_round_robin_limited(&cands, &mut ptr, 0..4, usize::MAX).unwrap();
         assert_eq!(first.bank, 0);
         assert_eq!(ptr, 1);
-        let second = select_round_robin(&cands, &mut ptr, 0..4).unwrap();
+        let second = select_round_robin_limited(&cands, &mut ptr, 0..4, usize::MAX).unwrap();
         assert_eq!(second.bank, 2, "pointer at 1: next available bank is 2");
-        let third = select_round_robin(&cands, &mut ptr, 0..4).unwrap();
+        let third = select_round_robin_limited(&cands, &mut ptr, 0..4, usize::MAX).unwrap();
         assert_eq!(third.bank, 3);
         // Wraps around.
-        let fourth = select_round_robin(&cands, &mut ptr, 0..4).unwrap();
+        let fourth = select_round_robin_limited(&cands, &mut ptr, 0..4, usize::MAX).unwrap();
         assert_eq!(fourth.bank, 0);
     }
 
     #[test]
     fn round_robin_empty_is_none() {
         let mut ptr = 0usize;
-        assert!(select_round_robin(&[], &mut ptr, 0..4).is_none());
+        assert!(select_round_robin_limited(&[], &mut ptr, 0..4, usize::MAX).is_none());
     }
 
     #[test]
@@ -360,10 +345,10 @@ mod tests {
         starved.escalated = true;
         let picked = select_table2(&[best, starved], Some(1), Some(0)).unwrap();
         assert_eq!(picked.bank, 8, "escalated access gets top priority");
-        let intel_picked = select_intel(&[best, starved]).unwrap();
+        let intel_picked = select_intel_limited(&[best, starved], usize::MAX).unwrap();
         assert_eq!(intel_picked.bank, 8);
         let mut ptr = 0usize;
-        let rr = select_round_robin(&[best, starved], &mut ptr, 0..16).unwrap();
+        let rr = select_round_robin_limited(&[best, starved], &mut ptr, 0..16, usize::MAX).unwrap();
         assert_eq!(rr.bank, 8, "round robin also serves escalated first");
     }
 
@@ -456,9 +441,9 @@ mod tests {
     fn intel_prefers_started_then_oldest() {
         let started_new = cand(0, 0, AccessKind::Read, col(0, 0), 100, 3, true);
         let unstarted_old = cand(1, 0, AccessKind::Read, col(0, 1), 1, 1, false);
-        let picked = select_intel(&[unstarted_old, started_new]).unwrap();
+        let picked = select_intel_limited(&[unstarted_old, started_new], usize::MAX).unwrap();
         assert_eq!(picked.bank, 0, "started access finishes first");
-        let picked2 = select_intel(&[unstarted_old]).unwrap();
+        let picked2 = select_intel_limited(&[unstarted_old], usize::MAX).unwrap();
         assert_eq!(picked2.bank, 1);
     }
 }
