@@ -46,12 +46,25 @@ fn avg_or_na(sweep: &Sweep, benches: &[SpecBenchmark], mechanism: Mechanism) -> 
     }
 }
 
+/// The future-work and related-work mechanisms against the static optimum.
+/// `--oracle` runs these in lockstep: no paper figure covers the three
+/// extensions.
+const FUTURE: [Mechanism; 4] = [
+    Mechanism::BurstTh(Mechanism::PAPER_THRESHOLD),
+    Mechanism::BurstDyn,
+    Mechanism::BurstCrit,
+    Mechanism::AdaptiveHistory,
+];
+
 fn main() -> ExitCode {
     let opts = HarnessOptions::from_args(40_000);
     println!(
         "{}",
         banner("ablation", "design-space studies beyond the paper", &opts)
     );
+    if let Some(code) = opts.oracle_gate(&FUTURE) {
+        return code;
+    }
     let benches: Vec<SpecBenchmark> = if opts.benchmarks.len() > 6 {
         vec![
             SpecBenchmark::Swim,
@@ -142,15 +155,9 @@ fn main() -> ExitCode {
 
     // 3. Section 7 future work and related work vs the static optimum.
     println!("--- future-work & related-work mechanisms\n");
-    let future = [
-        Mechanism::BurstTh(52),
-        Mechanism::BurstDyn,
-        Mechanism::BurstCrit,
-        Mechanism::AdaptiveHistory,
-    ];
-    let sweep = ledger.absorb(grid("ablation-future", &base, &future));
+    let sweep = ledger.absorb(grid("ablation-future", &base, &FUTURE));
     let mut rows = Vec::new();
-    for mechanism in future {
+    for mechanism in FUTURE {
         let mut row = vec![mechanism.name()];
         row.extend(benches.iter().map(|&b| match sweep.cell(b, mechanism) {
             Some(c) => format!("{}", c.report.cpu_cycles),
