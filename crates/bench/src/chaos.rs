@@ -16,7 +16,7 @@
 //!
 //! Anything else — a panic unwinding out of the sweep, a clean resume
 //! whose CSV differs from the reference — is a **violation** and fails
-//! the binary. A separate panic sweep drives the supervisor's
+//! the `chaos` study. A separate panic sweep drives the supervisor's
 //! deterministic panic-injection hook through both its convergent and
 //! quarantining regimes.
 
@@ -311,7 +311,7 @@ pub fn run_matrix(cfg: &MatrixConfig) -> MatrixReport {
 }
 
 /// [`run_matrix`] restricted to the combinations `keep` accepts — used
-/// by the binary's scripted `--chaos-*` single-combination mode.
+/// by the `chaos` study's scripted `--chaos-*` single-combination mode.
 pub fn run_matrix_where(
     cfg: &MatrixConfig,
     keep: impl Fn(IoSite, IoFaultKind, u64) -> bool,
@@ -340,7 +340,7 @@ pub fn run_matrix_where(
     }
 }
 
-/// Renders the matrix report as the chaos binary's output.
+/// Renders the matrix report as the `chaos` study's output.
 pub fn render_matrix(report: &MatrixReport) -> String {
     let mut out = String::new();
     out.push_str("site ops swept per counting run:\n");
