@@ -24,6 +24,7 @@ pub mod flags;
 pub mod studies;
 
 use std::process::ExitCode;
+use std::sync::Arc;
 
 pub use flags::{study, usage, UsageError, FLAGS};
 pub use studies::{Study, STUDIES};
@@ -33,7 +34,7 @@ use burst_sim::experiments::{fig12_supervised, outstanding_supervised};
 use burst_sim::experiments::{Fig12Row, OutstandingRow, Sweep};
 use burst_sim::{
     CellFailure, CheckpointPlan, Engine, IoFaultKind, IoSite, Journal, OracleError, RunLength,
-    Supervised, SupervisorConfig, SystemConfig, TransientFaultPlan,
+    SimIo, Supervised, SupervisorConfig, SystemConfig, TransientFaultPlan,
 };
 use burst_workloads::SpecBenchmark;
 
@@ -124,15 +125,15 @@ impl HarnessOptions {
     /// single-fault [`burst_sim::ChaosIo`] for a `--chaos-site`/
     /// `--chaos-kind`/`--chaos-op` triple, a seeded one for
     /// `--chaos-seed`, and the zero-overhead real-filesystem passthrough
-    /// otherwise.
-    pub fn sim_io(&self) -> std::sync::Arc<dyn burst_sim::SimIo> {
+    /// otherwise. Each call builds a new one; [`Grid::open`] builds one and
+    /// hands it to both the journal and the checkpoint plan, so a scripted
+    /// op index counts over the whole I/O plane and fires once.
+    pub fn sim_io(&self) -> Arc<dyn SimIo> {
         use burst_sim::ChaosIo;
         match (self.chaos_site, self.chaos_kind, self.chaos_op) {
-            (Some(site), Some(kind), Some(op)) => {
-                std::sync::Arc::new(ChaosIo::scripted(site, kind, op))
-            }
+            (Some(site), Some(kind), Some(op)) => Arc::new(ChaosIo::scripted(site, kind, op)),
             _ => match self.chaos_seed {
-                Some(seed) => std::sync::Arc::new(ChaosIo::seeded(seed)),
+                Some(seed) => Arc::new(ChaosIo::seeded(seed)),
                 None => burst_sim::real_io(),
             },
         }
@@ -166,11 +167,12 @@ impl HarnessOptions {
     }
 
     /// Opens the journal requested by `--journal` (fresh) or `--resume`
-    /// (restoring completed cells), fingerprint-bound to this run's
-    /// configuration; `None` when neither flag was given. A fingerprint
-    /// mismatch or filesystem error is an error: silently mixing results
-    /// from a differently-configured run would be worse than refusing.
-    pub fn open_journal(&self) -> Result<Option<Journal>, String> {
+    /// (restoring completed cells) over `io`, fingerprint-bound to this
+    /// run's configuration; `None` when neither flag was given. A
+    /// fingerprint mismatch or filesystem error is an error: silently
+    /// mixing results from a differently-configured run would be worse
+    /// than refusing.
+    pub fn open_journal(&self, io: Arc<dyn SimIo>) -> Result<Option<Journal>, String> {
         let fp = burst_sim::journal::fingerprint(&self.fingerprint_desc());
         let (path, resuming) = match (&self.resume, &self.journal) {
             (Some(p), _) => (p, true),
@@ -178,9 +180,9 @@ impl HarnessOptions {
             (None, None) => return Ok(None),
         };
         let opened = if resuming {
-            Journal::resume_with_io(path, fp, self.sim_io())
+            Journal::resume_with_io(path, fp, io)
         } else {
-            Journal::create_with_io(path, fp, self.sim_io())
+            Journal::create_with_io(path, fp, io)
         };
         let journal = opened.map_err(|e| format!("cannot open journal {}: {e}", path.display()))?;
         if resuming {
@@ -194,11 +196,12 @@ impl HarnessOptions {
     }
 
     /// The intra-cell checkpoint plan implied by `--checkpoint-every` and
-    /// `--checkpoint-dir`, fingerprint-bound to the same run description
-    /// as the journal; `None` when checkpointing is off. Checkpoint files
-    /// land in the chosen directory (default: the current directory) as
-    /// one `<scope>-<benchmark>-<mechanism>.ckpt` per in-flight cell.
-    pub fn checkpoint_plan(&self) -> Option<CheckpointPlan> {
+    /// `--checkpoint-dir`, writing through `io` and fingerprint-bound to
+    /// the same run description as the journal; `None` when checkpointing
+    /// is off. Checkpoint files land in the chosen directory (default: the
+    /// current directory) as one `<scope>-<benchmark>-<mechanism>.ckpt` per
+    /// in-flight cell.
+    pub fn checkpoint_plan(&self, io: Arc<dyn SimIo>) -> Option<CheckpointPlan> {
         (self.checkpoint_every > 0).then(|| CheckpointPlan {
             every: self.checkpoint_every,
             dir: self
@@ -207,7 +210,7 @@ impl HarnessOptions {
                 .unwrap_or_else(|| std::path::PathBuf::from(".")),
             fingerprint: burst_sim::journal::fingerprint(&self.fingerprint_desc()),
             durable: self.checkpoint_durable,
-            io: self.sim_io(),
+            io,
         })
     }
 
@@ -366,14 +369,16 @@ pub struct Grid<'a> {
 }
 
 impl<'a> Grid<'a> {
-    /// Opens the journal and the checkpoint plan `opts` asks for.
+    /// Opens the journal and the checkpoint plan `opts` asks for, both
+    /// over one I/O layer.
     pub fn open(opts: &'a HarnessOptions) -> Result<Self, String> {
+        let io = opts.sim_io();
         Ok(Grid {
             opts,
             base: opts.system_config(),
             sup: opts.supervisor_config(),
-            journal: opts.open_journal()?,
-            ckpt: opts.checkpoint_plan(),
+            journal: opts.open_journal(Arc::clone(&io))?,
+            ckpt: opts.checkpoint_plan(io),
             ledger: FailureLedger::new(),
             main: None,
         })
@@ -525,7 +530,7 @@ mod tests {
         assert_eq!(o.max_retries, 2);
         assert!(o.inject_cell_faults.is_none());
         assert!(!o.help && !o.oracle);
-        assert!(matches!(o.open_journal(), Ok(None)));
+        assert!(matches!(o.open_journal(o.sim_io()), Ok(None)));
     }
 
     #[test]
@@ -637,7 +642,7 @@ mod tests {
         // Durable by default, and durability never affects the fingerprint.
         let o = ok("fig7", &["--checkpoint-every", "1000"]);
         assert!(o.checkpoint_durable);
-        assert_eq!(o.checkpoint_plan().map(|p| p.durable), Some(true));
+        assert_eq!(o.checkpoint_plan(o.sim_io()).map(|p| p.durable), Some(true));
         let o = ok(
             "fig7",
             &[
@@ -648,7 +653,10 @@ mod tests {
             ],
         );
         assert!(!o.checkpoint_durable);
-        assert_eq!(o.checkpoint_plan().map(|p| p.durable), Some(false));
+        assert_eq!(
+            o.checkpoint_plan(o.sim_io()).map(|p| p.durable),
+            Some(false)
+        );
         assert_eq!(
             o.fingerprint_desc(),
             ok("fig7", &["--checkpoint-every", "1000"]).fingerprint_desc(),
@@ -691,6 +699,38 @@ mod tests {
             Kind::ChaosSite(_) => "journal-append",
             Kind::ChaosKind(_) => "torn",
         })
+    }
+
+    #[test]
+    fn journal_and_checkpoints_share_one_io_layer() {
+        let dir = std::env::temp_dir().join(format!("burst-bench-one-io-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let journal = dir.join("run.journal");
+        let dir_arg = dir.to_str().expect("utf-8 temp dir");
+        let o = ok(
+            "fig7",
+            &[
+                "--journal",
+                journal.to_str().expect("utf-8 temp dir"),
+                "--checkpoint-every",
+                "1000",
+                "--checkpoint-dir",
+                dir_arg,
+                "--chaos-site",
+                "ckpt-rename",
+                "--chaos-kind",
+                "fail",
+                "--chaos-op",
+                "1000",
+            ],
+        );
+        let grid = Grid::open(&o).expect("journal opens");
+        let journal_io = grid.journal.as_ref().expect("journal").io();
+        let ckpt_io = &grid.ckpt.as_ref().expect("checkpoint plan").io;
+        // One scripted fault plane: the op index counts over both streams.
+        assert!(Arc::ptr_eq(journal_io, ckpt_io));
+        drop(grid);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     const TRIPLE: [&str; 3] = ["--chaos-site", "--chaos-kind", "--chaos-op"];

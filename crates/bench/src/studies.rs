@@ -167,7 +167,8 @@ pub const STUDIES: [Study; 16] = [
         oracle: None, flags: GRID },
     Study { id: "cmp", title: Some("cmp"), run: run_cmp,
         caption: "reordering gains vs core count (extension)", instructions: 15_000,
-        benchmarks: all16, oracle: None, flags: &[Group::Budget, Group::Engine] },
+        benchmarks: || { use SpecBenchmark::*; vec![Swim, Gcc, Mcf, Art] },
+        oracle: None, flags: &[Group::Budget, Group::Engine] },
     Study { id: "chaos", title: Some("chaos"), run: run_chaos,
         caption: "crash-point matrix",
         instructions: 2_000, benchmarks: || vec![SpecBenchmark::Gzip], oracle: None,
@@ -677,17 +678,13 @@ fn run_section6(g: &mut Grid) -> Result<(), String> {
 
 /// CMP scaling (extension of paper Section 6): the BkInOrder -> Burst_TH52
 /// improvement at 1, 2 and 4 cores sharing the baseline memory subsystem,
-/// over a fixed total instruction budget. A failed run (a controller
-/// stall, no retirement progress) fails the study.
+/// over a fixed total instruction budget. Core `i` runs the entry's
+/// benchmark `i` (modulo the set): swim, gcc, mcf, art, a spread of
+/// streaming, integer and pointer-chasing behaviour. A failed run (a
+/// controller stall, no retirement progress) fails the study.
 fn run_cmp(g: &mut Grid) -> Result<(), String> {
     let opts = g.opts;
-    // A spread of behaviours: streaming, integer, pointer chasing.
-    let picks = [
-        SpecBenchmark::Swim,
-        SpecBenchmark::Gcc,
-        SpecBenchmark::Mcf,
-        SpecBenchmark::Art,
-    ];
+    let picks = &opts.benchmarks;
     let mut rows = Vec::new();
     for cores in [1, 2, 4].map(|n| NonZeroUsize::new(n).expect("nonzero")) {
         // `min share` shows fairness: the slowest core's fraction of an

@@ -1,13 +1,24 @@
 //! Set-associative write-back, write-allocate cache with LRU replacement.
 //!
 //! The hot paths (`lookup`, `insert`) run once per memory instruction of
-//! every simulated workload, so the implementation keeps the ways in one
-//! flat contiguous array (set-major, way-minor — the exact order the
-//! snapshot format has always used), precomputes shift/mask forms of the
-//! set/tag split when the geometry is a power of two (the baseline L1 and
-//! L2 both are), and memoizes the last line hit so repeated touches skip
-//! the set scan. None of this changes a single observable bit: the same
-//! way is found, the same LRU/dirty updates apply, the same counters move.
+//! every simulated workload and of every cell's functional warm-up, so the
+//! implementation is laid out for the set scan:
+//!
+//! * The ways live in three flat, set-major, way-minor arrays — tags, LRU
+//!   stamps, and one flag byte per way (bit 0 valid, bit 1 dirty). That is
+//!   the iteration order and the flag encoding of the snapshot format, so
+//!   `save_snap` writes the arrays as they stand.
+//! * One pass over a set finds "present, else first free, else least
+//!   recently used". `insert` is that pass plus the fill. `probe` (behind
+//!   `lookup`) is that pass too, and on a miss it returns the way to fill,
+//!   which `fill_way` fills without a second pass; warm-up
+//!   (`Hierarchy::warm_access`) scans each level once per access that way.
+//! * The set/tag split uses shift/mask forms when the set count is a power
+//!   of two (the baseline L1 and L2 both are).
+//! * The last line hit is memoized, so repeated touches skip the scan.
+//!
+//! None of this changes a single observable bit: the same way is found,
+//! the same LRU/dirty updates apply, the same counters move.
 
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -54,12 +65,32 @@ pub struct Eviction {
     pub dirty: bool,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Way {
+/// Way flag bit: the way holds a line.
+const VALID: u8 = 1;
+/// Way flag bit: the line is modified.
+const DIRTY: u8 = 2;
+
+/// What [`Cache::probe`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Probe {
+    /// The line is present; LRU and dirty bit were updated as by
+    /// [`Cache::lookup`].
+    Hit,
+    /// The line is absent; [`Cache::fill_way`] with this way allocates it.
+    Miss(FillWay),
+}
+
+/// The way an absent line would be inserted into: the first free way of
+/// its set, else the least recently used one. Valid for one
+/// [`Cache::fill_way`] of the probed address, provided nothing else
+/// touches the cache in between.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FillWay {
+    /// Flat index of the way.
+    way: usize,
+    /// The probed address's set and tag.
+    set: usize,
     tag: u64,
-    valid: bool,
-    dirty: bool,
-    lru: u64,
 }
 
 /// Per-level hit/miss counters.
@@ -115,9 +146,13 @@ enum SetSplit {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// All ways, set-major then way-minor — the iteration order of the
-    /// snapshot format.
-    ways: Vec<Way>,
+    /// Every way's tag, set-major then way-minor — the iteration order of
+    /// the snapshot format. `lru` and `flags` are indexed alike.
+    tags: Vec<u64>,
+    /// Every way's LRU stamp: the `tick` of its last touch.
+    lru: Vec<u64>,
+    /// Every way's [`VALID`] | [`DIRTY`] bits, as the snapshot writes them.
+    flags: Vec<u8>,
     n_sets: usize,
     split: SetSplit,
     line_shift: u32,
@@ -152,8 +187,11 @@ impl Cache {
         } else {
             SetSplit::Generic { sets: sets as u64 }
         };
+        let n_ways = sets * cfg.ways;
         Cache {
-            ways: vec![Way::default(); sets * cfg.ways],
+            tags: vec![0; n_ways],
+            lru: vec![0; n_ways],
+            flags: vec![0; n_ways],
             n_sets: sets,
             split,
             line_shift: cfg.line_bytes.trailing_zeros(),
@@ -199,100 +237,125 @@ impl Cache {
         line << self.line_shift
     }
 
+    /// Refreshes flat way `i`, which holds `addr`: LRU stamp, dirty bit if
+    /// `make_dirty`, and the memo.
+    #[inline]
+    fn touch(&mut self, i: usize, addr: u64, make_dirty: bool) {
+        self.lru[i] = self.tick;
+        if make_dirty {
+            self.flags[i] |= DIRTY;
+        }
+        self.memo_addr = addr;
+        self.memo_way = i as u32;
+    }
+
+    /// The flat way holding `addr`, if the memo names it. The memoized way
+    /// is re-verified, so this is purely a shortcut to the set scan.
+    #[inline]
+    fn memo_hit(&self, addr: u64, tag: u64) -> Option<usize> {
+        let i = self.memo_way as usize;
+        (self.memo_addr == addr && self.flags[i] & VALID != 0 && self.tags[i] == tag).then_some(i)
+    }
+
+    /// One pass over set `set`: `Ok(way)` if `tag` is present, else the
+    /// way an insert would fill — the first invalid way, else the first
+    /// way with the smallest LRU stamp.
+    #[inline]
+    fn find_or_victim(&self, set: usize, tag: u64) -> Result<usize, FillWay> {
+        let base = set * self.cfg.ways;
+        let end = base + self.cfg.ways;
+        let (tags, lru, flags) = (
+            &self.tags[base..end],
+            &self.lru[base..end],
+            &self.flags[base..end],
+        );
+        let mut free = None;
+        let (mut oldest, mut oldest_lru) = (0, u64::MAX);
+        for i in 0..tags.len() {
+            if flags[i] & VALID == 0 {
+                free = free.or(Some(i));
+            } else if tags[i] == tag {
+                return Ok(base + i);
+            } else if lru[i] < oldest_lru {
+                (oldest, oldest_lru) = (i, lru[i]);
+            }
+        }
+        Err(FillWay {
+            way: base + free.unwrap_or(oldest),
+            set,
+            tag,
+        })
+    }
+
     /// Looks up `addr`; on a hit updates LRU and, if `make_dirty`, marks the
     /// line modified. Returns whether the line was present. Counts toward
     /// hit/miss statistics.
     pub fn lookup(&mut self, addr: u64, make_dirty: bool) -> bool {
+        self.probe(addr, make_dirty) == Probe::Hit
+    }
+
+    /// [`Cache::lookup`] that, on a miss, also names the way
+    /// [`Cache::insert`] would fill — found in the same scan of the set.
+    pub(crate) fn probe(&mut self, addr: u64, make_dirty: bool) -> Probe {
         self.tick += 1;
         let (set, tag) = self.split(addr);
-        // Same line as last time? The memoized way is re-verified, so this
-        // is purely a shortcut to the scan below.
-        if self.memo_addr == addr {
-            let way = &mut self.ways[self.memo_way as usize];
-            if way.valid && way.tag == tag {
-                way.lru = self.tick;
-                if make_dirty {
-                    way.dirty = true;
-                }
+        let found = match self.memo_hit(addr, tag) {
+            Some(i) => Ok(i),
+            None => self.find_or_victim(set, tag),
+        };
+        match found {
+            Ok(i) => {
+                self.touch(i, addr, make_dirty);
                 self.stats.hits += 1;
-                return true;
+                Probe::Hit
+            }
+            Err(fill) => {
+                self.stats.misses += 1;
+                Probe::Miss(fill)
             }
         }
-        let base = set * self.cfg.ways;
-        for i in base..base + self.cfg.ways {
-            let way = &mut self.ways[i];
-            if way.valid && way.tag == tag {
-                way.lru = self.tick;
-                if make_dirty {
-                    way.dirty = true;
-                }
-                self.memo_addr = addr;
-                self.memo_way = i as u32;
-                self.stats.hits += 1;
-                return true;
-            }
-        }
-        self.stats.misses += 1;
-        false
     }
 
     /// Whether `addr` is present, without touching LRU or statistics.
     pub fn contains(&self, addr: u64) -> bool {
         let (set, tag) = self.split(addr);
-        let base = set * self.cfg.ways;
-        self.ways[base..base + self.cfg.ways]
-            .iter()
-            .any(|w| w.valid && w.tag == tag)
+        self.find_or_victim(set, tag).is_ok()
     }
 
     /// Allocates a line for `addr` (write-allocate fill), evicting the LRU
     /// way if the set is full. If the line is already present it is updated
     /// in place. Returns the eviction, if any.
     pub fn insert(&mut self, addr: u64, dirty: bool) -> Option<Eviction> {
-        self.tick += 1;
-        let tick = self.tick;
         let (set, tag) = self.split(addr);
-        let base = set * self.cfg.ways;
-        let ways = &mut self.ways[base..base + self.cfg.ways];
-        // Already present: refresh.
-        if let Some(i) = ways.iter().position(|w| w.valid && w.tag == tag) {
-            let way = &mut ways[i];
-            way.lru = tick;
-            way.dirty |= dirty;
-            self.memo_addr = addr;
-            self.memo_way = (base + i) as u32;
-            return None;
+        match self.find_or_victim(set, tag) {
+            Ok(i) => {
+                // Already present: refresh.
+                self.tick += 1;
+                self.touch(i, addr, dirty);
+                None
+            }
+            Err(fill) => self.fill_way(fill, addr, dirty),
         }
-        // Free way?
-        if let Some(i) = ways.iter().position(|w| !w.valid) {
-            ways[i] = Way {
-                tag,
-                valid: true,
-                dirty,
-                lru: tick,
-            };
-            self.memo_addr = addr;
-            self.memo_way = (base + i) as u32;
-            return None;
-        }
-        // Evict LRU.
-        let i = ways
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, w)| w.lru)
-            .map(|(i, _)| i)
-            .expect("ways is non-empty");
-        let victim = &mut ways[i];
-        let victim_tag = victim.tag;
-        let victim_dirty = victim.dirty;
-        *victim = Way {
-            tag,
-            valid: true,
-            dirty,
-            lru: tick,
-        };
+    }
+
+    /// Allocates the line `addr`, absent from the cache, into `way` from
+    /// [`Cache::probe`]`(addr, _)` — exactly what [`Cache::insert`] would
+    /// do, without scanning the set again. Returns the eviction, if any.
+    pub(crate) fn fill_way(&mut self, way: FillWay, addr: u64, dirty: bool) -> Option<Eviction> {
+        let FillWay { way: i, set, tag } = way;
+        debug_assert_eq!(self.split(addr), (set, tag), "fill_way of another line");
+        self.tick += 1;
+        let victim = self.flags[i];
+        let victim_tag = self.tags[i];
+        self.tags[i] = tag;
+        self.lru[i] = self.tick;
+        self.flags[i] = VALID | if dirty { DIRTY } else { 0 };
         self.memo_addr = addr;
-        self.memo_way = (base + i) as u32;
+        self.memo_way = i as u32;
+        if victim & VALID == 0 {
+            return None;
+        }
+        let victim_dirty = victim & DIRTY != 0;
         if victim_dirty {
             self.stats.writebacks += 1;
         }
@@ -313,7 +376,9 @@ impl Cache {
     pub fn save_snap(&self, w: &mut burst_snap::SnapWriter) {
         let Self {
             cfg,
-            ways,
+            tags,
+            lru,
+            flags,
             n_sets,
             split: _,      // geometry, recomputed from cfg
             line_shift: _, // geometry, recomputed from cfg
@@ -331,11 +396,11 @@ impl Cache {
         w.usize(cfg.ways);
         w.u64(*tick);
         // Flat storage is set-major, way-minor.
-        for way in ways {
-            w.u8(u8::from(way.valid) | (u8::from(way.dirty) << 1));
-            w.varint(way.tag);
+        for ((&flags, &tag), &lru) in flags.iter().zip(tags).zip(lru) {
+            w.u8(flags);
+            w.varint(tag);
             // Every stamp is a past `tick`, so the age never wraps.
-            w.varint(tick.wrapping_sub(way.lru));
+            w.varint(tick.wrapping_sub(lru));
         }
         w.u64(*hits);
         w.u64(*misses);
@@ -352,7 +417,9 @@ impl Cache {
         use burst_snap::SnapError;
         let Self {
             cfg,
-            ways,
+            tags,
+            lru,
+            flags,
             n_sets,
             split: _,      // geometry, recomputed from cfg
             line_shift: _, // geometry, recomputed from cfg
@@ -370,15 +437,13 @@ impl Cache {
             return Err(SnapError::Corrupt("cache geometry mismatch"));
         }
         *tick = r.u64()?;
-        for way in ways.iter_mut() {
-            let flags = r.u8()?;
-            if flags > 0b11 {
+        for ((flags, tag), lru) in flags.iter_mut().zip(tags.iter_mut()).zip(lru.iter_mut()) {
+            *flags = r.u8()?;
+            if *flags > VALID | DIRTY {
                 return Err(SnapError::Corrupt("cache way flags out of range"));
             }
-            way.valid = flags & 1 != 0;
-            way.dirty = flags & 2 != 0;
-            way.tag = r.varint()?;
-            way.lru = tick
+            *tag = r.varint()?;
+            *lru = tick
                 .checked_sub(r.varint()?)
                 .ok_or(SnapError::Corrupt("cache way older than the cache clock"))?;
         }
@@ -390,6 +455,9 @@ impl Cache {
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod warm_props;
 
 #[cfg(test)]
 mod tests {

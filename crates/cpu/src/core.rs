@@ -629,10 +629,11 @@ impl Cpu {
 
     /// Functionally warms the cache hierarchy: consumes ops from `source`
     /// until `mem_ops` memory operations have been applied to the caches
-    /// with instant fills and no timing. Writebacks generated during
-    /// warming are discarded and cache counters reset, so the timed region
-    /// starts from a realistic steady state (the paper's 2-billion-
-    /// instruction runs are warm almost throughout).
+    /// with instant fills and no timing (`Hierarchy::warm_access`).
+    /// Writebacks generated during warming are dropped as they arise and
+    /// cache counters reset, so the timed region starts from a realistic
+    /// steady state (the paper's 2-billion-instruction runs are warm
+    /// almost throughout).
     pub fn warm_caches(&mut self, source: &mut dyn OpSource, mem_ops: u64) {
         let mut done = 0u64;
         // A workload may be compute-only (no memory ops at all); bound the
@@ -643,15 +644,11 @@ impl Cpu {
             match source.next_op() {
                 Op::Compute => {}
                 Op::Load { addr, .. } => {
-                    if let MemAccessResult::Miss { line } = self.hierarchy.access(addr, false) {
-                        self.hierarchy.fill(line, false);
-                    }
+                    self.hierarchy.warm_access(addr, false);
                     done += 1;
                 }
                 Op::Store { addr } => {
-                    if let MemAccessResult::Miss { line } = self.hierarchy.access(addr, true) {
-                        self.hierarchy.fill(line, true);
-                    }
+                    self.hierarchy.warm_access(addr, true);
                     done += 1;
                 }
             }

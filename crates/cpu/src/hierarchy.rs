@@ -7,6 +7,7 @@
 
 use std::collections::VecDeque;
 
+use crate::cache::Probe;
 use crate::{Cache, CacheConfig};
 
 /// Outcome of a data access against the hierarchy.
@@ -133,6 +134,36 @@ impl Hierarchy {
         let line = self.line_of(line);
         self.put_l2(line, false);
         self.put_l1(line, dirty);
+    }
+
+    /// [`Hierarchy::access`] followed, on a miss, by an instant
+    /// [`Hierarchy::fill`]`(line, is_store)` — one access of functional
+    /// warm-up — with one scan of each level's set instead of two or
+    /// more: each level's probe also finds the way its fill goes into.
+    /// Dirty lines leaving L2 are dropped as they are generated, not
+    /// queued (warm-up discards them). Returns what `access` would, and
+    /// leaves both levels exactly as `access` plus `fill` would.
+    pub(crate) fn warm_access(&mut self, addr: u64, is_store: bool) -> MemAccessResult {
+        let line = self.line_of(addr);
+        let Probe::Miss(l1_way) = self.l1d.probe(line, is_store) else {
+            return MemAccessResult::L1Hit;
+        };
+        // `fill` allocates in L2 first (clean), then in L1; neither level
+        // is touched between its probe and its fill, so the probed ways
+        // are the ones `insert` would pick.
+        let result = match self.l2.probe(line, false) {
+            Probe::Hit => MemAccessResult::L2Hit,
+            Probe::Miss(l2_way) => {
+                self.l2.fill_way(l2_way, line, false);
+                MemAccessResult::Miss { line }
+            }
+        };
+        if let Some(ev) = self.l1d.fill_way(l1_way, line, is_store) {
+            if ev.dirty {
+                self.l2.insert(ev.addr, true);
+            }
+        }
+        result
     }
 
     /// Takes the next dirty line awaiting writeback to main memory.

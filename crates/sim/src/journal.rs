@@ -352,6 +352,11 @@ impl Journal {
         self.fingerprint
     }
 
+    /// The I/O layer every journal write and read goes through.
+    pub fn io(&self) -> &Arc<dyn SimIo> {
+        &self.io
+    }
+
     /// Number of completed cells loaded at resume time.
     pub fn completed_cells(&self) -> usize {
         self.completed.len()

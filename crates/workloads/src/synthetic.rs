@@ -22,11 +22,34 @@ pub struct StreamWorkload {
     compute_per_mem: f64,
     credit: f64,
     next_stream: usize,
-    /// When set, streams walk sequentially within a page of this many
-    /// bytes, then hop to a random page — modelling physical page
-    /// allocation, which scatters consecutive virtual pages over banks.
-    page_shuffle: Option<u64>,
+    /// When set, streams walk sequentially within a page, then hop to a
+    /// random page — modelling physical page allocation, which scatters
+    /// consecutive virtual pages over banks.
+    page_shuffle: Option<PageShuffle>,
     rng: SmallRng,
+}
+
+/// The page geometry of [`StreamWorkload::with_page_shuffle`], fixed when
+/// it is enabled so the per-op path divides nothing.
+#[derive(Debug, Clone, Copy)]
+struct PageShuffle {
+    /// Page size in bytes.
+    bytes: u64,
+    /// Pages in the extent (at least one): the hop's range.
+    pages: u64,
+}
+
+impl PageShuffle {
+    /// Whether `offset` starts a page: a mask for a power-of-two page
+    /// (every page the SPEC surrogates use), a remainder otherwise.
+    #[inline]
+    fn starts_page(self, offset: u64) -> bool {
+        if self.bytes.is_power_of_two() {
+            offset & (self.bytes - 1) == 0
+        } else {
+            offset.is_multiple_of(self.bytes)
+        }
+    }
 }
 
 impl StreamWorkload {
@@ -76,7 +99,10 @@ impl StreamWorkload {
             page_bytes >= self.stride,
             "page must hold at least one access"
         );
-        self.page_shuffle = Some(page_bytes);
+        self.page_shuffle = Some(PageShuffle {
+            bytes: page_bytes,
+            pages: (self.extent / page_bytes).max(1),
+        });
         self
     }
 }
@@ -89,16 +115,21 @@ impl OpSource for StreamWorkload {
         }
         self.credit += self.compute_per_mem;
         let i = self.next_stream;
-        self.next_stream = (self.next_stream + 1) % self.bases.len();
+        self.next_stream += 1;
+        if self.next_stream == self.bases.len() {
+            self.next_stream = 0;
+        }
         let addr = self.bases[i] + self.offsets[i];
+        // Offsets stay below `extent` and `stride <= extent`, so one
+        // subtraction wraps `next` into the extent.
         let next = self.offsets[i] + self.stride;
         self.offsets[i] = match self.page_shuffle {
-            Some(page) if next.is_multiple_of(page) || next >= self.extent => {
+            Some(page) if next >= self.extent || page.starts_page(next) => {
                 // Hop to a random page of this stream's extent.
-                let pages = (self.extent / page).max(1);
-                self.rng.gen_range(0..pages) * page
+                self.rng.gen_range(0..page.pages) * page.bytes
             }
-            _ => next % self.extent,
+            _ if next >= self.extent => next - self.extent,
+            _ => next,
         };
         if self.rng.gen_bool(self.store_frac.clamp(0.0, 1.0)) {
             Op::Store { addr }
@@ -227,7 +258,12 @@ impl OpSource for PointerChaseWorkload {
         // staying deterministic.
         let lines = (self.working_set / 64).max(2);
         let jump = self.rng.gen_range(1..lines);
-        self.cursor = (self.cursor + jump * 64) % self.working_set;
+        // `cursor < working_set` and `jump * 64 < working_set`, so one
+        // subtraction wraps the step.
+        self.cursor += jump * 64;
+        if self.cursor >= self.working_set {
+            self.cursor -= self.working_set;
+        }
         let addr = self.base + self.cursor;
         if self.rng.gen_bool(self.store_frac.clamp(0.0, 1.0)) {
             self.pending_store = Some(addr);
@@ -245,6 +281,8 @@ impl OpSource for PointerChaseWorkload {
 pub struct MixWorkload {
     name: String,
     sources: Vec<(f64, Box<dyn OpSource>)>,
+    /// Sum of the weights, fixed at construction.
+    total: f64,
     rng: SmallRng,
 }
 
@@ -271,6 +309,7 @@ impl MixWorkload {
         );
         MixWorkload {
             name: name.into(),
+            total: sources.iter().map(|(w, _)| w).sum(),
             sources,
             rng: SmallRng::seed_from_u64(seed),
         }
@@ -279,8 +318,7 @@ impl MixWorkload {
 
 impl OpSource for MixWorkload {
     fn next_op(&mut self) -> Op {
-        let total: f64 = self.sources.iter().map(|(w, _)| w).sum();
-        let mut pick = self.rng.gen_range(0.0..total);
+        let mut pick = self.rng.gen_range(0.0..self.total);
         for (w, src) in &mut self.sources {
             if pick < *w {
                 return src.next_op();
