@@ -15,7 +15,6 @@
 //!   (`Hierarchy::warm_access`) scans each level once per access that way.
 //! * The set/tag split uses shift/mask forms when the set count is a power
 //!   of two (the baseline L1 and L2 both are).
-//! * The last line hit is memoized, so repeated touches skip the scan.
 //!
 //! None of this changes a single observable bit: the same way is found,
 //! the same LRU/dirty updates apply, the same counters move.
@@ -156,11 +155,6 @@ pub struct Cache {
     n_sets: usize,
     split: SetSplit,
     line_shift: u32,
-    /// Last line-aligned address that hit, and the flat way index holding
-    /// it. Verified before use (valid bit + tag compare), so a stale memo
-    /// degrades to the full set scan and never changes the outcome.
-    memo_addr: u64,
-    memo_way: u32,
     tick: u64,
     stats: CacheStats,
 }
@@ -195,8 +189,6 @@ impl Cache {
             n_sets: sets,
             split,
             line_shift: cfg.line_bytes.trailing_zeros(),
-            memo_addr: u64::MAX,
-            memo_way: 0,
             cfg,
             tick: 0,
             stats: CacheStats::default(),
@@ -237,24 +229,14 @@ impl Cache {
         line << self.line_shift
     }
 
-    /// Refreshes flat way `i`, which holds `addr`: LRU stamp, dirty bit if
-    /// `make_dirty`, and the memo.
+    /// Refreshes flat way `i`, a hit: LRU stamp, and dirty bit if
+    /// `make_dirty`.
     #[inline]
-    fn touch(&mut self, i: usize, addr: u64, make_dirty: bool) {
+    fn touch(&mut self, i: usize, make_dirty: bool) {
         self.lru[i] = self.tick;
         if make_dirty {
             self.flags[i] |= DIRTY;
         }
-        self.memo_addr = addr;
-        self.memo_way = i as u32;
-    }
-
-    /// The flat way holding `addr`, if the memo names it. The memoized way
-    /// is re-verified, so this is purely a shortcut to the set scan.
-    #[inline]
-    fn memo_hit(&self, addr: u64, tag: u64) -> Option<usize> {
-        let i = self.memo_way as usize;
-        (self.memo_addr == addr && self.flags[i] & VALID != 0 && self.tags[i] == tag).then_some(i)
     }
 
     /// One pass over set `set`: `Ok(way)` if `tag` is present, else the
@@ -299,13 +281,9 @@ impl Cache {
     pub(crate) fn probe(&mut self, addr: u64, make_dirty: bool) -> Probe {
         self.tick += 1;
         let (set, tag) = self.split(addr);
-        let found = match self.memo_hit(addr, tag) {
-            Some(i) => Ok(i),
-            None => self.find_or_victim(set, tag),
-        };
-        match found {
+        match self.find_or_victim(set, tag) {
             Ok(i) => {
-                self.touch(i, addr, make_dirty);
+                self.touch(i, make_dirty);
                 self.stats.hits += 1;
                 Probe::Hit
             }
@@ -331,7 +309,7 @@ impl Cache {
             Ok(i) => {
                 // Already present: refresh.
                 self.tick += 1;
-                self.touch(i, addr, dirty);
+                self.touch(i, dirty);
                 None
             }
             Err(fill) => self.fill_way(fill, addr, dirty),
@@ -350,8 +328,6 @@ impl Cache {
         self.tags[i] = tag;
         self.lru[i] = self.tick;
         self.flags[i] = VALID | if dirty { DIRTY } else { 0 };
-        self.memo_addr = addr;
-        self.memo_way = i as u32;
         if victim & VALID == 0 {
             return None;
         }
@@ -382,8 +358,6 @@ impl Cache {
             n_sets,
             split: _,      // geometry, recomputed from cfg
             line_shift: _, // geometry, recomputed from cfg
-            memo_addr: _,  // lookup accelerator; invalidated on restore
-            memo_way: _,   // lookup accelerator; invalidated on restore
             tick,
             stats:
                 CacheStats {
@@ -423,8 +397,6 @@ impl Cache {
             n_sets,
             split: _,      // geometry, recomputed from cfg
             line_shift: _, // geometry, recomputed from cfg
-            memo_addr,
-            memo_way: _, // only read after `memo_addr` matches
             tick,
             stats:
                 CacheStats {
@@ -447,8 +419,6 @@ impl Cache {
                 .checked_sub(r.varint()?)
                 .ok_or(SnapError::Corrupt("cache way older than the cache clock"))?;
         }
-        // The restored contents need not match what the memo described.
-        *memo_addr = u64::MAX;
         *hits = r.u64()?;
         *misses = r.u64()?;
         *writebacks = r.u64()?;
@@ -586,36 +556,15 @@ mod tests {
     }
 
     #[test]
-    fn memo_survives_eviction_of_memoized_line() {
+    fn evicted_line_misses() {
         let mut c = tiny();
         c.insert(0, false);
-        assert!(c.lookup(0, false)); // memoize line 0
-                                     // Evict line 0 (set 0 holds two newer lines).
+        assert!(c.lookup(0, false));
+        // Evict line 0: set 0 now holds two newer lines.
         c.insert(256, false);
         c.insert(512, false);
-        // The stale memo must not report a phantom hit.
         assert!(!c.lookup(0, false));
         assert!(c.lookup(512, false));
-    }
-
-    #[test]
-    fn repeated_hits_use_memo_with_identical_counters() {
-        let mut a = tiny();
-        let mut b = tiny();
-        a.insert(64, false);
-        b.insert(64, false);
-        for _ in 0..5 {
-            assert!(a.lookup(64, false));
-            // Defeat the memo in `b` by touching another set in between;
-            // both caches must still agree on every counter and LRU value.
-            assert!(b.lookup(64, false));
-        }
-        assert_eq!(a.stats(), b.stats());
-        let mut wa = burst_snap::SnapWriter::new();
-        let mut wb = burst_snap::SnapWriter::new();
-        a.save_snap(&mut wa);
-        b.save_snap(&mut wb);
-        assert_eq!(wa.into_bytes(), wb.into_bytes());
     }
 
     #[test]

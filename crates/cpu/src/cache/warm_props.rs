@@ -61,17 +61,12 @@ fn address(rng: &mut SmallRng, cfg: &HierarchyConfig) -> u64 {
     (tag * sets + set) * 64 + rng.gen_range(0..64u64)
 }
 
-/// The lookup the single pass replaced: the memo, else a scan for the line.
+/// The lookup the single pass replaced: a scan for the line.
 fn reference_lookup(c: &mut Cache, addr: u64, make_dirty: bool) -> bool {
     c.tick += 1;
     let (set, tag) = c.split(addr);
     let base = set * c.cfg.ways;
-    let memo = c.memo_way as usize;
-    let hit = if c.memo_addr == addr && c.flags[memo] & VALID != 0 && c.tags[memo] == tag {
-        Some(memo)
-    } else {
-        (base..base + c.cfg.ways).find(|&i| c.flags[i] & VALID != 0 && c.tags[i] == tag)
-    };
+    let hit = (base..base + c.cfg.ways).find(|&i| c.flags[i] & VALID != 0 && c.tags[i] == tag);
     let Some(i) = hit else {
         c.stats.misses += 1;
         return false;
@@ -80,8 +75,6 @@ fn reference_lookup(c: &mut Cache, addr: u64, make_dirty: bool) -> bool {
     if make_dirty {
         c.flags[i] |= DIRTY;
     }
-    c.memo_addr = addr;
-    c.memo_way = i as u32;
     c.stats.hits += 1;
     true
 }
@@ -102,15 +95,11 @@ fn reference_insert(c: &mut Cache, addr: u64, dirty: bool) -> Option<Eviction> {
     {
         c.lru[i] = tick;
         c.flags[i] |= new_flags & DIRTY;
-        c.memo_addr = addr;
-        c.memo_way = i as u32;
         return None;
     }
     // Free way?
     if let Some(i) = set_ways.clone().find(|&i| c.flags[i] & VALID == 0) {
         (c.tags[i], c.lru[i], c.flags[i]) = (tag, tick, new_flags);
-        c.memo_addr = addr;
-        c.memo_way = i as u32;
         return None;
     }
     // Evict LRU (the first of equal stamps, as `min_by_key` picks).
@@ -119,8 +108,6 @@ fn reference_insert(c: &mut Cache, addr: u64, dirty: bool) -> Option<Eviction> {
         .expect("a set has at least one way");
     let (victim_tag, victim_dirty) = (c.tags[i], c.flags[i] & DIRTY != 0);
     (c.tags[i], c.lru[i], c.flags[i]) = (tag, tick, new_flags);
-    c.memo_addr = addr;
-    c.memo_way = i as u32;
     if victim_dirty {
         c.stats.writebacks += 1;
     }
@@ -130,18 +117,13 @@ fn reference_insert(c: &mut Cache, addr: u64, dirty: bool) -> Option<Eviction> {
     })
 }
 
-/// Every field of `a` and `b` that an op can move, memo included.
+/// Every field of `a` and `b` that an op can move.
 fn assert_same(a: &Cache, b: &Cache, ctx: &str) {
     assert_eq!(a.tick, b.tick, "{ctx}: tick");
     assert_eq!(a.stats, b.stats, "{ctx}: counters");
     assert_eq!(a.flags, b.flags, "{ctx}: flags");
     assert_eq!(a.tags, b.tags, "{ctx}: tags");
     assert_eq!(a.lru, b.lru, "{ctx}: LRU stamps");
-    assert_eq!(
-        (a.memo_addr, a.memo_way),
-        (b.memo_addr, b.memo_way),
-        "{ctx}: memo"
-    );
 }
 
 #[test]

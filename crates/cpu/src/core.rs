@@ -11,12 +11,12 @@
 //!
 //! Two driving interfaces exist. [`Cpu::cycle`] is the reference path: one
 //! exact CPU cycle per call. [`Cpu::run_until`] is the batch path: it
-//! advances to a deadline using closed-form fast paths — full-stall spans
-//! (via [`Cpu::idle_until`]) and full-width compute streaks — and falls
-//! back to the per-cycle path at any boundary. The batch path is
-//! bit-identical to the per-cycle path by construction; DESIGN.md §16
-//! documents the invariants, and the `cpu_batch_equiv` proptest compares
-//! full snapshot byte streams of both paths over random op streams.
+//! advances to a deadline, jumping full-stall spans (via
+//! [`Cpu::idle_until`]) in closed form and taking [`Cpu::cycle`] for every
+//! other cycle. The batch path is bit-identical to the per-cycle path by
+//! construction; DESIGN.md §16 documents the invariants, and the
+//! `cpu_batch` proptest compares full snapshot byte streams of both paths
+//! over random op streams.
 
 use std::collections::VecDeque;
 
@@ -144,109 +144,6 @@ enum EntryState {
     Ready(u64),
     /// Waiting for a main-memory line.
     WaitMem(u64),
-}
-
-#[derive(Debug, Clone, Copy)]
-struct RobEntry {
-    state: EntryState,
-}
-
-/// Fixed-capacity ring buffer of in-flight ROB entries. Compared to a
-/// `VecDeque`, the capacity never reallocates and front pops in the
-/// compute-streak closed form are plain index arithmetic. Checkpoints
-/// hold the logical entries in order (see [`Cpu::save_snap`]), never the
-/// ring layout.
-#[derive(Debug, Clone)]
-struct RobRing {
-    buf: Vec<RobEntry>,
-    head: usize,
-    len: usize,
-}
-
-impl RobRing {
-    fn new(capacity: usize) -> Self {
-        RobRing {
-            buf: vec![
-                RobEntry {
-                    state: EntryState::Ready(0)
-                };
-                capacity.max(1)
-            ],
-            head: 0,
-            len: 0,
-        }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Physical index of logical position `i` (`i < capacity`, so one
-    /// conditional wrap suffices — the capacity need not be a power of
-    /// two).
-    #[inline]
-    fn phys(&self, i: usize) -> usize {
-        let mut p = self.head + i;
-        if p >= self.buf.len() {
-            p -= self.buf.len();
-        }
-        p
-    }
-
-    #[inline]
-    fn front(&self) -> Option<&RobEntry> {
-        (self.len > 0).then(|| &self.buf[self.head])
-    }
-
-    #[inline]
-    fn get_mut(&mut self, i: usize) -> Option<&mut RobEntry> {
-        if i < self.len {
-            let p = self.phys(i);
-            Some(&mut self.buf[p])
-        } else {
-            None
-        }
-    }
-
-    #[inline]
-    fn push_back(&mut self, e: RobEntry) {
-        debug_assert!(self.len < self.buf.len(), "ROB ring overflow");
-        let p = self.phys(self.len);
-        self.buf[p] = e;
-        self.len += 1;
-    }
-
-    #[inline]
-    fn pop_front(&mut self) -> Option<RobEntry> {
-        if self.len == 0 {
-            return None;
-        }
-        let e = self.buf[self.head];
-        self.head += 1;
-        if self.head == self.buf.len() {
-            self.head = 0;
-        }
-        self.len -= 1;
-        Some(e)
-    }
-
-    /// Drops `n` entries from the front in O(1) (`n <= len`).
-    #[inline]
-    fn drop_front(&mut self, n: usize) {
-        debug_assert!(n <= self.len);
-        self.head = self.phys(n);
-        self.len -= n;
-    }
-
-    fn clear(&mut self) {
-        self.head = 0;
-        self.len = 0;
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &RobEntry> {
-        (0..self.len).map(|i| &self.buf[self.phys(i)])
-    }
 }
 
 /// One MSHR: the miss bookkeeping for a single outstanding line.
@@ -429,7 +326,8 @@ impl MshrTable {
 pub struct Cpu {
     cfg: CpuConfig,
     hierarchy: Hierarchy,
-    rob: RobRing,
+    /// In-flight instructions in program order, at most `rob_size`.
+    rob: VecDeque<EntryState>,
     /// Sequence number of the ROB front entry.
     head_seq: u64,
     now: u64,
@@ -444,14 +342,6 @@ pub struct Cpu {
     stalled_miss: Option<u64>,
     /// A dependent-load chain is blocked until this line returns.
     chase_block: Option<u64>,
-    /// Exact count of `WaitMem` entries in the ROB. Maintained on push and
-    /// on the `complete_read` flip; recomputed on restore. A compute
-    /// streak requires zero (no entry can block retirement mid-streak).
-    waitmem_entries: usize,
-    /// Conservative upper bound on every `Ready(at)` in the ROB. Only ever
-    /// grows ahead of pushes/flips, so a stale (too large) value merely
-    /// disqualifies a streak — it can never admit an ineligible one.
-    max_entry_at: u64,
     stats: CpuStats,
 }
 
@@ -460,7 +350,7 @@ impl Cpu {
     pub fn new(cfg: CpuConfig) -> Self {
         Cpu {
             hierarchy: Hierarchy::new(cfg.hierarchy),
-            rob: RobRing::new(cfg.rob_size),
+            rob: VecDeque::with_capacity(cfg.rob_size),
             head_seq: 0,
             now: 0,
             mshrs: MshrTable::new(cfg.lsq_size),
@@ -468,8 +358,6 @@ impl Cpu {
             stalled_op: None,
             stalled_miss: None,
             chase_block: None,
-            waitmem_entries: 0,
-            max_entry_at: 0,
             stats: CpuStats::default(),
             cfg,
         }
@@ -547,8 +435,8 @@ impl Cpu {
         if !self.dispatch_blocked() {
             return None;
         }
-        match self.rob.front().map(|e| e.state) {
-            Some(EntryState::Ready(at)) if at > self.now => Some(at),
+        match self.rob.front() {
+            Some(&EntryState::Ready(at)) if at > self.now => Some(at),
             Some(EntryState::Ready(_)) => None,
             Some(EntryState::WaitMem(_)) | None => Some(u64::MAX),
         }
@@ -610,12 +498,8 @@ impl Cpu {
                 if seq >= self.head_seq {
                     let idx = (seq - self.head_seq) as usize;
                     if let Some(e) = self.rob.get_mut(idx) {
-                        if matches!(e.state, EntryState::WaitMem(l) if l == line) {
-                            e.state = EntryState::Ready(at);
-                            self.waitmem_entries -= 1;
-                            if at > self.max_entry_at {
-                                self.max_entry_at = at;
-                            }
+                        if *e == EntryState::WaitMem(line) {
+                            *e = EntryState::Ready(at);
                         }
                     }
                 }
@@ -669,178 +553,31 @@ impl Cpu {
 
     /// Advances the core to exactly CPU cycle `deadline`, bit-identically
     /// to calling [`Cpu::cycle`] `deadline - now` times. Fully-stalled
-    /// spans and full-width compute streaks advance in closed form; every
-    /// other cycle takes the exact per-cycle path. External interaction
-    /// (request pop, read completion) must happen outside the call, as it
-    /// would between plain `cycle` calls.
+    /// spans advance in closed form; every other cycle takes the exact
+    /// per-cycle path. External interaction (request pop, read
+    /// completion) must happen outside the call, as it would between
+    /// plain `cycle` calls.
     pub fn run_until(&mut self, deadline: u64, source: &mut dyn OpSource) {
         while self.now < deadline {
-            match self.idle_until() {
-                Some(at) => {
-                    // Batch the guaranteed-stall prefix; a wake-up on the
-                    // very next cycle steps exactly.
-                    let hi = if at == u64::MAX {
-                        deadline
-                    } else {
-                        deadline.min(at - 1)
-                    };
-                    if hi > self.now {
-                        self.advance_stalled(hi - self.now);
-                    } else {
-                        self.cycle(source);
-                    }
-                }
-                None => {
-                    if self.compute_streak_viable() {
-                        self.compute_streak(deadline, source);
-                    } else {
-                        self.cycle(source);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Whether the next cycles are provably a full-width compute streak
-    /// *as long as the source keeps yielding `Op::Compute`*: no stalled
-    /// op to replay, every ROB entry retirable by the next cycle (so
-    /// retirement never blocks), and no writeback back-pressure (computes
-    /// cannot create any). Under these conditions each cycle retires at
-    /// full width (bounded by occupancy) and dispatches exactly `width`
-    /// computes — see `apply_compute_streak` for the closed form.
-    #[inline]
-    fn compute_streak_viable(&self) -> bool {
-        self.stalled_op.is_none()
-            && self.waitmem_entries == 0
-            && self.max_entry_at <= self.now + 1
-            && self.hierarchy.pending_writebacks() < self.cfg.writeback_stall
-            && self.cfg.width <= self.cfg.rob_size
-            && self.cfg.width > 0
-    }
-
-    /// Fetches ops up to the deadline's dispatch capacity, applies the
-    /// closed form over the all-compute prefix, and runs one exact partial
-    /// cycle for the remainder (including the first non-compute op, which
-    /// re-enters the normal dispatch path untouched).
-    fn compute_streak(&mut self, deadline: u64, source: &mut dyn OpSource) {
-        let w = self.cfg.width as u64;
-        // Chunk very long deadlines so `avail * w` cannot overflow; the
-        // outer `run_until` loop re-enters the streak seamlessly.
-        let avail = (deadline - self.now).min(1 << 20);
-        let max_ops = avail * w;
-        let mut k = 0u64;
-        let mut boundary: Option<Op> = None;
-        while k < max_ops {
-            match source.next_op() {
-                Op::Compute => k += 1,
-                op => {
-                    boundary = Some(op);
-                    break;
-                }
-            }
-        }
-        let full = k / w;
-        if full > 0 {
-            self.apply_compute_streak(full);
-        }
-        if boundary.is_some() || !k.is_multiple_of(w) {
-            self.cycle_with_pending((k % w) as usize, boundary, source);
-        }
-    }
-
-    /// Advances `full` cycles of pure full-width compute dispatch in
-    /// closed form. With `W = width`, `n0 = rob.len()` and all entries
-    /// `Ready(at <= now+1)`:
-    ///
-    /// * cycle 1 retires `min(W, n0)` and every later cycle retires `W`
-    ///   (entries pushed in cycle `i` carry `at = now0 + i + 1`, eligible
-    ///   from cycle `i+1` on), so `delta = full*W - max(0, W - n0)`;
-    /// * each cycle dispatches exactly `W` computes (retirement frees the
-    ///   space first; `W <= rob_size` guarantees the initial ramp fits);
-    /// * the survivors are the last `full*W - (delta - min(delta, n0))`
-    ///   pushed entries, with exact `at = now0 + j/W + 2` for push index
-    ///   `j` — reconstructed verbatim so the ROB is indistinguishable
-    ///   from per-cycle execution.
-    ///
-    /// Stall cycles, cache state, MSHRs and request queues are untouched
-    /// (computes interact with none of them).
-    fn apply_compute_streak(&mut self, full: u64) {
-        let w = self.cfg.width as u64;
-        let n0 = self.rob.len() as u64;
-        let now0 = self.now;
-        let delta = full * w - w.saturating_sub(n0);
-        let popped_orig = delta.min(n0);
-        let surv_new = full * w - (delta - popped_orig);
-        self.rob.drop_front(popped_orig as usize);
-        for j in (full * w - surv_new)..(full * w) {
-            self.rob.push_back(RobEntry {
-                state: EntryState::Ready(now0 + j / w + 2),
-            });
-        }
-        self.now += full;
-        self.head_seq += delta;
-        self.stats.retired += delta;
-        let top = now0 + full + 1;
-        if top > self.max_entry_at {
-            self.max_entry_at = top;
-        }
-    }
-
-    /// One exact cycle whose dispatch stream is prefixed by `pending`
-    /// already-fetched computes and then `boundary` (the op that ended a
-    /// streak fetch), before falling back to the stalled-op/source path.
-    /// The prefix is always consumed: computes cannot fail to dispatch
-    /// while the streak preconditions hold, and `boundary` either
-    /// dispatches or becomes the stalled op — so no transient buffer
-    /// survives the call.
-    fn cycle_with_pending(
-        &mut self,
-        mut pending: usize,
-        mut boundary: Option<Op>,
-        source: &mut dyn OpSource,
-    ) {
-        self.now += 1;
-        self.retire();
-        let mut dispatched = 0;
-        while dispatched < self.cfg.width {
-            if self.rob.len() >= self.cfg.rob_size {
-                break; // ROB full
-            }
-            if self.hierarchy.pending_writebacks() >= self.cfg.writeback_stall {
-                break; // memory back-pressure
-            }
-            let op = if pending > 0 {
-                pending -= 1;
-                Op::Compute
-            } else if let Some(op) = boundary.take() {
-                op
-            } else {
-                match self.stalled_op.take() {
-                    Some(op) => op,
-                    None => source.next_op(),
-                }
+            // Batch the guaranteed-stall prefix; a wake-up on the very
+            // next cycle steps exactly.
+            let stall_end = match self.idle_until() {
+                Some(u64::MAX) => deadline,
+                Some(at) => deadline.min(at - 1),
+                None => self.now,
             };
-            if !self.try_dispatch(op) {
-                self.stalled_op = Some(op);
-                break;
+            if stall_end > self.now {
+                self.advance_stalled(stall_end - self.now);
+            } else {
+                self.cycle(source);
             }
-            dispatched += 1;
         }
-        if dispatched == 0 {
-            self.stats.stall_cycles += 1;
-        }
-        debug_assert!(
-            pending == 0 && boundary.is_none(),
-            "streak prefix fully consumed"
-        );
     }
 
     fn retire(&mut self) {
         for _ in 0..self.cfg.width {
             match self.rob.front() {
-                Some(RobEntry {
-                    state: EntryState::Ready(at),
-                }) if *at <= self.now => {
+                Some(&EntryState::Ready(at)) if at <= self.now => {
                     self.rob.pop_front();
                     self.head_seq += 1;
                     self.stats.retired += 1;
@@ -877,7 +614,7 @@ impl Cpu {
     fn try_dispatch(&mut self, op: Op) -> bool {
         match op {
             Op::Compute => {
-                self.push_entry(EntryState::Ready(self.now + 1));
+                self.rob.push_back(EntryState::Ready(self.now + 1));
                 true
             }
             Op::Load { addr, dependent } => {
@@ -896,12 +633,14 @@ impl Cpu {
                 match result {
                     MemAccessResult::L1Hit => {
                         self.stats.loads += 1;
-                        self.push_entry(EntryState::Ready(self.now + self.cfg.l1_latency));
+                        self.rob
+                            .push_back(EntryState::Ready(self.now + self.cfg.l1_latency));
                         true
                     }
                     MemAccessResult::L2Hit => {
                         self.stats.loads += 1;
-                        self.push_entry(EntryState::Ready(self.now + self.cfg.l2_latency));
+                        self.rob
+                            .push_back(EntryState::Ready(self.now + self.cfg.l2_latency));
                         true
                     }
                     MemAccessResult::Miss { line } => {
@@ -921,7 +660,7 @@ impl Cpu {
                         if dependent {
                             self.chase_block = Some(line);
                         }
-                        self.push_entry(EntryState::WaitMem(line));
+                        self.rob.push_back(EntryState::WaitMem(line));
                         true
                     }
                 }
@@ -934,7 +673,7 @@ impl Cpu {
                 match result {
                     MemAccessResult::L1Hit | MemAccessResult::L2Hit => {
                         self.stats.stores += 1;
-                        self.push_entry(EntryState::Ready(self.now + 1));
+                        self.rob.push_back(EntryState::Ready(self.now + 1));
                         true
                     }
                     MemAccessResult::Miss { line } => {
@@ -952,25 +691,12 @@ impl Cpu {
                             self.stats.mem_reads += 1;
                         }
                         self.stats.stores += 1;
-                        self.push_entry(EntryState::Ready(self.now + 1));
+                        self.rob.push_back(EntryState::Ready(self.now + 1));
                         true
                     }
                 }
             }
         }
-    }
-
-    #[inline]
-    fn push_entry(&mut self, state: EntryState) {
-        match state {
-            EntryState::Ready(at) => {
-                if at > self.max_entry_at {
-                    self.max_entry_at = at;
-                }
-            }
-            EntryState::WaitMem(_) => self.waitmem_entries += 1,
-        }
-        self.rob.push_back(RobEntry { state });
     }
 
     /// Serialises the complete core state — ROB, MSHRs, pending requests,
@@ -990,14 +716,12 @@ impl Cpu {
             stalled_op,
             stalled_miss,
             chase_block,
-            waitmem_entries: _, // recomputed from ROB entries on restore
-            max_entry_at: _,    // recomputed from ROB entries on restore
             stats,
         } = self;
         hierarchy.save_snap(w);
         w.usize(rob.len());
-        for e in rob.iter() {
-            match e.state {
+        for e in rob {
+            match *e {
                 EntryState::Ready(at) => {
                     w.u8(0);
                     w.u64(at);
@@ -1032,9 +756,7 @@ impl Cpu {
     }
 
     /// Restores state written by [`Cpu::save_snap`] into a core built from
-    /// the same configuration. The derived streak counters
-    /// (`waitmem_entries`, `max_entry_at`) are recomputed from the
-    /// restored ROB.
+    /// the same configuration.
     pub fn load_snap(
         &mut self,
         r: &mut burst_snap::SnapReader,
@@ -1051,8 +773,6 @@ impl Cpu {
             stalled_op,
             stalled_miss,
             chase_block,
-            waitmem_entries,
-            max_entry_at,
             stats,
         } = self;
         hierarchy.load_snap(r)?;
@@ -1060,9 +780,9 @@ impl Cpu {
         if rob_len > cfg.rob_size {
             return Err(SnapError::Corrupt("ROB larger than configured"));
         }
-        let mut entries = Vec::with_capacity(rob_len);
+        rob.clear();
         for _ in 0..rob_len {
-            entries.push(match r.u8()? {
+            rob.push_back(match r.u8()? {
                 0 => EntryState::Ready(r.u64()?),
                 1 => EntryState::WaitMem(r.u64()?),
                 _ => return Err(SnapError::Corrupt("bad ROB entry tag")),
@@ -1100,12 +820,6 @@ impl Cpu {
         *stalled_miss = r.opt_u64()?;
         *chase_block = r.opt_u64()?;
         *stats = CpuStats::load_snap(r)?;
-        rob.clear();
-        *waitmem_entries = 0;
-        *max_entry_at = 0;
-        for state in entries {
-            self.push_entry(state);
-        }
         Ok(())
     }
 }
@@ -1197,8 +911,8 @@ mod tests {
     fn rob_limits_in_flight_instructions() {
         let mut cpu = Cpu::new(CpuConfig::baseline());
         let mut src = ReplaySource::new("l", vec![Op::load(0x40_0000)]);
-        // Every op is a load to a distinct line? No: same line -> one MSHR,
-        // all wait. ROB fills to capacity and dispatch stalls.
+        // Every op loads the same missing line: one MSHR, and every load
+        // waits on it. The ROB fills to capacity and dispatch stalls.
         for _ in 0..100 {
             cpu.cycle(&mut src);
         }
@@ -1406,8 +1120,8 @@ mod tests {
 
     #[test]
     fn batch_matches_per_cycle_on_compute_bursts() {
-        // Long compute runs separated by a single load: exercises the
-        // closed form plus the partial-cycle boundary repeatedly.
+        // Long compute runs separated by a single load: full-width compute
+        // cycles, each load's miss and its wake-up mid-epoch.
         let mut ops = Vec::new();
         for i in 0..8u64 {
             ops.extend(std::iter::repeat_n(Op::Compute, 83));
@@ -1526,8 +1240,84 @@ mod snap_tests {
         assert!(tiny.load_snap(&mut r).is_err());
     }
 
-    /// The derived streak counters must be rebuilt on restore: a restored
-    /// core and the original take identical batch paths afterwards.
+    /// A snapshot of an idle baseline core with hand-written ROB entry
+    /// tags, MSHR lines and stalled-op tag, in `Cpu::save_snap`'s layout,
+    /// so each refusal test plants exactly one bad field.
+    fn hand_snap(rob_tags: &[u8], mshr_lines: &[u64], stalled_op_tag: u8) -> Vec<u8> {
+        let cpu = Cpu::new(CpuConfig::baseline());
+        let mut w = burst_snap::SnapWriter::new();
+        cpu.hierarchy.save_snap(&mut w);
+        w.usize(rob_tags.len());
+        for &tag in rob_tags {
+            w.u8(tag);
+            w.u64(0);
+        }
+        w.u64(0); // head_seq
+        w.u64(0); // now
+        w.usize(mshr_lines.len());
+        for &line in mshr_lines {
+            w.u64(line);
+            w.usize(0); // no waiters
+            w.bool(false);
+        }
+        w.usize(0); // read requests
+        w.u8(stalled_op_tag);
+        w.opt_u64(None); // stalled_miss
+        w.opt_u64(None); // chase_block
+        cpu.stats.save_snap(&mut w);
+        w.into_bytes()
+    }
+
+    fn load(bytes: &[u8]) -> Result<(), burst_snap::SnapError> {
+        let mut r = burst_snap::SnapReader::new(bytes);
+        Cpu::new(CpuConfig::baseline()).load_snap(&mut r)?;
+        r.finish()
+    }
+
+    #[test]
+    fn hand_written_snapshot_loads() {
+        assert_eq!(load(&hand_snap(&[0, 1], &[0x40, 0x80], 0)), Ok(()));
+    }
+
+    #[test]
+    fn snapshot_rejects_duplicate_mshr_line() {
+        assert_eq!(
+            load(&hand_snap(&[], &[0x40, 0x80, 0x40], 0)),
+            Err(burst_snap::SnapError::Corrupt("duplicate MSHR line"))
+        );
+    }
+
+    #[test]
+    fn snapshot_rejects_more_mshrs_than_lsq() {
+        let lsq = CpuConfig::baseline().lsq_size as u64;
+        let lines: Vec<u64> = (0..=lsq).map(|i| i * 64).collect();
+        assert_eq!(load(&hand_snap(&[], &lines[..lsq as usize], 0)), Ok(()));
+        assert_eq!(
+            load(&hand_snap(&[], &lines, 0)),
+            Err(burst_snap::SnapError::Corrupt(
+                "more MSHRs than configured LSQ"
+            ))
+        );
+    }
+
+    #[test]
+    fn snapshot_rejects_unknown_rob_entry_tag() {
+        assert_eq!(
+            load(&hand_snap(&[0, 2], &[], 0)),
+            Err(burst_snap::SnapError::Corrupt("bad ROB entry tag"))
+        );
+    }
+
+    #[test]
+    fn snapshot_rejects_unknown_stalled_op_tag() {
+        assert_eq!(
+            load(&hand_snap(&[], &[], 4)),
+            Err(burst_snap::SnapError::Corrupt("bad Op tag"))
+        );
+    }
+
+    /// Stall batching after a restore: a restored core and the original
+    /// advance through the same stall spans and cycles afterwards.
     #[test]
     fn restored_core_batches_identically() {
         let mut cpu = Cpu::new(CpuConfig::baseline());

@@ -984,11 +984,11 @@ impl System {
         self.engine_stats.steps += 1;
         let t0 = Stamp::begin(self.profile.is_some());
         // 1. Every core makes progress and generates cache-miss traffic.
-        //    Under the event engine, [`Cpu::run_until`] advances stalled
-        //    stretches and full-width compute streaks inside the step in
-        //    closed form — bit-identically to per-cycle stepping, since
-        //    nothing external (read delivery, hand-off) happens between the
-        //    micro-cycles of one step. The reference engine keeps the plain
+        //    Under the event engine, [`Cpu::run_until`] jumps stalled
+        //    stretches inside the step in closed form and steps every
+        //    other cycle exactly — bit-identically to per-cycle stepping,
+        //    since nothing external (read delivery, hand-off) happens
+        //    between the micro-cycles of one step. The reference engine keeps the plain
         //    loop as an independent implementation.
         let ratio = self.cfg.cpu.cpu_ratio;
         let per_cycle = self.cfg.engine == Engine::CycleNoSkip;

@@ -4,8 +4,8 @@
 //! instruction mixes, random epoch strides and random memory latencies.
 //!
 //! This is the randomized sibling of the fixed-scenario equivalence tests
-//! in `burst_cpu`: proptest explores streak boundaries, stall wake-ups
-//! landing mid-epoch, and completion timing the hand-picked cases cannot
+//! in `burst_cpu`: proptest explores stall spans, wake-ups landing
+//! mid-epoch, and completion timing the hand-picked cases cannot
 //! enumerate. The full-system analogue (whole-`System` engine equivalence
 //! on random seeds) lives in `cycle_skip.rs`.
 
