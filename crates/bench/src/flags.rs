@@ -206,9 +206,6 @@ pub const FLAGS: &[Flag] = &[
     Flag { name: "--max-retries", group: Group::Grid, default: "2",
         kind: Kind::Count(|o, n| o.max_retries = u32::try_from(n).unwrap_or(u32::MAX)),
         help: "retries granted per failed cell" },
-    Flag { name: "--inject-cell-faults", group: Group::Grid, default: "",
-        kind: Kind::Seed(|o, n| o.inject_cell_faults = Some(n)),
-        help: "seed of deterministic transient cell faults (tests retries; results unchanged)" },
     Flag { name: "--checkpoint-every", group: Group::Recovery, default: "0",
         kind: Kind::Count(|o, n| o.checkpoint_every = n),
         help: "checkpoint cadence in memory cycles (0 = off)" },

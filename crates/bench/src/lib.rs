@@ -30,11 +30,10 @@ pub use flags::{study, usage, UsageError, FLAGS};
 pub use studies::{Study, STUDIES};
 
 use burst_core::Mechanism;
-use burst_sim::experiments::{fig12_supervised, outstanding_supervised};
-use burst_sim::experiments::{Fig12Row, OutstandingRow, Sweep};
+use burst_sim::experiments::Sweep;
 use burst_sim::{
     CellFailure, CheckpointPlan, Engine, IoFaultKind, IoSite, Journal, OracleError, RunLength,
-    SimIo, Supervised, SupervisorConfig, SystemConfig, TransientFaultPlan,
+    SimIo, Supervised, SupervisorConfig, SystemConfig,
 };
 use burst_workloads::SpecBenchmark;
 
@@ -64,8 +63,6 @@ pub struct HarnessOptions {
     pub deadline: Option<f64>,
     /// Retries granted per failed cell.
     pub max_retries: u32,
-    /// Seed of deterministic transient cell faults (results unchanged).
-    pub inject_cell_faults: Option<u64>,
     /// Checkpoint cadence in memory cycles (0 = off). With a journal, a
     /// killed run resumes each in-flight cell from its last checkpoint.
     pub checkpoint_every: u64,
@@ -104,7 +101,6 @@ impl HarnessOptions {
             resume: None,
             deadline: None,
             max_retries: 2,
-            inject_cell_faults: None,
             checkpoint_every: 0,
             checkpoint_dir: None,
             checkpoint_durable: true,
@@ -139,13 +135,12 @@ impl HarnessOptions {
         }
     }
 
-    /// The supervision policy implied by the flags: deadline, retry budget
-    /// and (for testing) cell-fault injection.
+    /// The supervision policy implied by the flags: deadline and retry
+    /// budget.
     pub fn supervisor_config(&self) -> SupervisorConfig {
         SupervisorConfig {
             deadline: self.deadline.map(std::time::Duration::from_secs_f64),
             max_retries: self.max_retries,
-            inject: self.inject_cell_faults.map(TransientFaultPlan::new),
             ..SupervisorConfig::default()
         }
     }
@@ -311,9 +306,9 @@ impl FailureLedger {
         Self::default()
     }
 
-    /// Unwraps a supervised result, absorbing its failure records and
+    /// Unwraps a supervised sweep, absorbing its failure records and
     /// journal-resume count.
-    pub fn absorb<T>(&mut self, s: Supervised<T>) -> T {
+    pub fn absorb(&mut self, s: Supervised) -> Sweep {
         self.failures.extend(s.failures);
         self.resumed += s.resumed;
         s.value
@@ -335,10 +330,6 @@ impl FailureLedger {
     pub fn finish(self) -> ExitCode {
         if self.resumed > 0 {
             println!("{} cell(s) restored from the journal", self.resumed);
-        }
-        let v2 = burst_sim::report::render_robustness_v2(&self.failures, self.resumed);
-        if !v2.is_empty() {
-            print!("{v2}");
         }
         if self.failures.is_empty() {
             ExitCode::SUCCESS
@@ -385,7 +376,8 @@ impl<'a> Grid<'a> {
     }
 
     /// One supervised grid of `benchmarks x mechanisms` on `base` under
-    /// the journal `scope`; its failures go to the ledger.
+    /// the journal `scope`; its failures go to the ledger. Every figure is
+    /// one such grid read by one [`Sweep`] row method.
     pub fn sweep(
         &mut self,
         scope: &str,
@@ -419,37 +411,6 @@ impl<'a> Grid<'a> {
             }
         };
         self.main.insert(sweep)
-    }
-
-    /// Outstanding-access distributions for swim under `mechanisms`.
-    pub fn outstanding(&mut self, scope: &str, mechanisms: &[Mechanism]) -> Vec<OutstandingRow> {
-        self.ledger.absorb(outstanding_supervised(
-            scope,
-            &self.base,
-            SpecBenchmark::Swim,
-            mechanisms,
-            self.opts.run(),
-            self.opts.seed,
-            self.opts.jobs,
-            &self.sup,
-            self.journal.as_ref(),
-            self.ckpt.as_ref(),
-        ))
-    }
-
-    /// The Figure 12 threshold sweep
-    /// ([`burst_sim::experiments::fig12_mechanisms`]).
-    pub fn fig12(&mut self) -> Vec<Fig12Row> {
-        self.ledger.absorb(fig12_supervised(
-            &self.base,
-            &self.opts.benchmarks,
-            self.opts.run(),
-            self.opts.seed,
-            self.opts.jobs,
-            &self.sup,
-            self.journal.as_ref(),
-            self.ckpt.as_ref(),
-        ))
     }
 }
 
@@ -528,7 +489,6 @@ mod tests {
         assert!(o.resume.is_none());
         assert!(o.deadline.is_none());
         assert_eq!(o.max_retries, 2);
-        assert!(o.inject_cell_faults.is_none());
         assert!(!o.help && !o.oracle);
         assert!(matches!(o.open_journal(o.sim_io()), Ok(None)));
     }
@@ -542,8 +502,6 @@ mod tests {
                 "1.5",
                 "--max-retries",
                 "5",
-                "--inject-cell-faults",
-                "9",
                 "--journal",
                 "run.journal",
             ],
@@ -551,7 +509,7 @@ mod tests {
         let sup = o.supervisor_config();
         assert_eq!(sup.deadline, Some(std::time::Duration::from_millis(1500)));
         assert_eq!(sup.max_retries, 5);
-        assert_eq!(sup.inject.map(|p| p.seed), Some(9));
+        assert!(sup.inject.is_none());
         assert_eq!(
             o.journal.as_deref(),
             Some(std::path::Path::new("run.journal"))
@@ -573,12 +531,13 @@ mod tests {
     #[test]
     fn ledger_tracks_failures_and_resumes() {
         let mut ledger = FailureLedger::new();
-        let sweep_value = ledger.absorb(Supervised {
-            value: 41,
+        let empty = || Sweep { cells: vec![] };
+        let sweep = ledger.absorb(Supervised {
+            value: empty(),
             failures: vec![],
             resumed: 3,
         });
-        assert_eq!(sweep_value, 41);
+        assert!(sweep.cells.is_empty());
         assert!(ledger.failures().is_empty());
         assert_eq!(ledger.resumed(), 3);
         let failure = CellFailure {
@@ -591,11 +550,11 @@ mod tests {
             quarantined: false,
         };
         let partial = ledger.absorb(Supervised {
-            value: 7,
+            value: empty(),
             failures: vec![failure],
             resumed: 1,
         });
-        assert_eq!(partial, 7);
+        assert!(partial.cells.is_empty());
         assert_eq!(ledger.failures().len(), 1);
         assert_eq!(ledger.failures()[0].key(), "profile/swim/BkInOrder");
         assert_eq!(ledger.resumed(), 4);

@@ -227,7 +227,10 @@ fn run_fig7(g: &mut Grid) -> Result<(), String> {
 /// Figure 8: the distribution of outstanding accesses for swim under six
 /// mechanisms.
 fn run_fig8(g: &mut Grid) -> Result<(), String> {
-    let rows = g.outstanding("fig8", &fig8_mechanisms());
+    let base = g.base;
+    let rows = g
+        .sweep("fig8", &base, &[SpecBenchmark::Swim], &fig8_mechanisms())
+        .outstanding_rows();
     println!("{}", render_outstanding(&rows));
     g.opts
         .dump_csv("fig8.csv", &export::outstanding_to_csv(&rows));
@@ -275,7 +278,10 @@ fn run_fig10(g: &mut Grid) -> Result<(), String> {
 
 /// Figure 11: outstanding accesses for swim across the threshold sweep.
 fn run_fig11(g: &mut Grid) -> Result<(), String> {
-    let rows = g.outstanding("fig11", &fig12_mechanisms());
+    let base = g.base;
+    let rows = g
+        .sweep("fig11", &base, &[SpecBenchmark::Swim], &fig12_mechanisms())
+        .outstanding_rows();
     println!("{}", render_outstanding(&rows));
     g.opts
         .dump_csv("fig11.csv", &export::outstanding_to_csv(&rows));
@@ -290,7 +296,10 @@ fn run_fig11(g: &mut Grid) -> Result<(), String> {
 /// Figure 12: read latency, write latency and normalised execution time
 /// across the static threshold sweep.
 fn run_fig12(g: &mut Grid) -> Result<(), String> {
-    let rows = g.fig12();
+    let (base, benches) = (g.base, &g.opts.benchmarks);
+    let rows = g
+        .sweep("fig12", &base, benches, &fig12_mechanisms())
+        .fig12_rows();
     println!("{}", render_fig12(&rows));
     g.opts.dump_csv("fig12.csv", &export::fig12_to_csv(&rows));
     if let Some(best) = rows

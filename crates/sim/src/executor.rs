@@ -1,6 +1,6 @@
 //! Dependency-free parallel executor for independent simulations.
 //!
-//! Every experiment driver in this crate runs a grid of `(benchmark,
+//! Every figure in this crate is read from a grid of `(benchmark,
 //! mechanism)` cells, and each cell is an independent deterministic
 //! simulation: the workload generator is seeded per cell and no state is
 //! shared. [`map_parallel`] exploits that with a plain work-stealing-free

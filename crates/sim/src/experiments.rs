@@ -1,7 +1,9 @@
-//! Experiment drivers regenerating every table and figure of the paper's
-//! evaluation (Section 5). Each driver returns structured rows; the
-//! [`crate::report`] module renders them as the text tables the bench
-//! harness prints.
+//! The paper's evaluation (Section 5) as data: Table 1 and Figure 1
+//! computed directly, and every other figure as one benchmark x mechanism
+//! [`Sweep`] read by one row method ([`Sweep::fig7_rows`],
+//! [`Sweep::outstanding_rows`], [`Sweep::fig9_rows`],
+//! [`Sweep::fig10_rows`], [`Sweep::fig12_rows`]). The [`crate::report`]
+//! module renders the rows as the text tables the bench harness prints.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -139,7 +141,8 @@ pub struct SweepCell {
     pub report: SimReport,
 }
 
-/// A benchmark x mechanism sweep — the data behind Figures 7, 9 and 10.
+/// A benchmark x mechanism sweep — the data behind every figure from 7
+/// to 12, each read by its own row method.
 #[derive(Debug, Clone)]
 pub struct Sweep {
     /// All simulated cells.
@@ -218,7 +221,7 @@ impl Sweep {
         sup: &SupervisorConfig,
         journal: Option<&Journal>,
         ckpt: Option<&CheckpointPlan>,
-    ) -> Supervised<Sweep> {
+    ) -> Supervised {
         let grid = grid_of(benchmarks, mechanisms);
         let ckpt = ckpt.filter(|p| p.every > 0);
         if let Some(plan) = ckpt {
@@ -484,24 +487,76 @@ impl Sweep {
     }
 
     /// Geometric-mean normalised execution time per mechanism (the
-    /// "average" group of Figure 10).
+    /// "average" group of Figure 10), over the rows that hold the
+    /// mechanism. A mechanism no row holds has no average.
     pub fn fig10_average(&self) -> Vec<(Mechanism, f64)> {
         let rows = self.fig10_rows();
         self.mechanisms()
             .into_iter()
-            .filter(|&m| m != Mechanism::BkInOrder)
+            .filter_map(|m| {
+                let logs: Vec<f64> = rows.iter().filter_map(|r| r.get(m)).map(f64::ln).collect();
+                (!logs.is_empty())
+                    .then(|| (m, (logs.iter().sum::<f64>() / logs.len() as f64).exp()))
+            })
+            .collect()
+    }
+
+    /// Figures 8 and 11: the outstanding-access distributions, one row
+    /// per cell in grid order (the harness runs these grids on one
+    /// benchmark). Everything they plot lives in the controller stats, so
+    /// rows rebuild equally from journalled reports on resume.
+    pub fn outstanding_rows(&self) -> Vec<OutstandingRow> {
+        self.cells
+            .iter()
+            .map(|c| OutstandingRow {
+                mechanism: c.mechanism,
+                reads: c.report.ctrl.outstanding_reads.fractions(),
+                writes: c.report.ctrl.outstanding_writes.fractions(),
+                saturation: c.report.ctrl.write_saturation_rate(),
+                mean_reads: c.report.ctrl.outstanding_reads.mean(),
+                mean_writes: c.report.ctrl.outstanding_writes.mean(),
+            })
+            .collect()
+    }
+
+    /// Figure 12: the threshold sweep's latencies averaged over benchmarks
+    /// and its execution time summed over them, normalised to plain
+    /// `Burst`. Rows follow the threshold axis ([`fig12_mechanisms`]),
+    /// then any other mechanism in first-seen order. Tolerates an
+    /// incomplete sweep: a mechanism with no surviving cell has no row, and
+    /// a missing `Burst` baseline makes the normalised execution time `NaN`
+    /// rather than a panic, so salvage output still renders.
+    pub fn fig12_rows(&self) -> Vec<Fig12Row> {
+        let base: f64 = self
+            .cells
+            .iter()
+            .filter(|c| c.mechanism == Mechanism::Burst)
+            .map(|c| c.report.cpu_cycles as f64)
+            .sum();
+        let axis = fig12_mechanisms();
+        let mut points = self.mechanisms();
+        points.sort_by_key(|m| axis.iter().position(|a| a == m).unwrap_or(axis.len()));
+        points
+            .into_iter()
             .map(|m| {
-                let product: f64 = rows
-                    .iter()
-                    .map(|r| {
-                        r.normalized
-                            .iter()
-                            .find(|(mm, _)| *mm == m)
-                            .map(|(_, v)| v.ln())
-                            .unwrap_or(0.0)
-                    })
-                    .sum();
-                (m, (product / rows.len() as f64).exp())
+                let cells: Vec<&SweepCell> =
+                    self.cells.iter().filter(|c| c.mechanism == m).collect();
+                let n = cells.len() as f64;
+                let exec: f64 = cells.iter().map(|c| c.report.cpu_cycles as f64).sum();
+                Fig12Row {
+                    mechanism: m,
+                    read_latency: cells
+                        .iter()
+                        .map(|c| c.report.ctrl.avg_read_latency())
+                        .sum::<f64>()
+                        / n,
+                    write_latency: cells
+                        .iter()
+                        .map(|c| c.report.ctrl.avg_write_latency())
+                        .sum::<f64>()
+                        / n,
+                    normalized_exec: if base > 0.0 { exec / base } else { f64::NAN },
+                }
             })
             .collect()
     }
@@ -560,19 +615,19 @@ impl CellFailure {
     }
 }
 
-/// A supervised experiment result: the salvageable value plus the failure
-/// records and resume statistics the harness reports.
+/// A supervised sweep: the cells that completed plus the failure records
+/// and resume statistics the harness reports.
 #[derive(Debug, Clone)]
-pub struct Supervised<T> {
-    /// The experiment's (possibly partial) result.
-    pub value: T,
+pub struct Supervised {
+    /// The (possibly partial) sweep.
+    pub value: Sweep,
     /// Every unrecovered cell, in grid order.
     pub failures: Vec<CellFailure>,
     /// Cells restored from the journal instead of re-simulated.
     pub resumed: usize,
 }
 
-impl<T> Supervised<T> {
+impl Supervised {
     /// Whether every cell completed (possibly after retries).
     pub fn ok(&self) -> bool {
         self.failures.is_empty()
@@ -617,6 +672,28 @@ pub struct Fig10Row {
     pub normalized: Vec<(Mechanism, f64)>,
 }
 
+impl Fig10Row {
+    /// The normalised execution time under `mechanism`, if its cell ran.
+    pub fn get(&self, mechanism: Mechanism) -> Option<f64> {
+        self.normalized
+            .iter()
+            .find(|(m, _)| *m == mechanism)
+            .map(|&(_, v)| v)
+    }
+
+    /// The mechanisms of every row, in first-seen order: the columns of
+    /// the Figure 10 table and CSV, whichever cells a row lacks.
+    pub fn columns(rows: &[Fig10Row]) -> Vec<Mechanism> {
+        let mut out = Vec::new();
+        for &(m, _) in rows.iter().flat_map(|r| &r.normalized) {
+            if !out.contains(&m) {
+                out.push(m);
+            }
+        }
+        out
+    }
+}
+
 /// Figure 8 / 11: outstanding-access distributions for one benchmark under
 /// several mechanisms.
 #[derive(Debug, Clone)]
@@ -636,64 +713,6 @@ pub struct OutstandingRow {
     pub mean_writes: f64,
 }
 
-/// Derives one outstanding-access row from a finished report. Everything
-/// Figure 8/11 plots lives in the controller stats, so rows can equally be
-/// rebuilt from journalled reports on resume.
-fn outstanding_row(mechanism: Mechanism, report: &SimReport) -> OutstandingRow {
-    OutstandingRow {
-        mechanism,
-        reads: report.ctrl.outstanding_reads.fractions(),
-        writes: report.ctrl.outstanding_writes.fractions(),
-        saturation: report.ctrl.write_saturation_rate(),
-        mean_reads: report.ctrl.outstanding_reads.mean(),
-        mean_writes: report.ctrl.outstanding_writes.mean(),
-    }
-}
-
-/// Figures 8 and 11: the distribution of outstanding accesses for one
-/// `benchmark` under `mechanisms`, run through [`Sweep::run_supervised`]. Pass [`fig8_mechanisms`] with scope `"fig8"` or
-/// [`fig12_mechanisms`] with scope `"fig11"`. Rows for failed cells are
-/// simply missing; the failures travel in [`Supervised::failures`].
-#[allow(
-    clippy::too_many_arguments,
-    reason = "one parameter per sweep axis and persistence knob"
-)]
-pub fn outstanding_supervised(
-    scope: &str,
-    base: &SystemConfig,
-    benchmark: SpecBenchmark,
-    mechanisms: &[Mechanism],
-    len: RunLength,
-    seed: u64,
-    jobs: usize,
-    sup: &SupervisorConfig,
-    journal: Option<&Journal>,
-    ckpt: Option<&CheckpointPlan>,
-) -> Supervised<Vec<OutstandingRow>> {
-    let s = Sweep::run_supervised(
-        scope,
-        base,
-        &[benchmark],
-        mechanisms,
-        len,
-        seed,
-        jobs,
-        sup,
-        journal,
-        ckpt,
-    );
-    Supervised {
-        value: s
-            .value
-            .cells
-            .iter()
-            .map(|c| outstanding_row(c.mechanism, &c.report))
-            .collect(),
-        failures: s.failures,
-        resumed: s.resumed,
-    }
-}
-
 /// One Figure 12 row: threshold-sweep latency and execution time averaged
 /// over benchmarks, normalised to plain `Burst`.
 #[derive(Debug, Clone, Copy)]
@@ -706,82 +725,6 @@ pub struct Fig12Row {
     pub write_latency: f64,
     /// Execution time normalised to plain `Burst`.
     pub normalized_exec: f64,
-}
-
-/// Figure 12: the threshold sweep over `benchmarks`, run through
-/// [`Sweep::run_supervised`] under scope `"fig12"`. Mechanisms whose every cell
-/// failed are dropped from the rows; normalisation falls back to `NaN` if
-/// the plain-`Burst` baseline itself is entirely missing.
-#[allow(
-    clippy::too_many_arguments,
-    reason = "one parameter per sweep axis and persistence knob"
-)]
-pub fn fig12_supervised(
-    base: &SystemConfig,
-    benchmarks: &[SpecBenchmark],
-    len: RunLength,
-    seed: u64,
-    jobs: usize,
-    sup: &SupervisorConfig,
-    journal: Option<&Journal>,
-    ckpt: Option<&CheckpointPlan>,
-) -> Supervised<Vec<Fig12Row>> {
-    let mechanisms = fig12_mechanisms();
-    let s = Sweep::run_supervised(
-        "fig12",
-        base,
-        benchmarks,
-        &mechanisms,
-        len,
-        seed,
-        jobs,
-        sup,
-        journal,
-        ckpt,
-    );
-    Supervised {
-        value: fig12_rows_from_sweep(&s.value, &mechanisms),
-        failures: s.failures,
-        resumed: s.resumed,
-    }
-}
-
-/// Aggregates a (possibly partial) threshold sweep into Figure 12 rows.
-/// A mechanism with no surviving cells yields no row; a missing `Burst`
-/// normalisation baseline yields `NaN` normalised execution times rather
-/// than a panic, so salvage output still renders.
-fn fig12_rows_from_sweep(sweep: &Sweep, mechanisms: &[Mechanism]) -> Vec<Fig12Row> {
-    let base: f64 = sweep
-        .cells
-        .iter()
-        .filter(|c| c.mechanism == Mechanism::Burst)
-        .map(|c| c.report.cpu_cycles as f64)
-        .sum();
-    mechanisms
-        .iter()
-        .filter_map(|&m| {
-            let cells: Vec<&SweepCell> = sweep.cells.iter().filter(|c| c.mechanism == m).collect();
-            if cells.is_empty() {
-                return None;
-            }
-            let n = cells.len() as f64;
-            let exec: f64 = cells.iter().map(|c| c.report.cpu_cycles as f64).sum();
-            Some(Fig12Row {
-                mechanism: m,
-                read_latency: cells
-                    .iter()
-                    .map(|c| c.report.ctrl.avg_read_latency())
-                    .sum::<f64>()
-                    / n,
-                write_latency: cells
-                    .iter()
-                    .map(|c| c.report.ctrl.avg_write_latency())
-                    .sum::<f64>()
-                    / n,
-                normalized_exec: if base > 0.0 { exec / base } else { f64::NAN },
-            })
-        })
-        .collect()
 }
 
 /// Table 1: access latency by controller policy and row state.
@@ -1105,6 +1048,108 @@ mod tests {
         assert_eq!(s.failures.len(), 1);
         assert_eq!(s.failures[0].kind, FailureKind::Other);
         assert_eq!(s.failures[0].key(), "sweep/gzip/Burst_TH200");
+    }
+
+    /// A hand-built cell: `cpu_cycles` of execution, and ten reads with a
+    /// mean latency of `cpu_cycles / 100`.
+    fn hand_cell(benchmark: SpecBenchmark, mechanism: Mechanism, cpu_cycles: u64) -> SweepCell {
+        let mut ctrl = burst_core::CtrlStats::new(8);
+        ctrl.reads_done = 10;
+        ctrl.read_latency_sum = cpu_cycles / 10;
+        let report = SimReport {
+            mechanism,
+            workload: benchmark.name().to_string(),
+            cpu_cycles,
+            mem_cycles: cpu_cycles / 2,
+            instructions: 0,
+            robustness: crate::RobustnessReport::collect(&ctrl, 0),
+            ctrl,
+            bus: burst_dram::BusStats::default(),
+            cpu: burst_cpu::CpuStats::default(),
+            engine: crate::EngineStats::default(),
+            channels: 2,
+        };
+        SweepCell {
+            benchmark,
+            mechanism,
+            report,
+        }
+    }
+
+    #[test]
+    fn fig10_outputs_keep_their_columns_when_a_cell_is_lost() {
+        use Mechanism::{BkInOrder, Burst, RowHit};
+        use SpecBenchmark::{Gzip, Swim};
+        // gzip, the first row, lost its RowHit cell.
+        let sweep = Sweep {
+            cells: vec![
+                hand_cell(Gzip, BkInOrder, 1000),
+                hand_cell(Gzip, Burst, 500),
+                hand_cell(Swim, BkInOrder, 1000),
+                hand_cell(Swim, RowHit, 900),
+                hand_cell(Swim, Burst, 800),
+            ],
+        };
+        let rows = sweep.fig10_rows();
+        let average = sweep.fig10_average();
+        // RowHit averages over swim alone, not toward 1.0 for gzip's loss.
+        assert_eq!(average.len(), 2);
+        assert_eq!(average[0].0, Burst);
+        assert!((average[0].1 - (0.5f64 * 0.8).sqrt()).abs() < 1e-12);
+        assert_eq!(average[1].0, RowHit);
+        assert!((average[1].1 - 0.9).abs() < 1e-12);
+
+        let table = crate::report::render_fig10(&rows, &average).expect("rows");
+        let fields = |label: &str| -> Vec<String> {
+            let line = table.lines().find(|l| l.contains(label)).expect(label);
+            line.split('|').map(|f| f.trim().to_string()).collect()
+        };
+        assert_eq!(
+            fields("Benchmark"),
+            ["", "Benchmark", "Burst", "RowHit", ""]
+        );
+        assert_eq!(fields("gzip"), ["", "gzip", "0.500", "n/a", ""]);
+        assert_eq!(fields("swim"), ["", "swim", "0.800", "0.900", ""]);
+        assert_eq!(fields("average"), ["", "average", "0.632", "0.900", ""]);
+
+        let csv = crate::export::fig10_to_csv(&rows).expect("rows");
+        assert_eq!(
+            csv,
+            "benchmark,Burst,RowHit\ngzip,0.5000,\nswim,0.8000,0.9000\n"
+        );
+    }
+
+    #[test]
+    fn fig12_rows_salvage_a_partial_threshold_sweep() {
+        use Mechanism::{Burst, BurstRp, BurstWp};
+        use SpecBenchmark::{Gzip, Swim};
+        // Burst_RP lost every cell: it has no row. gzip, the first
+        // benchmark, lost its Burst cell: the rows still follow the axis.
+        let lost_rp = Sweep {
+            cells: vec![
+                hand_cell(Gzip, BurstWp, 900),
+                hand_cell(Swim, Burst, 1000),
+                hand_cell(Swim, BurstWp, 700),
+            ],
+        };
+        let rows = lost_rp.fig12_rows();
+        let points: Vec<Mechanism> = rows.iter().map(|r| r.mechanism).collect();
+        assert_eq!(points, [Burst, BurstWp]);
+        assert_eq!(rows[0].normalized_exec, 1.0);
+        assert!((rows[1].read_latency - 8.0).abs() < 1e-12);
+
+        // No Burst cell survived: no baseline, so every normalised
+        // execution time is NaN while the latencies still render.
+        let no_burst = Sweep {
+            cells: vec![
+                hand_cell(Gzip, BurstWp, 900),
+                hand_cell(Gzip, BurstRp, 1100),
+            ],
+        };
+        let rows = no_burst.fig12_rows();
+        assert_eq!(rows.len(), 2);
+        assert!(rows.iter().all(|r| r.normalized_exec.is_nan()));
+        assert!((rows[1].read_latency - 11.0).abs() < 1e-12);
     }
 
     #[test]

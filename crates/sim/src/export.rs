@@ -107,28 +107,34 @@ pub fn fig9_to_csv(rows: &[Fig9Row]) -> String {
     out
 }
 
-/// Figure 10 rows as CSV (wide format: one column per mechanism).
+/// Figure 10 rows as CSV (wide format: one column per mechanism of any
+/// row, [`Fig10Row::columns`]); a cell a row lacks is an empty field.
 ///
 /// # Errors
 ///
 /// Returns [`NoRowsError`] when `rows` is empty: the header's mechanism
-/// columns come from the first row, so an empty input would silently
-/// export a header-less, data-less file.
+/// columns come from the rows, so an empty input would silently export a
+/// header-less, data-less file.
 pub fn fig10_to_csv(rows: &[Fig10Row]) -> Result<String, NoRowsError> {
-    let first = rows.first().ok_or(NoRowsError {
-        what: "the Figure 10 CSV",
-    })?;
-    let mechanisms: Vec<String> = first.normalized.iter().map(|(m, _)| m.name()).collect();
+    if rows.is_empty() {
+        return Err(NoRowsError {
+            what: "the Figure 10 CSV",
+        });
+    }
+    let columns = Fig10Row::columns(rows);
     let mut out = String::from("benchmark");
-    for m in &mechanisms {
+    for m in &columns {
         out.push(',');
-        out.push_str(m);
+        out.push_str(&m.name());
     }
     out.push('\n');
     for r in rows {
         out.push_str(r.benchmark.name());
-        for (_, v) in &r.normalized {
-            out.push_str(&format!(",{v:.4}"));
+        for &m in &columns {
+            out.push(',');
+            if let Some(v) = r.get(m) {
+                out.push_str(&format!("{v:.4}"));
+            }
         }
         out.push('\n');
     }
@@ -266,10 +272,10 @@ mod tests {
 
     #[test]
     fn outstanding_csv_long_format() {
-        let rows = crate::experiments::outstanding_supervised(
+        let rows = Sweep::run_supervised(
             "fig8",
             &crate::SystemConfig::baseline(),
-            SpecBenchmark::Gzip,
+            &[SpecBenchmark::Gzip],
             &crate::experiments::fig8_mechanisms(),
             RunLength::Instructions(2_000),
             1,
@@ -278,7 +284,8 @@ mod tests {
             None,
             None,
         )
-        .value;
+        .value
+        .outstanding_rows();
         let csv = outstanding_to_csv(&rows);
         assert!(csv.starts_with("mechanism,kind,occupancy,fraction\n"));
         assert!(csv.contains(",read,"));

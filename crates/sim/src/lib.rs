@@ -2,9 +2,9 @@
 //!
 //! Full-system simulation harness for the burst scheduling reproduction:
 //! wires the [`burst_cpu`] core model, a [`burst_core`] access scheduler and
-//! the [`burst_dram`] device together, collects statistics and provides one
-//! experiment driver per table/figure of the paper (see
-//! [`experiments`]).
+//! the [`burst_dram`] device together, collects statistics and computes
+//! the paper's tables and figures (see [`experiments`]): every figure is
+//! one supervised benchmark x mechanism grid read by one row method.
 //!
 //! ## Example
 //!
@@ -57,7 +57,7 @@ pub use oracle::{
 pub use profile::PhaseProfile;
 pub use simio::{real_io, ChaosIo, IoFaultKind, IoSite, RealIo, SimIo};
 pub use supervisor::{
-    supervise, supervise_with, CellError, CellOutcome, FailureKind, KindRetries, SupervisorConfig,
+    supervise, supervise_with, CellError, CellOutcome, FailureKind, SupervisorConfig,
     TransientFaultPlan,
 };
 pub use system::{

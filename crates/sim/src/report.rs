@@ -5,6 +5,7 @@ use crate::experiments::{
     CellFailure, Fig10Row, Fig12Row, Fig7Row, Fig9Row, OutstandingRow, Table1Row,
 };
 use crate::supervisor::FailureKind;
+use burst_core::Mechanism;
 
 /// Error returned when a renderer or exporter is handed an empty row set:
 /// the artefact would silently be an empty table, which almost always means
@@ -175,35 +176,42 @@ pub fn render_fig9(rows: &[Fig9Row]) -> String {
     )
 }
 
-/// Renders Figure 10 (normalised execution time per benchmark).
+/// Renders Figure 10 (normalised execution time per benchmark), one
+/// column per mechanism of any row ([`Fig10Row::columns`]); a cell that a
+/// row or the average lacks prints `n/a`.
 ///
 /// # Errors
 ///
-/// Returns [`NoRowsError`] when `rows` is empty (the mechanism column set
-/// is derived from the first row, so an empty input has no table shape).
+/// Returns [`NoRowsError`] when `rows` is empty (the columns come from the
+/// rows, so an empty input has no table shape).
 pub fn render_fig10(
     rows: &[Fig10Row],
-    average: &[(burst_core::Mechanism, f64)],
+    average: &[(Mechanism, f64)],
 ) -> Result<String, NoRowsError> {
-    let first = rows.first().ok_or(NoRowsError {
-        what: "the Figure 10 table",
-    })?;
-    let mechanisms: Vec<String> = first.normalized.iter().map(|(m, _)| m.name()).collect();
-    let mut headers: Vec<&str> = vec!["Benchmark"];
-    for m in &mechanisms {
-        headers.push(m);
+    if rows.is_empty() {
+        return Err(NoRowsError {
+            what: "the Figure 10 table",
+        });
     }
+    let columns = Fig10Row::columns(rows);
+    let names: Vec<String> = columns.iter().map(Mechanism::name).collect();
+    let headers: Vec<&str> = std::iter::once("Benchmark")
+        .chain(names.iter().map(String::as_str))
+        .collect();
+    let line = |label: &str, pairs: &[(Mechanism, f64)]| -> Vec<String> {
+        let cell = |m: Mechanism| match pairs.iter().find(|(p, _)| *p == m) {
+            Some((_, v)) => format!("{v:.3}"),
+            None => "n/a".to_string(),
+        };
+        std::iter::once(label.to_string())
+            .chain(columns.iter().map(|&m| cell(m)))
+            .collect()
+    };
     let mut body: Vec<Vec<String>> = rows
         .iter()
-        .map(|r| {
-            let mut row = vec![r.benchmark.name().to_string()];
-            row.extend(r.normalized.iter().map(|(_, v)| format!("{v:.3}")));
-            row
-        })
+        .map(|r| line(r.benchmark.name(), &r.normalized))
         .collect();
-    let mut avg_row = vec!["average".to_string()];
-    avg_row.extend(average.iter().map(|(_, v)| format!("{v:.3}")));
-    body.push(avg_row);
+    body.push(line("average", average));
     Ok(render_table(&headers, &body))
 }
 
@@ -273,40 +281,6 @@ pub fn render_failure_summary(failures: &[CellFailure]) -> String {
         &["Cell", "Kind", "Attempts", "Disposition", "Detail"],
         &details,
     ));
-    out
-}
-
-/// Renders the sweep-level "RobustnessReport v2" section of a supervised
-/// run: resume statistics, quarantine counts and the failure mix in one
-/// compact block. (v1 is the per-cell [`crate::RobustnessReport`] embedded
-/// in every [`crate::SimReport`]; v2 aggregates the *sweep's* robustness
-/// story on top.) Returns the empty string when there is nothing to say —
-/// no resumed cells, no failures — so harnesses print it unconditionally.
-pub fn render_robustness_v2(failures: &[CellFailure], resumed: usize) -> String {
-    if failures.is_empty() && resumed == 0 {
-        return String::new();
-    }
-    let quarantined = failures.iter().filter(|f| f.quarantined).count();
-    let retryable = failures.len() - quarantined;
-    let mut body = vec![
-        vec![
-            "cells resumed from journal".to_string(),
-            resumed.to_string(),
-        ],
-        vec!["cells quarantined".to_string(), quarantined.to_string()],
-        vec![
-            "cells failed (retryable on resume)".to_string(),
-            retryable.to_string(),
-        ],
-    ];
-    for kind in FailureKind::all() {
-        let n = failures.iter().filter(|f| f.kind == kind).count();
-        if n > 0 {
-            body.push(vec![format!("  of which {}", kind.name()), n.to_string()]);
-        }
-    }
-    let mut out = String::from("Robustness v2\n");
-    out.push_str(&render_table(&["Measure", "Count"], &body));
     out
 }
 
@@ -493,12 +467,6 @@ mod render_tests {
         assert!(s.contains("retryable"));
         assert!(s.contains("sweep/swim/Burst"));
         assert!(s.contains("cell exploded"));
-
-        let v2 = render_robustness_v2(&failures, 4);
-        assert!(v2.contains("Robustness v2"));
-        assert!(v2.contains("cells resumed from journal"));
-        assert!(v2.contains("of which panic"));
-        assert_eq!(render_robustness_v2(&[], 0), "");
     }
 
     #[test]

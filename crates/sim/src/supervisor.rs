@@ -174,54 +174,6 @@ impl<R> CellOutcome<R> {
     }
 }
 
-/// Per-[`FailureKind`] retry budgets overriding
-/// [`SupervisorConfig::max_retries`]: graceful degradation tuned to the
-/// failure class. A deterministic failure (a panic that will panic again,
-/// a stall latched by the same seed) deserves fewer retries than a
-/// deadline that a loaded host may simply have missed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct KindRetries {
-    /// Retry budget for [`FailureKind::Panic`] cells.
-    pub panic: Option<u32>,
-    /// Retry budget for [`FailureKind::ControllerStall`] cells.
-    pub controller_stall: Option<u32>,
-    /// Retry budget for [`FailureKind::RetirementStall`] cells.
-    pub retirement_stall: Option<u32>,
-    /// Retry budget for [`FailureKind::Deadline`] cells.
-    pub deadline: Option<u32>,
-    /// Retry budget for [`FailureKind::Injected`] cells.
-    pub injected: Option<u32>,
-    /// Retry budget for [`FailureKind::Other`] cells.
-    pub other: Option<u32>,
-}
-
-impl KindRetries {
-    /// The override for `kind`, if one is set.
-    pub fn for_kind(&self, kind: FailureKind) -> Option<u32> {
-        match kind {
-            FailureKind::Panic => self.panic,
-            FailureKind::ControllerStall => self.controller_stall,
-            FailureKind::RetirementStall => self.retirement_stall,
-            FailureKind::Deadline => self.deadline,
-            FailureKind::Injected => self.injected,
-            FailureKind::Other => self.other,
-        }
-    }
-
-    /// Builder-style override for one kind.
-    pub fn with(mut self, kind: FailureKind, retries: u32) -> KindRetries {
-        match kind {
-            FailureKind::Panic => self.panic = Some(retries),
-            FailureKind::ControllerStall => self.controller_stall = Some(retries),
-            FailureKind::RetirementStall => self.retirement_stall = Some(retries),
-            FailureKind::Deadline => self.deadline = Some(retries),
-            FailureKind::Injected => self.injected = Some(retries),
-            FailureKind::Other => self.other = Some(retries),
-        }
-        self
-    }
-}
-
 /// Supervision policy: deadlines, retry budget, backoff, fault injection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorConfig {
@@ -229,11 +181,9 @@ pub struct SupervisorConfig {
     /// enforcement (attempts then run inline on the worker thread, with
     /// no watchdog thread per attempt).
     pub deadline: Option<Duration>,
-    /// Retries granted after the first attempt; `max_retries + 1` attempts
-    /// total.
+    /// Retries granted after the first attempt, whatever the failure
+    /// kind; `max_retries + 1` attempts total.
     pub max_retries: u32,
-    /// Per-failure-kind overrides of `max_retries` — see [`KindRetries`].
-    pub kind_retries: KindRetries,
     /// Base of the deterministic backoff: retry `k` (0-based) sleeps
     /// `backoff_base_ms << min(k, 6)` milliseconds. Zero disables sleeping.
     pub backoff_base_ms: u64,
@@ -252,7 +202,6 @@ impl Default for SupervisorConfig {
         SupervisorConfig {
             deadline: None,
             max_retries: 2,
-            kind_retries: KindRetries::default(),
             backoff_base_ms: 10,
             inject: None,
             inject_panics: None,
@@ -264,11 +213,6 @@ impl SupervisorConfig {
     /// The deterministic backoff before retry `k` (0-based).
     pub fn backoff(&self, retry: u32) -> Duration {
         Duration::from_millis(self.backoff_base_ms << retry.min(6))
-    }
-
-    /// The retry budget that applies after a failure of `kind`.
-    pub fn retries_for(&self, kind: FailureKind) -> u32 {
-        self.kind_retries.for_kind(kind).unwrap_or(self.max_retries)
     }
 }
 
@@ -393,7 +337,7 @@ where
                 Err(e) => e,
             }
         };
-        if attempt >= cfg.retries_for(error.kind) {
+        if attempt >= cfg.max_retries {
             return CellOutcome::Failed {
                 kind: error.kind,
                 attempts: attempt + 1,
@@ -673,29 +617,6 @@ mod tests {
         });
         assert_eq!(e.kind, FailureKind::RetirementStall);
         assert!(e.payload.contains("livelock"), "{}", e.payload);
-    }
-
-    #[test]
-    fn kind_retries_override_the_global_budget() {
-        // Panics get zero retries; everything else keeps the default 2.
-        let cfg = SupervisorConfig {
-            kind_retries: KindRetries::default().with(FailureKind::Panic, 0),
-            ..quiet_cfg()
-        };
-        assert_eq!(cfg.retries_for(FailureKind::Panic), 0);
-        assert_eq!(cfg.retries_for(FailureKind::Other), 2);
-        let outcomes: Vec<CellOutcome<()>> = supervise(&[0u8], 1, &cfg, |_, _, _| {
-            panic!("always panics");
-        });
-        assert_eq!(
-            outcomes[0],
-            CellOutcome::Failed {
-                kind: FailureKind::Panic,
-                attempts: 1,
-                payload: "always panics".to_string(),
-            },
-            "a panic with a zero budget must not be retried"
-        );
     }
 
     #[test]

@@ -43,7 +43,7 @@ fn sup() -> SupervisorConfig {
     }
 }
 
-fn run_with_journal(journal: &Journal) -> burst_sim::Supervised<Sweep> {
+fn run_with_journal(journal: &Journal) -> burst_sim::Supervised {
     Sweep::run_supervised(
         "sweep",
         &burst_sim::SystemConfig::baseline(),

@@ -14,9 +14,7 @@
 
 use burst_core::{Access, AccessId, AccessKind, AccessScheduler, CtrlConfig, Mechanism};
 use burst_dram::{AddressMapping, Dram, DramConfig, Loc, PhysAddr};
-use burst_sim::experiments::{
-    fig12_mechanisms, fig12_supervised, fig8_mechanisms, outstanding_supervised, Sweep,
-};
+use burst_sim::experiments::{fig12_mechanisms, fig8_mechanisms, Sweep};
 use burst_sim::export::{
     fig10_to_csv, fig12_to_csv, fig7_to_csv, fig9_to_csv, outstanding_to_csv, sweep_to_csv,
 };
@@ -256,10 +254,10 @@ fn outstanding_csv(
     mechanisms: &[Mechanism],
     len: RunLength,
 ) -> String {
-    let s = outstanding_supervised(
+    let s = Sweep::run_supervised(
         scope,
         &base(engine),
-        benchmark,
+        &[benchmark],
         mechanisms,
         len,
         11,
@@ -269,7 +267,7 @@ fn outstanding_csv(
         None,
     );
     assert!(s.ok(), "{scope} lost cells: {:?}", s.failures);
-    outstanding_to_csv(&s.value)
+    outstanding_to_csv(&s.value.outstanding_rows())
 }
 
 #[test]
@@ -299,9 +297,11 @@ fn threshold_sweep_is_engine_invariant() {
     let csvs: Vec<String> = Engine::ALL
         .iter()
         .map(|&engine| {
-            let s = fig12_supervised(
+            let s = Sweep::run_supervised(
+                "fig12",
                 &base(engine),
                 &[SpecBenchmark::Swim],
+                &fig12_mechanisms(),
                 len,
                 3,
                 1,
@@ -310,7 +310,7 @@ fn threshold_sweep_is_engine_invariant() {
                 None,
             );
             assert!(s.ok(), "fig12 lost cells: {:?}", s.failures);
-            fig12_to_csv(&s.value)
+            fig12_to_csv(&s.value.fig12_rows())
         })
         .collect();
     assert_eq!(csvs[0], csvs[1], "Figure 12 CSV differs between engines");

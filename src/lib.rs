@@ -11,8 +11,8 @@
 //! * [`cpu`] — out-of-order CPU limit model and cache hierarchy.
 //! * [`workloads`] — SPEC CPU2000 surrogate workloads and generic pattern
 //!   generators.
-//! * [`sim`] — full-system simulator, statistics and the per-figure
-//!   experiment drivers.
+//! * [`sim`] — full-system simulator, statistics and the supervised
+//!   benchmark x mechanism grid every figure is read from.
 //!
 //! ## Quickstart
 //!
