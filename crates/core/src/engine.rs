@@ -177,6 +177,18 @@ pub struct Core {
     /// entries. `u64::MAX` forces the drop (fresh core or restored
     /// checkpoint).
     cand_epoch: Vec<u64>,
+    /// Per-channel ready floor: a lower bound on the first cycle any
+    /// occupied slot of the channel could pass [`Channel::can_issue`]
+    /// (derived state, absent from checkpoints). The last candidate scan
+    /// sets it to the minimum of the slots' cached bounds, which is at
+    /// most the scan's `now` when a slot was unblocked, and `Cycle::MAX`
+    /// for an empty channel. An install ([`Core::set_ongoing`]) or an
+    /// issue ([`Core::issue_candidate`]) on the channel zeroes it; a slot
+    /// leaving only shrinks the set it bounds; other channels' issues
+    /// touch none of its banks' timing; and a refresh is caught by the
+    /// `cand_epoch` check in [`Core::barren`]. So `now` below the floor
+    /// proves the channel holds no unblocked candidate.
+    ready_floor: Vec<Cycle>,
     /// Arrival cycle of every outstanding access, keyed by id. Ids and
     /// arrivals are both monotone, so the first entry is the oldest access.
     ages: AgeWindow,
@@ -209,6 +221,7 @@ impl Core {
             ongoing_mask: vec![0; nbanks.div_ceil(64)],
             cand_cache: vec![None; nbanks],
             cand_epoch: vec![u64::MAX; nch],
+            ready_floor: vec![0; nch],
             reads_outstanding: 0,
             writes_outstanding: 0,
             ages: AgeWindow::default(),
@@ -361,6 +374,7 @@ impl Core {
         self.ongoing_mask[bank >> 6] |= 1 << (bank & 63);
         self.cand_cache[bank] = None;
         let chan = bank / self.banks_per_channel();
+        self.ready_floor[chan] = 0;
         // An insertion merges into the steering minimum in O(1); a clean
         // cache stays clean, so the rescan in `steer_to_oldest` runs only
         // after the tracked oldest itself left its slot.
@@ -487,8 +501,9 @@ impl Core {
         }
         let escalate_age = self.cfg.watchdog.escalate_age;
         let range = self.bank_range(channel);
+        let mut floor = Cycle::MAX;
         for (bank, og) in Self::occupied(&self.ongoing_mask, &self.ongoing, range) {
-            let (cmd, bound) = match self.cand_cache[bank] {
+            let (cmd, mut bound) = match self.cand_cache[bank] {
                 Some(c) => c,
                 None => {
                     let cmd = self.next_command(og.access.loc, og.access.kind, dram);
@@ -504,11 +519,12 @@ impl Core {
             let unblocked = now >= bound && {
                 let ok = ch.can_issue(&cmd, now);
                 if !ok {
-                    let bound = ch.earliest_issue(&cmd, now).unwrap_or(now);
+                    bound = ch.earliest_issue(&cmd, now).unwrap_or(now);
                     self.cand_cache[bank] = Some((cmd, bound));
                 }
                 ok
             };
+            floor = floor.min(bound);
             if unblocked || include_blocked {
                 out.push(Candidate {
                     bank,
@@ -523,6 +539,17 @@ impl Core {
                 });
             }
         }
+        self.ready_floor[channel] = floor;
+    }
+
+    /// Whether `channel` provably holds no unblocked candidate at `now`:
+    /// `now` lies below its ready floor (see the field) and no refresh
+    /// has run since the scan that set it. A barren channel's candidate
+    /// scan would write nothing and find nothing to select, so the tick
+    /// may skip straight to [`Core::steer_to_oldest`].
+    pub fn barren(&self, dram: &Dram, channel: usize, now: Cycle) -> bool {
+        now < self.ready_floor[channel]
+            && self.cand_epoch[channel] == dram.channel(channel).stats().refreshes
     }
 
     /// The last bank/rank a transaction was scheduled for on `channel`.
@@ -580,6 +607,7 @@ impl Core {
         // transaction must be re-derived. Other banks' cached entries stay
         // valid lower bounds (see `cand_cache`).
         self.cand_cache[cand.bank] = None;
+        self.ready_floor[chan] = 0;
         self.last_bank[chan] = Some(cand.bank);
         self.last_rank[chan] = Some(cand.loc.rank);
         self.last_progress = now;
@@ -841,6 +869,7 @@ impl Core {
             ongoing_mask: _,   // bitmap mirror of `ongoing`; restore rebuilds it
             cand_cache: _,     // per-bank candidate cache; restore drops every entry
             cand_epoch: _,     // refresh-epoch stamps; restore forces the drop via u64::MAX
+            ready_floor: _,    // per-channel scan floor; restore zeroes it
             ages,
             attempts,
             retry_pending,
@@ -911,6 +940,7 @@ impl Core {
             ongoing_mask,
             cand_cache,
             cand_epoch,
+            ready_floor,
             ages,
             attempts,
             retry_pending,
@@ -986,6 +1016,7 @@ impl Core {
         // device state; force a full re-derivation.
         cand_cache.fill(None);
         cand_epoch.fill(u64::MAX);
+        ready_floor.fill(0);
         Ok(())
     }
 }
@@ -1161,7 +1192,7 @@ mod tests {
         let g = Geometry::baseline();
         let mut rng = SmallRng::seed_from_u64(0x5ca1);
         let (mut cands, mut done) = (Vec::new(), Vec::new());
-        let (mut next_id, mut issued) = (0, 0);
+        let (mut next_id, mut issued, mut barren) = (0, 0, 0);
         for now in 0..12_000 {
             dram.tick(now);
             if rng.gen_bool(0.3) {
@@ -1190,6 +1221,11 @@ mod tests {
                     c.iter().map(|c| (c.bank, c.cmd, c.unblocked)).collect()
                 };
                 let unblocked: Vec<_> = want.iter().copied().filter(|w| w.2).collect();
+                // Below its ready floor a channel has no unblocked slot.
+                if core.barren(&dram, channel, now) {
+                    assert_eq!(unblocked, [], "barren channel {channel} at {now}");
+                    barren += 1;
+                }
                 // Either call may run first; each must see a coherent cache.
                 let all_first = rng.gen_bool(0.5);
                 if all_first {
@@ -1218,6 +1254,7 @@ mod tests {
             dram.total_stats().refreshes > 0,
             "the walk must cross refreshes"
         );
+        assert!(barren > 1_000, "the floor must engage: {barren}");
     }
 
     #[test]

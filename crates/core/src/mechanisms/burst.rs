@@ -120,39 +120,69 @@ pub(crate) struct BurstScheduler {
     window_reads: u64,
     window_writes: u64,
     next_adapt: burst_dram::Cycle,
-    /// Bank-arbiter attention bitmap, one bit per global bank: set iff the
-    /// arbiter could possibly change the bank's state — the slot is free
-    /// and work is queued, or an ongoing write has reads behind it
-    /// (preemption). Every global condition the arbiter consults (queue
-    /// saturation, no-reads-anywhere, piggyback qualification, escalation
-    /// age) still requires that local precondition, so a clear bit proves
-    /// the arbiter call is a no-op and the per-cycle loop skips it.
-    /// Derived state: rebuilt wholesale after a checkpoint restore.
-    attention: Vec<u64>,
-    /// Tick-walk subset of `attention`: set iff the arbiter call could
-    /// mutate state *under the current global gates* ([`Self::gates`]).
-    /// `attention` keeps the gate-free superset the horizon fold needs;
-    /// this map additionally folds in the conditions that depend on
-    /// global counters — write saturation, no-reads-anywhere, piggyback
-    /// qualification, preemption threshold — plus the starvation
-    /// deadline, so a bank full of writes stops being visited every tick
-    /// while reads elsewhere keep it unservable. Clear-bit proof: every
-    /// term that could flip a skipped bank back to actionable either
-    /// changes the gate byte (rebuilding the map), arrives with an
-    /// enqueue/issue (which re-marks or refreshes the bank), or is the
-    /// starvation clock (guarded by `next_escal`).
-    act_now: Vec<u64>,
-    /// The gate byte every `act_now` bit currently assumes; a mismatch
-    /// with the live [`Self::gates`] value triggers a rebuild.
-    gate_cache: u8,
-    /// Earliest cycle a gate-blocked idle write could escalate: rebuild
-    /// `act_now` no later than this. Conservative-early (min-folded).
+    /// The bank arbiter's classes, one [`ClassWord`] per 64 global banks
+    /// (derived state, absent from checkpoints). A bank's bits change only
+    /// when its own state does: `refresh_class` recomputes them after an
+    /// arbiter visit and in `column_issued`; `mark` sets its `always` bit
+    /// on enqueue and requeue, and on every bank after a restore.
+    classes: Vec<ClassWord>,
+    /// Earliest cycle a `drain` bank outside `always` reaches the
+    /// escalation age, the one clock that moves a bank into `always`
+    /// while its own state stands still. `pre_tick` then walks the `drain`
+    /// bits. Conservative-early (min-folded).
     next_escal: Cycle,
 }
 
-/// Sentinel `gate_cache` value (never produced by [`BurstScheduler::gates`],
-/// which uses only the low four bits): forces an `act_now` rebuild.
-const GATES_STALE: u8 = 0xFF;
+/// The bank arbiter's classes for 64 consecutive global banks, one bit
+/// per bank in each map. Each class names the gate term of
+/// [`BurstScheduler::gates`] under which its banks can act, so a channel
+/// walk visits `always | drain & g(1|2) | piggyback & g4 | preempt & g8`
+/// from the live gate byte, and a gate flip costs one word operation.
+///
+/// Clear-bit proof: `bank_arbiter` changes a bank only when (a) the bank
+/// is idle with reads, which it always installs; (b) it is idle and its
+/// oldest access reached the escalation age; (c) it is idle with writes
+/// only, and the write queue is saturated (gate 1) or no read is
+/// outstanding anywhere (gate 2); (d) as (c), at a burst end with a
+/// queued write to the open row, under piggyback qualification (gate 4);
+/// or (e) its ongoing write is younger than the escalation age and has
+/// reads behind it, under preemption headroom (gate 8). An idle bank with
+/// nothing queued, and a busy bank outside (e), never change. Each class
+/// below holds its case whenever the bank's state holds it: the bits are
+/// recomputed on every change of the bank's own state, an enqueue marks
+/// the bank in `always` until its next visit, and each class states the
+/// clock that could move a bank into it between visits.
+#[derive(Debug, Clone, Copy, Default)]
+struct ClassWord {
+    /// Cases (a) and (b): an idle bank with queued reads, or an idle
+    /// writes-only bank whose front write has reached the escalation age.
+    /// Acts under any gates. Also the conservative mark of a bank whose
+    /// state changed outside a visit.
+    always: u64,
+    /// Case (c): an idle writes-only bank; acts under gate bits 1|2. Its
+    /// front write ageing is the one clock that moves it into `always`,
+    /// and `next_escal` is set no later than that cycle.
+    drain: u64,
+    /// Case (d): a `drain` bank at a burst end whose open row matches a
+    /// queued write; acts under gate 4. No clock moves a bank in: with no
+    /// ongoing access nothing activates a row, a refresh only closes it,
+    /// and a new write marks the bank. Left clear when the variant never
+    /// piggybacks (gate 4 never opens).
+    piggyback: u64,
+    /// Case (e): a bank whose ongoing write has reads behind it and is
+    /// younger than the escalation age; acts under gate 8. Ageing only
+    /// moves a bank out, so a stale bit costs one futile visit.
+    preempt: u64,
+}
+
+/// Sets (`on`) or clears `bit` in `map`.
+fn set_bit(map: &mut u64, bit: u64, on: bool) {
+    if on {
+        *map |= bit;
+    } else {
+        *map &= !bit;
+    }
+}
 
 impl BurstScheduler {
     /// The policy for a controller with `core`'s geometry.
@@ -165,18 +195,15 @@ impl BurstScheduler {
             window_reads: 0,
             window_writes: 0,
             next_adapt,
-            attention: vec![0; nbanks.div_ceil(64)],
-            act_now: vec![0; nbanks.div_ceil(64)],
-            gate_cache: GATES_STALE,
-            next_escal: 0,
+            classes: vec![ClassWord::default(); nbanks.div_ceil(64)],
+            next_escal: Cycle::MAX,
         }
     }
 
     /// The global predicates the bank arbiter consults beyond per-bank
     /// state, packed into one comparable byte: write-queue saturation,
     /// no-reads-anywhere, piggyback qualification and preemption headroom.
-    /// `act_now` bits are valid only for the byte they were computed
-    /// under.
+    /// Each [`ClassWord`] map acts under one of these terms.
     fn gates(&self, core: &Core) -> u8 {
         let wg = core.writes_outstanding() as u32;
         let mut g = 0u8;
@@ -195,97 +222,75 @@ impl BurstScheduler {
         g
     }
 
-    /// Recomputes `bank_idx`'s `act_now` bit under the `gate_cache`
-    /// assumption. Time-dependent terms are evaluated at `now`; the ones
-    /// that can only drift towards "no action" (an eligible preemption
-    /// target ageing into escalation immunity) are left conservative-set,
-    /// while the one that drifts towards "action" (an idle write crossing
-    /// the starvation age) min-folds its firing cycle into `next_escal`.
-    fn refresh_act(&mut self, core: &Core, bank_idx: usize, dram: &Dram, now: Cycle) {
-        let gates = self.gate_cache;
+    /// Recomputes `bank_idx`'s classes from its slot and queues at `now`
+    /// (see [`ClassWord`]), min-folding the escalation cycle of a `drain`
+    /// bank outside `always` into `next_escal`.
+    fn refresh_class(&mut self, core: &Core, bank_idx: usize, dram: &Dram, now: Cycle) {
         let escalate_age = core.cfg().watchdog.escalate_age;
-        let need = match core.ongoing(bank_idx) {
-            // Preemption is the only arm that can touch a busy slot.
-            Some(og) => {
-                og.access.kind == AccessKind::Write
-                    && gates & 8 != 0
+        let b = &self.banks[bank_idx];
+        let (always, drain, piggyback, preempt) = match (core.ongoing(bank_idx), b.writes.front()) {
+            (Some(og), _) => {
+                let preempt = og.access.kind == AccessKind::Write
                     && now.saturating_sub(og.access.arrival) < escalate_age
-                    && self.banks[bank_idx].has_reads()
+                    && b.has_reads();
+                (false, false, false, preempt)
             }
-            None => {
-                let b = &self.banks[bank_idx];
-                if b.has_reads() {
-                    // An idle bank with reads always picks one.
-                    true
-                } else if b.writes.is_empty() {
-                    false
-                } else if gates & (1 | 2) != 0 {
-                    // Saturation drain or no-reads drain.
-                    true
-                } else if gates & 4 != 0
+            (None, _) if b.has_reads() => (true, false, false, false),
+            (None, None) => (false, false, false, false),
+            (None, Some(front)) => {
+                let esc_at = front.arrival + escalate_age;
+                if esc_at > now {
+                    self.next_escal = self.next_escal.min(esc_at);
+                }
+                let piggyback = self.opts.piggyback_above.is_some()
                     && b.at_burst_end
-                    // Piggyback window: acts only when a queued write hits
-                    // the open row. Safe to test here rather than keep the
-                    // bit conservative-set: an idle bank's open row cannot
-                    // drift towards a new match (no ongoing access means no
-                    // activates; refresh only closes rows), and a freshly
-                    // arrived write re-marks the bank on enqueue.
                     && core
                         .open_row(dram, bank_idx)
-                        .is_some_and(|row| b.writes.iter().any(|w| w.loc.row == row))
-                {
-                    true
+                        .is_some_and(|row| b.writes.iter().any(|w| w.loc.row == row));
+                (esc_at <= now, true, piggyback, false)
+            }
+        };
+        let bit = 1u64 << (bank_idx & 63);
+        let c = &mut self.classes[bank_idx >> 6];
+        set_bit(&mut c.always, bit, always);
+        set_bit(&mut c.drain, bit, drain);
+        set_bit(&mut c.piggyback, bit, piggyback);
+        set_bit(&mut c.preempt, bit, preempt);
+    }
+
+    /// Puts `bank_idx` in `always` until its next visit recomputes it:
+    /// the conservative mark for work arriving outside a visit.
+    fn mark(&mut self, bank_idx: usize) {
+        self.classes[bank_idx >> 6].always |= 1 << (bank_idx & 63);
+    }
+
+    /// At the escalation deadline, moves every `drain` bank whose front
+    /// write has reached the escalation age into `always`, and re-derives
+    /// the deadline from the rest. Walks only the `drain` bits; a marked
+    /// bank is skipped, as its visit this tick recomputes it.
+    fn escalate_drains(&mut self, core: &Core, now: Cycle) {
+        if now < self.next_escal {
+            return;
+        }
+        self.next_escal = Cycle::MAX;
+        let escalate_age = core.cfg().watchdog.escalate_age;
+        for (w, c) in self.classes.iter_mut().enumerate() {
+            let mut word = c.drain & !c.always;
+            while word != 0 {
+                let bit = word & word.wrapping_neg();
+                word &= word - 1;
+                let bank_idx = (w << 6) + bit.trailing_zeros() as usize;
+                let front = self.banks[bank_idx]
+                    .writes
+                    .front()
+                    .expect("an unmarked drain bank holds writes");
+                let esc_at = front.arrival + escalate_age;
+                if esc_at <= now {
+                    c.always |= bit;
                 } else {
-                    // Writes present but every gate is shut: only the
-                    // starvation watchdog can free them, at a known cycle.
-                    let esc_at = b.writes.front().expect("non-empty").arrival + escalate_age;
-                    if esc_at <= now {
-                        true
-                    } else {
-                        self.next_escal = self.next_escal.min(esc_at);
-                        false
-                    }
+                    self.next_escal = self.next_escal.min(esc_at);
                 }
             }
-        };
-        let (word, mask) = (bank_idx >> 6, 1u64 << (bank_idx & 63));
-        if need {
-            self.act_now[word] |= mask;
-        } else {
-            self.act_now[word] &= !mask;
-        }
-    }
-
-    /// Rebuilds every `act_now` bit for the current `gate_cache` byte and
-    /// recomputes the escalation deadline from scratch.
-    fn rebuild_act(&mut self, core: &Core, dram: &Dram, now: Cycle) {
-        self.next_escal = Cycle::MAX;
-        for b in 0..self.banks.len() {
-            self.refresh_act(core, b, dram, now);
-        }
-    }
-
-    /// Flags `bank_idx` for arbitration (new work arrived).
-    fn mark_attention(&mut self, bank_idx: usize) {
-        self.attention[bank_idx >> 6] |= 1 << (bank_idx & 63);
-        // Conservative: the next visit (or rebuild) recomputes the bit.
-        self.act_now[bank_idx >> 6] |= 1 << (bank_idx & 63);
-    }
-
-    /// Recomputes `bank_idx`'s attention bit from its slot and queues.
-    fn refresh_attention(&mut self, core: &Core, bank_idx: usize) {
-        let need = match core.ongoing(bank_idx) {
-            None => {
-                let b = &self.banks[bank_idx];
-                b.has_reads() || !b.writes.is_empty()
-            }
-            Some(og) => og.access.kind == AccessKind::Write && self.banks[bank_idx].has_reads(),
-        };
-        let (word, mask) = (bank_idx >> 6, 1u64 << (bank_idx & 63));
-        if need {
-            self.attention[word] |= mask;
-        } else {
-            self.attention[word] &= !mask;
         }
     }
 
@@ -335,11 +340,11 @@ impl BurstScheduler {
         bank.bursts.front_mut()?.accesses.pop_front()
     }
 
-    /// The bank arbiter subroutine (Figure 5), run per bank per cycle.
-    /// Returns `true` iff it changed any bank or slot state (installed,
-    /// preempted or escalated an access); `false` visits leave the queues,
-    /// the slot and `at_burst_end` exactly as found.
-    fn bank_arbiter(&mut self, core: &mut Core, bank_idx: usize, dram: &Dram, now: Cycle) -> bool {
+    /// The bank arbiter subroutine (Figure 5), run per bank per cycle. It
+    /// installs, preempts or escalates an access, or leaves the queues,
+    /// the slot and `at_burst_end` exactly as found ([`ClassWord`] lists
+    /// the cases that act).
+    fn bank_arbiter(&mut self, core: &mut Core, bank_idx: usize, dram: &Dram, now: Cycle) {
         let writes_global = core.writes_outstanding() as u32;
         let write_cap = core.cfg().write_capacity as u32;
 
@@ -363,7 +368,7 @@ impl BurstScheduler {
                     .expect("slot was just cleared for preemption");
                 core.stats_mut().preemptions += 1;
             }
-            return preemptable;
+            return;
         }
 
         // Starvation watchdog: an access past the escalation age bypasses
@@ -388,7 +393,7 @@ impl BurstScheduler {
                     bank.at_burst_end = false;
                     core.set_ongoing(bank_idx, access)
                         .expect("bank verified idle before escalation");
-                    return true;
+                    return;
                 }
             }
         }
@@ -437,9 +442,6 @@ impl BurstScheduler {
             }
             core.set_ongoing(bank_idx, access)
                 .expect("bank verified idle at arbiter entry");
-            true
-        } else {
-            false
         }
     }
 
@@ -490,7 +492,7 @@ impl Policy for BurstScheduler {
                 // single-access burst at the end of the read queue.
                 core.note_arrival(&access);
                 self.window_reads += 1;
-                self.mark_attention(bank_idx);
+                self.mark(bank_idx);
                 let bank = &mut self.banks[bank_idx];
                 if let Some(burst) = bank.bursts.iter_mut().find(|b| b.row == access.loc.row) {
                     if self.opts.critical_first && access.critical {
@@ -517,7 +519,7 @@ impl Policy for BurstScheduler {
                 // and complete immediately from the CPU's view.
                 core.note_arrival(&access);
                 self.window_writes += 1;
-                self.mark_attention(bank_idx);
+                self.mark(bank_idx);
                 self.banks[bank_idx].writes.push_back(access);
             }
         }
@@ -528,7 +530,7 @@ impl Policy for BurstScheduler {
     /// retry is the oldest work its bank has.
     fn requeue(&mut self, core: &Core, access: Access) {
         let bank_idx = core.global_bank(access.loc);
-        self.mark_attention(bank_idx);
+        self.mark(bank_idx);
         let bank = &mut self.banks[bank_idx];
         match access.kind {
             AccessKind::Read => {
@@ -549,26 +551,26 @@ impl Policy for BurstScheduler {
 
     fn pre_tick(&mut self, core: &Core, now: Cycle) {
         self.adapt_threshold(core, now);
+        self.escalate_drains(core, now);
     }
 
     fn arbitrate(&mut self, core: &mut Core, dram: &Dram, channel: usize, now: Cycle) {
-        // Gate check per channel, not per tick: an issue on an earlier
-        // channel can move the global counters, and this channel's walk
-        // must see bits consistent with the counters its arbiter will
-        // read. (Picks inside a walk never move them — counters change
-        // only on enqueue, issue and completion.)
+        // The live gate byte, read per channel: an issue on an earlier
+        // channel can move the counters it reads, while picks inside a
+        // walk never do (counters change only on enqueue, issue and
+        // completion).
         let gates = self.gates(core);
-        if gates != self.gate_cache || now >= self.next_escal {
-            self.gate_cache = gates;
-            self.rebuild_act(core, dram, now);
-        }
-        // Visit only actionable banks: a clear `act_now` bit proves the
-        // arbiter call would mutate nothing this tick (see the field's
-        // invariant).
+        let open = |bits: u8| if gates & bits != 0 { u64::MAX } else { 0 };
+        let (drain, piggyback, preempt) = (open(1 | 2), open(4), open(8));
+        // Visit only banks whose class acts under these gates: any other
+        // bank's arbiter call is a no-op (see `ClassWord`).
         let range = core.bank_range(channel);
         let mut bank_idx = range.start;
         while bank_idx < range.end {
-            let shifted = self.act_now[bank_idx >> 6] >> (bank_idx & 63);
+            let c = self.classes[bank_idx >> 6];
+            let acts =
+                c.always | (c.drain & drain) | (c.piggyback & piggyback) | (c.preempt & preempt);
+            let shifted = acts >> (bank_idx & 63);
             if shifted == 0 {
                 bank_idx = (bank_idx | 63) + 1;
                 continue;
@@ -577,14 +579,8 @@ impl Policy for BurstScheduler {
             if bank_idx >= range.end {
                 break;
             }
-            // A mutating visit invalidates both bitmaps; a futile one left
-            // the bank state untouched, so only the gate-scoped bit needs
-            // recomputing (clearing it is what stops the futile visit from
-            // repeating every tick).
-            if self.bank_arbiter(core, bank_idx, dram, now) {
-                self.refresh_attention(core, bank_idx);
-            }
-            self.refresh_act(core, bank_idx, dram, now);
+            self.bank_arbiter(core, bank_idx, dram, now);
+            self.refresh_class(core, bank_idx, dram, now);
             bank_idx += 1;
         }
     }
@@ -616,9 +612,8 @@ impl Policy for BurstScheduler {
             }
         }
         // The column freed the bank's slot (or parked a faulted access for
-        // retry): recompute its bits.
-        self.refresh_attention(core, cand.bank);
-        self.refresh_act(core, cand.bank, dram, now);
+        // retry): recompute its classes.
+        self.refresh_class(core, cand.bank, dram, now);
     }
 
     fn busy_event(&self, core: &Core, dram: &Dram, last: Cycle, event: Cycle) -> Option<Cycle> {
@@ -636,14 +631,13 @@ impl Policy for BurstScheduler {
         let writes_global = core.writes_outstanding() as u32;
         let write_cap = core.cfg().write_capacity as u32;
         let no_reads_anywhere = core.reads_outstanding() == 0;
-        // Only attention-flagged banks can veto or bound the horizon: a
-        // clear bit means the bank is either slot-busy with a read, a
-        // write with no reads behind it, or idle and empty — and every
-        // arm below contributes nothing for those. (Bits can be stale-set
-        // after an enqueue behind a busy slot; a visit then just scores
-        // nothing, exactly like the full scan did.)
-        for (w, &word0) in self.attention.iter().enumerate() {
-            let mut word = word0;
+        // Only banks in `always`, `drain` or `preempt` can veto or bound
+        // the horizon: every other bank is slot-busy with a read, with a
+        // write that has no reads behind it or has reached the escalation
+        // age, or idle and empty — and every arm below contributes nothing
+        // for those. (A stale or marked bit just scores nothing.)
+        for (w, c) in self.classes.iter().enumerate() {
+            let mut word = c.always | c.drain | c.preempt;
             while word != 0 {
                 let bank_idx = (w << 6) + word.trailing_zeros() as usize;
                 word &= word - 1;
@@ -732,10 +726,8 @@ impl Policy for BurstScheduler {
             window_reads,
             window_writes,
             next_adapt,
-            attention: _,  // attention bitmap; load_snap rebuilds it from the queues
-            act_now: _,    // gate-scoped attention; rebuilt lazily after restore
-            gate_cache: _, // act_now cache key; STALE after restore
-            next_escal: _, // act_now rebuild deadline; reset after restore
+            classes: _,    // arbiter classes; restore marks every bank
+            next_escal: _, // escalation deadline; restore resets it
         } = self;
         w.usize(banks.len());
         for bank in banks {
@@ -765,7 +757,7 @@ impl Policy for BurstScheduler {
 
     fn load_snap(
         &mut self,
-        core: &Core,
+        _core: &Core,
         r: &mut burst_snap::SnapReader,
     ) -> Result<(), burst_snap::SnapError> {
         use burst_snap::SnapError;
@@ -775,9 +767,7 @@ impl Policy for BurstScheduler {
             window_reads,
             window_writes,
             next_adapt,
-            attention: _, // rebuilt below from the restored slots and queues
-            act_now: _,   // rebuilt lazily by the first tick: `gate_cache` is STALE
-            gate_cache,
+            classes,
             next_escal,
         } = self;
         if r.seq_len(3)? != banks.len() {
@@ -807,12 +797,13 @@ impl Policy for BurstScheduler {
         *window_reads = r.u64()?;
         *window_writes = r.u64()?;
         *next_adapt = r.u64()?;
-        *gate_cache = GATES_STALE;
-        *next_escal = 0;
-        // The attention bitmap is derived state: rebuild it from the
-        // restored slots and queues.
+        // The classes are derived state: mark every bank, so the first
+        // visits recompute them (and fold the escalation deadline) from
+        // the restored slots and queues.
+        classes.fill(ClassWord::default());
+        *next_escal = Cycle::MAX;
         for b in 0..self.banks.len() {
-            self.refresh_attention(core, b);
+            self.mark(b);
         }
         Ok(())
     }
@@ -1135,6 +1126,192 @@ mod tests {
             now += 1;
         }
         assert!(s.outstanding().writes < 4, "full-queue drain must engage");
+    }
+
+    /// Figure 5 taken literally: `bank_arbiter` on every bank of the
+    /// channel, with the wrapped scheduler doing everything else. Its
+    /// class maps go stale, so it never reads them.
+    #[derive(Debug)]
+    struct EveryBank(BurstScheduler);
+
+    impl Policy for EveryBank {
+        const INCLUDE_BLOCKED: bool = false;
+
+        fn mechanism(&self) -> Mechanism {
+            self.0.mechanism()
+        }
+
+        fn enqueue(
+            &mut self,
+            core: &mut Core,
+            access: Access,
+            now: Cycle,
+            completions: &mut Vec<Completion>,
+        ) -> EnqueueOutcome {
+            self.0.enqueue(core, access, now, completions)
+        }
+
+        fn requeue(&mut self, core: &Core, access: Access) {
+            self.0.requeue(core, access);
+        }
+
+        fn pre_tick(&mut self, core: &Core, now: Cycle) {
+            self.0.adapt_threshold(core, now);
+        }
+
+        fn arbitrate(&mut self, core: &mut Core, dram: &Dram, channel: usize, now: Cycle) {
+            for bank_idx in core.bank_range(channel) {
+                self.0.bank_arbiter(core, bank_idx, dram, now);
+            }
+        }
+
+        fn select(
+            &mut self,
+            core: &Core,
+            channel: usize,
+            cands: &[Candidate],
+        ) -> Option<Candidate> {
+            self.0.select(core, channel, cands)
+        }
+
+        fn column_issued(&mut self, core: &Core, dram: &Dram, cand: &Candidate, now: Cycle) {
+            self.0.column_issued(core, dram, cand, now);
+        }
+
+        fn busy_event(&self, _: &Core, _: &Dram, _: Cycle, _: Cycle) -> Option<Cycle> {
+            None
+        }
+
+        fn advance_quiescent(&mut self, core: &Core, from: Cycle, n: u64) {
+            self.0.advance_quiescent(core, from, n);
+        }
+
+        fn save_snap(&self, w: &mut burst_snap::SnapWriter) {
+            self.0.save_snap(w);
+        }
+
+        fn load_snap(
+            &mut self,
+            core: &Core,
+            r: &mut burst_snap::SnapReader,
+        ) -> Result<(), burst_snap::SnapError> {
+            self.0.load_snap(core, r)
+        }
+    }
+
+    fn state(s: &impl AccessScheduler) -> Vec<u8> {
+        let mut w = burst_snap::SnapWriter::new();
+        s.save_state(&mut w).expect("burst snapshots");
+        w.into_bytes()
+    }
+
+    #[test]
+    fn class_walk_matches_visiting_every_bank() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let cfg = DramConfig::baseline();
+        let g = cfg.geometry;
+        // A short escalation age, so writes parked under shut gates age
+        // into escalation within the run.
+        let ctrl = CtrlConfig {
+            watchdog: crate::WatchdogConfig {
+                escalate_age: 400,
+                stall_limit: 1_000_000,
+            },
+            ..CtrlConfig::default()
+        };
+        let cap = ctrl.write_capacity as u32;
+        // The options `Mechanism::build` gives each variant.
+        let variants = [
+            BurstOptions::static_threshold(0, None, Mechanism::Burst),
+            BurstOptions::static_threshold(cap, None, Mechanism::BurstRp),
+            BurstOptions::static_threshold(0, Some(0), Mechanism::BurstWp),
+            th(52),
+            BurstOptions {
+                dynamic_period: Some(1024),
+                ..BurstOptions::static_threshold(52, Some(52), Mechanism::BurstDyn)
+            },
+        ];
+        let (mut gates_set, mut gates_clear) = (0u8, 0u8);
+        for opts in variants {
+            let m = opts.mechanism;
+            let mut walk = burst(ctrl, g, opts);
+            let mut every =
+                Controller::new(ctrl, g, |core| EveryBank(BurstScheduler::new(core, opts)));
+            let mut dram_walk = Dram::new(cfg, AddressMapping::PageInterleaving);
+            let mut dram_every = Dram::new(cfg, AddressMapping::PageInterleaving);
+            let (mut done_walk, mut done_every) = (Vec::new(), Vec::new());
+            let mut rng = SmallRng::seed_from_u64(0xb0b5);
+            let mut next_id = 0u64;
+            // The pointer chase's one outstanding read, if any.
+            let mut chase: Option<AccessId> = None;
+            for now in 0..12_000u64 {
+                // Each 4000 cycles: a write-back storm under the chase, then
+                // a read stream that keeps the queued writes parked until
+                // they escalate, then the chase alone.
+                let phase = now % 4000;
+                let p_write = if phase < 1500 { 0.45 } else { 0.03 };
+                let mut arrivals = Vec::new();
+                let read = if (1500..3000).contains(&phase) {
+                    rng.gen_bool(0.15)
+                } else {
+                    chase.is_none() && rng.gen_bool(0.25)
+                };
+                if read {
+                    arrivals.push(AccessKind::Read);
+                }
+                if rng.gen_bool(p_write) {
+                    arrivals.push(AccessKind::Write);
+                }
+                for kind in arrivals {
+                    // Four rows per bank: bursts, row-hit writes and
+                    // same-address forwards all occur.
+                    let loc = Loc::new(
+                        rng.gen_range(0..g.channels),
+                        rng.gen_range(0..g.ranks_per_channel),
+                        rng.gen_range(0..g.banks_per_rank),
+                        rng.gen_range(0..4),
+                        8 * rng.gen_range(0..4u32),
+                    );
+                    let bank = walk.core.global_bank(loc) as u64;
+                    let line = ((bank * 4 + u64::from(loc.row)) * 4 + u64::from(loc.col / 8)) * 64;
+                    let a =
+                        Access::new(AccessId::new(next_id), kind, PhysAddr::new(line), loc, now);
+                    if !walk.can_accept(kind) {
+                        continue;
+                    }
+                    next_id += 1;
+                    let out = walk.enqueue(a, now, &mut done_walk);
+                    assert_eq!(out, every.enqueue(a, now, &mut done_every));
+                    if kind == AccessKind::Read && out == EnqueueOutcome::Queued {
+                        chase = Some(a.id);
+                    }
+                }
+                walk.tick(&mut dram_walk, now, &mut done_walk);
+                every.tick(&mut dram_every, now, &mut done_every);
+                assert_eq!(done_walk, done_every, "{m}: completions at {now}");
+                assert_eq!(state(&walk), state(&every), "{m}: state at {now}");
+                if chase.is_some_and(|id| done_walk.iter().any(|c| c.id == id)) {
+                    chase = None;
+                }
+                done_walk.clear();
+                done_every.clear();
+                let gates = walk.policy.gates(&walk.core);
+                gates_set |= gates;
+                gates_clear |= !gates;
+            }
+            let stats = walk.stats();
+            assert!(stats.escalations > 0, "{m}: no escalation");
+            if opts.piggyback_above.is_some() {
+                assert!(stats.piggybacks > 0, "{m}: no piggyback");
+            }
+            if opts.preempt_below > 0 {
+                assert!(stats.preemptions > 0, "{m}: no preemption");
+            }
+        }
+        assert_eq!(gates_set & 0xF, 0xF, "every gate bit opens");
+        assert_eq!(gates_clear & 0xF, 0xF, "every gate bit shuts");
     }
 }
 

@@ -280,6 +280,14 @@ impl<P: Policy> AccessScheduler for Controller<P> {
         self.policy.pre_tick(&self.core, now);
         for channel in 0..self.core.channel_count() {
             self.policy.arbitrate(&mut self.core, dram, channel, now);
+            // A barren channel's scan would write nothing, and with no
+            // unblocked candidate every policy's `select` returns `None`
+            // without moving its round-robin pointer: go straight to the
+            // steering step.
+            if self.core.barren(dram, channel, now) {
+                self.core.steer_to_oldest(channel);
+                continue;
+            }
             let cands = &mut self.scratch;
             if P::INCLUDE_BLOCKED {
                 self.core.fill_all_candidates(dram, channel, now, cands);
@@ -626,6 +634,98 @@ mod tests {
             assert_eq!(s.mechanism(), m);
             assert!(s.can_accept(AccessKind::Read));
             assert_eq!(s.outstanding().total(), 0);
+        }
+    }
+
+    /// Drives `ctrl` with mixed traffic and, after every tick, offers each
+    /// channel's policy its candidates with every one marked blocked: the
+    /// pick must be `None`, with the policy state (round-robin pointers
+    /// included) byte-identical. This is what lets a barren channel's tick
+    /// skip the scan and `select` altogether.
+    fn select_without_unblocked_is_a_no_op<P: Policy>(mut ctrl: Controller<P>, m: Mechanism) {
+        use crate::{Access, AccessId};
+        use burst_dram::{AddressMapping, Dram, DramConfig, PhysAddr};
+
+        let state = |c: &Controller<P>| {
+            let mut w = burst_snap::SnapWriter::new();
+            c.save_state(&mut w).expect("built-ins support snapshots");
+            w.into_bytes()
+        };
+        let mut dram = Dram::new(DramConfig::baseline(), AddressMapping::PageInterleaving);
+        let (mut done, mut cands) = (Vec::new(), Vec::new());
+        let mut offered = 0;
+        for now in 0..600u64 {
+            if now % 2 == 0 && ctrl.can_accept(AccessKind::Read) {
+                let kind = if now % 6 == 0 {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                let addr = PhysAddr::new(now * 64 * 23);
+                let a = Access::new(AccessId::new(now), kind, addr, dram.decode(addr), now);
+                ctrl.enqueue(a, now, &mut done);
+            }
+            ctrl.tick(&mut dram, now, &mut done);
+            for channel in 0..ctrl.core.channel_count() {
+                // What a barren channel's scan would hand the policy: its
+                // slots, all blocked, or nothing for Table 2's scan, which
+                // holds unblocked candidates only.
+                ctrl.core
+                    .fill_all_candidates(&dram, channel, now, &mut cands);
+                for c in &mut cands {
+                    c.unblocked = false;
+                }
+                if !P::INCLUDE_BLOCKED {
+                    cands.clear();
+                }
+                offered += cands.len();
+                let before = state(&ctrl);
+                let pick = ctrl.policy.select(&ctrl.core, channel, &cands);
+                assert!(pick.is_none(), "{m}: picked a blocked candidate at {now}");
+                assert_eq!(state(&ctrl), before, "{m}: select moved state at {now}");
+            }
+        }
+        assert!(
+            offered > 100 || !P::INCLUDE_BLOCKED,
+            "{m}: too few candidates offered: {offered}"
+        );
+    }
+
+    #[test]
+    fn no_policy_selects_or_moves_without_an_unblocked_candidate() {
+        let (cfg, geom) = (CtrlConfig::default(), Geometry::baseline());
+        for m in Mechanism::all() {
+            // `select` reads no option, so each policy is built plainly.
+            match m {
+                Mechanism::BkInOrder | Mechanism::RowHit => {
+                    let window = if m == Mechanism::BkInOrder {
+                        0
+                    } else {
+                        usize::MAX
+                    };
+                    let c = Controller::new(cfg, geom, |core| RowHitScheduler::new(core, window));
+                    select_without_unblocked_is_a_no_op(c, m);
+                }
+                Mechanism::Intel | Mechanism::IntelRp => {
+                    let rp = m == Mechanism::IntelRp;
+                    let c = Controller::new(cfg, geom, |core| IntelScheduler::new(core, rp));
+                    select_without_unblocked_is_a_no_op(c, m);
+                }
+                Mechanism::Burst
+                | Mechanism::BurstRp
+                | Mechanism::BurstWp
+                | Mechanism::BurstTh(_)
+                | Mechanism::BurstDyn
+                | Mechanism::BurstCrit => {
+                    let opts = BurstOptions::static_threshold(52, Some(52), m);
+                    let c = Controller::new(cfg, geom, |core| BurstScheduler::new(core, opts));
+                    select_without_unblocked_is_a_no_op(c, m);
+                }
+                Mechanism::AdaptiveHistory => {
+                    let c = Controller::new(cfg, geom, AdaptiveHistoryScheduler::new);
+                    select_without_unblocked_is_a_no_op(c, m);
+                }
+            }
         }
     }
 

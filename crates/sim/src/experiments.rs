@@ -523,16 +523,18 @@ impl Sweep {
     /// and its execution time summed over them, normalised to plain
     /// `Burst`. Rows follow the threshold axis ([`fig12_mechanisms`]),
     /// then any other mechanism in first-seen order. Tolerates an
-    /// incomplete sweep: a mechanism with no surviving cell has no row, and
-    /// a missing `Burst` baseline makes the normalised execution time `NaN`
-    /// rather than a panic, so salvage output still renders.
+    /// incomplete sweep: a mechanism with no surviving cell has no row;
+    /// each execution-time ratio sums both sides over the benchmarks that
+    /// hold both the mechanism's and `Burst`'s cell, in cell order, so a
+    /// lost cell never compares different benchmark sets; and with no such
+    /// benchmark the ratio is `NaN` rather than a panic, so salvage output
+    /// still renders.
     pub fn fig12_rows(&self) -> Vec<Fig12Row> {
-        let base: f64 = self
-            .cells
-            .iter()
-            .filter(|c| c.mechanism == Mechanism::Burst)
-            .map(|c| c.report.cpu_cycles as f64)
-            .sum();
+        let has = |b: SpecBenchmark, m: Mechanism| {
+            self.cells
+                .iter()
+                .any(|c| c.benchmark == b && c.mechanism == m)
+        };
         let axis = fig12_mechanisms();
         let mut points = self.mechanisms();
         points.sort_by_key(|m| axis.iter().position(|a| a == m).unwrap_or(axis.len()));
@@ -542,7 +544,17 @@ impl Sweep {
                 let cells: Vec<&SweepCell> =
                     self.cells.iter().filter(|c| c.mechanism == m).collect();
                 let n = cells.len() as f64;
-                let exec: f64 = cells.iter().map(|c| c.report.cpu_cycles as f64).sum();
+                let exec: f64 = cells
+                    .iter()
+                    .filter(|c| has(c.benchmark, Mechanism::Burst))
+                    .map(|c| c.report.cpu_cycles as f64)
+                    .sum();
+                let base: f64 = self
+                    .cells
+                    .iter()
+                    .filter(|c| c.mechanism == Mechanism::Burst && has(c.benchmark, m))
+                    .map(|c| c.report.cpu_cycles as f64)
+                    .sum();
                 Fig12Row {
                     mechanism: m,
                     read_latency: cells
@@ -1137,6 +1149,9 @@ mod tests {
         assert_eq!(points, [Burst, BurstWp]);
         assert_eq!(rows[0].normalized_exec, 1.0);
         assert!((rows[1].read_latency - 8.0).abs() < 1e-12);
+        // Burst_WP is normalised over swim alone, the one benchmark that
+        // holds both cells: 700 / 1000, not (900 + 700) / 1000.
+        assert!((rows[1].normalized_exec - 0.7).abs() < 1e-12);
 
         // No Burst cell survived: no baseline, so every normalised
         // execution time is NaN while the latencies still render.
