@@ -10,6 +10,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use crate::bankset::{self, BankSet};
 use crate::{Access, AccessId, AccessKind, Completion, CtrlConfig, CtrlStats, StallDiagnostic};
 use burst_dram::{Command, Cycle, Dram, Geometry, Loc, RowState};
 
@@ -153,11 +154,14 @@ pub struct Core {
     /// computed. Set on every install/remove; most ticks change nothing,
     /// so the steering scan over all banks is skipped.
     ongoing_dirty: Vec<bool>,
-    /// Occupied-slot bitmap, one bit per global bank: set iff the bank has
-    /// an ongoing access. Mirrors `ongoing` exactly (derived state, absent
-    /// from checkpoints) so the per-cycle candidate/steering/event scans
-    /// touch only occupied slots instead of every bank.
-    ongoing_mask: Vec<u64>,
+    /// The banks with an ongoing access. Mirrors `ongoing` exactly
+    /// (derived state, absent from checkpoints) so the per-cycle
+    /// candidate/steering/event scans and the policies' acting sets touch
+    /// only occupied slots instead of every bank.
+    occupied: BankSet,
+    /// The banks whose ongoing access is a write: the slots a read may
+    /// preempt (derived state, absent from checkpoints).
+    writing: BankSet,
     /// Per-bank cached next transaction of the slot's ongoing access and a
     /// lower bound on the first cycle it could pass [`Channel::can_issue`]
     /// (derived state, absent from checkpoints). The command stays valid
@@ -218,7 +222,8 @@ impl Core {
             last_rank: vec![None; nch],
             oldest_ongoing: vec![None; nch],
             ongoing_dirty: vec![true; nch],
-            ongoing_mask: vec![0; nbanks.div_ceil(64)],
+            occupied: BankSet::new(nbanks),
+            writing: BankSet::new(nbanks),
             cand_cache: vec![None; nbanks],
             cand_epoch: vec![u64::MAX; nch],
             ready_floor: vec![0; nch],
@@ -367,11 +372,13 @@ impl Core {
             return Err(access);
         }
         let entry = (access.id, bank, access.loc.rank);
+        let entry_is_write = access.kind == AccessKind::Write;
         self.ongoing[bank] = Some(Ongoing {
             access,
             started: false,
         });
-        self.ongoing_mask[bank >> 6] |= 1 << (bank & 63);
+        self.occupied.insert(bank);
+        self.writing.set(bank, entry_is_write);
         self.cand_cache[bank] = None;
         let chan = bank / self.banks_per_channel();
         self.ready_floor[chan] = 0;
@@ -403,7 +410,8 @@ impl Core {
     pub fn clear_ongoing(&mut self, bank: usize) -> Option<Access> {
         let taken = self.ongoing[bank].take().map(|o| o.access);
         if taken.is_some() {
-            self.ongoing_mask[bank >> 6] &= !(1 << (bank & 63));
+            self.occupied.remove(bank);
+            self.writing.remove(bank);
             self.cand_cache[bank] = None;
             let chan = bank / self.banks_per_channel();
             self.note_ongoing_removed(chan, bank);
@@ -452,35 +460,40 @@ impl Core {
         self.fill_candidates_impl(dram, channel, now, out, true);
     }
 
-    /// Every bank of `channel` holding an ongoing access, with that
-    /// access, in ascending bank order. Walks the occupied-slot bitmap
-    /// instead of probing every slot; takes the two fields rather than
-    /// `&self` so callers may update other fields while iterating.
+    /// Every bank of `range` holding an ongoing access, with that access,
+    /// in ascending bank order. Walks the occupied set instead of probing
+    /// every slot; takes the two fields rather than `&self` so callers may
+    /// update other fields while iterating.
     fn occupied<'a>(
-        ongoing_mask: &'a [u64],
+        occupied: &'a BankSet,
         ongoing: &'a [Option<Ongoing>],
         range: core::ops::Range<usize>,
     ) -> impl Iterator<Item = (usize, &'a Ongoing)> {
-        let mut bank = range.start;
+        let mut from = range.start;
         core::iter::from_fn(move || {
-            while bank < range.end {
-                let shifted = ongoing_mask[bank >> 6] >> (bank & 63);
-                if shifted == 0 {
-                    bank = (bank | 63) + 1;
-                    continue;
-                }
-                let found = bank + shifted.trailing_zeros() as usize;
-                if found >= range.end {
-                    return None;
-                }
-                bank = found + 1;
-                let og = ongoing[found]
-                    .as_ref()
-                    .expect("ongoing_mask bit set on an empty slot");
-                return Some((found, og));
-            }
-            None
+            let found = bankset::next_in(from, range.end, |w| occupied.word(w))?;
+            from = found + 1;
+            let og = ongoing[found]
+                .as_ref()
+                .expect("occupied bit set on an empty slot");
+            Some((found, og))
         })
+    }
+
+    /// The banks of 64-bank word `w` without an ongoing access.
+    pub(crate) fn idle_word(&self, w: usize) -> u64 {
+        !self.occupied.word(w)
+    }
+
+    /// The banks of 64-bank word `w` whose ongoing access is a write.
+    pub(crate) fn writing_word(&self, w: usize) -> u64 {
+        self.writing.word(w)
+    }
+
+    /// How many banks of `channel` hold an ongoing access: the candidates
+    /// [`Core::fill_all_candidates`] would return.
+    pub(crate) fn occupied_count(&self, channel: usize) -> usize {
+        self.occupied.count_in(self.bank_range(channel))
     }
 
     fn fill_candidates_impl(
@@ -502,7 +515,7 @@ impl Core {
         let escalate_age = self.cfg.watchdog.escalate_age;
         let range = self.bank_range(channel);
         let mut floor = Cycle::MAX;
-        for (bank, og) in Self::occupied(&self.ongoing_mask, &self.ongoing, range) {
+        for (bank, og) in Self::occupied(&self.occupied, &self.ongoing, range) {
             let (cmd, mut bound) = match self.cand_cache[bank] {
                 Some(c) => c,
                 None => {
@@ -562,7 +575,7 @@ impl Core {
     pub fn steer_to_oldest(&mut self, channel: usize) {
         if self.ongoing_dirty[channel] {
             let range = self.bank_range(channel);
-            self.oldest_ongoing[channel] = Self::occupied(&self.ongoing_mask, &self.ongoing, range)
+            self.oldest_ongoing[channel] = Self::occupied(&self.occupied, &self.ongoing, range)
                 .map(|(b, o)| (o.access.id, b, o.access.loc.rank))
                 .min();
             self.ongoing_dirty[channel] = false;
@@ -615,7 +628,8 @@ impl Core {
             let og = self.ongoing[cand.bank]
                 .take()
                 .expect("column without ongoing access");
-            self.ongoing_mask[cand.bank >> 6] &= !(1 << (cand.bank & 63));
+            self.occupied.remove(cand.bank);
+            self.writing.remove(cand.bank);
             self.note_ongoing_removed(chan, cand.bank);
             // Fault injection: the data transfer happened but is declared
             // bad (ECC read error / write CRC retry). The access stays
@@ -779,7 +793,7 @@ impl Core {
             let ch = dram.channel(channel);
             let mut target = None;
             let range = self.bank_range(channel);
-            for (bank, og) in Self::occupied(&self.ongoing_mask, &self.ongoing, range) {
+            for (bank, og) in Self::occupied(&self.occupied, &self.ongoing, range) {
                 let entry = (og.access.id, bank, og.access.loc.rank);
                 if target.is_none_or(|t| entry < t) {
                     target = Some(entry);
@@ -866,7 +880,8 @@ impl Core {
             writes_outstanding,
             oldest_ongoing: _, // lazy steering cache; restore marks every channel dirty
             ongoing_dirty: _,  // cache-invalidation flags; restore sets all true
-            ongoing_mask: _,   // bitmap mirror of `ongoing`; restore rebuilds it
+            occupied: _,       // bank-set mirror of `ongoing`; restore rebuilds it
+            writing: _,        // its write slots; restore rebuilds them
             cand_cache: _,     // per-bank candidate cache; restore drops every entry
             cand_epoch: _,     // refresh-epoch stamps; restore forces the drop via u64::MAX
             ready_floor: _,    // per-channel scan floor; restore zeroes it
@@ -937,7 +952,8 @@ impl Core {
             writes_outstanding,
             oldest_ongoing,
             ongoing_dirty,
-            ongoing_mask,
+            occupied,
+            writing,
             cand_cache,
             cand_epoch,
             ready_floor,
@@ -1003,11 +1019,13 @@ impl Core {
         } else {
             None
         };
-        // Rebuild the derived occupied-slot bitmap from the restored slots.
-        ongoing_mask.fill(0);
+        // Rebuild the derived slot sets from the restored slots.
+        occupied.clear();
+        writing.clear();
         for (b, slot) in ongoing.iter().enumerate() {
-            if slot.is_some() {
-                ongoing_mask[b >> 6] |= 1 << (b & 63);
+            if let Some(og) = slot {
+                occupied.insert(b);
+                writing.set(b, og.access.kind == AccessKind::Write);
             }
         }
         oldest_ongoing.fill(None);

@@ -48,6 +48,7 @@
 )]
 
 mod access;
+mod bankset;
 pub mod engine;
 mod faults;
 mod mechanisms;

@@ -12,14 +12,11 @@
 use std::collections::VecDeque;
 
 use super::{oldest_row_hit, Policy};
+use crate::bankset::BankSet;
 use crate::engine::{Candidate, Core};
 use crate::txsched::select_intel_limited;
 use crate::{Access, AccessKind, Completion, EnqueueOutcome, Mechanism};
 use burst_dram::{Cycle, Dram};
-
-/// Transaction-selection lookahead, matching the other conventional
-/// schedulers' limited scheduling logic.
-const LOOKAHEAD: usize = 3;
 
 /// The adaptive history-based policy.
 ///
@@ -36,6 +33,9 @@ const LOOKAHEAD: usize = 3;
 pub(crate) struct AdaptiveHistoryScheduler {
     read_queues: Vec<VecDeque<Access>>,
     write_queues: Vec<VecDeque<Access>>,
+    /// The banks with a queued read or write (derived state, absent from
+    /// checkpoints).
+    queued: BankSet,
     /// EWMA of the arriving read share, in 1/1024 units.
     arrival_read_share: u32,
     /// Reads and writes issued (made ongoing) so far in the current
@@ -51,10 +51,17 @@ impl AdaptiveHistoryScheduler {
         AdaptiveHistoryScheduler {
             read_queues: vec![VecDeque::new(); nbanks],
             write_queues: vec![VecDeque::new(); nbanks],
+            queued: BankSet::new(nbanks),
             arrival_read_share: 768, // start read-leaning (3/4)
             issued_reads: 0,
             issued_writes: 0,
         }
+    }
+
+    /// Re-derives whether `bank` holds queued work after a pop.
+    fn note_pop(&mut self, bank: usize) {
+        let work = !self.read_queues[bank].is_empty() || !self.write_queues[bank].is_empty();
+        self.queued.set(bank, work);
     }
 
     fn note_history(&mut self, kind: AccessKind) {
@@ -92,70 +99,12 @@ impl AdaptiveHistoryScheduler {
             .unwrap_or(0);
         queue.remove(idx)
     }
-
-    fn arbiter(&mut self, core: &mut Core, bank_idx: usize, dram: &Dram, now: Cycle) {
-        if core.ongoing(bank_idx).is_some() {
-            return;
-        }
-        let open_row = core.open_row(dram, bank_idx);
-        // Starvation watchdog: an access past the escalation age overrides
-        // history matching and row-hit preference — serve it oldest-first.
-        let escalate_age = core.cfg().watchdog.escalate_age;
-        let oldest_read = self.read_queues[bank_idx]
-            .front()
-            .map(|a| (a.arrival, a.kind));
-        let oldest_write = self.write_queues[bank_idx]
-            .front()
-            .map(|a| (a.arrival, a.kind));
-        if let Some((arrival, kind)) = [oldest_read, oldest_write].into_iter().flatten().min() {
-            if now.saturating_sub(arrival) >= escalate_age {
-                let access = match kind {
-                    AccessKind::Read => self.read_queues[bank_idx].pop_front(),
-                    AccessKind::Write => self.write_queues[bank_idx].pop_front(),
-                }
-                .expect("front exists");
-                match access.kind {
-                    AccessKind::Read => self.issued_reads += 1,
-                    AccessKind::Write => self.issued_writes += 1,
-                }
-                core.set_ongoing(bank_idx, access)
-                    .expect("bank verified idle before escalation");
-                return;
-            }
-        }
-        // A saturated write queue overrides history matching.
-        let full = core.writes_outstanding() >= core.cfg().write_capacity;
-        let prefer_read = !full && self.wants_read();
-        let (first, second) = if prefer_read {
-            (
-                &mut self.read_queues[bank_idx],
-                &mut self.write_queues[bank_idx],
-            )
-        } else {
-            (
-                &mut self.write_queues[bank_idx],
-                &mut self.read_queues[bank_idx],
-            )
-        };
-        let access = Self::pick(first, open_row).or_else(|| Self::pick(second, open_row));
-        if let Some(access) = access {
-            match access.kind {
-                AccessKind::Read => self.issued_reads += 1,
-                AccessKind::Write => self.issued_writes += 1,
-            }
-            // Keep the balancing window short so phase changes register.
-            if self.issued_reads + self.issued_writes >= 256 {
-                self.issued_reads /= 2;
-                self.issued_writes /= 2;
-            }
-            core.set_ongoing(bank_idx, access)
-                .expect("bank verified idle at arbiter entry");
-        }
-    }
 }
 
 impl Policy for AdaptiveHistoryScheduler {
-    const INCLUDE_BLOCKED: bool = true;
+    /// Transaction-selection lookahead, matching the other conventional
+    /// schedulers' limited scheduling logic.
+    const LOOKAHEAD: usize = 3;
 
     fn mechanism(&self) -> Mechanism {
         Mechanism::AdaptiveHistory
@@ -189,37 +138,98 @@ impl Policy for AdaptiveHistoryScheduler {
                 self.write_queues[bank_idx].push_back(access);
             }
         }
+        self.queued.insert(bank_idx);
         EnqueueOutcome::Queued
     }
 
     fn requeue(&mut self, core: &Core, access: Access) {
         let bank = core.global_bank(access.loc);
+        self.queued.insert(bank);
         match access.kind {
             AccessKind::Read => self.read_queues[bank].push_front(access),
             AccessKind::Write => self.write_queues[bank].push_front(access),
         }
     }
 
-    fn arbitrate(&mut self, core: &mut Core, dram: &Dram, channel: usize, now: Cycle) {
-        for bank in core.bank_range(channel) {
-            self.arbiter(core, bank, dram, now);
+    /// `pick` installs whenever either queue of an idle bank is non-empty
+    /// (history only steers which kind goes first), and the arbiter does
+    /// nothing otherwise.
+    fn acting_word(&self, core: &Core, w: usize, _now: Cycle) -> u64 {
+        self.queued.word(w) & core.idle_word(w)
+    }
+
+    fn arbitrate_bank(&mut self, core: &mut Core, bank_idx: usize, dram: &Dram, now: Cycle) {
+        if core.ongoing(bank_idx).is_some() {
+            return;
+        }
+        let open_row = core.open_row(dram, bank_idx);
+        // Starvation watchdog: an access past the escalation age overrides
+        // history matching and row-hit preference — serve it oldest-first.
+        let escalate_age = core.cfg().watchdog.escalate_age;
+        let oldest_read = self.read_queues[bank_idx]
+            .front()
+            .map(|a| (a.arrival, a.kind));
+        let oldest_write = self.write_queues[bank_idx]
+            .front()
+            .map(|a| (a.arrival, a.kind));
+        if let Some((arrival, kind)) = [oldest_read, oldest_write].into_iter().flatten().min() {
+            if now.saturating_sub(arrival) >= escalate_age {
+                let access = match kind {
+                    AccessKind::Read => self.read_queues[bank_idx].pop_front(),
+                    AccessKind::Write => self.write_queues[bank_idx].pop_front(),
+                }
+                .expect("front exists");
+                self.note_pop(bank_idx);
+                match access.kind {
+                    AccessKind::Read => self.issued_reads += 1,
+                    AccessKind::Write => self.issued_writes += 1,
+                }
+                core.set_ongoing(bank_idx, access)
+                    .expect("bank verified idle before escalation");
+                return;
+            }
+        }
+        // A saturated write queue overrides history matching.
+        let full = core.writes_outstanding() >= core.cfg().write_capacity;
+        let prefer_read = !full && self.wants_read();
+        let (first, second) = if prefer_read {
+            (
+                &mut self.read_queues[bank_idx],
+                &mut self.write_queues[bank_idx],
+            )
+        } else {
+            (
+                &mut self.write_queues[bank_idx],
+                &mut self.read_queues[bank_idx],
+            )
+        };
+        let access = Self::pick(first, open_row).or_else(|| Self::pick(second, open_row));
+        if let Some(access) = access {
+            self.note_pop(bank_idx);
+            match access.kind {
+                AccessKind::Read => self.issued_reads += 1,
+                AccessKind::Write => self.issued_writes += 1,
+            }
+            // Keep the balancing window short so phase changes register.
+            if self.issued_reads + self.issued_writes >= 256 {
+                self.issued_reads /= 2;
+                self.issued_writes /= 2;
+            }
+            core.set_ongoing(bank_idx, access)
+                .expect("bank verified idle at arbiter entry");
         }
     }
 
     fn select(&mut self, _core: &Core, _channel: usize, cands: &[Candidate]) -> Option<Candidate> {
-        select_intel_limited(cands, LOOKAHEAD)
+        select_intel_limited(cands, Self::LOOKAHEAD)
     }
 
-    fn busy_event(&self, core: &Core, _dram: &Dram, _last: Cycle, event: Cycle) -> Option<Cycle> {
-        // `pick` installs whenever either queue of an idle bank is
-        // non-empty (history only steers which kind goes first), so an
-        // idle bank with any work makes the next tick a real one. With
-        // every work-holding bank busy, escalation is unreachable and the
-        // history counters are untouched.
-        let idle_with_work = (0..core.bank_count()).any(|bank| {
-            core.ongoing(bank).is_none()
-                && (!self.read_queues[bank].is_empty() || !self.write_queues[bank].is_empty())
-        });
+    fn busy_event(&self, core: &Core, _dram: &Dram, last: Cycle, event: Cycle) -> Option<Cycle> {
+        // An idle bank with any work makes the next tick a real one (see
+        // `acting_word`). With every work-holding bank busy, escalation is
+        // unreachable and the history counters are untouched.
+        let idle_with_work =
+            (0..self.queued.words()).any(|w| self.acting_word(core, w, last + 1) != 0);
         (!idle_with_work).then_some(event)
     }
 
@@ -229,6 +239,7 @@ impl Policy for AdaptiveHistoryScheduler {
         let Self {
             read_queues,
             write_queues,
+            queued: _, // derived from the queues; restore rebuilds it
             arrival_read_share,
             issued_reads,
             issued_writes,
@@ -248,12 +259,17 @@ impl Policy for AdaptiveHistoryScheduler {
         let Self {
             read_queues,
             write_queues,
+            queued,
             arrival_read_share,
             issued_reads,
             issued_writes,
         } = self;
         super::load_queue_set(read_queues, r)?;
         super::load_queue_set(write_queues, r)?;
+        queued.clear();
+        for (bank, (rq, wq)) in read_queues.iter().zip(write_queues.iter()).enumerate() {
+            queued.set(bank, !rq.is_empty() || !wq.is_empty());
+        }
         *arrival_read_share = r.u32()?;
         *issued_reads = r.u64()?;
         *issued_writes = r.u64()?;

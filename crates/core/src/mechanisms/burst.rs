@@ -12,6 +12,7 @@
 use std::collections::VecDeque;
 
 use super::{oldest_row_hit, Policy};
+use crate::bankset;
 use crate::engine::{Candidate, Core};
 use crate::txsched::select_table2;
 use crate::{Access, AccessKind, Completion, EnqueueOutcome, Mechanism};
@@ -135,9 +136,10 @@ pub(crate) struct BurstScheduler {
 
 /// The bank arbiter's classes for 64 consecutive global banks, one bit
 /// per bank in each map. Each class names the gate term of
-/// [`BurstScheduler::gates`] under which its banks can act, so a channel
-/// walk visits `always | drain & g(1|2) | piggyback & g4 | preempt & g8`
-/// from the live gate byte, and a gate flip costs one word operation.
+/// [`BurstScheduler::gates`] under which its banks can act, so the
+/// controller's walk visits `always | drain & g(1|2) | piggyback & g4 |
+/// preempt & g8` from the live gate byte, and a gate flip costs one word
+/// operation.
 ///
 /// Clear-bit proof: `bank_arbiter` changes a bank only when (a) the bank
 /// is idle with reads, which it always installs; (b) it is idle and its
@@ -204,7 +206,7 @@ impl BurstScheduler {
     /// state, packed into one comparable byte: write-queue saturation,
     /// no-reads-anywhere, piggyback qualification and preemption headroom.
     /// Each [`ClassWord`] map acts under one of these terms.
-    fn gates(&self, core: &Core) -> u8 {
+    pub(super) fn gates(&self, core: &Core) -> u8 {
         let wg = core.writes_outstanding() as u32;
         let mut g = 0u8;
         if wg >= core.cfg().write_capacity as u32 {
@@ -275,18 +277,14 @@ impl BurstScheduler {
         self.next_escal = Cycle::MAX;
         let escalate_age = core.cfg().watchdog.escalate_age;
         for (w, c) in self.classes.iter_mut().enumerate() {
-            let mut word = c.drain & !c.always;
-            while word != 0 {
-                let bit = word & word.wrapping_neg();
-                word &= word - 1;
-                let bank_idx = (w << 6) + bit.trailing_zeros() as usize;
+            for bank_idx in bankset::members(w, c.drain & !c.always) {
                 let front = self.banks[bank_idx]
                     .writes
                     .front()
                     .expect("an unmarked drain bank holds writes");
                 let esc_at = front.arrival + escalate_age;
                 if esc_at <= now {
-                    c.always |= bit;
+                    c.always |= 1 << (bank_idx & 63);
                 } else {
                     self.next_escal = self.next_escal.min(esc_at);
                 }
@@ -459,8 +457,8 @@ impl BurstScheduler {
 }
 
 impl Policy for BurstScheduler {
-    /// Table 2 picks among unblocked transactions only.
-    const INCLUDE_BLOCKED: bool = false;
+    /// Table 2 ranks every transaction and picks among the unblocked ones.
+    const LOOKAHEAD: usize = usize::MAX;
 
     fn mechanism(&self) -> Mechanism {
         self.opts.mechanism
@@ -554,35 +552,20 @@ impl Policy for BurstScheduler {
         self.escalate_drains(core, now);
     }
 
-    fn arbitrate(&mut self, core: &mut Core, dram: &Dram, channel: usize, now: Cycle) {
-        // The live gate byte, read per channel: an issue on an earlier
-        // channel can move the counters it reads, while picks inside a
-        // walk never do (counters change only on enqueue, issue and
-        // completion).
+    /// The banks whose class acts under the live gate byte: any other
+    /// bank's arbiter call is a no-op (see [`ClassWord`]). The gates move
+    /// only with the outstanding counts, which an issue on an earlier
+    /// channel can change but a visit never does.
+    fn acting_word(&self, core: &Core, w: usize, _now: Cycle) -> u64 {
         let gates = self.gates(core);
         let open = |bits: u8| if gates & bits != 0 { u64::MAX } else { 0 };
-        let (drain, piggyback, preempt) = (open(1 | 2), open(4), open(8));
-        // Visit only banks whose class acts under these gates: any other
-        // bank's arbiter call is a no-op (see `ClassWord`).
-        let range = core.bank_range(channel);
-        let mut bank_idx = range.start;
-        while bank_idx < range.end {
-            let c = self.classes[bank_idx >> 6];
-            let acts =
-                c.always | (c.drain & drain) | (c.piggyback & piggyback) | (c.preempt & preempt);
-            let shifted = acts >> (bank_idx & 63);
-            if shifted == 0 {
-                bank_idx = (bank_idx | 63) + 1;
-                continue;
-            }
-            bank_idx += shifted.trailing_zeros() as usize;
-            if bank_idx >= range.end {
-                break;
-            }
-            self.bank_arbiter(core, bank_idx, dram, now);
-            self.refresh_class(core, bank_idx, dram, now);
-            bank_idx += 1;
-        }
+        let c = self.classes[w];
+        c.always | (c.drain & open(1 | 2)) | (c.piggyback & open(4)) | (c.preempt & open(8))
+    }
+
+    fn arbitrate_bank(&mut self, core: &mut Core, bank: usize, dram: &Dram, now: Cycle) {
+        self.bank_arbiter(core, bank, dram, now);
+        self.refresh_class(core, bank, dram, now);
     }
 
     fn select(&mut self, core: &Core, channel: usize, cands: &[Candidate]) -> Option<Candidate> {
@@ -637,10 +620,7 @@ impl Policy for BurstScheduler {
         // age, or idle and empty — and every arm below contributes nothing
         // for those. (A stale or marked bit just scores nothing.)
         for (w, c) in self.classes.iter().enumerate() {
-            let mut word = c.always | c.drain | c.preempt;
-            while word != 0 {
-                let bank_idx = (w << 6) + word.trailing_zeros() as usize;
-                word &= word - 1;
+            for bank_idx in bankset::members(w, c.always | c.drain | c.preempt) {
                 let bank = &self.banks[bank_idx];
                 if let Some(og) = core.ongoing(bank_idx) {
                     // Preemption's terms are static over a no-op stretch
@@ -1126,192 +1106,6 @@ mod tests {
             now += 1;
         }
         assert!(s.outstanding().writes < 4, "full-queue drain must engage");
-    }
-
-    /// Figure 5 taken literally: `bank_arbiter` on every bank of the
-    /// channel, with the wrapped scheduler doing everything else. Its
-    /// class maps go stale, so it never reads them.
-    #[derive(Debug)]
-    struct EveryBank(BurstScheduler);
-
-    impl Policy for EveryBank {
-        const INCLUDE_BLOCKED: bool = false;
-
-        fn mechanism(&self) -> Mechanism {
-            self.0.mechanism()
-        }
-
-        fn enqueue(
-            &mut self,
-            core: &mut Core,
-            access: Access,
-            now: Cycle,
-            completions: &mut Vec<Completion>,
-        ) -> EnqueueOutcome {
-            self.0.enqueue(core, access, now, completions)
-        }
-
-        fn requeue(&mut self, core: &Core, access: Access) {
-            self.0.requeue(core, access);
-        }
-
-        fn pre_tick(&mut self, core: &Core, now: Cycle) {
-            self.0.adapt_threshold(core, now);
-        }
-
-        fn arbitrate(&mut self, core: &mut Core, dram: &Dram, channel: usize, now: Cycle) {
-            for bank_idx in core.bank_range(channel) {
-                self.0.bank_arbiter(core, bank_idx, dram, now);
-            }
-        }
-
-        fn select(
-            &mut self,
-            core: &Core,
-            channel: usize,
-            cands: &[Candidate],
-        ) -> Option<Candidate> {
-            self.0.select(core, channel, cands)
-        }
-
-        fn column_issued(&mut self, core: &Core, dram: &Dram, cand: &Candidate, now: Cycle) {
-            self.0.column_issued(core, dram, cand, now);
-        }
-
-        fn busy_event(&self, _: &Core, _: &Dram, _: Cycle, _: Cycle) -> Option<Cycle> {
-            None
-        }
-
-        fn advance_quiescent(&mut self, core: &Core, from: Cycle, n: u64) {
-            self.0.advance_quiescent(core, from, n);
-        }
-
-        fn save_snap(&self, w: &mut burst_snap::SnapWriter) {
-            self.0.save_snap(w);
-        }
-
-        fn load_snap(
-            &mut self,
-            core: &Core,
-            r: &mut burst_snap::SnapReader,
-        ) -> Result<(), burst_snap::SnapError> {
-            self.0.load_snap(core, r)
-        }
-    }
-
-    fn state(s: &impl AccessScheduler) -> Vec<u8> {
-        let mut w = burst_snap::SnapWriter::new();
-        s.save_state(&mut w).expect("burst snapshots");
-        w.into_bytes()
-    }
-
-    #[test]
-    fn class_walk_matches_visiting_every_bank() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-
-        let cfg = DramConfig::baseline();
-        let g = cfg.geometry;
-        // A short escalation age, so writes parked under shut gates age
-        // into escalation within the run.
-        let ctrl = CtrlConfig {
-            watchdog: crate::WatchdogConfig {
-                escalate_age: 400,
-                stall_limit: 1_000_000,
-            },
-            ..CtrlConfig::default()
-        };
-        let cap = ctrl.write_capacity as u32;
-        // The options `Mechanism::build` gives each variant.
-        let variants = [
-            BurstOptions::static_threshold(0, None, Mechanism::Burst),
-            BurstOptions::static_threshold(cap, None, Mechanism::BurstRp),
-            BurstOptions::static_threshold(0, Some(0), Mechanism::BurstWp),
-            th(52),
-            BurstOptions {
-                dynamic_period: Some(1024),
-                ..BurstOptions::static_threshold(52, Some(52), Mechanism::BurstDyn)
-            },
-        ];
-        let (mut gates_set, mut gates_clear) = (0u8, 0u8);
-        for opts in variants {
-            let m = opts.mechanism;
-            let mut walk = burst(ctrl, g, opts);
-            let mut every =
-                Controller::new(ctrl, g, |core| EveryBank(BurstScheduler::new(core, opts)));
-            let mut dram_walk = Dram::new(cfg, AddressMapping::PageInterleaving);
-            let mut dram_every = Dram::new(cfg, AddressMapping::PageInterleaving);
-            let (mut done_walk, mut done_every) = (Vec::new(), Vec::new());
-            let mut rng = SmallRng::seed_from_u64(0xb0b5);
-            let mut next_id = 0u64;
-            // The pointer chase's one outstanding read, if any.
-            let mut chase: Option<AccessId> = None;
-            for now in 0..12_000u64 {
-                // Each 4000 cycles: a write-back storm under the chase, then
-                // a read stream that keeps the queued writes parked until
-                // they escalate, then the chase alone.
-                let phase = now % 4000;
-                let p_write = if phase < 1500 { 0.45 } else { 0.03 };
-                let mut arrivals = Vec::new();
-                let read = if (1500..3000).contains(&phase) {
-                    rng.gen_bool(0.15)
-                } else {
-                    chase.is_none() && rng.gen_bool(0.25)
-                };
-                if read {
-                    arrivals.push(AccessKind::Read);
-                }
-                if rng.gen_bool(p_write) {
-                    arrivals.push(AccessKind::Write);
-                }
-                for kind in arrivals {
-                    // Four rows per bank: bursts, row-hit writes and
-                    // same-address forwards all occur.
-                    let loc = Loc::new(
-                        rng.gen_range(0..g.channels),
-                        rng.gen_range(0..g.ranks_per_channel),
-                        rng.gen_range(0..g.banks_per_rank),
-                        rng.gen_range(0..4),
-                        8 * rng.gen_range(0..4u32),
-                    );
-                    let bank = walk.core.global_bank(loc) as u64;
-                    let line = ((bank * 4 + u64::from(loc.row)) * 4 + u64::from(loc.col / 8)) * 64;
-                    let a =
-                        Access::new(AccessId::new(next_id), kind, PhysAddr::new(line), loc, now);
-                    if !walk.can_accept(kind) {
-                        continue;
-                    }
-                    next_id += 1;
-                    let out = walk.enqueue(a, now, &mut done_walk);
-                    assert_eq!(out, every.enqueue(a, now, &mut done_every));
-                    if kind == AccessKind::Read && out == EnqueueOutcome::Queued {
-                        chase = Some(a.id);
-                    }
-                }
-                walk.tick(&mut dram_walk, now, &mut done_walk);
-                every.tick(&mut dram_every, now, &mut done_every);
-                assert_eq!(done_walk, done_every, "{m}: completions at {now}");
-                assert_eq!(state(&walk), state(&every), "{m}: state at {now}");
-                if chase.is_some_and(|id| done_walk.iter().any(|c| c.id == id)) {
-                    chase = None;
-                }
-                done_walk.clear();
-                done_every.clear();
-                let gates = walk.policy.gates(&walk.core);
-                gates_set |= gates;
-                gates_clear |= !gates;
-            }
-            let stats = walk.stats();
-            assert!(stats.escalations > 0, "{m}: no escalation");
-            if opts.piggyback_above.is_some() {
-                assert!(stats.piggybacks > 0, "{m}: no piggyback");
-            }
-            if opts.preempt_below > 0 {
-                assert!(stats.preemptions > 0, "{m}: no preemption");
-            }
-        }
-        assert_eq!(gates_set & 0xF, 0xF, "every gate bit opens");
-        assert_eq!(gates_clear & 0xF, 0xF, "every gate bit shuts");
     }
 }
 

@@ -10,19 +10,17 @@
 //! sorted by access id. Ids are handed out in increasing order and every
 //! reinsertion keeps id order, so the union of the bank queues in id order
 //! is exactly the global queue: its front is the least id over the bank
-//! fronts, and a bank's oldest write is its own front.
+//! fronts, and a bank's oldest write is its own front. That front is
+//! cached, and rescanned only when the bank holding it pops its front.
 
 use std::collections::VecDeque;
 
 use super::{oldest_row_hit, Policy};
+use crate::bankset::BankSet;
 use crate::engine::{Candidate, Core};
 use crate::txsched::select_intel_limited;
-use crate::{Access, AccessKind, Completion, EnqueueOutcome, Mechanism};
+use crate::{Access, AccessId, AccessKind, Completion, EnqueueOutcome, Mechanism};
 use burst_dram::{Cycle, Dram};
-
-/// Accesses the scheduler can examine per cycle in priority order; if all
-/// are blocked the cycle bubbles (timing-naive "best effort" scheduling).
-const LOOKAHEAD: usize = 3;
 
 /// How many oldest entries of a bank's read queue the row-hit search may
 /// reorder across.
@@ -44,6 +42,14 @@ pub(crate) struct IntelScheduler {
     read_queues: Vec<VecDeque<Access>>,
     /// The global write queue, split by target bank; each sorted by id.
     write_queues: Vec<VecDeque<Access>>,
+    /// The banks with queued reads, and with queued writes (derived state,
+    /// absent from checkpoints).
+    has_reads: BankSet,
+    has_writes: BankSet,
+    /// The id and bank of the global write queue's front, the least id
+    /// over the bank fronts (derived state, absent from checkpoints). An
+    /// insert merges into it; a pop rescans only if it took this front.
+    oldest: Option<(AccessId, usize)>,
     read_preemption: bool,
     /// Write-buffer flush mode: entered at the high-water mark (3/4 of
     /// capacity), left at the low-water mark (1/2). While draining, idle
@@ -60,6 +66,9 @@ impl IntelScheduler {
         IntelScheduler {
             read_queues: vec![VecDeque::new(); nbanks],
             write_queues: vec![VecDeque::new(); nbanks],
+            has_reads: BankSet::new(nbanks),
+            has_writes: BankSet::new(nbanks),
+            oldest: None,
             read_preemption,
             draining: false,
         }
@@ -69,81 +78,58 @@ impl IntelScheduler {
     /// id: a new write lands at the back, a preempted or retried one near
     /// the front.
     fn insert_write(&mut self, core: &Core, write: Access) {
-        let queue = &mut self.write_queues[core.global_bank(write.loc)];
+        let bank = core.global_bank(write.loc);
+        let queue = &mut self.write_queues[bank];
         let pos = queue.partition_point(|w| w.id < write.id);
         queue.insert(pos, write);
+        self.has_writes.insert(bank);
+        if self.oldest.is_none_or(|(id, _)| write.id < id) {
+            self.oldest = Some((write.id, bank));
+        }
     }
 
-    /// The front of the global write queue and its bank: the least id over
-    /// the bank fronts.
-    fn oldest_write(&self) -> Option<(usize, &Access)> {
-        self.write_queues
+    /// Pops `bank`'s oldest write, keeping the derived state in step.
+    fn pop_write(&mut self, bank: usize) -> Option<Access> {
+        let write = self.write_queues[bank].pop_front()?;
+        self.has_writes
+            .set(bank, !self.write_queues[bank].is_empty());
+        if self.oldest.is_some_and(|(_, b)| b == bank) {
+            self.oldest = Self::scan_oldest(&self.write_queues);
+        }
+        Some(write)
+    }
+
+    /// The id and bank of the global write queue's front: the least id
+    /// over the bank fronts, found by a scan.
+    fn scan_oldest(write_queues: &[VecDeque<Access>]) -> Option<(AccessId, usize)> {
+        write_queues
             .iter()
             .enumerate()
-            .filter_map(|(bank, q)| q.front().map(|w| (bank, w)))
-            .min_by_key(|(_, w)| w.id)
+            .filter_map(|(bank, q)| q.front().map(|w| (w.id, bank)))
+            .min()
     }
 
-    fn arbiter(&mut self, core: &mut Core, bank_idx: usize, dram: &Dram, now: Cycle) {
-        if let Some(og) = core.ongoing(bank_idx) {
-            // Intel_RP: a waiting read interrupts an ongoing write —
-            // except during a forced write-buffer flush, where preempting
-            // would keep the buffer saturated and stall the front side bus.
-            if self.read_preemption
-                && og.access.kind == AccessKind::Write
-                && !self.read_queues[bank_idx].is_empty()
-            {
-                let write = core.clear_ongoing(bank_idx).expect("ongoing write");
-                self.insert_write(core, write);
-                let read = self
-                    .pick_read(core, bank_idx, dram, now)
-                    .expect("read queue non-empty");
-                core.set_ongoing(bank_idx, read)
-                    .expect("slot was just cleared for preemption");
-                core.stats_mut().preemptions += 1;
-            }
-            return;
+    /// The bank holding the global write queue's front once that write
+    /// has reached the escalation age at `now`.
+    fn escalating_bank(&self, core: &Core, now: Cycle) -> Option<usize> {
+        let (_, bank) = self.oldest?;
+        let front = self.write_queues[bank].front()?;
+        (now.saturating_sub(front.arrival) >= core.cfg().watchdog.escalate_age).then_some(bank)
+    }
+
+    /// [`Policy::acting_word`] with the drain decision `draining`.
+    fn acting(&self, core: &Core, w: usize, now: Cycle, draining: bool) -> u64 {
+        let idle = core.idle_word(w);
+        let mut acts = idle & self.has_reads.word(w);
+        if draining || core.reads_outstanding() == 0 {
+            acts |= idle & self.has_writes.word(w);
         }
-        // Starvation watchdog: the oldest write sits at the global queue
-        // front (the least id over the bank fronts). Once it exceeds the
-        // escalation age, drain it even while reads are outstanding —
-        // without this a single write behind an endless read stream never
-        // drains (the queue never fills, reads never reach zero). Only
-        // the bank holding the global front escalates; the scan over bank
-        // fronts runs only once this bank's front is old enough.
-        let escalate_age = core.cfg().watchdog.escalate_age;
-        if let Some(front) = self.write_queues[bank_idx].front() {
-            if now.saturating_sub(front.arrival) >= escalate_age
-                && self
-                    .oldest_write()
-                    .is_some_and(|(bank, _)| bank == bank_idx)
-            {
-                let write = self.write_queues[bank_idx]
-                    .pop_front()
-                    .expect("front exists");
-                core.set_ongoing(bank_idx, write)
-                    .expect("bank verified idle before escalation");
-                return;
-            }
+        if self.read_preemption {
+            acts |= core.writing_word(w) & self.has_reads.word(w);
         }
-        // While the write buffer flushes, idle banks prefer writes so the
-        // buffer empties in bursts. Reads keep priority in banks that have
-        // them (outside drain mode), which is why Intel still accumulates
-        // outstanding writes (paper Figure 8b) without saturating as often
-        // as Burst.
-        if self.draining || core.reads_outstanding() == 0 {
-            if let Some(write) = self.write_queues[bank_idx].pop_front() {
-                core.set_ongoing(bank_idx, write)
-                    .expect("bank verified idle at arbiter entry");
-                return;
-            }
-        }
-        if !self.read_queues[bank_idx].is_empty() {
-            let read = self
-                .pick_read(core, bank_idx, dram, now)
-                .expect("non-empty");
-            core.set_ongoing(bank_idx, read)
-                .expect("bank verified idle at arbiter entry");
+        match self.escalating_bank(core, now) {
+            Some(bank) if bank >> 6 == w => acts | (idle & 1 << (bank & 63)),
+            _ => acts,
         }
     }
 
@@ -163,18 +149,25 @@ impl IntelScheduler {
         let queue = &mut self.read_queues[bank_idx];
         let front = queue.front()?;
         if now.saturating_sub(front.arrival) >= core.cfg().watchdog.escalate_age {
-            return queue.pop_front();
+            let read = queue.pop_front();
+            self.has_reads.set(bank_idx, !queue.is_empty());
+            return read;
         }
         let idx = core
             .open_row(dram, bank_idx)
             .and_then(|row| oldest_row_hit(queue, row, REORDER_WINDOW))
             .unwrap_or(0);
-        queue.remove(idx)
+        let read = queue.remove(idx);
+        self.has_reads.set(bank_idx, !queue.is_empty());
+        read
     }
 }
 
 impl Policy for IntelScheduler {
-    const INCLUDE_BLOCKED: bool = true;
+    /// Accesses the scheduler can examine per cycle in priority order; if
+    /// all are blocked the cycle bubbles (timing-naive "best effort"
+    /// scheduling).
+    const LOOKAHEAD: usize = 3;
 
     fn mechanism(&self) -> Mechanism {
         if self.read_preemption {
@@ -206,6 +199,7 @@ impl Policy for IntelScheduler {
                     return EnqueueOutcome::Forwarded;
                 }
                 core.note_arrival(&access);
+                self.has_reads.insert(bank_idx);
                 self.read_queues[bank_idx].push_back(access);
             }
             AccessKind::Write => {
@@ -219,7 +213,9 @@ impl Policy for IntelScheduler {
     fn requeue(&mut self, core: &Core, access: Access) {
         match access.kind {
             AccessKind::Read => {
-                self.read_queues[core.global_bank(access.loc)].push_front(access);
+                let bank = core.global_bank(access.loc);
+                self.has_reads.insert(bank);
+                self.read_queues[bank].push_front(access);
             }
             // Age-sorted reinsertion puts the (old) retry near the front.
             AccessKind::Write => self.insert_write(core, access),
@@ -236,63 +232,95 @@ impl Policy for IntelScheduler {
         self.draining = core.writes_outstanding() >= core.cfg().write_capacity;
     }
 
-    fn arbitrate(&mut self, core: &mut Core, dram: &Dram, channel: usize, now: Cycle) {
-        for bank in core.bank_range(channel) {
-            self.arbiter(core, bank, dram, now);
+    /// Idle banks with reads install one. Idle banks with writes install
+    /// one while the buffer flushes or no read is outstanding. The bank
+    /// holding the global front write escalates it once it is aged, if
+    /// idle. Intel_RP's banks whose ongoing write has reads queued behind
+    /// it preempt. No other bank's arbiter acts.
+    fn acting_word(&self, core: &Core, w: usize, now: Cycle) -> u64 {
+        self.acting(core, w, now, self.draining)
+    }
+
+    fn arbitrate_bank(&mut self, core: &mut Core, bank_idx: usize, dram: &Dram, now: Cycle) {
+        debug_assert_eq!(
+            self.oldest,
+            Self::scan_oldest(&self.write_queues),
+            "cached write-queue front"
+        );
+        if let Some(og) = core.ongoing(bank_idx) {
+            // Intel_RP: a waiting read interrupts an ongoing write —
+            // except during a forced write-buffer flush, where preempting
+            // would keep the buffer saturated and stall the front side bus.
+            if self.read_preemption
+                && og.access.kind == AccessKind::Write
+                && !self.read_queues[bank_idx].is_empty()
+            {
+                let write = core.clear_ongoing(bank_idx).expect("ongoing write");
+                self.insert_write(core, write);
+                let read = self
+                    .pick_read(core, bank_idx, dram, now)
+                    .expect("read queue non-empty");
+                core.set_ongoing(bank_idx, read)
+                    .expect("slot was just cleared for preemption");
+                core.stats_mut().preemptions += 1;
+            }
+            return;
+        }
+        // Starvation watchdog: the oldest write sits at the global queue
+        // front. Once it exceeds the escalation age, drain it even while
+        // reads are outstanding — without this a single write behind an
+        // endless read stream never drains (the queue never fills, reads
+        // never reach zero). Only the bank holding the global front
+        // escalates.
+        if self.escalating_bank(core, now) == Some(bank_idx) {
+            let write = self.pop_write(bank_idx).expect("front exists");
+            core.set_ongoing(bank_idx, write)
+                .expect("bank verified idle before escalation");
+            return;
+        }
+        // While the write buffer flushes, idle banks prefer writes so the
+        // buffer empties in bursts. Reads keep priority in banks that have
+        // them (outside drain mode), which is why Intel still accumulates
+        // outstanding writes (paper Figure 8b) without saturating as often
+        // as Burst.
+        if self.draining || core.reads_outstanding() == 0 {
+            if let Some(write) = self.pop_write(bank_idx) {
+                core.set_ongoing(bank_idx, write)
+                    .expect("bank verified idle at arbiter entry");
+                return;
+            }
+        }
+        if !self.read_queues[bank_idx].is_empty() {
+            let read = self
+                .pick_read(core, bank_idx, dram, now)
+                .expect("non-empty");
+            core.set_ongoing(bank_idx, read)
+                .expect("bank verified idle at arbiter entry");
         }
     }
 
     fn select(&mut self, _core: &Core, _channel: usize, cands: &[Candidate]) -> Option<Candidate> {
-        select_intel_limited(cands, LOOKAHEAD)
+        select_intel_limited(cands, Self::LOOKAHEAD)
     }
 
     fn busy_event(&self, core: &Core, _dram: &Dram, last: Cycle, event: Cycle) -> Option<Cycle> {
-        let mut event = event;
         let t = last + 1;
         // Recompute the drain decision exactly as the tick top does; the
         // occupancy it reads is static across a no-op stretch.
         let draining = core.writes_outstanding() >= core.cfg().write_capacity;
-        for bank in 0..core.bank_count() {
-            match core.ongoing(bank) {
-                Some(og) => {
-                    if self.read_preemption
-                        && og.access.kind == AccessKind::Write
-                        && !self.read_queues[bank].is_empty()
-                    {
-                        // Read preemption fires on the next tick.
-                        return None;
-                    }
-                }
-                None => {
-                    if !self.read_queues[bank].is_empty() {
-                        // An idle bank with reads always installs one.
-                        return None;
-                    }
-                }
-            }
+        if (0..self.has_reads.words()).any(|w| self.acting(core, w, t, draining) != 0) {
+            return None;
         }
-        if let Some((bank, front)) = self.oldest_write() {
-            if core.ongoing(bank).is_none() {
-                // Only the front write ever escalates, and only once its
-                // target bank is idle — idleness is static mid-stretch.
-                let esc_at = front.arrival + core.cfg().watchdog.escalate_age;
-                if esc_at <= t {
-                    return None;
-                }
-                event = event.min(esc_at);
+        // Nothing acts at `t`. Only the front write ever escalates, and
+        // only once its bank is idle — idleness is static mid-stretch — so
+        // its ageing is the one clock that can make a bank act later.
+        match self.oldest {
+            Some((_, bank)) if core.ongoing(bank).is_none() => {
+                let front = &self.write_queues[bank][0];
+                Some(event.min(front.arrival + core.cfg().watchdog.escalate_age))
             }
-            if (draining || core.reads_outstanding() == 0)
-                && self
-                    .write_queues
-                    .iter()
-                    .enumerate()
-                    .any(|(bank, q)| !q.is_empty() && core.ongoing(bank).is_none())
-            {
-                // Drain mode installs any write whose bank is idle.
-                return None;
-            }
+            _ => Some(event),
         }
-        Some(event)
     }
 
     fn advance_quiescent(&mut self, _core: &Core, _from: Cycle, _n: u64) {}
@@ -301,6 +329,9 @@ impl Policy for IntelScheduler {
         let Self {
             read_queues,
             write_queues,
+            has_reads: _,  // derived from the queues; restore rebuilds it
+            has_writes: _, // likewise
+            oldest: _,     // likewise
             read_preemption,
             draining,
         } = self;
@@ -324,6 +355,9 @@ impl Policy for IntelScheduler {
         let Self {
             read_queues,
             write_queues,
+            has_reads,
+            has_writes,
+            oldest,
             read_preemption,
             draining,
         } = self;
@@ -348,6 +382,13 @@ impl Policy for IntelScheduler {
             return Err(burst_snap::SnapError::Corrupt("variant mismatch"));
         }
         *draining = r.bool()?;
+        has_reads.clear();
+        has_writes.clear();
+        for (bank, (rq, wq)) in read_queues.iter().zip(write_queues.iter()).enumerate() {
+            has_reads.set(bank, !rq.is_empty());
+            has_writes.set(bank, !wq.is_empty());
+        }
+        *oldest = Self::scan_oldest(write_queues);
         Ok(())
     }
 }

@@ -31,6 +31,7 @@ use row_hit::RowHitScheduler;
 
 use std::collections::VecDeque;
 
+use crate::bankset;
 use crate::engine::{Candidate, Core};
 use crate::{
     Access, AccessKind, Completion, CtrlConfig, CtrlStats, EnqueueOutcome, Outstanding,
@@ -162,11 +163,14 @@ pub trait AccessScheduler: core::fmt::Debug {
 /// timers or arbiter decisions the core cannot see must veto or bound the
 /// simulator's jumps, and cannot do so by forgetting to.
 trait Policy: core::fmt::Debug {
-    /// Whether [`Policy::select`] also sees blocked candidates. The
-    /// conventional schedulers' limited lookahead wastes the cycle on a
-    /// blocked pick; burst scheduling's Table 2 picks among unblocked
-    /// transactions only.
-    const INCLUDE_BLOCKED: bool;
+    /// How many candidates, in its own priority order, [`Policy::select`]
+    /// examines; a blocked pick inside that window wastes the cycle (the
+    /// conventional schedulers' limited lookahead). A channel with more
+    /// occupied slots than this hands `select` its blocked candidates too.
+    /// With no more, no blocked candidate can rank ahead of the lookahead
+    /// and the unblocked ones alone decide the pick. Burst's Table 2 ranks
+    /// every transaction (`usize::MAX`) and so sees unblocked ones only.
+    const LOOKAHEAD: usize;
 
     /// Which mechanism this policy implements.
     fn mechanism(&self) -> Mechanism;
@@ -188,9 +192,16 @@ trait Policy: core::fmt::Debug {
     /// mode switches that read the tick's starting occupancy.
     fn pre_tick(&mut self, _core: &Core, _now: Cycle) {}
 
-    /// Runs the bank arbiters of `channel`: installs, preempts or
-    /// escalates ongoing accesses.
-    fn arbitrate(&mut self, core: &mut Core, dram: &Dram, channel: usize, now: Cycle);
+    /// The banks of 64-bank word `w` (banks `64 * w..64 * (w + 1)`) whose
+    /// arbiter could act at `now`. Every bank outside it must be one whose
+    /// [`Policy::arbitrate_bank`] call changes nothing. The controller
+    /// reads it afresh before each visit, so it must follow live state:
+    /// a visit may move a later bank into the set.
+    fn acting_word(&self, core: &Core, w: usize, now: Cycle) -> u64;
+
+    /// Runs the arbiter of bank `bank` (paper Figure 5): installs,
+    /// preempts or escalates its ongoing access, or changes nothing.
+    fn arbitrate_bank(&mut self, core: &mut Core, bank: usize, dram: &Dram, now: Cycle);
 
     /// The transaction `channel` issues this cycle, or `None` to steer
     /// towards the oldest access instead.
@@ -279,7 +290,16 @@ impl<P: Policy> AccessScheduler for Controller<P> {
         }
         self.policy.pre_tick(&self.core, now);
         for channel in 0..self.core.channel_count() {
-            self.policy.arbitrate(&mut self.core, dram, channel, now);
+            // One walk serves every policy: visit only the banks whose
+            // arbiter can act, re-reading the acting word after each visit.
+            let range = self.core.bank_range(channel);
+            let mut from = range.start;
+            while let Some(bank) = bankset::next_in(from, range.end, |w| {
+                self.policy.acting_word(&self.core, w, now)
+            }) {
+                self.policy.arbitrate_bank(&mut self.core, bank, dram, now);
+                from = bank + 1;
+            }
             // A barren channel's scan would write nothing, and with no
             // unblocked candidate every policy's `select` returns `None`
             // without moving its round-robin pointer: go straight to the
@@ -289,7 +309,10 @@ impl<P: Policy> AccessScheduler for Controller<P> {
                 continue;
             }
             let cands = &mut self.scratch;
-            if P::INCLUDE_BLOCKED {
+            // Blocked candidates only where the lookahead can reach them
+            // (see `Policy::LOOKAHEAD`); Table 2's unbounded one skips
+            // the count.
+            if P::LOOKAHEAD < usize::MAX && self.core.occupied_count(channel) > P::LOOKAHEAD {
                 self.core.fill_all_candidates(dram, channel, now, cands);
             } else {
                 self.core.fill_candidates(dram, channel, now, cands);
@@ -556,47 +579,61 @@ impl Mechanism {
     /// assert_eq!(sched.mechanism(), Mechanism::BurstTh(52));
     /// ```
     pub fn build(&self, cfg: CtrlConfig, geom: Geometry) -> Box<dyn AccessScheduler> {
+        struct Build(CtrlConfig, Geometry);
+        impl WithPolicy for Build {
+            type Output = Box<dyn AccessScheduler>;
+            fn run<P: Policy + 'static>(self, policy: impl Fn(&Core) -> P) -> Self::Output {
+                Box::new(Controller::new(self.0, self.1, policy))
+            }
+        }
+        self.with_policy(&cfg, Build(cfg, geom))
+    }
+
+    /// Hands `w` this mechanism's policy constructor under `cfg`: the one
+    /// table from mechanism to policy type and options.
+    fn with_policy<W: WithPolicy>(&self, cfg: &CtrlConfig, w: W) -> W::Output {
         let write_cap = cfg.write_capacity as u32;
-        let burst = |opts: BurstOptions| -> Box<dyn AccessScheduler> {
-            Box::new(Controller::new(cfg, geom, |core| {
-                BurstScheduler::new(core, opts)
-            }))
-        };
+        let burst = |opts: BurstOptions| move |core: &Core| BurstScheduler::new(core, opts);
         let th = Self::PAPER_THRESHOLD;
         match *self {
             // BkInOrder never reorders within a bank; RowHit reorders
             // across the whole bank queue.
-            Mechanism::BkInOrder => Box::new(Controller::new(cfg, geom, |core| {
-                RowHitScheduler::new(core, 0)
-            })),
-            Mechanism::RowHit => Box::new(Controller::new(cfg, geom, |core| {
-                RowHitScheduler::new(core, usize::MAX)
-            })),
-            Mechanism::Intel => Box::new(Controller::new(cfg, geom, |core| {
-                IntelScheduler::new(core, false)
-            })),
-            Mechanism::IntelRp => Box::new(Controller::new(cfg, geom, |core| {
-                IntelScheduler::new(core, true)
-            })),
-            Mechanism::Burst => burst(BurstOptions::static_threshold(0, None, *self)),
-            Mechanism::BurstRp => burst(BurstOptions::static_threshold(write_cap, None, *self)),
-            Mechanism::BurstWp => burst(BurstOptions::static_threshold(0, Some(0), *self)),
-            Mechanism::BurstTh(t) => burst(BurstOptions::static_threshold(t, Some(t), *self)),
-            Mechanism::BurstCrit => burst(BurstOptions {
+            Mechanism::BkInOrder => w.run(|core| RowHitScheduler::new(core, 0)),
+            Mechanism::RowHit => w.run(|core| RowHitScheduler::new(core, usize::MAX)),
+            Mechanism::Intel => w.run(|core| IntelScheduler::new(core, false)),
+            Mechanism::IntelRp => w.run(|core| IntelScheduler::new(core, true)),
+            Mechanism::Burst => w.run(burst(BurstOptions::static_threshold(0, None, *self))),
+            Mechanism::BurstRp => w.run(burst(BurstOptions::static_threshold(
+                write_cap, None, *self,
+            ))),
+            Mechanism::BurstWp => w.run(burst(BurstOptions::static_threshold(0, Some(0), *self))),
+            Mechanism::BurstTh(t) => {
+                w.run(burst(BurstOptions::static_threshold(t, Some(t), *self)))
+            }
+            Mechanism::BurstCrit => w.run(burst(BurstOptions {
                 critical_first: true,
                 ..BurstOptions::static_threshold(th, Some(th), *self)
-            }),
-            Mechanism::BurstDyn => burst(BurstOptions {
+            })),
+            Mechanism::BurstDyn => w.run(burst(BurstOptions {
                 // Start at the paper's static optimum; adapt every 1024
                 // memory cycles from the read/write mix.
                 dynamic_period: Some(1024),
                 ..BurstOptions::static_threshold(th, Some(th), *self)
-            }),
-            Mechanism::AdaptiveHistory => {
-                Box::new(Controller::new(cfg, geom, AdaptiveHistoryScheduler::new))
-            }
+            })),
+            Mechanism::AdaptiveHistory => w.run(AdaptiveHistoryScheduler::new),
         }
     }
+}
+
+/// Something done with a mechanism's policy, whatever its type:
+/// [`Mechanism::build`] boxes it in a [`Controller`], and the tests run it
+/// beside a reference.
+trait WithPolicy {
+    /// What the work yields.
+    type Output;
+
+    /// Does the work with `policy`, the policy's constructor.
+    fn run<P: Policy + 'static>(self, policy: impl Fn(&Core) -> P) -> Self::Output;
 }
 
 impl core::fmt::Display for Mechanism {
@@ -637,96 +674,364 @@ mod tests {
         }
     }
 
-    /// Drives `ctrl` with mixed traffic and, after every tick, offers each
-    /// channel's policy its candidates with every one marked blocked: the
-    /// pick must be `None`, with the policy state (round-robin pointers
-    /// included) byte-identical. This is what lets a barren channel's tick
-    /// skip the scan and `select` altogether.
-    fn select_without_unblocked_is_a_no_op<P: Policy>(mut ctrl: Controller<P>, m: Mechanism) {
-        use crate::{Access, AccessId};
-        use burst_dram::{AddressMapping, Dram, DramConfig, PhysAddr};
+    /// The snapshot bytes of `s`.
+    fn state(s: &impl AccessScheduler) -> Vec<u8> {
+        let mut w = burst_snap::SnapWriter::new();
+        s.save_state(&mut w).expect("built-ins support snapshots");
+        w.into_bytes()
+    }
 
-        let state = |c: &Controller<P>| {
-            let mut w = burst_snap::SnapWriter::new();
-            c.save_state(&mut w).expect("built-ins support snapshots");
-            w.into_bytes()
-        };
-        let mut dram = Dram::new(DramConfig::baseline(), AddressMapping::PageInterleaving);
-        let (mut done, mut cands) = (Vec::new(), Vec::new());
-        let mut offered = 0;
-        for now in 0..600u64 {
-            if now % 2 == 0 && ctrl.can_accept(AccessKind::Read) {
-                let kind = if now % 6 == 0 {
-                    AccessKind::Write
-                } else {
-                    AccessKind::Read
-                };
-                let addr = PhysAddr::new(now * 64 * 23);
-                let a = Access::new(AccessId::new(now), kind, addr, dram.decode(addr), now);
-                ctrl.enqueue(a, now, &mut done);
-            }
-            ctrl.tick(&mut dram, now, &mut done);
-            for channel in 0..ctrl.core.channel_count() {
-                // What a barren channel's scan would hand the policy: its
-                // slots, all blocked, or nothing for Table 2's scan, which
-                // holds unblocked candidates only.
-                ctrl.core
-                    .fill_all_candidates(&dram, channel, now, &mut cands);
-                for c in &mut cands {
-                    c.unblocked = false;
+    /// Drives a controller with mixed traffic and, after every tick,
+    /// offers each channel's policy its candidates with every one marked
+    /// blocked: the pick must be `None`, with the policy state (round-robin
+    /// pointers included) byte-identical. This is what lets a barren
+    /// channel's tick skip the scan and `select` altogether.
+    struct SelectWithoutUnblocked(CtrlConfig, Geometry);
+
+    impl WithPolicy for SelectWithoutUnblocked {
+        type Output = ();
+
+        fn run<P: Policy + 'static>(self, policy: impl Fn(&Core) -> P) {
+            use crate::{Access, AccessId};
+            use burst_dram::{AddressMapping, Dram, DramConfig, PhysAddr};
+
+            let mut ctrl = Controller::new(self.0, self.1, policy);
+            let m = ctrl.mechanism();
+            let mut dram = Dram::new(DramConfig::baseline(), AddressMapping::PageInterleaving);
+            let (mut done, mut cands) = (Vec::new(), Vec::new());
+            let mut offered = 0;
+            for now in 0..600u64 {
+                if now % 2 == 0 && ctrl.can_accept(AccessKind::Read) {
+                    let kind = if now % 6 == 0 {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    };
+                    let addr = PhysAddr::new(now * 64 * 23);
+                    let a = Access::new(AccessId::new(now), kind, addr, dram.decode(addr), now);
+                    ctrl.enqueue(a, now, &mut done);
                 }
-                if !P::INCLUDE_BLOCKED {
-                    cands.clear();
+                ctrl.tick(&mut dram, now, &mut done);
+                for channel in 0..ctrl.core.channel_count() {
+                    // What a barren channel's scan could hand the policy:
+                    // its slots, all blocked, to a policy with a limited
+                    // lookahead (the tick does so only past the lookahead,
+                    // so this covers more), or nothing for Table 2's scan,
+                    // which holds unblocked candidates only.
+                    ctrl.core
+                        .fill_all_candidates(&dram, channel, now, &mut cands);
+                    for c in &mut cands {
+                        c.unblocked = false;
+                    }
+                    if P::LOOKAHEAD == usize::MAX {
+                        cands.clear();
+                    }
+                    offered += cands.len();
+                    let before = state(&ctrl);
+                    let pick = ctrl.policy.select(&ctrl.core, channel, &cands);
+                    assert!(pick.is_none(), "{m}: picked a blocked candidate at {now}");
+                    assert_eq!(state(&ctrl), before, "{m}: select moved state at {now}");
                 }
-                offered += cands.len();
-                let before = state(&ctrl);
-                let pick = ctrl.policy.select(&ctrl.core, channel, &cands);
-                assert!(pick.is_none(), "{m}: picked a blocked candidate at {now}");
-                assert_eq!(state(&ctrl), before, "{m}: select moved state at {now}");
             }
+            assert!(
+                offered > 100 || P::LOOKAHEAD == usize::MAX,
+                "{m}: too few candidates offered: {offered}"
+            );
         }
-        assert!(
-            offered > 100 || !P::INCLUDE_BLOCKED,
-            "{m}: too few candidates offered: {offered}"
-        );
     }
 
     #[test]
     fn no_policy_selects_or_moves_without_an_unblocked_candidate() {
         let (cfg, geom) = (CtrlConfig::default(), Geometry::baseline());
         for m in Mechanism::all() {
-            // `select` reads no option, so each policy is built plainly.
-            match m {
-                Mechanism::BkInOrder | Mechanism::RowHit => {
-                    let window = if m == Mechanism::BkInOrder {
-                        0
-                    } else {
-                        usize::MAX
-                    };
-                    let c = Controller::new(cfg, geom, |core| RowHitScheduler::new(core, window));
-                    select_without_unblocked_is_a_no_op(c, m);
-                }
-                Mechanism::Intel | Mechanism::IntelRp => {
-                    let rp = m == Mechanism::IntelRp;
-                    let c = Controller::new(cfg, geom, |core| IntelScheduler::new(core, rp));
-                    select_without_unblocked_is_a_no_op(c, m);
-                }
-                Mechanism::Burst
-                | Mechanism::BurstRp
-                | Mechanism::BurstWp
-                | Mechanism::BurstTh(_)
-                | Mechanism::BurstDyn
-                | Mechanism::BurstCrit => {
-                    let opts = BurstOptions::static_threshold(52, Some(52), m);
-                    let c = Controller::new(cfg, geom, |core| BurstScheduler::new(core, opts));
-                    select_without_unblocked_is_a_no_op(c, m);
-                }
-                Mechanism::AdaptiveHistory => {
-                    let c = Controller::new(cfg, geom, AdaptiveHistoryScheduler::new);
-                    select_without_unblocked_is_a_no_op(c, m);
+            m.with_policy(&cfg, SelectWithoutUnblocked(cfg, geom));
+        }
+    }
+
+    /// What the arbiter visits of a lockstep run did, as seen from the
+    /// slots: a new ongoing access in an idle slot is an install, one in
+    /// a busy slot a preemption.
+    #[derive(Debug, Default, Clone, Copy)]
+    struct Acts {
+        installs: u64,
+        /// Installs of an access past the escalation age.
+        aged: u64,
+        /// Installs of an aged write while reads were outstanding and the
+        /// write queue was below capacity when the tick began: for Intel,
+        /// only the escalation of the global-oldest write does that.
+        aged_writes_over_reads: u64,
+        /// Installs of a write with the write queue full.
+        full_queue_writes: u64,
+        preemptions: u64,
+    }
+
+    /// Figure 5 taken literally: the wrapped policy's arbiter on every
+    /// bank, and a policy with a limited lookahead handed every blocked
+    /// candidate whenever a slot is occupied. Everything else is the
+    /// wrapped policy's; its derived acting sets go unread.
+    #[derive(Debug)]
+    struct EveryBank<P> {
+        policy: P,
+        acts: Acts,
+        /// Whether the write queue was full when the tick began.
+        full_at_tick: bool,
+    }
+
+    impl<P: Policy> Policy for EveryBank<P> {
+        const LOOKAHEAD: usize = if P::LOOKAHEAD == usize::MAX {
+            usize::MAX
+        } else {
+            0
+        };
+
+        fn mechanism(&self) -> Mechanism {
+            self.policy.mechanism()
+        }
+
+        fn enqueue(
+            &mut self,
+            core: &mut Core,
+            access: Access,
+            now: Cycle,
+            completions: &mut Vec<Completion>,
+        ) -> EnqueueOutcome {
+            self.policy.enqueue(core, access, now, completions)
+        }
+
+        fn requeue(&mut self, core: &Core, access: Access) {
+            self.policy.requeue(core, access);
+        }
+
+        fn pre_tick(&mut self, core: &Core, now: Cycle) {
+            self.full_at_tick = core.writes_outstanding() >= core.cfg().write_capacity;
+            self.policy.pre_tick(core, now);
+        }
+
+        fn acting_word(&self, _: &Core, _: usize, _: Cycle) -> u64 {
+            u64::MAX
+        }
+
+        fn arbitrate_bank(&mut self, core: &mut Core, bank: usize, dram: &Dram, now: Cycle) {
+            let before = core.ongoing(bank).map(|og| og.access.id);
+            let reads = core.reads_outstanding();
+            let full = core.writes_outstanding() >= core.cfg().write_capacity;
+            self.policy.arbitrate_bank(core, bank, dram, now);
+            let Some(og) = core.ongoing(bank).map(|og| og.access) else {
+                return;
+            };
+            let acts = &mut self.acts;
+            match before {
+                Some(id) if id == og.id => {}
+                Some(_) => acts.preemptions += 1,
+                None => {
+                    acts.installs += 1;
+                    let aged = now.saturating_sub(og.arrival) >= core.cfg().watchdog.escalate_age;
+                    acts.aged += u64::from(aged);
+                    if og.kind == AccessKind::Write {
+                        acts.full_queue_writes += u64::from(full);
+                        acts.aged_writes_over_reads +=
+                            u64::from(aged && reads > 0 && !self.full_at_tick);
+                    }
                 }
             }
         }
+
+        fn select(
+            &mut self,
+            core: &Core,
+            channel: usize,
+            cands: &[Candidate],
+        ) -> Option<Candidate> {
+            self.policy.select(core, channel, cands)
+        }
+
+        fn column_issued(&mut self, core: &Core, dram: &Dram, cand: &Candidate, now: Cycle) {
+            self.policy.column_issued(core, dram, cand, now);
+        }
+
+        fn busy_event(&self, _: &Core, _: &Dram, _: Cycle, _: Cycle) -> Option<Cycle> {
+            None
+        }
+
+        fn advance_quiescent(&mut self, core: &Core, from: Cycle, n: u64) {
+            self.policy.advance_quiescent(core, from, n);
+        }
+
+        fn save_snap(&self, w: &mut burst_snap::SnapWriter) {
+            self.policy.save_snap(w);
+        }
+
+        fn load_snap(
+            &mut self,
+            core: &Core,
+            r: &mut burst_snap::SnapReader,
+        ) -> Result<(), burst_snap::SnapError> {
+            self.policy.load_snap(core, r)
+        }
+    }
+
+    /// Runs a policy's controller in lockstep with [`EveryBank`] around
+    /// the same policy for `cycles` cycles of seeded traffic, comparing
+    /// completions and snapshot bytes every cycle.
+    struct Lockstep {
+        dram: burst_dram::DramConfig,
+        ctrl: CtrlConfig,
+        cycles: u64,
+    }
+
+    /// What a [`Lockstep`] run saw.
+    struct LockstepRun {
+        acts: Acts,
+        stats: CtrlStats,
+        /// Burst's gate bits seen set, and seen clear, over the run.
+        gates_set: u8,
+        gates_clear: u8,
+    }
+
+    impl WithPolicy for Lockstep {
+        type Output = LockstepRun;
+
+        fn run<P: Policy + 'static>(self, policy: impl Fn(&Core) -> P) -> LockstepRun {
+            use crate::{Access, AccessId};
+            use burst_dram::{AddressMapping, Dram, Loc, PhysAddr};
+            use rand::rngs::SmallRng;
+            use rand::{Rng, SeedableRng};
+
+            let Lockstep { dram, ctrl, cycles } = self;
+            let g = dram.geometry;
+            let mut walk = Controller::new(ctrl, g, &policy);
+            let mut every = Controller::new(ctrl, g, |core| EveryBank {
+                policy: policy(core),
+                acts: Acts::default(),
+                full_at_tick: false,
+            });
+            let m = walk.mechanism();
+            let mut dram_walk = Dram::new(dram, AddressMapping::PageInterleaving);
+            let mut dram_every = Dram::new(dram, AddressMapping::PageInterleaving);
+            let (mut done_walk, mut done_every) = (Vec::new(), Vec::new());
+            let mut rng = SmallRng::seed_from_u64(0xb0b5);
+            let mut next_id = 0u64;
+            let (mut gates_set, mut gates_clear) = (0u8, 0u8);
+            // The pointer chase's one outstanding read, if any.
+            let mut chase: Option<AccessId> = None;
+            for now in 0..cycles {
+                // Each 4000 cycles: a write-back storm under the chase, then
+                // a read stream that keeps the queued writes parked until
+                // they escalate, then the chase alone.
+                let phase = now % 4000;
+                let p_write = if phase < 1500 { 0.45 } else { 0.03 };
+                let mut arrivals = Vec::new();
+                let read = if (1500..3000).contains(&phase) {
+                    rng.gen_bool(0.15)
+                } else {
+                    chase.is_none() && rng.gen_bool(0.25)
+                };
+                if read {
+                    arrivals.push(AccessKind::Read);
+                }
+                if rng.gen_bool(p_write) {
+                    arrivals.push(AccessKind::Write);
+                }
+                for kind in arrivals {
+                    // Four rows per bank: bursts, row-hit writes and
+                    // same-address forwards all occur.
+                    let loc = Loc::new(
+                        rng.gen_range(0..g.channels),
+                        rng.gen_range(0..g.ranks_per_channel),
+                        rng.gen_range(0..g.banks_per_rank),
+                        rng.gen_range(0..4),
+                        8 * rng.gen_range(0..4u32),
+                    );
+                    let bank = walk.core.global_bank(loc) as u64;
+                    let line = ((bank * 4 + u64::from(loc.row)) * 4 + u64::from(loc.col / 8)) * 64;
+                    let a =
+                        Access::new(AccessId::new(next_id), kind, PhysAddr::new(line), loc, now);
+                    if !walk.can_accept(kind) {
+                        continue;
+                    }
+                    next_id += 1;
+                    let out = walk.enqueue(a, now, &mut done_walk);
+                    assert_eq!(out, every.enqueue(a, now, &mut done_every), "{m} at {now}");
+                    if kind == AccessKind::Read && out == EnqueueOutcome::Queued {
+                        chase = Some(a.id);
+                    }
+                }
+                walk.tick(&mut dram_walk, now, &mut done_walk);
+                every.tick(&mut dram_every, now, &mut done_every);
+                assert_eq!(done_walk, done_every, "{m}: completions at {now}");
+                assert_eq!(state(&walk), state(&every), "{m}: state at {now}");
+                if chase.is_some_and(|id| done_walk.iter().any(|c| c.id == id)) {
+                    chase = None;
+                }
+                done_walk.clear();
+                done_every.clear();
+                let any: &dyn core::any::Any = &walk.policy;
+                if let Some(burst) = any.downcast_ref::<BurstScheduler>() {
+                    let gates = burst.gates(&walk.core);
+                    gates_set |= gates;
+                    gates_clear |= !gates;
+                }
+            }
+            LockstepRun {
+                acts: every.policy.acts,
+                stats: walk.stats().clone(),
+                gates_set,
+                gates_clear,
+            }
+        }
+    }
+
+    /// Runs every mechanism through [`Lockstep`] on `dram` and checks that
+    /// each act path of each policy fired.
+    fn every_mechanism_in_lockstep(dram: burst_dram::DramConfig, cycles: u64) {
+        // A short escalation age, so accesses parked under shut gates or
+        // behind row hits age into escalation within the run.
+        let ctrl = CtrlConfig {
+            watchdog: crate::WatchdogConfig {
+                escalate_age: 400,
+                stall_limit: 1_000_000,
+            },
+            ..CtrlConfig::default()
+        };
+        let (mut gates_set, mut gates_clear) = (0u8, 0u8);
+        for m in Mechanism::all() {
+            let run = m.with_policy(&ctrl, Lockstep { dram, ctrl, cycles });
+            let (acts, stats) = (run.acts, &run.stats);
+            gates_set |= run.gates_set;
+            gates_clear |= run.gates_clear;
+            assert!(acts.installs > 0 && acts.aged > 0, "{m}: {acts:?}");
+            assert!(stats.escalations > 0, "{m}: no escalation");
+            use Mechanism::*;
+            if matches!(m, Intel | IntelRp) {
+                assert!(acts.aged_writes_over_reads > 0, "{m}: {acts:?}");
+                assert!(acts.full_queue_writes > 0, "{m}: {acts:?}");
+            }
+            let (piggybacks, preempts) = match m {
+                BurstRp | IntelRp => (false, true),
+                BurstWp => (true, false),
+                BurstTh(_) | BurstDyn | BurstCrit => (true, true),
+                BkInOrder | RowHit | Intel | Burst | AdaptiveHistory => (false, false),
+            };
+            assert_eq!(stats.piggybacks > 0, piggybacks, "{m}: piggybacks");
+            assert_eq!(stats.preemptions > 0, preempts, "{m}: preemptions");
+            assert_eq!(acts.preemptions, stats.preemptions, "{m}: preemptions");
+        }
+        assert_eq!(gates_set & 0xF, 0xF, "every gate bit opens");
+        assert_eq!(gates_clear & 0xF, 0xF, "every gate bit shuts");
+    }
+
+    #[test]
+    fn acting_walk_matches_visiting_every_bank() {
+        every_mechanism_in_lockstep(burst_dram::DramConfig::baseline(), 12_000);
+    }
+
+    #[test]
+    fn acting_walk_matches_visiting_every_bank_across_two_mask_words() {
+        // 128 banks per channel: each channel spans two 64-bank words.
+        let mut dram = burst_dram::DramConfig::baseline();
+        dram.geometry.ranks_per_channel = 8;
+        dram.geometry.banks_per_rank = 16;
+        every_mechanism_in_lockstep(dram, 12_000);
     }
 
     #[test]

@@ -16,14 +16,11 @@
 use std::collections::VecDeque;
 
 use super::{oldest_row_hit, Policy};
+use crate::bankset::BankSet;
 use crate::engine::{Candidate, Core};
 use crate::txsched::select_round_robin_limited;
 use crate::{Access, Completion, EnqueueOutcome, Mechanism};
 use burst_dram::{Cycle, Dram};
-
-/// Banks the controller can examine per cycle; a blocked pick wastes the
-/// cycle (the paper's "best effort" bubble cycles).
-const LOOKAHEAD: usize = 16;
 
 /// The `BkInOrder` and `RowHit` policy.
 ///
@@ -42,6 +39,9 @@ pub(crate) struct RowHitScheduler {
     /// across: 0 for `BkInOrder`, unbounded for `RowHit`.
     window: usize,
     queues: Vec<VecDeque<Access>>,
+    /// The banks whose queue holds an access (derived state, absent from
+    /// checkpoints).
+    queued: BankSet,
     rr: Vec<usize>,
 }
 
@@ -54,39 +54,16 @@ impl RowHitScheduler {
         RowHitScheduler {
             window,
             queues: vec![VecDeque::new(); nbanks],
+            queued: BankSet::new(nbanks),
             rr: (0..nch).map(|c| c * nbanks / nch).collect(),
         }
-    }
-
-    /// Selects the bank's next ongoing access: oldest row hit against the
-    /// open row within the window, else the oldest access. Same-row
-    /// accesses keep arrival order, so same-address hazards cannot reorder.
-    /// A front (oldest) access past the watchdog's escalation age bypasses
-    /// the row-hit preference entirely.
-    fn arbiter(&mut self, core: &mut Core, bank_idx: usize, dram: &Dram, now: Cycle) {
-        let queue = &mut self.queues[bank_idx];
-        let Some(front) = queue.front() else {
-            return;
-        };
-        if core.ongoing(bank_idx).is_some() {
-            return;
-        }
-        let front_escalated = now.saturating_sub(front.arrival) >= core.cfg().watchdog.escalate_age;
-        let idx = if front_escalated {
-            0
-        } else {
-            core.open_row(dram, bank_idx)
-                .and_then(|row| oldest_row_hit(queue, row, self.window))
-                .unwrap_or(0)
-        };
-        let access = queue.remove(idx).expect("index in range");
-        core.set_ongoing(bank_idx, access)
-            .expect("bank verified idle at arbiter entry");
     }
 }
 
 impl Policy for RowHitScheduler {
-    const INCLUDE_BLOCKED: bool = true;
+    /// Banks the controller can examine per cycle; a blocked pick wastes
+    /// the cycle (the paper's "best effort" bubble cycles).
+    const LOOKAHEAD: usize = 16;
 
     fn mechanism(&self) -> Mechanism {
         if self.window == 0 {
@@ -104,36 +81,64 @@ impl Policy for RowHitScheduler {
         _completions: &mut Vec<Completion>,
     ) -> EnqueueOutcome {
         core.note_arrival(&access);
-        self.queues[core.global_bank(access.loc)].push_back(access);
+        let bank = core.global_bank(access.loc);
+        self.queued.insert(bank);
+        self.queues[bank].push_back(access);
         EnqueueOutcome::Queued
     }
 
     fn requeue(&mut self, core: &Core, access: Access) {
         // A retry is its bank's oldest access, so intra-bank order holds.
-        self.queues[core.global_bank(access.loc)].push_front(access);
+        let bank = core.global_bank(access.loc);
+        self.queued.insert(bank);
+        self.queues[bank].push_front(access);
     }
 
-    fn arbitrate(&mut self, core: &mut Core, dram: &Dram, channel: usize, now: Cycle) {
-        for bank in core.bank_range(channel) {
-            self.arbiter(core, bank, dram, now);
+    /// The arbiter installs whenever an idle bank has work, and does
+    /// nothing otherwise.
+    fn acting_word(&self, core: &Core, w: usize, _now: Cycle) -> u64 {
+        self.queued.word(w) & core.idle_word(w)
+    }
+
+    /// Selects the bank's next ongoing access: oldest row hit against the
+    /// open row within the window, else the oldest access. Same-row
+    /// accesses keep arrival order, so same-address hazards cannot reorder.
+    /// A front (oldest) access past the watchdog's escalation age bypasses
+    /// the row-hit preference entirely.
+    fn arbitrate_bank(&mut self, core: &mut Core, bank_idx: usize, dram: &Dram, now: Cycle) {
+        let queue = &mut self.queues[bank_idx];
+        let Some(front) = queue.front() else {
+            return;
+        };
+        if core.ongoing(bank_idx).is_some() {
+            return;
         }
+        let front_escalated = now.saturating_sub(front.arrival) >= core.cfg().watchdog.escalate_age;
+        let idx = if front_escalated {
+            0
+        } else {
+            core.open_row(dram, bank_idx)
+                .and_then(|row| oldest_row_hit(queue, row, self.window))
+                .unwrap_or(0)
+        };
+        let access = queue.remove(idx).expect("index in range");
+        self.queued.set(bank_idx, !queue.is_empty());
+        core.set_ongoing(bank_idx, access)
+            .expect("bank verified idle at arbiter entry");
     }
 
     fn select(&mut self, core: &Core, channel: usize, cands: &[Candidate]) -> Option<Candidate> {
         let range = core.bank_range(channel);
-        select_round_robin_limited(cands, &mut self.rr[channel], range, LOOKAHEAD)
+        select_round_robin_limited(cands, &mut self.rr[channel], range, Self::LOOKAHEAD)
     }
 
-    fn busy_event(&self, core: &Core, _dram: &Dram, _last: Cycle, event: Cycle) -> Option<Cycle> {
+    fn busy_event(&self, core: &Core, _dram: &Dram, last: Cycle, event: Cycle) -> Option<Cycle> {
         // The arbiter installs whenever a bank is idle with a non-empty
         // queue (the window only changes *which* access, not *whether* one
         // installs), so such a tick is never a no-op. Otherwise only SDRAM
         // timing (or the watchdog) can change a tick's outcome.
-        let idle_with_work = self
-            .queues
-            .iter()
-            .enumerate()
-            .any(|(bank, q)| !q.is_empty() && core.ongoing(bank).is_none());
+        let idle_with_work =
+            (0..self.queued.words()).any(|w| self.acting_word(core, w, last + 1) != 0);
         (!idle_with_work).then_some(event)
     }
 
@@ -143,6 +148,7 @@ impl Policy for RowHitScheduler {
         let Self {
             window: _, // construction input, fixed by the mechanism
             queues,
+            queued: _, // derived from the queues; restore rebuilds it
             rr,
         } = self;
         super::save_queue_set(queues, w);
@@ -157,9 +163,14 @@ impl Policy for RowHitScheduler {
         let Self {
             window: _, // construction input, fixed by the mechanism
             queues,
+            queued,
             rr,
         } = self;
         super::load_queue_set(queues, r)?;
+        queued.clear();
+        for (bank, q) in queues.iter().enumerate() {
+            queued.set(bank, !q.is_empty());
+        }
         super::load_cursors(rr, r)
     }
 }

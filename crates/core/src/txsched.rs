@@ -94,13 +94,15 @@ pub fn select_round_robin_limited(
     let len = bank_range.end - bank_range.start;
     let start = bank_range.start;
     let pointer = (*next_bank).clamp(start, bank_range.end - 1);
+    // The bank's distance past the pointer, cyclically: `c.bank` and
+    // `pointer` both lie in the range, so one compare replaces `% len`.
     let chosen = select_limited(cands, lookahead, |c| {
-        (
-            !c.escalated,
-            (c.bank + len - pointer) % len,
-            c.arrival,
-            c.id,
-        )
+        let distance = if c.bank >= pointer {
+            c.bank - pointer
+        } else {
+            c.bank + len - pointer
+        };
+        (!c.escalated, distance, c.arrival, c.id)
     });
     if let Some(c) = &chosen {
         *next_bank = if c.bank + 1 >= bank_range.end {
@@ -129,6 +131,10 @@ pub fn select_intel_limited(cands: &[Candidate], lookahead: usize) -> Option<Can
 /// allocating. The least-key unblocked candidate is chosen only if fewer
 /// than `lookahead` candidates rank ahead of it. Every key ends in the
 /// access id, so keys are unique and "ahead" is well defined.
+///
+/// With no more candidates than the lookahead, fewer than `lookahead`
+/// can rank ahead of any pick: the best unblocked one is chosen, and the
+/// blocked ones change nothing (the controller leaves them out then).
 fn select_limited<K: Ord>(
     cands: &[Candidate],
     lookahead: usize,
@@ -138,9 +144,13 @@ fn select_limited<K: Ord>(
         .iter()
         .filter(|c| c.unblocked)
         .min_by_key(|c| key(c))?;
+    let window = lookahead.max(1);
+    if cands.len() <= window {
+        return Some(*best);
+    }
     let best_key = key(best);
     let ahead = cands.iter().filter(|c| key(c) < best_key).count();
-    (ahead < lookahead.max(1)).then_some(*best)
+    (ahead < window).then_some(*best)
 }
 
 #[cfg(test)]
@@ -435,6 +445,79 @@ mod tests {
             }
         }
         assert!(checked > 10_000, "too few non-empty selections: {checked}");
+    }
+
+    #[test]
+    fn within_the_lookahead_blocked_candidates_change_no_pick() {
+        let mut state = 29u64;
+        let mut draw = |n: u64| {
+            state = crate::splitmix64(state);
+            state % n
+        };
+        let (mut picks, mut dropped) = (0, 0);
+        for trial in 0..3_000u64 {
+            let range = if trial % 2 == 0 { 0..16 } else { 16..32 };
+            let mut banks: Vec<usize> = range.clone().collect();
+            for i in (1..banks.len()).rev() {
+                banks.swap(i, draw(i as u64 + 1) as usize);
+            }
+            banks.truncate(draw(17) as usize);
+            let all: Vec<Candidate> = banks
+                .iter()
+                .map(|&bank| {
+                    let kind = if draw(2) == 0 {
+                        AccessKind::Read
+                    } else {
+                        AccessKind::Write
+                    };
+                    let mut c = cand(
+                        bank,
+                        (bank % 16 / 4) as u8,
+                        kind,
+                        col(0, bank),
+                        draw(4),
+                        draw(1_000) * 32 + bank as u64,
+                        draw(2) == 0,
+                    );
+                    c.unblocked = draw(3) != 0;
+                    c.escalated = draw(5) == 0;
+                    c
+                })
+                .collect();
+            let unblocked: Vec<Candidate> = all.iter().copied().filter(|c| c.unblocked).collect();
+            dropped += all.len() - unblocked.len();
+            // Every lookahead the candidate count does not exceed.
+            for lookahead in all.len().max(1)..=all.len() + 2 {
+                let id = |c: Option<Candidate>| c.map(|c| c.id);
+                let want = id(select_intel_limited(&all, lookahead));
+                assert_eq!(
+                    id(select_intel_limited(&unblocked, lookahead)),
+                    want,
+                    "intel, trial {trial}"
+                );
+                let start = range.start + draw(range.len() as u64) as usize;
+                let (mut p_all, mut p_unblocked) = (start, start);
+                let want = id(select_round_robin_limited(
+                    &all,
+                    &mut p_all,
+                    range.clone(),
+                    lookahead,
+                ));
+                let got = select_round_robin_limited(
+                    &unblocked,
+                    &mut p_unblocked,
+                    range.clone(),
+                    lookahead,
+                );
+                assert_eq!(id(got), want, "round robin, trial {trial}");
+                assert_eq!(p_unblocked, p_all, "round robin pointer, trial {trial}");
+                picks += usize::from(want.is_some());
+            }
+        }
+        assert!(
+            picks > 5_000 && dropped > 5_000,
+            "too few cases: {picks} picks, {dropped} blocked"
+        );
     }
 
     #[test]

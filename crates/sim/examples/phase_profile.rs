@@ -2,8 +2,12 @@
 //! way to see where step time goes for a given workload/mechanism pair.
 //!
 //! ```text
-//! cargo run --release -p burst-sim --example phase_profile [swim|mcf] [instructions]
+//! cargo run --release -p burst-sim --example phase_profile [BENCHMARK] [INSTRUCTIONS] [MECHANISM]
 //! ```
+//!
+//! `BENCHMARK` is any SPEC surrogate name (default `swim`), `MECHANISM`
+//! any mechanism name (default `Burst_TH52`). An unknown name or a
+//! malformed instruction count exits with status 2.
 
 #![expect(
     clippy::disallowed_types,
@@ -15,15 +19,32 @@ use burst_core::Mechanism;
 use burst_sim::{Engine, RunLength, System, SystemConfig};
 use burst_workloads::SpecBenchmark;
 
+/// Prints `message` and the usage line, and exits with status 2.
+fn usage(message: &str) -> ! {
+    eprintln!("error: {message}");
+    eprintln!("usage: phase_profile [BENCHMARK] [INSTRUCTIONS] [MECHANISM]");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let bench = match args.get(1).map(String::as_str) {
-        Some("mcf") => SpecBenchmark::Mcf,
-        _ => SpecBenchmark::Swim,
+    let bench_name = args.get(1).map_or("swim", String::as_str);
+    let bench = SpecBenchmark::from_name(bench_name)
+        .unwrap_or_else(|| usage(&format!("unknown benchmark `{bench_name}`")));
+    let instructions: u64 = match args.get(2) {
+        None => 300_000,
+        Some(n) => n
+            .parse()
+            .unwrap_or_else(|_| usage(&format!("malformed instruction count `{n}`"))),
     };
-    let instructions: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(300_000);
+    let mech_name = args.get(3).map_or("Burst_TH52", String::as_str);
+    let mechanism = Mechanism::from_name(mech_name)
+        .unwrap_or_else(|| usage(&format!("unknown mechanism `{mech_name}`")));
+    if args.len() > 4 {
+        usage("too many arguments");
+    }
     let cfg = SystemConfig::baseline()
-        .with_mechanism(Mechanism::BurstTh(52))
+        .with_mechanism(mechanism)
         .with_engine(Engine::Event);
     let mut workload = bench.workload(42);
     let mut sys = System::new(&cfg);
@@ -35,8 +56,9 @@ fn main() {
     let p = *sys.phase_profile().expect("profiling enabled");
     let total = p.total_ns().max(1);
     println!(
-        "{} {} instr: wall {:.3}s, {} mem cycles, {:.3} Mc/s",
+        "{} {} {} instr: wall {:.3}s, {} mem cycles, {:.3} Mc/s",
         bench.name(),
+        mechanism,
         instructions,
         wall.as_secs_f64(),
         sys.mem_cycle(),
