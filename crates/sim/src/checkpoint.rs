@@ -42,7 +42,8 @@
 //! [`try_simulate_checkpointed`] is the harness entry point: it resumes
 //! from an existing valid checkpoint, simulates in
 //! [`CheckpointPolicy::every`]-cycle chunks, rewrites the checkpoint at
-//! each chunk boundary, and removes it once the cell completes.
+//! each chunk boundary on a writer thread while the next chunk simulates,
+//! and removes it once the cell completes.
 
 // Chaos-plane, supervised-cell module (DESIGN.md §15): filesystem calls
 // go through the `SimIo` seam (`disallowed_methods`, see clippy.toml) and
@@ -61,6 +62,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use burst_snap::{fnv1a64, SnapError, SnapReader, SnapWriter};
 use burst_workloads::{CountingSource, OpSource};
@@ -74,6 +76,10 @@ use crate::system::{
 const MAGIC: [u8; 4] = *b"BCKP";
 /// Current checkpoint format version.
 const VERSION: u32 = 5;
+/// A bound on a file's bytes ahead of the body: magic, version, three
+/// digests, `ops_consumed`, the [`RunCursor`] and the body's length prefix
+/// take 72.
+const HEADER_BOUND: usize = 128;
 
 /// Why a checkpoint file could not be written, read or restored.
 #[derive(Debug)]
@@ -337,14 +343,7 @@ impl Checkpoint {
         let cursor = RunCursor::load_snap(&mut r)?;
         let body = r.bytes()?;
         r.finish()?;
-        // The state hash covers the observable sections — everything but
-        // the diagnostic tail [`System::checkpoint`] appends.
-        let observable = body
-            .len()
-            .checked_sub(crate::system::DIAGNOSTIC_TAIL_BYTES)
-            .and_then(|n| body.get(..n))
-            .ok_or(CheckpointError::Truncated)?;
-        let found = fnv1a64(observable);
+        let found = body_state_hash(body)?;
         if found != state_hash {
             return Err(CheckpointError::HashMismatch {
                 expected: state_hash,
@@ -384,6 +383,16 @@ impl Checkpoint {
     }
 }
 
+/// The state hash of a [`System::checkpoint`] body: FNV-1a over its
+/// observable sections, which is everything but the diagnostic tail.
+fn body_state_hash(body: &[u8]) -> Result<u64, CheckpointError> {
+    body.len()
+        .checked_sub(crate::system::DIAGNOSTIC_TAIL_BYTES)
+        .and_then(|n| body.get(..n))
+        .map(fnv1a64)
+        .ok_or(CheckpointError::Truncated)
+}
+
 /// FNV-1a digest of what the state hash leaves uncovered: the run
 /// position (`ops_consumed` and the cursor) and the body's diagnostic
 /// tail — about a hundred bytes, so it costs no pass over the body.
@@ -405,6 +414,12 @@ fn tmp_path(path: &Path) -> PathBuf {
 }
 
 /// When and where [`try_simulate_checkpointed`] writes checkpoints.
+///
+/// The checkpoint of a boundary is on disk (renamed into place, and
+/// fsynced first when `durable`) by the next boundary or the end of the
+/// cell, not when the simulation passes it: the write runs in the
+/// background meanwhile. A crash therefore loses at most two intervals of
+/// work, the one being written and the one being simulated.
 #[derive(Debug, Clone)]
 pub struct CheckpointPolicy {
     /// Memory cycles between checkpoints; 0 disables checkpointing
@@ -477,6 +492,14 @@ impl From<CheckpointError> for CheckpointedRunError {
 /// rewriting the checkpoint at each boundary, and remove the file once
 /// the cell completes.
 ///
+/// Each rewrite overlaps the next chunk: the run serialises the state at
+/// the boundary and hands it to a writer thread, which hashes it and runs
+/// the atomic `.tmp` → fsync → rename protocol through
+/// [`CheckpointPolicy::io`] while the simulation goes on. At most one write
+/// is in flight. The run waits for it, and checks its result, before the
+/// next hand-off, before removing the finished cell's file, and on every
+/// error or unwinding exit, so no write outlives the call.
+///
 /// `make_workload` must rebuild the workload deterministically (same
 /// seed) on every call; a resumed run rebuilds it and fast-forwards by
 /// the recorded op count, which replays the exact stream position.
@@ -486,14 +509,16 @@ impl From<CheckpointError> for CheckpointedRunError {
 /// cell restarts from scratch, exactly as if no checkpoint existed,
 /// and the bad file is overwritten at the next boundary. The results are
 /// byte-identical either way — checkpointing only changes how much work a
-/// crash can lose.
+/// crash can lose: up to two checkpoint intervals, since the checkpoint
+/// of the last boundary may still be in flight.
 ///
 /// # Errors
 ///
 /// [`CheckpointedRunError::Run`] for simulation stalls,
 /// [`CheckpointedRunError::Checkpoint`] when a checkpoint cannot be
 /// written (a cell that cannot record progress should fail loudly, not
-/// silently lose its crash safety).
+/// silently lose its crash safety). A failed write surfaces at the next
+/// boundary or at the end of the cell, whichever comes first.
 pub fn try_simulate_checkpointed<W, F>(
     cfg: &SystemConfig,
     make_workload: F,
@@ -530,23 +555,23 @@ where
     } else {
         u64::MAX
     };
-    // One encode buffer for the whole run: every checkpoint reuses the
-    // allocation the first one grew.
-    let mut scratch = SnapWriter::new();
-    loop {
-        match sys.try_run_chunk(&mut workload, len, &mut cursor, budget)? {
-            ChunkOutcome::Done => break,
-            ChunkOutcome::Paused => {
-                Checkpoint::capture(&sys, policy.fingerprint, workload.consumed(), cursor)?
-                    .save_with_io(
-                        &policy.path,
-                        &mut scratch,
-                        policy.durable,
-                        policy.io.as_ref(),
-                    )?;
+    // Dropped on an unwinding exit, the writer waits for its write there.
+    let mut writer = CheckpointWriter::default();
+    let run = loop {
+        match sys.try_run_chunk(&mut workload, len, &mut cursor, budget) {
+            Ok(ChunkOutcome::Done) => break Ok(()),
+            Ok(ChunkOutcome::Paused) => {
+                if let Err(e) = writer.hand_off(&sys, workload.consumed(), cursor, policy) {
+                    break Err(CheckpointedRunError::Checkpoint(e));
+                }
             }
+            Err(e) => break Err(CheckpointedRunError::Run(e)),
         }
-    }
+    };
+    // Every exit waits for the write in flight; a stall outranks its error.
+    let written = writer.wait();
+    run?;
+    written?;
     let name = workload.name().to_string();
     if policy.every > 0 {
         // The cell is complete; its checkpoint is stale by construction. A
@@ -559,6 +584,108 @@ where
         let _ = fs::remove_file(&policy.path);
     }
     Ok(sys.report(name))
+}
+
+/// What a background checkpoint write hands back: the body and file-image
+/// buffers, for the next checkpoint to reuse, and the write's result.
+type Written = (Vec<u8>, SnapWriter, Result<(), CheckpointError>);
+
+/// The background half of [`try_simulate_checkpointed`]: at most one
+/// checkpoint write in flight, each on a thread of its own.
+///
+/// Capture stays on the simulating thread and serialises into the body
+/// buffer the previous write handed back; the writer thread does the rest
+/// (state hash, header, file image in the scratch buffer, and the atomic
+/// write through the policy's [`SimIo`]). So a run holds two checkpoint
+/// images at most, the body and its file image. The type is not generic
+/// and its methods are never inlined, which keeps the thread plumbing out
+/// of the generic chunk loop.
+#[derive(Default)]
+struct CheckpointWriter {
+    /// The write in flight.
+    pending: Option<JoinHandle<Written>>,
+    /// The body buffer while no write is in flight.
+    body: Vec<u8>,
+    /// The file-image buffer while no write is in flight.
+    scratch: SnapWriter,
+}
+
+impl CheckpointWriter {
+    /// Waits for the previous write, then captures `sys` at this boundary
+    /// and starts writing it to [`CheckpointPolicy::path`].
+    ///
+    /// # Errors
+    ///
+    /// The previous write's failure, a state that cannot be serialised, or
+    /// a writer thread that cannot be started.
+    #[inline(never)]
+    fn hand_off(
+        &mut self,
+        sys: &System,
+        ops_consumed: u64,
+        cursor: RunCursor,
+        policy: &CheckpointPolicy,
+    ) -> Result<(), CheckpointError> {
+        self.wait()?;
+        let body = sys.checkpoint_into(std::mem::take(&mut self.body))?;
+        // Grow the file image here rather than on the writer thread, so it
+        // comes from the same allocator arena as the body: grown there, it
+        // raised the benchmark's peak memory by ~0.3 MiB (DESIGN §11).
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        scratch.reserve(body.len() + HEADER_BOUND);
+        let (fingerprint, durable) = (policy.fingerprint, policy.durable);
+        let (path, io) = (policy.path.clone(), Arc::clone(&policy.io));
+        let handle = std::thread::Builder::new()
+            .name("checkpoint-writer".into())
+            .spawn(move || {
+                let mut ckpt = Checkpoint {
+                    fingerprint,
+                    state_hash: 0,
+                    ops_consumed,
+                    cursor,
+                    body,
+                };
+                let written = body_state_hash(&ckpt.body).and_then(|state_hash| {
+                    ckpt.state_hash = state_hash;
+                    ckpt.save_with_io(&path, &mut scratch, durable, io.as_ref())
+                });
+                (ckpt.body, scratch, written)
+            })?;
+        self.pending = Some(handle);
+        Ok(())
+    }
+
+    /// Waits for the write in flight, if any, and returns its result.
+    ///
+    /// # Errors
+    ///
+    /// The write's failure. A panic on the writer thread is resumed here.
+    #[inline(never)]
+    fn wait(&mut self) -> Result<(), CheckpointError> {
+        let Some(handle) = self.pending.take() else {
+            return Ok(());
+        };
+        match handle.join() {
+            Ok((body, scratch, written)) => {
+                self.body = body;
+                self.scratch = scratch;
+                written
+            }
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+    }
+}
+
+impl Drop for CheckpointWriter {
+    /// Waits for the write in flight, so a run that unwinds never leaves
+    /// one behind: a retry of the cell must not race a late rename. The
+    /// result is dropped: whatever unwinds already outranks it.
+    fn drop(&mut self) {
+        if let Some(handle) = self.pending.take() {
+            let _ = handle.join();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -695,6 +822,8 @@ mod tests {
         // A pristine file round-trips.
         let back = Checkpoint::load(&path, fp).expect("valid file loads");
         assert_eq!(back, ckpt);
+        let header = fs::read(&path).unwrap().len() - ckpt.body.len();
+        assert!(header <= HEADER_BOUND, "{header}-byte header");
 
         // Wrong fingerprint.
         assert!(matches!(
@@ -764,6 +893,262 @@ mod tests {
             Checkpoint::load(&path, fp),
             Err(CheckpointError::Io(_))
         ));
+    }
+
+    /// A scripted fault at `ckpt-sync`, then at `ckpt-rename`, on a mid-run
+    /// write: the run fails with the checkpoint error once the failed write
+    /// is joined, starts no write after it, and what it leaves on disk
+    /// resumes to the uninterrupted run's report.
+    #[test]
+    fn a_mid_run_sync_or_rename_fault_fails_the_run_and_resumes_identically() {
+        use crate::simio::{ChaosIo, IoFaultKind};
+        let cfg = cfg();
+        let len = RunLength::Instructions(30_000);
+        let reference =
+            try_simulate(&cfg, SpecBenchmark::Swim.workload(9), len).expect("reference run");
+        let fp = fingerprint("mid-run-fault");
+        let policy_with = |path: &Path, io: Arc<dyn SimIo>| CheckpointPolicy {
+            io,
+            ..CheckpointPolicy::new(1_500, path.to_path_buf(), fp)
+        };
+        let path = tmp("mid-run-count.ckpt");
+        let counting = Arc::new(ChaosIo::counting());
+        try_simulate_checkpointed(
+            &cfg,
+            || SpecBenchmark::Swim.workload(9),
+            len,
+            &policy_with(&path, counting.clone()),
+        )
+        .expect("counting run");
+        let writes = counting.ops_at(IoSite::CkptRename);
+        assert!(writes >= 4, "{writes} checkpoints");
+        let op = writes / 2;
+
+        for site in [IoSite::CkptSync, IoSite::CkptRename] {
+            let path = tmp(&format!("mid-run-{site}.ckpt"));
+            let _ = fs::remove_file(&path);
+            let chaos = Arc::new(ChaosIo::scripted(site, IoFaultKind::Fail, op));
+            let err = try_simulate_checkpointed(
+                &cfg,
+                || SpecBenchmark::Swim.workload(9),
+                len,
+                &policy_with(&path, chaos.clone()),
+            )
+            .expect_err("the injected fault fails the run");
+            assert!(
+                matches!(
+                    err,
+                    CheckpointedRunError::Checkpoint(CheckpointError::Io(_))
+                ),
+                "{site}: {err}"
+            );
+            assert_eq!(chaos.fault_log(), vec![(site, op, IoFaultKind::Fail)]);
+            // Joined, and nothing written after the failed write.
+            assert_eq!(chaos.ops_at(IoSite::CkptTmpWrite), op + 1, "{site}");
+            assert_eq!(chaos.ops_at(IoSite::CkptSync), op + 1, "{site}");
+            let renamed = op + u64::from(site == IoSite::CkptRename);
+            assert_eq!(chaos.ops_at(IoSite::CkptRename), renamed, "{site}");
+            assert!(
+                tmp_path(&path).exists(),
+                "{site}: the failed write's scratch file"
+            );
+            Checkpoint::load(&path, fp).expect("the previous checkpoint survives");
+
+            let resumed = try_simulate_checkpointed(
+                &cfg,
+                || SpecBenchmark::Swim.workload(9),
+                len,
+                &CheckpointPolicy::new(1_500, path.clone(), fp),
+            )
+            .expect("resumed run");
+            assert_eq!(resumed, reference, "{site}: resume must be byte-identical");
+            assert!(
+                !path.exists(),
+                "{site}: completed cell removes its checkpoint"
+            );
+        }
+    }
+
+    /// The last boundary falls one cycle before the end, so the final
+    /// write is still in flight when the cell completes: it must be joined
+    /// before the checkpoint is removed, or its rename would bring the file
+    /// back.
+    #[test]
+    fn a_final_boundary_just_before_done_leaves_no_checkpoint_files() {
+        use crate::simio::ChaosIo;
+        let cfg = cfg();
+        let every = 2_000;
+        let len = RunLength::MemCycles(3 * every + 1);
+        let reference =
+            try_simulate(&cfg, SpecBenchmark::Swim.workload(4), len).expect("reference run");
+        let dir = tmp("final-boundary");
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let counting = Arc::new(ChaosIo::counting());
+        let policy = CheckpointPolicy {
+            io: counting.clone(),
+            ..CheckpointPolicy::new(every, dir.join("cell.ckpt"), fingerprint("final"))
+        };
+        let got = try_simulate_checkpointed(&cfg, || SpecBenchmark::Swim.workload(4), len, &policy)
+            .expect("checkpointed run");
+        assert_eq!(got, reference);
+        assert_eq!(
+            counting.ops_at(IoSite::CkptRename),
+            3,
+            "a write per boundary"
+        );
+        let left: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert!(left.is_empty(), "no *.ckpt or *.ckpt.tmp left: {left:?}");
+    }
+
+    /// A filesystem whose rename holds until the test lets it go, so a
+    /// write is provably in flight when the simulating thread panics, and
+    /// then takes [`SLOW_RENAME`], so a run that did not wait for it would
+    /// finish unwinding first.
+    #[derive(Debug)]
+    struct HeldRename {
+        /// Signalled once the writer has reached its rename.
+        entered: std::sync::Mutex<std::sync::mpsc::Sender<()>>,
+        /// Awaited before renaming.
+        release: std::sync::Mutex<std::sync::mpsc::Receiver<()>>,
+        renamed: std::sync::atomic::AtomicBool,
+    }
+
+    impl SimIo for HeldRename {
+        fn write_new(&self, site: IoSite, path: &Path, bytes: &[u8]) -> std::io::Result<fs::File> {
+            RealIo.write_new(site, path, bytes)
+        }
+        fn open_append(&self, site: IoSite, path: &Path) -> std::io::Result<fs::File> {
+            RealIo.open_append(site, path)
+        }
+        fn append(&self, site: IoSite, file: &mut fs::File, bytes: &[u8]) -> std::io::Result<()> {
+            RealIo.append(site, file, bytes)
+        }
+        fn sync(&self, site: IoSite, file: &fs::File) -> std::io::Result<()> {
+            RealIo.sync(site, file)
+        }
+        fn rename(&self, site: IoSite, from: &Path, to: &Path) -> std::io::Result<()> {
+            let _ = self.entered.lock().unwrap().send(());
+            let waited = self.release.lock().unwrap().recv_timeout(TIMEOUT);
+            waited.expect("the simulating thread releases the rename");
+            std::thread::sleep(SLOW_RENAME);
+            RealIo.rename(site, from, to)?;
+            self.renamed
+                .store(true, std::sync::atomic::Ordering::SeqCst);
+            Ok(())
+        }
+        fn read(&self, site: IoSite, path: &Path) -> std::io::Result<Vec<u8>> {
+            RealIo.read(site, path)
+        }
+    }
+
+    /// Guards the test below against a hang; the interleaving itself is
+    /// forced by channels.
+    const TIMEOUT: std::time::Duration = std::time::Duration::from_secs(60);
+
+    /// How long a released rename takes: far longer than unwinding out of
+    /// a run.
+    const SLOW_RENAME: std::time::Duration = std::time::Duration::from_millis(100);
+
+    /// A workload that, at its `panic_at`-th operation, waits for the
+    /// writer to reach its held rename and then panics, releasing the
+    /// rename as it unwinds.
+    struct PanicMidWrite<W> {
+        inner: W,
+        drawn: u64,
+        panic_at: u64,
+        entered: std::sync::mpsc::Receiver<()>,
+        release: std::sync::mpsc::Sender<()>,
+    }
+
+    /// Sends on drop: the panic's unwinding lets the held rename go.
+    struct ReleaseOnDrop<'a>(&'a std::sync::mpsc::Sender<()>);
+
+    impl Drop for ReleaseOnDrop<'_> {
+        fn drop(&mut self) {
+            let _ = self.0.send(());
+        }
+    }
+
+    impl<W: OpSource> OpSource for PanicMidWrite<W> {
+        fn next_op(&mut self) -> burst_workloads::Op {
+            if self.drawn == self.panic_at {
+                let entered = self.entered.recv_timeout(TIMEOUT);
+                entered.expect("the writer reaches its rename");
+                let _release = ReleaseOnDrop(&self.release);
+                panic!("simulated crash while a checkpoint write is in flight");
+            }
+            self.drawn += 1;
+            self.inner.next_op()
+        }
+    }
+
+    /// A panic on the simulating thread waits for the write in flight
+    /// before unwinding out of the run, so the supervisor's retry of the
+    /// cell never races a late rename.
+    #[test]
+    fn a_panic_mid_run_waits_for_the_write_in_flight() {
+        let cfg = cfg();
+        let len = RunLength::Instructions(30_000);
+        let every = 1_500;
+        let reference =
+            try_simulate(&cfg, SpecBenchmark::Swim.workload(9), len).expect("reference run");
+        // The operations drawn by the first boundary: the next draw comes
+        // after the first hand-off.
+        let mut sys = System::new(&cfg);
+        let mut w = CountingSource::new(SpecBenchmark::Swim.workload(9));
+        sys.warm(&mut w);
+        let mut cursor = RunCursor::start(&sys);
+        let first = sys.try_run_chunk(&mut w, len, &mut cursor, every).unwrap();
+        assert_eq!(first, ChunkOutcome::Paused);
+        let panic_at = w.consumed();
+        sys.try_run_chunk(&mut w, len, &mut cursor, every).unwrap();
+        assert!(w.consumed() > panic_at, "the second chunk draws operations");
+
+        let path = tmp("panic-mid-write.ckpt");
+        let _ = fs::remove_file(&path);
+        let _ = fs::remove_file(tmp_path(&path));
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel();
+        let io = Arc::new(HeldRename {
+            entered: std::sync::Mutex::new(entered_tx),
+            release: std::sync::Mutex::new(release_rx),
+            renamed: std::sync::atomic::AtomicBool::new(false),
+        });
+        let policy = CheckpointPolicy {
+            io: io.clone(),
+            ..CheckpointPolicy::new(every, path.clone(), fingerprint("panic"))
+        };
+        let channels = std::sync::Mutex::new(Some((entered_rx, release_tx)));
+        let make = || {
+            let (entered, release) = channels.lock().unwrap().take().expect("built once");
+            PanicMidWrite {
+                inner: SpecBenchmark::Swim.workload(9),
+                drawn: 0,
+                panic_at,
+                entered,
+                release,
+            }
+        };
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            try_simulate_checkpointed(&cfg, make, len, &policy)
+        }));
+        assert!(run.is_err(), "the workload panics mid-run");
+        assert!(
+            io.renamed.load(std::sync::atomic::Ordering::SeqCst),
+            "unwinding waited for the write in flight"
+        );
+        assert!(!tmp_path(&path).exists(), "the write completed its rename");
+
+        // The retry resumes from the write the panic waited for.
+        let retry = CheckpointPolicy::new(every, path.clone(), fingerprint("panic"));
+        let got = try_simulate_checkpointed(&cfg, || SpecBenchmark::Swim.workload(9), len, &retry)
+            .expect("retried run");
+        assert_eq!(got, reference, "the retry is byte-identical");
+        assert!(!path.exists());
     }
 
     #[test]

@@ -1518,11 +1518,11 @@ impl System {
     }
 
     /// Serialises the four observable sections (CPU, scheduler, DRAM,
-    /// system glue) into one writer, each as a length-prefixed run, and
-    /// returns the payload range of each. The one serialiser behind
-    /// [`System::checkpoint`], [`System::state_hash`] and
+    /// system glue) into the empty writer `w`, each as a length-prefixed
+    /// run, and returns the payload range of each. The one serialiser
+    /// behind [`System::checkpoint`], [`System::state_hash`] and
     /// [`System::component_hashes`], so they always agree byte-for-byte.
-    fn save_observable(&self) -> Result<(SnapWriter, [Range<usize>; 4]), SnapError> {
+    fn save_observable(&self, w: &mut SnapWriter) -> Result<[Range<usize>; 4], SnapError> {
         let Self {
             cfg: _, // construction input; restore re-supplies it
             dram,
@@ -1539,7 +1539,6 @@ impl System {
             next_delivery: _, // execution-path memo, rebuilt from `pending` on restore
             profile: _,       // host-time accounting, not simulated state
         } = self;
-        let mut w = SnapWriter::new();
         let cpu = w.section(|w| {
             for cpu in cpus {
                 cpu.save_snap(w);
@@ -1588,7 +1587,7 @@ impl System {
             }
             Ok::<(), SnapError>(())
         })?;
-        Ok((w, [cpu, sched, dram, system]))
+        Ok([cpu, sched, dram, system])
     }
 
     /// Serialises the complete simulation state into a [`Snapshot`].
@@ -1608,20 +1607,39 @@ impl System {
     /// [`SnapError::Unsupported`] when the scheduler is a caller-supplied
     /// type without checkpoint support.
     pub fn checkpoint(&self) -> Result<Snapshot, SnapError> {
-        let (mut w, _) = self.save_observable()?;
+        let mut w = SnapWriter::new();
+        self.save_observable(&mut w)?;
         let state_hash = fnv1a64(w.as_slice());
-        // Diagnostic section: the engine counters are reported by
-        // `engine_stats` but deliberately excluded from the state hash,
-        // which must agree across engines.
+        self.save_diagnostic_tail(&mut w);
+        Ok(Snapshot {
+            bytes: w.into_bytes(),
+            state_hash,
+        })
+    }
+
+    /// [`System::checkpoint`]'s bytes without their state hash, written
+    /// over `buf`'s allocation. A checkpointed run captures through one
+    /// buffer this way and leaves the hash to its background writer.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`System::checkpoint`].
+    pub(crate) fn checkpoint_into(&self, buf: Vec<u8>) -> Result<Vec<u8>, SnapError> {
+        let mut w = SnapWriter::reusing(buf);
+        self.save_observable(&mut w)?;
+        self.save_diagnostic_tail(&mut w);
+        Ok(w.into_bytes())
+    }
+
+    /// Appends the diagnostic section: the engine counters are reported by
+    /// `engine_stats` but deliberately excluded from the state hash, which
+    /// must agree across engines.
+    fn save_diagnostic_tail(&self, w: &mut SnapWriter) {
         w.u64(self.engine_stats.steps);
         w.u64(self.engine_stats.quiescent_jumps);
         w.u64(self.engine_stats.quiescent_skipped);
         w.u64(self.engine_stats.busy_jumps);
         w.u64(self.engine_stats.busy_skipped);
-        Ok(Snapshot {
-            bytes: w.into_bytes(),
-            state_hash,
-        })
     }
 
     /// Restores state written by [`System::checkpoint`] into a system
@@ -1750,7 +1768,9 @@ impl System {
     // hashing loop is not inlined into `try_run_chunk`.
     #[cold]
     pub fn state_hash(&self) -> Result<u64, SnapError> {
-        Ok(fnv1a64(self.save_observable()?.0.as_slice()))
+        let mut w = SnapWriter::new();
+        self.save_observable(&mut w)?;
+        Ok(fnv1a64(w.as_slice()))
     }
 
     /// Per-component digests of the observable state (see
@@ -1761,7 +1781,8 @@ impl System {
     ///
     /// Same conditions as [`System::state_hash`].
     pub fn component_hashes(&self) -> Result<ComponentHashes, SnapError> {
-        let (w, sections) = self.save_observable()?;
+        let mut w = SnapWriter::new();
+        let sections = self.save_observable(&mut w)?;
         let [cpu, sched, dram, system] = sections.map(|r| fnv1a64(&w.as_slice()[r]));
         Ok(ComponentHashes {
             cpu,

@@ -72,6 +72,14 @@ impl SnapWriter {
         SnapWriter { buf: Vec::new() }
     }
 
+    /// An empty writer over `buf`'s allocation: a loop serialising many
+    /// states can hand one buffer back and forth instead of growing a new
+    /// one each time.
+    pub fn reusing(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        SnapWriter { buf }
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -96,6 +104,11 @@ impl SnapWriter {
     /// serialise many states through one buffer.
     pub fn clear(&mut self) {
         self.buf.clear();
+    }
+
+    /// Makes room for at least `additional` more bytes.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
     }
 
     /// Writes one byte.
