@@ -210,7 +210,7 @@ impl HarnessOptions {
     }
 
     /// Runs the lockstep oracle over `benchmarks x mechanisms`: the
-    /// skip-enabled engine races the naive per-cycle engine, state hashes
+    /// skip-enabled engine races the per-cycle reference, state hashes
     /// are compared every epoch, and a mismatch is bisected to its first
     /// divergent cycle. Succeeds only if every cell's engines stayed in
     /// lockstep to the end.

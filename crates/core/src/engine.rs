@@ -435,31 +435,6 @@ impl Core {
         }
     }
 
-    /// Collects every bank of `channel` whose ongoing access has an
-    /// unblocked next transaction at `now`.
-    pub fn fill_candidates(
-        &mut self,
-        dram: &Dram,
-        channel: usize,
-        now: Cycle,
-        out: &mut Vec<Candidate>,
-    ) {
-        self.fill_candidates_impl(dram, channel, now, out, false);
-    }
-
-    /// Like [`Core::fill_candidates`], but also includes banks whose next
-    /// transaction is currently blocked (with `unblocked == false`), for
-    /// schedulers that commit by policy order without timing awareness.
-    pub fn fill_all_candidates(
-        &mut self,
-        dram: &Dram,
-        channel: usize,
-        now: Cycle,
-        out: &mut Vec<Candidate>,
-    ) {
-        self.fill_candidates_impl(dram, channel, now, out, true);
-    }
-
     /// Every bank of `range` holding an ongoing access, with that access,
     /// in ascending bank order. Walks the occupied set instead of probing
     /// every slot; takes the two fields rather than `&self` so callers may
@@ -491,12 +466,16 @@ impl Core {
     }
 
     /// How many banks of `channel` hold an ongoing access: the candidates
-    /// [`Core::fill_all_candidates`] would return.
+    /// [`Core::fill_candidates`] returns when it includes blocked ones.
     pub(crate) fn occupied_count(&self, channel: usize) -> usize {
         self.occupied.count_in(self.bank_range(channel))
     }
 
-    fn fill_candidates_impl(
+    /// Collects every bank of `channel` whose ongoing access has an
+    /// unblocked next transaction at `now`; with `include_blocked`, also
+    /// the banks whose next transaction is blocked (`unblocked == false`),
+    /// for schedulers that commit by policy order without timing awareness.
+    pub fn fill_candidates(
         &mut self,
         dram: &Dram,
         channel: usize,
@@ -934,8 +913,9 @@ impl Core {
 
     /// Restores state written by [`Core::save_snap`] into a core built from
     /// the same configuration and geometry; a structural mismatch is
-    /// rejected as corrupt. Every derived cache is reset so it is rebuilt
-    /// from the restored ongoing set and device state.
+    /// rejected as corrupt. It ends in [`Core::forget_derived`], so every
+    /// derived cache is rebuilt from the restored ongoing set and device
+    /// state.
     pub fn load_snap(
         &mut self,
         r: &mut burst_snap::SnapReader,
@@ -950,13 +930,13 @@ impl Core {
             stats,
             reads_outstanding,
             writes_outstanding,
-            oldest_ongoing,
-            ongoing_dirty,
-            occupied,
-            writing,
-            cand_cache,
-            cand_epoch,
-            ready_floor,
+            oldest_ongoing: _, // derived; `forget_derived` rebuilds it
+            ongoing_dirty: _,  // likewise
+            occupied: _,       // likewise
+            writing: _,        // likewise
+            cand_cache: _,     // likewise
+            cand_epoch: _,     // likewise
+            ready_floor: _,    // likewise
             ages,
             attempts,
             retry_pending,
@@ -1019,23 +999,28 @@ impl Core {
         } else {
             None
         };
-        // Rebuild the derived slot sets from the restored slots.
-        occupied.clear();
-        writing.clear();
-        for (b, slot) in ongoing.iter().enumerate() {
+        self.forget_derived();
+        Ok(())
+    }
+
+    /// Drops every derived cache and rebuilds it from the persistent
+    /// state: the slot sets from the ongoing slots, while the steering
+    /// cache, the candidate cache and the ready floor start cold. Restore
+    /// calls it, and so does the reference controller before every tick.
+    pub fn forget_derived(&mut self) {
+        self.occupied.clear();
+        self.writing.clear();
+        for (b, slot) in self.ongoing.iter().enumerate() {
             if let Some(og) = slot {
-                occupied.insert(b);
-                writing.set(b, og.access.kind == AccessKind::Write);
+                self.occupied.insert(b);
+                self.writing.set(b, og.access.kind == AccessKind::Write);
             }
         }
-        oldest_ongoing.fill(None);
-        ongoing_dirty.fill(true);
-        // Cached candidate bounds were derived against the pre-restore
-        // device state; force a full re-derivation.
-        cand_cache.fill(None);
-        cand_epoch.fill(u64::MAX);
-        ready_floor.fill(0);
-        Ok(())
+        self.oldest_ongoing.fill(None);
+        self.ongoing_dirty.fill(true);
+        self.cand_cache.fill(None);
+        self.cand_epoch.fill(u64::MAX);
+        self.ready_floor.fill(0);
     }
 }
 
@@ -1108,7 +1093,7 @@ mod tests {
         let mut now = 0;
         let mut col_issued = false;
         while !col_issued {
-            core.fill_candidates(&dram, 0, now, &mut cands);
+            core.fill_candidates(&dram, 0, now, &mut cands, false);
             if let Some(c) = cands.first().copied() {
                 col_issued = core.issue_candidate(&mut dram, now, &c, &mut done);
             }
@@ -1244,17 +1229,17 @@ mod tests {
                     assert_eq!(unblocked, [], "barren channel {channel} at {now}");
                     barren += 1;
                 }
-                // Either call may run first; each must see a coherent cache.
+                // Either fill may run first; each must see a coherent cache.
                 let all_first = rng.gen_bool(0.5);
                 if all_first {
-                    core.fill_all_candidates(&dram, channel, now, &mut cands);
-                    assert_eq!(project(&cands), want, "fill_all_candidates at {now}");
+                    core.fill_candidates(&dram, channel, now, &mut cands, true);
+                    assert_eq!(project(&cands), want, "with blocked at {now}");
                 }
-                core.fill_candidates(&dram, channel, now, &mut cands);
-                assert_eq!(project(&cands), unblocked, "fill_candidates at {now}");
+                core.fill_candidates(&dram, channel, now, &mut cands, false);
+                assert_eq!(project(&cands), unblocked, "unblocked only at {now}");
                 if !all_first {
-                    core.fill_all_candidates(&dram, channel, now, &mut cands);
-                    assert_eq!(project(&cands), want, "fill_all_candidates at {now}");
+                    core.fill_candidates(&dram, channel, now, &mut cands, true);
+                    assert_eq!(project(&cands), want, "with blocked at {now}");
                     cands.retain(|c| c.unblocked);
                 }
                 if !cands.is_empty() && rng.gen_bool(0.7) {
@@ -1321,7 +1306,7 @@ mod tests {
         core.set_ongoing(core.global_bank(l2), a2).unwrap();
         let mut done = Vec::new();
         let mut cands = Vec::new();
-        core.fill_candidates(&dram, 0, 0, &mut cands);
+        core.fill_candidates(&dram, 0, 0, &mut cands, false);
         let c = cands[0];
         core.issue_candidate(&mut dram, 0, &c, &mut done);
         core.sample();
@@ -1412,7 +1397,7 @@ mod tests {
         let mut cands = Vec::new();
         let mut now = 0;
         while done.is_empty() {
-            core.fill_candidates(&dram, 0, now, &mut cands);
+            core.fill_candidates(&dram, 0, now, &mut cands, false);
             if let Some(c) = cands.first().copied() {
                 core.issue_candidate(&mut dram, now, &c, &mut done);
             }

@@ -259,21 +259,24 @@ impl Policy for AdaptiveHistoryScheduler {
         let Self {
             read_queues,
             write_queues,
-            queued,
+            queued: _, // derived; `forget_derived` rebuilds it
             arrival_read_share,
             issued_reads,
             issued_writes,
         } = self;
         super::load_queue_set(read_queues, r)?;
         super::load_queue_set(write_queues, r)?;
-        queued.clear();
-        for (bank, (rq, wq)) in read_queues.iter().zip(write_queues.iter()).enumerate() {
-            queued.set(bank, !rq.is_empty() || !wq.is_empty());
-        }
         *arrival_read_share = r.u32()?;
         *issued_reads = r.u64()?;
         *issued_writes = r.u64()?;
+        self.forget_derived();
         Ok(())
+    }
+
+    fn forget_derived(&mut self) {
+        for bank in 0..self.read_queues.len() {
+            self.note_pop(bank);
+        }
     }
 }
 

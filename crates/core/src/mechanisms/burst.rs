@@ -747,8 +747,8 @@ impl Policy for BurstScheduler {
             window_reads,
             window_writes,
             next_adapt,
-            classes,
-            next_escal,
+            classes: _,    // derived; `forget_derived` rebuilds it
+            next_escal: _, // likewise
         } = self;
         if r.seq_len(3)? != banks.len() {
             return Err(SnapError::Corrupt("bank queue count mismatch"));
@@ -777,15 +777,18 @@ impl Policy for BurstScheduler {
         *window_reads = r.u64()?;
         *window_writes = r.u64()?;
         *next_adapt = r.u64()?;
-        // The classes are derived state: mark every bank, so the first
-        // visits recompute them (and fold the escalation deadline) from
-        // the restored slots and queues.
-        classes.fill(ClassWord::default());
-        *next_escal = Cycle::MAX;
+        self.forget_derived();
+        Ok(())
+    }
+
+    /// Marks every bank, so the first visits recompute the classes (and
+    /// fold the escalation deadline) from the slots and queues.
+    fn forget_derived(&mut self) {
+        self.classes.fill(ClassWord::default());
+        self.next_escal = Cycle::MAX;
         for b in 0..self.banks.len() {
             self.mark(b);
         }
-        Ok(())
     }
 }
 

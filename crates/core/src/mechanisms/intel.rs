@@ -51,10 +51,10 @@ pub(crate) struct IntelScheduler {
     /// insert merges into it; a pop rescans only if it took this front.
     oldest: Option<(AccessId, usize)>,
     read_preemption: bool,
-    /// Write-buffer flush mode: entered at the high-water mark (3/4 of
-    /// capacity), left at the low-water mark (1/2). While draining, idle
-    /// banks prefer writes so the buffer empties in bursts, as the
-    /// patent's flush logic does.
+    /// Write-buffer flush mode: `pre_tick` sets it at the start of every
+    /// tick to whether the write buffer is full (outstanding writes at
+    /// the write capacity), with no hysteresis. While draining, idle banks
+    /// prefer writes over their reads.
     draining: bool,
 }
 
@@ -355,9 +355,9 @@ impl Policy for IntelScheduler {
         let Self {
             read_queues,
             write_queues,
-            has_reads,
-            has_writes,
-            oldest,
+            has_reads: _,  // derived; `forget_derived` rebuilds it
+            has_writes: _, // likewise
+            oldest: _,     // likewise
             read_preemption,
             draining,
         } = self;
@@ -382,14 +382,16 @@ impl Policy for IntelScheduler {
             return Err(burst_snap::SnapError::Corrupt("variant mismatch"));
         }
         *draining = r.bool()?;
-        has_reads.clear();
-        has_writes.clear();
-        for (bank, (rq, wq)) in read_queues.iter().zip(write_queues.iter()).enumerate() {
-            has_reads.set(bank, !rq.is_empty());
-            has_writes.set(bank, !wq.is_empty());
-        }
-        *oldest = Self::scan_oldest(write_queues);
+        self.forget_derived();
         Ok(())
+    }
+
+    fn forget_derived(&mut self) {
+        for (bank, (rq, wq)) in self.read_queues.iter().zip(&self.write_queues).enumerate() {
+            self.has_reads.set(bank, !rq.is_empty());
+            self.has_writes.set(bank, !wq.is_empty());
+        }
+        self.oldest = Self::scan_oldest(&self.write_queues);
     }
 }
 

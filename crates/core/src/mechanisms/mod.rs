@@ -161,7 +161,9 @@ pub trait AccessScheduler: core::fmt::Debug {
 /// The event-wheel hooks, [`Policy::busy_event`] and
 /// [`Policy::advance_quiescent`], have no default bodies: a policy with
 /// timers or arbiter decisions the core cannot see must veto or bound the
-/// simulator's jumps, and cannot do so by forgetting to.
+/// simulator's jumps, and cannot do so by forgetting to. Nor has
+/// [`Policy::forget_derived`]: a policy that adds a cache must say how to
+/// forget it.
 trait Policy: core::fmt::Debug {
     /// How many candidates, in its own priority order, [`Policy::select`]
     /// examines; a blocked pick inside that window wastes the cycle (the
@@ -228,25 +230,38 @@ trait Policy: core::fmt::Debug {
     /// core's first.
     fn save_snap(&self, w: &mut burst_snap::SnapWriter);
 
-    /// Restores state written by [`Policy::save_snap`], after `core`.
+    /// Restores state written by [`Policy::save_snap`], after `core`, and
+    /// ends in [`Policy::forget_derived`].
     fn load_snap(
         &mut self,
         core: &Core,
         r: &mut burst_snap::SnapReader,
     ) -> Result<(), burst_snap::SnapError>;
+
+    /// Drops every derived cache (state absent from checkpoints) and
+    /// rebuilds it from the persistent queues. Restore calls it, and so
+    /// does the reference controller before every tick.
+    fn forget_derived(&mut self);
 }
 
 /// The one [`AccessScheduler`]: the shared [`Core`] driven by a mechanism's
 /// [`Policy`].
+///
+/// `REFERENCE` selects, at compile time, the per-cycle reference
+/// ([`Mechanism::build_reference`]). Before each tick it forgets all
+/// derived state of the core and the policy; it then calls every bank's
+/// arbiter instead of walking the acting word, never skips a barren
+/// channel, and hands a policy with a finite lookahead its blocked
+/// candidates whenever a slot is occupied.
 #[derive(Debug)]
-struct Controller<P> {
+struct Controller<P, const REFERENCE: bool = false> {
     core: Core,
     policy: P,
     /// Reusable candidate buffer for the per-channel transaction scan.
     scratch: Vec<Candidate>,
 }
 
-impl<P: Policy> Controller<P> {
+impl<P: Policy, const REFERENCE: bool> Controller<P, REFERENCE> {
     /// A controller whose policy `policy` builds for its core.
     fn new(cfg: CtrlConfig, geom: Geometry, policy: impl FnOnce(&Core) -> P) -> Self {
         let core = Core::new(cfg, geom);
@@ -259,7 +274,7 @@ impl<P: Policy> Controller<P> {
     }
 }
 
-impl<P: Policy> AccessScheduler for Controller<P> {
+impl<P: Policy, const REFERENCE: bool> AccessScheduler for Controller<P, REFERENCE> {
     fn mechanism(&self) -> Mechanism {
         self.policy.mechanism()
     }
@@ -282,6 +297,10 @@ impl<P: Policy> AccessScheduler for Controller<P> {
     }
 
     fn tick(&mut self, dram: &mut Dram, now: Cycle, completions: &mut Vec<Completion>) {
+        if REFERENCE {
+            self.core.forget_derived();
+            self.policy.forget_derived();
+        }
         dram.tick(now);
         self.core.sample();
         self.core.watchdog_tick(now);
@@ -290,33 +309,40 @@ impl<P: Policy> AccessScheduler for Controller<P> {
         }
         self.policy.pre_tick(&self.core, now);
         for channel in 0..self.core.channel_count() {
-            // One walk serves every policy: visit only the banks whose
-            // arbiter can act, re-reading the acting word after each visit.
             let range = self.core.bank_range(channel);
-            let mut from = range.start;
-            while let Some(bank) = bankset::next_in(from, range.end, |w| {
-                self.policy.acting_word(&self.core, w, now)
-            }) {
-                self.policy.arbitrate_bank(&mut self.core, bank, dram, now);
-                from = bank + 1;
+            if REFERENCE {
+                // Figure 5 taken literally: every bank's arbiter.
+                for bank in range {
+                    self.policy.arbitrate_bank(&mut self.core, bank, dram, now);
+                }
+            } else {
+                // One walk serves every policy: visit only the banks whose
+                // arbiter can act, re-reading the acting word after each
+                // visit.
+                let mut from = range.start;
+                while let Some(bank) = bankset::next_in(from, range.end, |w| {
+                    self.policy.acting_word(&self.core, w, now)
+                }) {
+                    self.policy.arbitrate_bank(&mut self.core, bank, dram, now);
+                    from = bank + 1;
+                }
+                // A barren channel's scan would write nothing, and with no
+                // unblocked candidate every policy's `select` returns
+                // `None` without moving its round-robin pointer: go
+                // straight to the steering step.
+                if self.core.barren(dram, channel, now) {
+                    self.core.steer_to_oldest(channel);
+                    continue;
+                }
             }
-            // A barren channel's scan would write nothing, and with no
-            // unblocked candidate every policy's `select` returns `None`
-            // without moving its round-robin pointer: go straight to the
-            // steering step.
-            if self.core.barren(dram, channel, now) {
-                self.core.steer_to_oldest(channel);
-                continue;
-            }
-            let cands = &mut self.scratch;
             // Blocked candidates only where the lookahead can reach them
             // (see `Policy::LOOKAHEAD`); Table 2's unbounded one skips
             // the count.
-            if P::LOOKAHEAD < usize::MAX && self.core.occupied_count(channel) > P::LOOKAHEAD {
-                self.core.fill_all_candidates(dram, channel, now, cands);
-            } else {
-                self.core.fill_candidates(dram, channel, now, cands);
-            }
+            let include_blocked = P::LOOKAHEAD < usize::MAX
+                && (REFERENCE || self.core.occupied_count(channel) > P::LOOKAHEAD);
+            let cands = &mut self.scratch;
+            self.core
+                .fill_candidates(dram, channel, now, cands, include_blocked);
             match self.policy.select(&self.core, channel, cands) {
                 Some(cand) => {
                     if self.core.issue_candidate(dram, now, &cand, completions) {
@@ -579,14 +605,15 @@ impl Mechanism {
     /// assert_eq!(sched.mechanism(), Mechanism::BurstTh(52));
     /// ```
     pub fn build(&self, cfg: CtrlConfig, geom: Geometry) -> Box<dyn AccessScheduler> {
-        struct Build(CtrlConfig, Geometry);
-        impl WithPolicy for Build {
-            type Output = Box<dyn AccessScheduler>;
-            fn run<P: Policy + 'static>(self, policy: impl Fn(&Core) -> P) -> Self::Output {
-                Box::new(Controller::new(self.0, self.1, policy))
-            }
-        }
-        self.with_policy(&cfg, Build(cfg, geom))
+        self.with_policy(&cfg, Build::<false>(cfg, geom))
+    }
+
+    /// Builds the per-cycle reference for [`Mechanism::build`]'s scheduler:
+    /// the same policy with none of the scheduler's fast paths, so that a
+    /// bug in one shows as a divergence between the two. Its outputs and
+    /// snapshot bytes equal the fast scheduler's.
+    pub fn build_reference(&self, cfg: CtrlConfig, geom: Geometry) -> Box<dyn AccessScheduler> {
+        self.with_policy(&cfg, Build::<true>(cfg, geom))
     }
 
     /// Hands `w` this mechanism's policy constructor under `cfg`: the one
@@ -626,14 +653,25 @@ impl Mechanism {
 }
 
 /// Something done with a mechanism's policy, whatever its type:
-/// [`Mechanism::build`] boxes it in a [`Controller`], and the tests run it
-/// beside a reference.
+/// [`Mechanism::build`] and [`Mechanism::build_reference`] box it in a
+/// [`Controller`], and the tests run the two in lockstep.
 trait WithPolicy {
     /// What the work yields.
     type Output;
 
     /// Does the work with `policy`, the policy's constructor.
     fn run<P: Policy + 'static>(self, policy: impl Fn(&Core) -> P) -> Self::Output;
+}
+
+/// Boxes the policy in a [`Controller`] for a device of the given geometry.
+struct Build<const REFERENCE: bool>(CtrlConfig, Geometry);
+
+impl<const REFERENCE: bool> WithPolicy for Build<REFERENCE> {
+    type Output = Box<dyn AccessScheduler>;
+
+    fn run<P: Policy + 'static>(self, policy: impl Fn(&Core) -> P) -> Self::Output {
+        Box::new(Controller::<P, REFERENCE>::new(self.0, self.1, policy))
+    }
 }
 
 impl core::fmt::Display for Mechanism {
@@ -695,7 +733,7 @@ mod tests {
             use crate::{Access, AccessId};
             use burst_dram::{AddressMapping, Dram, DramConfig, PhysAddr};
 
-            let mut ctrl = Controller::new(self.0, self.1, policy);
+            let mut ctrl: Controller<P> = Controller::new(self.0, self.1, policy);
             let m = ctrl.mechanism();
             let mut dram = Dram::new(DramConfig::baseline(), AddressMapping::PageInterleaving);
             let (mut done, mut cands) = (Vec::new(), Vec::new());
@@ -719,7 +757,7 @@ mod tests {
                     // so this covers more), or nothing for Table 2's scan,
                     // which holds unblocked candidates only.
                     ctrl.core
-                        .fill_all_candidates(&dram, channel, now, &mut cands);
+                        .fill_candidates(&dram, channel, now, &mut cands, true);
                     for c in &mut cands {
                         c.unblocked = false;
                     }
@@ -749,8 +787,10 @@ mod tests {
     }
 
     /// What the arbiter visits of a lockstep run did, as seen from the
-    /// slots: a new ongoing access in an idle slot is an install, one in
-    /// a busy slot a preemption.
+    /// slots at tick boundaries: a slot empty when a tick began and
+    /// occupied when it ended saw an install, one that ended holding
+    /// another access a preemption. (An act whose column issues in the
+    /// same tick goes unseen.)
     #[derive(Debug, Default, Clone, Copy)]
     struct Acts {
         installs: u64,
@@ -760,119 +800,15 @@ mod tests {
         /// write queue was below capacity when the tick began: for Intel,
         /// only the escalation of the global-oldest write does that.
         aged_writes_over_reads: u64,
-        /// Installs of a write with the write queue full.
+        /// Installs of a write with the write queue full when the tick
+        /// began.
         full_queue_writes: u64,
         preemptions: u64,
     }
 
-    /// Figure 5 taken literally: the wrapped policy's arbiter on every
-    /// bank, and a policy with a limited lookahead handed every blocked
-    /// candidate whenever a slot is occupied. Everything else is the
-    /// wrapped policy's; its derived acting sets go unread.
-    #[derive(Debug)]
-    struct EveryBank<P> {
-        policy: P,
-        acts: Acts,
-        /// Whether the write queue was full when the tick began.
-        full_at_tick: bool,
-    }
-
-    impl<P: Policy> Policy for EveryBank<P> {
-        const LOOKAHEAD: usize = if P::LOOKAHEAD == usize::MAX {
-            usize::MAX
-        } else {
-            0
-        };
-
-        fn mechanism(&self) -> Mechanism {
-            self.policy.mechanism()
-        }
-
-        fn enqueue(
-            &mut self,
-            core: &mut Core,
-            access: Access,
-            now: Cycle,
-            completions: &mut Vec<Completion>,
-        ) -> EnqueueOutcome {
-            self.policy.enqueue(core, access, now, completions)
-        }
-
-        fn requeue(&mut self, core: &Core, access: Access) {
-            self.policy.requeue(core, access);
-        }
-
-        fn pre_tick(&mut self, core: &Core, now: Cycle) {
-            self.full_at_tick = core.writes_outstanding() >= core.cfg().write_capacity;
-            self.policy.pre_tick(core, now);
-        }
-
-        fn acting_word(&self, _: &Core, _: usize, _: Cycle) -> u64 {
-            u64::MAX
-        }
-
-        fn arbitrate_bank(&mut self, core: &mut Core, bank: usize, dram: &Dram, now: Cycle) {
-            let before = core.ongoing(bank).map(|og| og.access.id);
-            let reads = core.reads_outstanding();
-            let full = core.writes_outstanding() >= core.cfg().write_capacity;
-            self.policy.arbitrate_bank(core, bank, dram, now);
-            let Some(og) = core.ongoing(bank).map(|og| og.access) else {
-                return;
-            };
-            let acts = &mut self.acts;
-            match before {
-                Some(id) if id == og.id => {}
-                Some(_) => acts.preemptions += 1,
-                None => {
-                    acts.installs += 1;
-                    let aged = now.saturating_sub(og.arrival) >= core.cfg().watchdog.escalate_age;
-                    acts.aged += u64::from(aged);
-                    if og.kind == AccessKind::Write {
-                        acts.full_queue_writes += u64::from(full);
-                        acts.aged_writes_over_reads +=
-                            u64::from(aged && reads > 0 && !self.full_at_tick);
-                    }
-                }
-            }
-        }
-
-        fn select(
-            &mut self,
-            core: &Core,
-            channel: usize,
-            cands: &[Candidate],
-        ) -> Option<Candidate> {
-            self.policy.select(core, channel, cands)
-        }
-
-        fn column_issued(&mut self, core: &Core, dram: &Dram, cand: &Candidate, now: Cycle) {
-            self.policy.column_issued(core, dram, cand, now);
-        }
-
-        fn busy_event(&self, _: &Core, _: &Dram, _: Cycle, _: Cycle) -> Option<Cycle> {
-            None
-        }
-
-        fn advance_quiescent(&mut self, core: &Core, from: Cycle, n: u64) {
-            self.policy.advance_quiescent(core, from, n);
-        }
-
-        fn save_snap(&self, w: &mut burst_snap::SnapWriter) {
-            self.policy.save_snap(w);
-        }
-
-        fn load_snap(
-            &mut self,
-            core: &Core,
-            r: &mut burst_snap::SnapReader,
-        ) -> Result<(), burst_snap::SnapError> {
-            self.policy.load_snap(core, r)
-        }
-    }
-
-    /// Runs a policy's controller in lockstep with [`EveryBank`] around
-    /// the same policy for `cycles` cycles of seeded traffic, comparing
-    /// completions and snapshot bytes every cycle.
+    /// Runs a policy's controller in lockstep with the reference
+    /// controller around the same policy for `cycles` cycles of seeded
+    /// traffic, comparing completions and snapshot bytes every cycle.
     struct Lockstep {
         dram: burst_dram::DramConfig,
         ctrl: CtrlConfig,
@@ -899,19 +835,16 @@ mod tests {
 
             let Lockstep { dram, ctrl, cycles } = self;
             let g = dram.geometry;
-            let mut walk = Controller::new(ctrl, g, &policy);
-            let mut every = Controller::new(ctrl, g, |core| EveryBank {
-                policy: policy(core),
-                acts: Acts::default(),
-                full_at_tick: false,
-            });
+            let mut walk: Controller<P> = Controller::new(ctrl, g, &policy);
+            let mut reference: Controller<P, true> = Controller::new(ctrl, g, &policy);
             let m = walk.mechanism();
             let mut dram_walk = Dram::new(dram, AddressMapping::PageInterleaving);
-            let mut dram_every = Dram::new(dram, AddressMapping::PageInterleaving);
-            let (mut done_walk, mut done_every) = (Vec::new(), Vec::new());
+            let mut dram_ref = Dram::new(dram, AddressMapping::PageInterleaving);
+            let (mut done_walk, mut done_ref) = (Vec::new(), Vec::new());
             let mut rng = SmallRng::seed_from_u64(0xb0b5);
             let mut next_id = 0u64;
             let (mut gates_set, mut gates_clear) = (0u8, 0u8);
+            let mut acts = Acts::default();
             // The pointer chase's one outstanding read, if any.
             let mut chase: Option<AccessId> = None;
             for now in 0..cycles {
@@ -951,20 +884,47 @@ mod tests {
                     }
                     next_id += 1;
                     let out = walk.enqueue(a, now, &mut done_walk);
-                    assert_eq!(out, every.enqueue(a, now, &mut done_every), "{m} at {now}");
+                    assert_eq!(
+                        out,
+                        reference.enqueue(a, now, &mut done_ref),
+                        "{m} at {now}"
+                    );
                     if kind == AccessKind::Read && out == EnqueueOutcome::Queued {
                         chase = Some(a.id);
                     }
                 }
+                let before: Vec<_> = (0..walk.core.bank_count())
+                    .map(|b| walk.core.ongoing(b).map(|og| og.access.id))
+                    .collect();
+                let reads = walk.core.reads_outstanding() > 0;
+                let full = walk.core.writes_outstanding() >= ctrl.write_capacity;
                 walk.tick(&mut dram_walk, now, &mut done_walk);
-                every.tick(&mut dram_every, now, &mut done_every);
-                assert_eq!(done_walk, done_every, "{m}: completions at {now}");
-                assert_eq!(state(&walk), state(&every), "{m}: state at {now}");
+                reference.tick(&mut dram_ref, now, &mut done_ref);
+                assert_eq!(done_walk, done_ref, "{m}: completions at {now}");
+                assert_eq!(state(&walk), state(&reference), "{m}: state at {now}");
+                for (bank, before) in before.into_iter().enumerate() {
+                    let Some(og) = walk.core.ongoing(bank).map(|og| og.access) else {
+                        continue;
+                    };
+                    match before {
+                        Some(id) if id == og.id => {}
+                        Some(_) => acts.preemptions += 1,
+                        None => {
+                            let aged = now.saturating_sub(og.arrival) >= ctrl.watchdog.escalate_age;
+                            acts.installs += 1;
+                            acts.aged += u64::from(aged);
+                            if og.kind == AccessKind::Write {
+                                acts.full_queue_writes += u64::from(full);
+                                acts.aged_writes_over_reads += u64::from(aged && reads && !full);
+                            }
+                        }
+                    }
+                }
                 if chase.is_some_and(|id| done_walk.iter().any(|c| c.id == id)) {
                     chase = None;
                 }
                 done_walk.clear();
-                done_every.clear();
+                done_ref.clear();
                 let any: &dyn core::any::Any = &walk.policy;
                 if let Some(burst) = any.downcast_ref::<BurstScheduler>() {
                     let gates = burst.gates(&walk.core);
@@ -973,7 +933,7 @@ mod tests {
                 }
             }
             LockstepRun {
-                acts: every.policy.acts,
+                acts,
                 stats: walk.stats().clone(),
                 gates_set,
                 gates_clear,
@@ -1014,7 +974,8 @@ mod tests {
             };
             assert_eq!(stats.piggybacks > 0, piggybacks, "{m}: piggybacks");
             assert_eq!(stats.preemptions > 0, preempts, "{m}: preemptions");
-            assert_eq!(acts.preemptions, stats.preemptions, "{m}: preemptions");
+            assert_eq!(acts.preemptions > 0, preempts, "{m}: {acts:?}");
+            assert!(acts.preemptions <= stats.preemptions, "{m}: {acts:?}");
         }
         assert_eq!(gates_set & 0xF, 0xF, "every gate bit opens");
         assert_eq!(gates_clear & 0xF, 0xF, "every gate bit shuts");

@@ -163,14 +163,18 @@ impl Policy for RowHitScheduler {
         let Self {
             window: _, // construction input, fixed by the mechanism
             queues,
-            queued,
+            queued: _, // derived; `forget_derived` rebuilds it
             rr,
         } = self;
         super::load_queue_set(queues, r)?;
-        queued.clear();
-        for (bank, q) in queues.iter().enumerate() {
-            queued.set(bank, !q.is_empty());
+        super::load_cursors(rr, r)?;
+        self.forget_derived();
+        Ok(())
+    }
+
+    fn forget_derived(&mut self) {
+        for (bank, q) in self.queues.iter().enumerate() {
+            self.queued.set(bank, !q.is_empty());
         }
-        super::load_cursors(rr, r)
     }
 }

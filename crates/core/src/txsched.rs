@@ -81,7 +81,7 @@ pub fn select_table2(
 /// pointer past it. If every inspected candidate is blocked, the cycle is
 /// wasted — the "bubble cycles" the paper attributes to schedulers that
 /// ignore SDRAM timing constraints. Pass `cands` including blocked
-/// candidates (see [`crate::engine::Core::fill_all_candidates`]).
+/// candidates (see [`crate::engine::Core::fill_candidates`]).
 pub fn select_round_robin_limited(
     cands: &[Candidate],
     next_bank: &mut usize,

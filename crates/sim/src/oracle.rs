@@ -1,7 +1,8 @@
 //! Lockstep reference oracle: runs the configured engine (the full
-//! discrete-event engine by default) and a naive per-cycle engine side by
-//! side on the same configuration and workload, comparing whole-system
-//! state hashes at every epoch boundary.
+//! discrete-event engine by default) and the per-cycle reference
+//! ([`crate::system::Engine::CycleNoSkip`], whose scheduler also runs
+//! without its derived caches) side by side on the same configuration and
+//! workload, comparing whole-system state hashes at every epoch boundary.
 //!
 //! Clock jumping — quiescent event-horizon skipping and the event
 //! engine's busy-period jumps alike — is *supposed* to be bit-identical

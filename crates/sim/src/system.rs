@@ -83,8 +83,10 @@ pub enum Engine {
     /// system is idle or holds outstanding work. Per-tick bookkeeping over
     /// a jump is replayed in closed form.
     Event,
-    /// The plain per-cycle loop with no skipping at all — the reference
-    /// the event engine is diffed against.
+    /// The reference the event engine is diffed against: the plain
+    /// per-cycle loop with no skipping at all, driving the mechanism's
+    /// reference scheduler ([`SystemConfig::scheduler`]), which runs
+    /// without the scheduler's derived caches and acting-bank walks.
     CycleNoSkip,
 }
 
@@ -233,12 +235,17 @@ impl SystemConfig {
 
     /// The scheduler [`System::new`] builds: the configured mechanism, with
     /// the system-level fault plan folded into the controller configuration.
+    /// [`Engine::CycleNoSkip`] gets the mechanism's per-cycle reference
+    /// ([`Mechanism::build_reference`]), the event engine its fast scheduler.
     pub fn scheduler(&self) -> Box<dyn AccessScheduler> {
         let mut ctrl = self.ctrl;
         if self.faults.is_some() {
             ctrl.faults = self.faults;
         }
-        self.mechanism.build(ctrl, self.dram.geometry)
+        match self.engine {
+            Engine::Event => self.mechanism.build(ctrl, self.dram.geometry),
+            Engine::CycleNoSkip => self.mechanism.build_reference(ctrl, self.dram.geometry),
+        }
     }
 }
 

@@ -108,7 +108,7 @@ proptest! {
 }
 
 /// The acceptance gate for `--oracle`: every paper mechanism's
-/// skip-enabled engine stays in lockstep with the naive per-cycle engine
+/// skip-enabled engine stays in lockstep with the per-cycle reference
 /// to the end of the run, and the oracle's report equals the plain one.
 #[test]
 fn oracle_passes_cleanly_on_the_full_paper_mechanism_set() {

@@ -19,13 +19,25 @@ fn config(mechanism: Mechanism, engine: Engine) -> SystemConfig {
         .with_engine(engine)
 }
 
-/// Runs `bench` under both engines, asserts the reports are equal and
-/// returns the event engine's.
-fn engines_agree(m: Mechanism, bench: SpecBenchmark, seed: u64, len: RunLength) -> SimReport {
-    let reference = simulate(&config(m, Engine::CycleNoSkip), bench.workload(seed), len);
-    let event = simulate(&config(m, Engine::Event), bench.workload(seed), len);
+/// Runs `bench` on `dram` under both engines, asserts the reports are
+/// equal and returns the event engine's.
+fn engines_agree_on(
+    dram: DramConfig,
+    m: Mechanism,
+    bench: SpecBenchmark,
+    seed: u64,
+    len: RunLength,
+) -> SimReport {
+    let cfg = |engine| config(m, engine).with_dram(dram);
+    let reference = simulate(&cfg(Engine::CycleNoSkip), bench.workload(seed), len);
+    let event = simulate(&cfg(Engine::Event), bench.workload(seed), len);
     assert_eq!(event, reference, "event engine changed {}", m.name());
     event
+}
+
+/// [`engines_agree_on`] the baseline device.
+fn engines_agree(m: Mechanism, bench: SpecBenchmark, seed: u64, len: RunLength) -> SimReport {
+    engines_agree_on(DramConfig::baseline(), m, bench, seed, len)
 }
 
 #[test]
@@ -44,6 +56,24 @@ fn event_engine_is_bit_identical_on_bandwidth_bound_workload() {
     // busy-period jumps (quiescent skipping barely fires here).
     for m in Mechanism::all() {
         engines_agree(m, SpecBenchmark::Swim, 13, RunLength::Instructions(2_000));
+    }
+}
+
+#[test]
+fn every_engine_is_bit_identical_across_two_mask_words() {
+    // 2 channels x 8 ranks x 16 banks: each channel's 128 banks span two
+    // 64-bank words, so the acting-bank walks cross a word boundary.
+    let mut dram = DramConfig::baseline();
+    dram.geometry.ranks_per_channel = 8;
+    dram.geometry.banks_per_rank = 16;
+    for m in Mechanism::all() {
+        engines_agree_on(
+            dram,
+            m,
+            SpecBenchmark::Swim,
+            13,
+            RunLength::Instructions(2_000),
+        );
     }
 }
 
