@@ -27,7 +27,7 @@ use burst_core::Mechanism;
 use burst_sim::experiments::Sweep;
 use burst_sim::export::sweep_to_csv;
 use burst_sim::{
-    cell_key, ChaosIo, CheckpointPlan, IoFaultKind, IoSite, Journal, RunLength, SimIo,
+    cell_key, real_io, ChaosIo, CheckpointPlan, IoFaultKind, IoSite, Journal, RunLength, SimIo,
     SupervisorConfig, SystemConfig, TransientFaultPlan,
 };
 use burst_workloads::SpecBenchmark;
@@ -171,7 +171,7 @@ fn run_cycle(cfg: &MatrixConfig, dir: &Path, io: Arc<dyn SimIo>) -> Result<(), S
         io: Arc::clone(io),
     };
     // Phase A: fresh journal, first run.
-    let journal = Journal::create_with_io(&journal_path, fp, Arc::clone(&io))
+    let journal = Journal::create(&journal_path, fp, Arc::clone(&io))
         .map_err(|e| format!("phase A create: {e}"))?;
     let _ = Sweep::run_supervised(
         "chaos",
@@ -187,7 +187,7 @@ fn run_cycle(cfg: &MatrixConfig, dir: &Path, io: Arc<dyn SimIo>) -> Result<(), S
     );
     drop(journal);
     // Phase B: restart — resume the journal, run again.
-    let journal = Journal::resume_with_io(&journal_path, fp, Arc::clone(&io))
+    let journal = Journal::resume(&journal_path, fp, Arc::clone(&io))
         .map_err(|e| format!("phase B resume: {e}"))?;
     let _ = Sweep::run_supervised(
         "chaos",
@@ -209,8 +209,8 @@ fn run_cycle(cfg: &MatrixConfig, dir: &Path, io: Arc<dyn SimIo>) -> Result<(), S
 fn clean_resume_verdict(cfg: &MatrixConfig, dir: &Path, reference: &str) -> Verdict {
     let journal_path = dir.join("sweep.journal");
     let fp = cfg.fingerprint();
-    let io = burst_sim::real_io();
-    let journal = match Journal::resume_with_io(&journal_path, fp, Arc::clone(&io)) {
+    let io = real_io();
+    let journal = match Journal::resume(&journal_path, fp, Arc::clone(&io)) {
         Ok(j) => j,
         Err(e) => return Verdict::StructuredError(format!("clean resume: {e}")),
     };
@@ -386,7 +386,7 @@ pub fn run_panic_sweep(cfg: &MatrixConfig) -> Result<String, String> {
     let sup = SupervisorConfig {
         max_retries: 2,
         backoff_base_ms: 0,
-        inject_panics: Some(TransientFaultPlan {
+        inject: Some(TransientFaultPlan {
             seed: cfg.seed,
             fail_permille: 1000,
             max_failures: 1,
@@ -421,14 +421,14 @@ pub fn run_panic_sweep(cfg: &MatrixConfig) -> Result<String, String> {
     let sup = SupervisorConfig {
         max_retries: 1,
         backoff_base_ms: 0,
-        inject_panics: Some(TransientFaultPlan {
+        inject: Some(TransientFaultPlan {
             seed: cfg.seed,
             fail_permille: 1000,
             max_failures: 16,
         }),
         ..SupervisorConfig::default()
     };
-    let journal = Journal::create(&journal_path, fp).map_err(|e| e.to_string())?;
+    let journal = Journal::create(&journal_path, fp, real_io()).map_err(|e| e.to_string())?;
     let cells = cfg.benchmarks.len() * cfg.mechanisms.len();
     let r = Sweep::run_supervised(
         "chaos-panic",
@@ -448,7 +448,7 @@ pub fn run_panic_sweep(cfg: &MatrixConfig) -> Result<String, String> {
     }
     // The resumed run injects no panics: were the cells *re-run*, they
     // would all succeed — so any surviving failure proves the skip.
-    let journal = Journal::resume(&journal_path, fp).map_err(|e| e.to_string())?;
+    let journal = Journal::resume(&journal_path, fp, real_io()).map_err(|e| e.to_string())?;
     let sup = SupervisorConfig {
         max_retries: 1,
         backoff_base_ms: 0,

@@ -56,6 +56,8 @@ pub enum Group {
 pub enum Kind {
     /// An unsigned integer.
     Count(fn(&mut HarnessOptions, u64)),
+    /// An unsigned integer that fits in 32 bits.
+    Count32(fn(&mut HarnessOptions, u32)),
     /// A seed (an unsigned integer).
     Seed(fn(&mut HarnessOptions, u64)),
     /// A file or directory path.
@@ -80,7 +82,7 @@ impl Kind {
     /// The placeholder naming the value in the usage text.
     pub fn metavar(self) -> &'static str {
         match self {
-            Kind::Count(_) => "N",
+            Kind::Count(_) | Kind::Count32(_) => "N",
             Kind::Seed(_) => "SEED",
             Kind::Path(_) => "PATH",
             Kind::Switch(_) => "",
@@ -98,6 +100,12 @@ impl Kind {
         let count = || value.parse().map_err(|_| "an unsigned integer".to_string());
         match self {
             Kind::Count(set) | Kind::Seed(set) => set(opts, count()?),
+            Kind::Count32(set) => set(
+                opts,
+                value
+                    .parse()
+                    .map_err(|_| format!("an unsigned integer up to {}", u32::MAX))?,
+            ),
             Kind::Path(set) => set(opts, PathBuf::from(value)),
             Kind::Switch(set) => set(opts),
             Kind::Engine(set) => set(
@@ -204,7 +212,7 @@ pub const FLAGS: &[Flag] = &[
         kind: Kind::Seconds(|o, s| o.deadline = Some(s)),
         help: "per-cell wall-clock deadline; late attempts are abandoned and retried" },
     Flag { name: "--max-retries", group: Group::Grid, default: "2",
-        kind: Kind::Count(|o, n| o.max_retries = u32::try_from(n).unwrap_or(u32::MAX)),
+        kind: Kind::Count32(|o, n| o.max_retries = n),
         help: "retries granted per failed cell" },
     Flag { name: "--checkpoint-every", group: Group::Recovery, default: "0",
         kind: Kind::Count(|o, n| o.checkpoint_every = n),

@@ -175,9 +175,9 @@ impl HarnessOptions {
             (None, None) => return Ok(None),
         };
         let opened = if resuming {
-            Journal::resume_with_io(path, fp, io)
+            Journal::resume(path, fp, io)
         } else {
-            Journal::create_with_io(path, fp, io)
+            Journal::create(path, fp, io)
         };
         let journal = opened.map_err(|e| format!("cannot open journal {}: {e}", path.display()))?;
         if resuming {
@@ -570,6 +570,18 @@ mod tests {
         let err = parse("fig7", &["--jobs", "four"]).unwrap_err().0;
         assert!(err.contains("--jobs") && err.contains("\"four\""), "{err}");
         assert!(parse("fig7", &["--max-retries", "-1"]).is_err());
+        // One past u32::MAX is refused, not saturated.
+        let err = parse("fig7", &["--max-retries", "4294967296"])
+            .unwrap_err()
+            .0;
+        assert!(
+            err.contains("--max-retries") && err.contains("\"4294967296\""),
+            "{err}"
+        );
+        assert_eq!(
+            ok("fig7", &["--max-retries", "4294967295"]).max_retries,
+            u32::MAX
+        );
         assert!(parse("fig7", &["--deadline", "soon"]).is_err());
         assert_eq!(
             ok("fig7", &["--instructions", "200000"]).instructions,
@@ -648,7 +660,7 @@ mod tests {
     /// A well-formed value of `kind`, as typed.
     fn example(kind: Kind) -> Option<&'static str> {
         Some(match kind {
-            Kind::Count(_) | Kind::Seed(_) => "3",
+            Kind::Count(_) | Kind::Count32(_) | Kind::Seed(_) => "3",
             Kind::Path(_) => "some/dir",
             Kind::Switch(_) => return None,
             Kind::Engine(_) => "cycle-noskip",

@@ -17,8 +17,8 @@ use crate::AccessKind;
 /// SplitMix64 — a tiny, high-quality 64-bit mixer. Used as a stateless
 /// hash so fault decisions need no RNG state that could drift between
 /// mechanisms or runs. Public so higher layers (the sweep supervisor's
-/// transient-fault injection, the journal's config fingerprint) can make
-/// decisions from the same deterministic primitive.
+/// transient-fault plan, the chaos I/O layer) can make decisions from the
+/// same deterministic primitive.
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -83,58 +83,6 @@ impl FaultConfig {
             ^ id.value().wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ (u64::from(attempt) << 48);
         splitmix64(key) % 1000 < u64::from(permille)
-    }
-}
-
-/// Deterministic *cell-level* transient faults for the sweep supervisor.
-///
-/// Where [`FaultConfig`] injects faults into individual memory accesses
-/// *inside* a simulation, this plan fails whole `(benchmark, mechanism)`
-/// sweep cells — modelling the operational failures (OOM kills, spurious
-/// panics, wedged attempts) a long evaluation run meets in practice. The
-/// decision is a pure function of `(seed, cell, attempt)` built on the same
-/// [`splitmix64`] primitive, so a sweep with the same seed fails the same
-/// cells on the same attempts on any host.
-///
-/// Because a cell can fault on at most [`TransientFaultPlan::max_failures`]
-/// attempts, a supervisor granting at least that many retries always
-/// converges to the fault-free result — the property the robustness
-/// proptests pin down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TransientFaultPlan {
-    /// Seed of the deterministic decision hash.
-    pub seed: u64,
-    /// Probability a given attempt of a given cell fails, in permille.
-    pub fail_permille: u32,
-    /// Attempts `>= max_failures` never fail: bounds the retries any one
-    /// cell can absorb and guarantees convergence when the supervisor
-    /// grants `max_failures` retries or more.
-    pub max_failures: u32,
-}
-
-impl TransientFaultPlan {
-    /// A moderately hostile default: 25% of first attempts fail, no cell
-    /// fails more than twice.
-    pub fn new(seed: u64) -> Self {
-        TransientFaultPlan {
-            seed,
-            fail_permille: 250,
-            max_failures: 2,
-        }
-    }
-
-    /// Whether attempt number `attempt` (0-based) of cell `cell` fails.
-    ///
-    /// Pure and stateless: same `(seed, cell, attempt)` always yields the
-    /// same answer.
-    pub fn should_fail(&self, cell: u64, attempt: u32) -> bool {
-        if attempt >= self.max_failures || self.fail_permille == 0 {
-            return false;
-        }
-        let key = self.seed.wrapping_mul(0xD6E8_FEB8_6659_FD93)
-            ^ cell.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ (u64::from(attempt) << 48);
-        splitmix64(key) % 1000 < u64::from(self.fail_permille)
     }
 }
 
@@ -205,28 +153,6 @@ mod tests {
         assert!(
             diff > 100,
             "seeds 1 and 2 should disagree often, got {diff}"
-        );
-    }
-
-    #[test]
-    fn transient_plan_is_deterministic_and_bounded() {
-        let plan = TransientFaultPlan::new(99);
-        for cell in 0..200u64 {
-            for attempt in 0..4u32 {
-                assert_eq!(
-                    plan.should_fail(cell, attempt),
-                    plan.should_fail(cell, attempt)
-                );
-            }
-            // Attempts past max_failures never fail: retries converge.
-            for attempt in plan.max_failures..plan.max_failures + 8 {
-                assert!(!plan.should_fail(cell, attempt));
-            }
-        }
-        let first_attempt_failures = (0..1000u64).filter(|&c| plan.should_fail(c, 0)).count();
-        assert!(
-            (150..350).contains(&first_attempt_failures),
-            "25% target, got {first_attempt_failures}/1000"
         );
     }
 

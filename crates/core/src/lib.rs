@@ -57,7 +57,7 @@ pub mod txsched;
 mod watchdog;
 
 pub use access::{Access, AccessId, AccessKind, Completion, EnqueueOutcome, Outstanding};
-pub use faults::{splitmix64, FaultConfig, TransientFaultPlan};
+pub use faults::{splitmix64, FaultConfig};
 pub use mechanisms::{AccessScheduler, Mechanism};
 pub use stats::{CtrlStats, LatencyHistogram, OccupancyHistogram};
 pub use watchdog::{StallDiagnostic, WatchdogConfig};

@@ -212,21 +212,11 @@ impl Checkpoint {
     }
 
     /// Writes the checkpoint atomically: the bytes land in a `.tmp`
-    /// sibling, are fsynced, and only then renamed over `path` — so a
-    /// crash at any instant leaves either the previous checkpoint or this
-    /// one, never a torn hybrid.
-    ///
-    /// # Errors
-    ///
-    /// Any filesystem failure writing, syncing or renaming.
-    pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        self.save_with(path, &mut SnapWriter::new(), true)
-    }
-
-    /// [`Checkpoint::save`] through a caller-owned encode buffer, with the
-    /// per-write fsync optional. `scratch` is cleared and reused, so a
-    /// loop writing many checkpoints pays for one allocation, not one per
-    /// checkpoint.
+    /// sibling, are fsynced (when `durable`), and only then renamed over
+    /// `path` — so a crash at any instant leaves either the previous
+    /// checkpoint or this one, never a torn hybrid. `scratch` is the
+    /// encode buffer; it is cleared and reused, so a loop writing many
+    /// checkpoints pays for one allocation, not one per checkpoint.
     ///
     /// With `durable` false the `.tmp`-then-rename dance is kept (a
     /// *process* crash still leaves the previous or the new file intact)
@@ -295,24 +285,15 @@ impl Checkpoint {
         Ok(())
     }
 
-    /// Reads and validates a checkpoint: magic, version, fingerprint, body
-    /// hash and header digest are all checked before any state is touched.
+    /// Reads and validates a checkpoint through `io` (the chaos seam,
+    /// [`IoSite::CkptRead`]): magic, version, fingerprint, body hash and
+    /// header digest are all checked before any state is touched. A
+    /// truncated read surfaces through the same validation chain.
     ///
     /// # Errors
     ///
     /// Every [`CheckpointError`] variant; a malformed file never panics.
-    pub fn load(path: &Path, expected_fingerprint: u64) -> Result<Checkpoint, CheckpointError> {
-        Self::load_with_io(path, expected_fingerprint, &RealIo)
-    }
-
-    /// [`Checkpoint::load`] through an injectable filesystem — the chaos
-    /// seam ([`IoSite::CkptRead`]). A truncated read surfaces through the
-    /// normal validation chain, never as a panic.
-    ///
-    /// # Errors
-    ///
-    /// Every [`CheckpointError`] variant; a malformed file never panics.
-    pub fn load_with_io(
+    pub fn load(
         path: &Path,
         expected_fingerprint: u64,
         io: &dyn SimIo,
@@ -533,9 +514,7 @@ where
     let mut workload = CountingSource::new(make_workload());
     let mut cursor;
     match (policy.every > 0)
-        .then(|| {
-            Checkpoint::load_with_io(&policy.path, policy.fingerprint, policy.io.as_ref()).ok()
-        })
+        .then(|| Checkpoint::load(&policy.path, policy.fingerprint, policy.io.as_ref()).ok())
         .flatten()
     {
         Some(ckpt) if ckpt.restore_into(&mut sys).is_ok() => {
@@ -792,7 +771,7 @@ mod tests {
                     ChunkOutcome::Paused => {
                         Checkpoint::capture(&sys, fp, w.consumed(), cursor)
                             .unwrap()
-                            .save(&path)
+                            .save_with(&path, &mut SnapWriter::new(), true)
                             .unwrap();
                     }
                     ChunkOutcome::Done => panic!("run must outlast three chunks"),
@@ -817,17 +796,17 @@ mod tests {
         sys.warm(&mut w);
         sys.try_run(&mut w, RunLength::MemCycles(2_000)).unwrap();
         let ckpt = Checkpoint::capture(&sys, fp, w.consumed(), RunCursor::start(&sys)).unwrap();
-        ckpt.save(&path).unwrap();
+        ckpt.save_with(&path, &mut SnapWriter::new(), true).unwrap();
 
         // A pristine file round-trips.
-        let back = Checkpoint::load(&path, fp).expect("valid file loads");
+        let back = Checkpoint::load(&path, fp, &RealIo).expect("valid file loads");
         assert_eq!(back, ckpt);
         let header = fs::read(&path).unwrap().len() - ckpt.body.len();
         assert!(header <= HEADER_BOUND, "{header}-byte header");
 
         // Wrong fingerprint.
         assert!(matches!(
-            Checkpoint::load(&path, fp ^ 1),
+            Checkpoint::load(&path, fp ^ 1, &RealIo),
             Err(CheckpointError::FingerprintMismatch { .. })
         ));
 
@@ -837,7 +816,7 @@ mod tests {
         for cut in [0, 3, 4, 7, 8, 15, 16, 23, 24, bytes.len() - 1] {
             fs::write(&path, &bytes[..cut]).unwrap();
             assert!(
-                Checkpoint::load(&path, fp).is_err(),
+                Checkpoint::load(&path, fp, &RealIo).is_err(),
                 "truncation at {cut} must be rejected"
             );
         }
@@ -847,7 +826,7 @@ mod tests {
         bad[0] = b'X';
         fs::write(&path, &bad).unwrap();
         assert!(matches!(
-            Checkpoint::load(&path, fp),
+            Checkpoint::load(&path, fp, &RealIo),
             Err(CheckpointError::BadMagic)
         ));
 
@@ -856,7 +835,7 @@ mod tests {
         bad[4] = 99;
         fs::write(&path, &bad).unwrap();
         assert!(matches!(
-            Checkpoint::load(&path, fp),
+            Checkpoint::load(&path, fp, &RealIo),
             Err(CheckpointError::UnsupportedVersion(99))
         ));
 
@@ -867,7 +846,7 @@ mod tests {
         bad[last] ^= 0x40;
         fs::write(&path, &bad).unwrap();
         assert!(matches!(
-            Checkpoint::load(&path, fp),
+            Checkpoint::load(&path, fp, &RealIo),
             Err(CheckpointError::HashMismatch { .. })
         ));
 
@@ -880,7 +859,7 @@ mod tests {
             fs::write(&path, &bad).unwrap();
             assert!(
                 matches!(
-                    Checkpoint::load(&path, fp),
+                    Checkpoint::load(&path, fp, &RealIo),
                     Err(CheckpointError::HeaderMismatch { .. })
                 ),
                 "flip at {at}"
@@ -890,7 +869,7 @@ mod tests {
         // Missing file is a plain Io error.
         let _ = fs::remove_file(&path);
         assert!(matches!(
-            Checkpoint::load(&path, fp),
+            Checkpoint::load(&path, fp, &RealIo),
             Err(CheckpointError::Io(_))
         ));
     }
@@ -952,7 +931,7 @@ mod tests {
                 tmp_path(&path).exists(),
                 "{site}: the failed write's scratch file"
             );
-            Checkpoint::load(&path, fp).expect("the previous checkpoint survives");
+            Checkpoint::load(&path, fp, &RealIo).expect("the previous checkpoint survives");
 
             let resumed = try_simulate_checkpointed(
                 &cfg,

@@ -10,6 +10,10 @@
 //! returned. Output order therefore never depends on thread timing: a
 //! parallel run is element-for-element identical to a serial one.
 //!
+//! It is the only pool of sweep workers: [`crate::supervise`] runs each
+//! supervised cell inside `map_parallel` too, and `clippy.toml` refuses
+//! `std::thread::scope` in the modules that deny `disallowed_methods`.
+//!
 //! Schedulers are built *inside* the closure on the worker thread — the
 //! `Box<dyn AccessScheduler>` trait objects are not `Send`, but the plain
 //! config values ([`crate::SystemConfig`], `SpecBenchmark`, `Mechanism`)
@@ -41,8 +45,7 @@ pub fn default_jobs() -> usize {
 
 /// Resolves a `--jobs`-style request against the amount of work: `0` means
 /// auto-detect, and there is never a point in more workers than items.
-/// Shared with the supervised executor (`crate::supervisor`).
-pub(crate) fn effective_jobs(jobs: usize, items: usize) -> usize {
+fn effective_jobs(jobs: usize, items: usize) -> usize {
     let requested = if jobs == 0 { default_jobs() } else { jobs };
     requested.min(items).max(1)
 }

@@ -14,7 +14,7 @@ use burst_workloads::SpecBenchmark;
 
 use crate::checkpoint::{try_simulate_checkpointed, CheckpointPolicy, CheckpointedRunError};
 use crate::simio::{real_io, SimIo};
-use crate::supervisor::{supervise_with, CellError, CellOutcome, FailureKind, SupervisorConfig};
+use crate::supervisor::{supervise, CellError, CellOutcome, FailureKind, SupervisorConfig};
 use crate::{simulate, try_simulate, Journal, RunLength, SimReport, SystemConfig};
 
 /// Per-sweep checkpoint plan: where each cell writes its mid-run
@@ -279,7 +279,7 @@ impl Sweep {
         let base_cfg = *base;
         let run_plan = ckpt.cloned();
         let run_scope = scope.to_string();
-        let outcomes = supervise_with(
+        let outcomes = supervise(
             &items,
             jobs,
             sup,
@@ -315,9 +315,7 @@ impl Sweep {
                 match outcome {
                     CellOutcome::Done { value, attempts } => {
                         let path = ckpt.map(|plan| plan.cell_path(scope, b, m));
-                        if let Err(e) =
-                            j.record_with_checkpoint(&key, *attempts, value, path.as_deref())
-                        {
+                        if let Err(e) = j.record(&key, *attempts, value, path.as_deref()) {
                             // A broken journal must not fail the sweep: the
                             // results are still in memory; only resumability
                             // of this cell is lost.
@@ -923,7 +921,7 @@ mod tests {
         let path = dir.join("sweep.journal");
         let fp = crate::journal::fingerprint("experiments-test");
         let first = {
-            let journal = crate::Journal::create(&path, fp).unwrap();
+            let journal = crate::Journal::create(&path, fp, real_io()).unwrap();
             Sweep::run_supervised(
                 "sweep",
                 &base,
@@ -938,7 +936,7 @@ mod tests {
             )
         };
         assert!(first.ok());
-        let journal = crate::Journal::resume(&path, fp).unwrap();
+        let journal = crate::Journal::resume(&path, fp, real_io()).unwrap();
         assert_eq!(journal.completed_cells(), 2);
         let second = Sweep::run_supervised(
             "sweep",
@@ -976,7 +974,7 @@ mod tests {
         let jpath = dir.join("sweep.journal");
         let plain = Sweep::run(&base, &bs, &ms, len, 1, 1);
         let first = {
-            let journal = crate::Journal::create(&jpath, fp).unwrap();
+            let journal = crate::Journal::create(&jpath, fp, real_io()).unwrap();
             Sweep::run_supervised(
                 "sweep",
                 &base,
@@ -1002,7 +1000,7 @@ mod tests {
         }
         // The journal records each cell's checkpoint path; a resumed sweep
         // garbage-collects stale checkpoint files a crash left behind.
-        let journal = crate::Journal::resume(&jpath, fp).unwrap();
+        let journal = crate::Journal::resume(&jpath, fp, real_io()).unwrap();
         let stale = plan.cell_path("sweep", bs[0], ms[0]);
         std::fs::write(&stale, b"stale").unwrap();
         let second = Sweep::run_supervised(

@@ -71,7 +71,7 @@ use std::sync::{Arc, Mutex};
 
 use burst_snap::{SnapReader, SnapWriter};
 
-use crate::simio::{real_io, IoSite, SimIo};
+use crate::simio::{IoSite, SimIo};
 use crate::supervisor::FailureKind;
 use crate::SimReport;
 
@@ -192,22 +192,14 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Creates (truncating) a fresh journal bound to `fingerprint`.
+    /// Creates (truncating) a fresh journal bound to `fingerprint`, with
+    /// every write going through `io` ([`crate::simio::real_io`] in
+    /// production, a [`crate::simio::ChaosIo`] under the chaos matrix).
     ///
     /// # Errors
     ///
     /// Any filesystem error creating or syncing the file.
-    pub fn create(path: impl Into<PathBuf>, fingerprint: u64) -> Result<Journal, JournalError> {
-        Self::create_with_io(path, fingerprint, real_io())
-    }
-
-    /// [`Journal::create`] through an injectable filesystem — the chaos
-    /// seam. Production callers use [`Journal::create`].
-    ///
-    /// # Errors
-    ///
-    /// Any filesystem error creating or syncing the file.
-    pub fn create_with_io(
+    pub fn create(
         path: impl Into<PathBuf>,
         fingerprint: u64,
         io: Arc<dyn SimIo>,
@@ -236,10 +228,11 @@ impl Journal {
         })
     }
 
-    /// Opens an existing journal for resume: loads every completed cell,
-    /// verifies the fingerprint, and positions the handle for appending.
-    /// A missing file is not an error — it becomes a fresh journal, so
-    /// `--resume` is safe to use on the very first run of a pipeline.
+    /// Opens an existing journal for resume through `io`: loads every
+    /// completed cell, verifies the fingerprint, and positions the handle
+    /// for appending. A missing file is not an error — it becomes a fresh
+    /// journal, so `--resume` is safe to use on the very first run of a
+    /// pipeline.
     ///
     /// # Errors
     ///
@@ -248,24 +241,14 @@ impl Journal {
     /// the header is absent, [`JournalError::UnsupportedVersion`] when it
     /// names another format version, [`JournalError::DuplicateCell`] when two
     /// records claim one cell, or any I/O failure.
-    pub fn resume(path: impl Into<PathBuf>, fingerprint: u64) -> Result<Journal, JournalError> {
-        Self::resume_with_io(path, fingerprint, real_io())
-    }
-
-    /// [`Journal::resume`] through an injectable filesystem — the chaos
-    /// seam. Production callers use [`Journal::resume`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Journal::resume`].
-    pub fn resume_with_io(
+    pub fn resume(
         path: impl Into<PathBuf>,
         fingerprint: u64,
         io: Arc<dyn SimIo>,
     ) -> Result<Journal, JournalError> {
         let path = path.into();
         if !path.exists() {
-            return Self::create_with_io(path, fingerprint, io);
+            return Self::create(path, fingerprint, io);
         }
         let bytes = io.read(IoSite::JournalRead, &path)?;
         let text = String::from_utf8(bytes).map_err(|_| {
@@ -386,25 +369,17 @@ impl Journal {
     /// Appends one completed cell and fsyncs before returning, so a crash
     /// immediately afterwards cannot lose the record. `key` must contain
     /// no whitespace (sweep keys are `scope/benchmark/mechanism`).
-    ///
-    /// # Errors
-    ///
-    /// Any filesystem error writing or syncing; also a key that cannot be
-    /// represented in the line format (empty, or containing whitespace).
-    pub fn record(&self, key: &str, attempts: u32, report: &SimReport) -> Result<(), JournalError> {
-        self.record_with_checkpoint(key, attempts, report, None)
-    }
-
-    /// [`Journal::record`] with the cell's checkpoint-file path attached,
-    /// so resumed sweeps can garbage-collect it once the cell is known
-    /// complete. The path must be whitespace-free (the journal is
+    /// `checkpoint` names the cell's checkpoint file, if it had one, so
+    /// resumed sweeps can garbage-collect it once the cell is known
+    /// complete; the path must be whitespace-free (the journal is
     /// line-and-space delimited).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Journal::record`], plus a checkpoint path
-    /// containing whitespace.
-    pub fn record_with_checkpoint(
+    /// Any filesystem error writing or syncing; also a key or checkpoint
+    /// path that cannot be represented in the line format (empty, or
+    /// containing whitespace).
+    pub fn record(
         &self,
         key: &str,
         attempts: u32,
@@ -565,6 +540,7 @@ fn from_hex(hex: &str) -> Option<Vec<u8>> {
 )]
 mod tests {
     use super::*;
+    use crate::simio::real_io;
     use crate::{try_simulate, EngineStats, RobustnessReport, RunLength, System, SystemConfig};
     use burst_core::{CtrlStats, Mechanism};
     use burst_dram::BusStats;
@@ -708,11 +684,11 @@ mod tests {
         let fp = fingerprint("test-config");
         let report = sample_report();
         {
-            let j = Journal::create(&path, fp).expect("create");
-            j.record("sweep/swim/Burst_TH52", 2, &report)
+            let j = Journal::create(&path, fp, real_io()).expect("create");
+            j.record("sweep/swim/Burst_TH52", 2, &report, None)
                 .expect("record");
         }
-        let j = Journal::resume(&path, fp).expect("resume");
+        let j = Journal::resume(&path, fp, real_io()).expect("resume");
         assert_eq!(j.completed_cells(), 1);
         assert_eq!(j.ignored_lines(), 0);
         let entry = j.lookup("sweep/swim/Burst_TH52").expect("present");
@@ -730,18 +706,18 @@ mod tests {
         let fp = fingerprint("ckpt");
         let report = sample_report();
         {
-            let j = Journal::create(&path, fp).expect("create");
-            j.record_with_checkpoint(
+            let j = Journal::create(&path, fp, real_io()).expect("create");
+            j.record(
                 "sweep/swim/Burst_TH52",
                 1,
                 &report,
                 Some(Path::new("/tmp/ckpts/sweep-swim-Burst_TH52.ckpt")),
             )
             .expect("record with checkpoint");
-            j.record("sweep/swim/BkInOrder", 1, &report)
+            j.record("sweep/swim/BkInOrder", 1, &report, None)
                 .expect("record without checkpoint");
             assert!(
-                j.record_with_checkpoint(
+                j.record(
                     "sweep/swim/Burst_RP",
                     1,
                     &report,
@@ -751,7 +727,7 @@ mod tests {
                 "whitespace paths cannot be represented"
             );
         }
-        let j = Journal::resume(&path, fp).expect("resume");
+        let j = Journal::resume(&path, fp, real_io()).expect("resume");
         assert_eq!(j.completed_cells(), 2);
         assert_eq!(
             j.lookup("sweep/swim/Burst_TH52").unwrap().checkpoint,
@@ -768,8 +744,8 @@ mod tests {
         let dir = std::env::temp_dir().join("burst-journal-test-fpm");
         let path = dir.join("sweep.journal");
         let _ = std::fs::remove_file(&path);
-        Journal::create(&path, 1).expect("create");
-        let err = Journal::resume(&path, 2).expect_err("must refuse");
+        Journal::create(&path, 1, real_io()).expect("create");
+        let err = Journal::resume(&path, 2, real_io()).expect_err("must refuse");
         assert!(
             matches!(err, JournalError::FingerprintMismatch { .. }),
             "{err}"
@@ -788,7 +764,7 @@ mod tests {
              ok sweep/swim/Burst_TH52 1 Burst_TH52|swim|1|2|3\n"
         );
         std::fs::write(&path, &old).expect("write v1 journal");
-        let err = Journal::resume(&path, fp).expect_err("v1 must be refused");
+        let err = Journal::resume(&path, fp, real_io()).expect_err("v1 must be refused");
         assert!(
             matches!(err, JournalError::UnsupportedVersion(1)),
             "{err:?}"
@@ -810,8 +786,8 @@ mod tests {
         let fp = fingerprint("tail");
         let report = sample_report();
         {
-            let j = Journal::create(&path, fp).expect("create");
-            j.record("sweep/swim/Burst_TH52", 1, &report)
+            let j = Journal::create(&path, fp, real_io()).expect("create");
+            j.record("sweep/swim/Burst_TH52", 1, &report, None)
                 .expect("record");
         }
         // Simulate a crash mid-append: a record missing its newline.
@@ -820,7 +796,7 @@ mod tests {
             let mut f = OpenOptions::new().append(true).open(&path).expect("open");
             write!(f, "ok sweep/swim/BkInOrder 1 trunca").expect("write");
         }
-        let j = Journal::resume(&path, fp).expect("resume");
+        let j = Journal::resume(&path, fp, real_io()).expect("resume");
         assert_eq!(j.completed_cells(), 1, "whole records only");
         assert_eq!(j.ignored_lines(), 1, "truncated tail is counted");
         let _ = std::fs::remove_file(&path);
@@ -831,7 +807,7 @@ mod tests {
         let dir = std::env::temp_dir().join("burst-journal-test-fresh");
         let path = dir.join("does-not-exist.journal");
         let _ = std::fs::remove_file(&path);
-        let j = Journal::resume(&path, 7).expect("fresh journal");
+        let j = Journal::resume(&path, 7, real_io()).expect("fresh journal");
         assert_eq!(j.completed_cells(), 0);
         assert!(path.exists(), "fresh journal file is created");
         let _ = std::fs::remove_file(&path);
@@ -845,8 +821,8 @@ mod tests {
         let fp = fingerprint("dup");
         let report = sample_report();
         {
-            let j = Journal::create(&path, fp).expect("create");
-            j.record("sweep/swim/Burst_TH52", 1, &report)
+            let j = Journal::create(&path, fp, real_io()).expect("create");
+            j.record("sweep/swim/Burst_TH52", 1, &report, None)
                 .expect("record");
         }
         // Splice a second record for the same cell, as a hand edit or a
@@ -865,7 +841,7 @@ mod tests {
                 .to_string();
             writeln!(f, "{record}").expect("write");
         }
-        let err = Journal::resume(&path, fp).expect_err("duplicates must be refused");
+        let err = Journal::resume(&path, fp, real_io()).expect_err("duplicates must be refused");
         assert!(
             matches!(err, JournalError::DuplicateCell { ref key } if key == "sweep/swim/Burst_TH52"),
             "{err}"
@@ -881,8 +857,8 @@ mod tests {
         let fp = fingerprint("quar");
         let report = sample_report();
         {
-            let j = Journal::create(&path, fp).expect("create");
-            j.record("sweep/swim/Burst_TH52", 1, &report)
+            let j = Journal::create(&path, fp, real_io()).expect("create");
+            j.record("sweep/swim/Burst_TH52", 1, &report, None)
                 .expect("record");
             j.record_quarantine(
                 "sweep/mcf/BkInOrder",
@@ -895,7 +871,7 @@ mod tests {
                 .record_quarantine("bad key", FailureKind::Panic, 1, "x")
                 .is_err());
         }
-        let j = Journal::resume(&path, fp).expect("resume");
+        let j = Journal::resume(&path, fp, real_io()).expect("resume");
         assert_eq!(j.completed_cells(), 1);
         assert_eq!(j.quarantined_cells(), 1);
         let q = j.lookup_quarantine("sweep/mcf/BkInOrder").expect("present");
@@ -913,8 +889,56 @@ mod tests {
                 .expect("open");
             writeln!(f, "quarantine sweep/swim/Burst_TH52 panic 2 boom").expect("write");
         }
-        let err = Journal::resume(&path, fp).expect_err("conflict must be refused");
+        let err = Journal::resume(&path, fp, real_io()).expect_err("conflict must be refused");
         assert!(matches!(err, JournalError::DuplicateCell { .. }), "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn quarantine_of_a_retired_failure_kind_is_ignored_and_the_cell_reruns() {
+        use crate::experiments::Sweep;
+        use crate::supervisor::SupervisorConfig;
+        let dir = std::env::temp_dir().join("burst-journal-test-retired-kind");
+        let path = dir.join("sweep.journal");
+        let _ = std::fs::remove_file(&path);
+        let fp = fingerprint("retired-kind");
+        let key = crate::cell_key("t", SpecBenchmark::Swim, Mechanism::BkInOrder);
+        drop(Journal::create(&path, fp, real_io()).expect("create"));
+        // `injected` is not in the failure taxonomy, so the record is an
+        // unparseable line, not a quarantine.
+        {
+            use std::io::Write;
+            let mut f = OpenOptions::new().append(true).open(&path).expect("open");
+            writeln!(
+                f,
+                "quarantine {key} injected 3 injected transient fault (cell 0, attempt 2)"
+            )
+            .expect("write");
+        }
+        let j = Journal::resume(&path, fp, real_io()).expect("the journal is not refused");
+        assert_eq!(j.ignored_lines(), 1);
+        assert_eq!(j.quarantined_cells(), 0);
+        let sup = SupervisorConfig {
+            backoff_base_ms: 0,
+            ..SupervisorConfig::default()
+        };
+        let run = Sweep::run_supervised(
+            "t",
+            &SystemConfig::baseline(),
+            &[SpecBenchmark::Swim],
+            &[Mechanism::BkInOrder],
+            RunLength::Instructions(2_000),
+            11,
+            1,
+            &sup,
+            Some(&j),
+            None,
+        );
+        assert!(run.ok(), "{:?}", run.failures);
+        assert_eq!(run.resumed, 0, "the cell re-ran");
+        drop(j);
+        let j = Journal::resume(&path, fp, real_io()).expect("resume");
+        assert!(j.lookup(&key).is_some(), "the re-run is on record");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -935,15 +959,15 @@ mod tests {
                 IoFaultKind::Torn,
                 1,
             ));
-            let j = Journal::create_with_io(&path, fp, io).expect("create");
+            let j = Journal::create(&path, fp, io).expect("create");
             assert!(
-                j.record("sweep/swim/Burst_TH52", 1, &report).is_err(),
+                j.record("sweep/swim/Burst_TH52", 1, &report, None).is_err(),
                 "torn append must surface as an error"
             );
-            j.record("sweep/swim/BkInOrder", 1, &report)
+            j.record("sweep/swim/BkInOrder", 1, &report, None)
                 .expect("append after the heal succeeds");
         }
-        let j = Journal::resume(&path, fp).expect("resume");
+        let j = Journal::resume(&path, fp, real_io()).expect("resume");
         assert!(
             j.lookup("sweep/swim/BkInOrder").is_some(),
             "the record after the torn one must survive"
@@ -960,10 +984,10 @@ mod tests {
         let dir = std::env::temp_dir().join("burst-journal-test-keys");
         let path = dir.join("sweep.journal");
         let _ = std::fs::remove_file(&path);
-        let j = Journal::create(&path, 3).expect("create");
+        let j = Journal::create(&path, 3, real_io()).expect("create");
         let report = sample_report();
-        assert!(j.record("bad key", 1, &report).is_err());
-        assert!(j.record("", 1, &report).is_err());
+        assert!(j.record("bad key", 1, &report, None).is_err());
+        assert!(j.record("", 1, &report, None).is_err());
         let _ = std::fs::remove_file(&path);
     }
 }

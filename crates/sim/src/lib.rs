@@ -57,8 +57,7 @@ pub use oracle::{
 pub use profile::PhaseProfile;
 pub use simio::{real_io, ChaosIo, IoFaultKind, IoSite, RealIo, SimIo};
 pub use supervisor::{
-    supervise, supervise_with, CellError, CellOutcome, FailureKind, SupervisorConfig,
-    TransientFaultPlan,
+    supervise, CellError, CellOutcome, FailureKind, SupervisorConfig, TransientFaultPlan,
 };
 pub use system::{
     simulate, try_simulate, ChunkOutcome, ComponentHashes, Engine, EngineStats, RobustnessReport,

@@ -4,7 +4,8 @@
 //! parallelism, but one misbehaving `(benchmark, mechanism)` cell — a
 //! panic in a scheduler, a latched [`crate::RunError`] stall, or a cell
 //! that simply wedges — used to tear down the whole multi-minute sweep.
-//! [`supervise`] keeps the blast radius to the cell itself:
+//! [`supervise`] runs every cell on `map_parallel`'s workers and keeps the
+//! blast radius to the cell itself:
 //!
 //! * every attempt runs under [`std::panic::catch_unwind`], so a panicking
 //!   cell becomes a structured [`CellOutcome::Failed`] record while its
@@ -14,8 +15,8 @@
 //!   thread is leaked by design — it holds no locks the supervisor cares
 //!   about, and the process exits after the sweep);
 //! * failed cells get bounded retries with deterministic backoff, and a
-//!   [`TransientFaultPlan`] can deterministically fail attempts to test
-//!   exactly that machinery (see `crates/core/src/faults.rs`);
+//!   [`TransientFaultPlan`] can deterministically panic attempts to test
+//!   exactly that machinery;
 //! * results come back in input order, like `map_parallel`, so a
 //!   supervised sweep is element-for-element comparable to a plain one.
 //!
@@ -39,19 +40,19 @@
 )]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
-pub use burst_core::TransientFaultPlan;
+use burst_core::splitmix64;
 
 use crate::RunError;
 
 /// Why a cell failed — the sweep failure taxonomy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FailureKind {
-    /// The cell's closure panicked.
+    /// The cell's closure panicked, or [`SupervisorConfig::inject`]
+    /// panicked the attempt.
     Panic,
     /// The simulation latched a [`RunError::ControllerStall`].
     ControllerStall,
@@ -59,8 +60,6 @@ pub enum FailureKind {
     RetirementStall,
     /// The attempt exceeded the per-cell wall-clock deadline.
     Deadline,
-    /// A [`TransientFaultPlan`] deliberately failed the attempt.
-    Injected,
     /// Anything else a cell closure reports (e.g. invalid configuration).
     Other,
 }
@@ -73,7 +72,6 @@ impl FailureKind {
             FailureKind::ControllerStall => "controller-stall",
             FailureKind::RetirementStall => "retirement-stall",
             FailureKind::Deadline => "deadline",
-            FailureKind::Injected => "injected",
             FailureKind::Other => "other",
         }
     }
@@ -85,13 +83,12 @@ impl FailureKind {
     }
 
     /// Every kind, in taxonomy-table order.
-    pub fn all() -> [FailureKind; 6] {
+    pub fn all() -> [FailureKind; 5] {
         [
             FailureKind::Panic,
             FailureKind::ControllerStall,
             FailureKind::RetirementStall,
             FailureKind::Deadline,
-            FailureKind::Injected,
             FailureKind::Other,
         ]
     }
@@ -174,6 +171,57 @@ impl<R> CellOutcome<R> {
     }
 }
 
+/// Deterministic cell-level transient faults for the supervisor.
+///
+/// Where [`burst_core::FaultConfig`] injects faults into individual memory
+/// accesses *inside* a simulation, this plan panics whole attempts of
+/// `(benchmark, mechanism)` sweep cells — modelling the operational
+/// failures (spurious panics, OOM kills) a long evaluation run meets in
+/// practice. The decision is a pure function of `(seed, cell, attempt)`
+/// built on [`splitmix64`], so a sweep with the same seed fails the same
+/// cells on the same attempts on any host.
+///
+/// Because a cell can fault on at most [`TransientFaultPlan::max_failures`]
+/// attempts, a supervisor granting at least that many retries always
+/// converges to the fault-free result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TransientFaultPlan {
+    /// Seed of the deterministic decision hash.
+    pub seed: u64,
+    /// Probability a given attempt of a given cell fails, in permille.
+    pub fail_permille: u32,
+    /// Attempts `>= max_failures` never fail: bounds the retries any one
+    /// cell can absorb and guarantees convergence when the supervisor
+    /// grants `max_failures` retries or more.
+    pub max_failures: u32,
+}
+
+impl TransientFaultPlan {
+    /// A moderately hostile default: 25% of first attempts fail, no cell
+    /// fails more than twice.
+    pub fn new(seed: u64) -> Self {
+        TransientFaultPlan {
+            seed,
+            fail_permille: 250,
+            max_failures: 2,
+        }
+    }
+
+    /// Whether attempt number `attempt` (0-based) of cell `cell` fails.
+    ///
+    /// Pure and stateless: same `(seed, cell, attempt)` always yields the
+    /// same answer.
+    pub fn should_fail(&self, cell: u64, attempt: u32) -> bool {
+        if attempt >= self.max_failures || self.fail_permille == 0 {
+            return false;
+        }
+        let key = self.seed.wrapping_mul(0xD6E8_FEB8_6659_FD93)
+            ^ cell.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            ^ (u64::from(attempt) << 48);
+        splitmix64(key) % 1000 < u64::from(self.fail_permille)
+    }
+}
+
 /// Supervision policy: deadlines, retry budget, backoff, fault injection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorConfig {
@@ -187,14 +235,11 @@ pub struct SupervisorConfig {
     /// Base of the deterministic backoff: retry `k` (0-based) sleeps
     /// `backoff_base_ms << min(k, 6)` milliseconds. Zero disables sleeping.
     pub backoff_base_ms: u64,
-    /// Deterministic transient-fault injection, failing whole attempts —
-    /// the test harness for the retry machinery itself.
+    /// Deterministic fault injection: the selected attempts panic from
+    /// inside the supervised closure, so tests and the chaos study can
+    /// prove the catch_unwind isolation, the retries and the quarantine
+    /// path on compute-side crashes.
     pub inject: Option<TransientFaultPlan>,
-    /// Deterministic *panic* injection: the selected attempts panic from
-    /// inside the supervised closure (rather than failing cleanly), so
-    /// the chaos matrix can prove the catch_unwind isolation and the
-    /// quarantine path on compute-side crashes.
-    pub inject_panics: Option<TransientFaultPlan>,
 }
 
 impl Default for SupervisorConfig {
@@ -204,7 +249,6 @@ impl Default for SupervisorConfig {
             max_retries: 2,
             backoff_base_ms: 10,
             inject: None,
-            inject_panics: None,
         }
     }
 }
@@ -216,8 +260,8 @@ impl SupervisorConfig {
     }
 }
 
-/// Fires the deterministic panic-injection hook for this attempt, if the
-/// plan selects it. Called from *inside* the supervised closure's
+/// Fires [`SupervisorConfig::inject`] for this attempt, if the plan
+/// selects it. Called from *inside* the supervised closure's
 /// catch_unwind scope, so the panic exercises the real isolation path.
 fn maybe_inject_panic(plan: Option<TransientFaultPlan>, idx: usize, attempt: u32) {
     #[expect(
@@ -254,10 +298,10 @@ where
     R: Send + 'static,
     F: Fn(usize, &T, u32) -> Result<R, CellError> + Send + Sync + 'static,
 {
-    let inject_panics = cfg.inject_panics;
+    let inject = cfg.inject;
     let Some(deadline) = cfg.deadline else {
         return match catch_unwind(AssertUnwindSafe(|| {
-            maybe_inject_panic(inject_panics, idx, attempt);
+            maybe_inject_panic(inject, idx, attempt);
             f(idx, item, attempt)
         })) {
             Ok(result) => result,
@@ -274,7 +318,7 @@ where
         .name(format!("cell-{idx}-attempt-{attempt}"))
         .spawn(move || {
             let result = catch_unwind(AssertUnwindSafe(|| {
-                maybe_inject_panic(inject_panics, idx, attempt);
+                maybe_inject_panic(inject, idx, attempt);
                 f(idx, &item, attempt)
             }));
             // The receiver may be gone (deadline already expired); that is
@@ -308,8 +352,8 @@ where
     }
 }
 
-/// Runs one cell to its final outcome: inject, attempt, retry with
-/// deterministic backoff, give up after the retry budget.
+/// Runs one cell to its final outcome: attempt, retry with deterministic
+/// backoff, give up after the retry budget.
 fn run_cell<T, R, F>(cfg: &SupervisorConfig, f: &Arc<F>, idx: usize, item: &T) -> CellOutcome<R>
 where
     T: Clone + Send + Sync + 'static,
@@ -318,24 +362,14 @@ where
 {
     let mut attempt = 0u32;
     loop {
-        let injected = cfg
-            .inject
-            .is_some_and(|plan| plan.should_fail(idx as u64, attempt));
-        let error = if injected {
-            CellError {
-                kind: FailureKind::Injected,
-                payload: format!("injected transient fault (cell {idx}, attempt {attempt})"),
-            }
-        } else {
-            match run_attempt(f, idx, item, attempt, cfg) {
-                Ok(value) => {
-                    return CellOutcome::Done {
-                        value,
-                        attempts: attempt + 1,
-                    }
+        let error = match run_attempt(f, idx, item, attempt, cfg) {
+            Ok(value) => {
+                return CellOutcome::Done {
+                    value,
+                    attempts: attempt + 1,
                 }
-                Err(e) => e,
             }
+            Err(e) => e,
         };
         if attempt >= cfg.max_retries {
             return CellOutcome::Failed {
@@ -352,37 +386,23 @@ where
     }
 }
 
-/// Applies `f` to every element of `items` on up to `jobs` worker threads
-/// (`0` = auto-detect) under crash isolation, returning one
-/// [`CellOutcome`] per item in input order.
+/// Applies `f` to every element of `items` on [`crate::map_parallel`]'s
+/// workers (`jobs`, `0` = auto-detect) under crash isolation, returning
+/// one [`CellOutcome`] per item in input order.
 ///
-/// Unlike [`crate::map_parallel`], a panicking, erroring or
+/// Unlike a plain `map_parallel`, a panicking, erroring or
 /// deadline-exceeding cell never propagates: it yields
 /// [`CellOutcome::Failed`] and every other cell still runs. Note that the
 /// default panic hook still prints to stderr when a cell panics; sweeps
 /// with expected failures stay noisy but alive.
-pub fn supervise<T, R, F>(
-    items: &[T],
-    jobs: usize,
-    cfg: &SupervisorConfig,
-    f: F,
-) -> Vec<CellOutcome<R>>
-where
-    T: Clone + Send + Sync + 'static,
-    R: Send + 'static,
-    F: Fn(usize, &T, u32) -> Result<R, CellError> + Send + Sync + 'static,
-{
-    supervise_with(items, jobs, cfg, f, |_, _| {})
-}
-
-/// [`supervise`] plus an `on_complete` hook invoked on the worker thread
-/// the moment each cell's final outcome is known — *before* remaining
-/// cells finish. This is the journalling seam: persisting each completed
-/// cell immediately (rather than after the whole sweep) is what bounds a
-/// crash's damage to the cell in flight. The hook runs on the supervisor's
-/// scoped workers, so unlike the cell closure it may borrow from the
-/// caller; it must be cheap and must not panic.
-pub fn supervise_with<T, R, F, C>(
+///
+/// `on_complete` is invoked on the worker thread the moment each cell's
+/// final outcome is known — *before* remaining cells finish. This is the
+/// journalling seam: persisting each completed cell immediately (rather
+/// than after the whole sweep) is what bounds a crash's damage to the
+/// cell in flight. Unlike the cell closure it may borrow from the caller;
+/// it must be cheap and must not panic.
+pub fn supervise<T, R, F, C>(
     items: &[T],
     jobs: usize,
     cfg: &SupervisorConfig,
@@ -396,68 +416,17 @@ where
     C: Fn(usize, &CellOutcome<R>) + Sync,
 {
     let f = Arc::new(f);
-    let jobs = crate::executor::effective_jobs(jobs, items.len());
-    if jobs <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let outcome = run_cell(cfg, &f, i, t);
-                on_complete(i, &outcome);
-                outcome
-            })
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<CellOutcome<R>>>> = {
-        let mut v = Vec::with_capacity(items.len());
-        v.resize_with(items.len(), || None);
-        Mutex::new(v)
-    };
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| {
-                let mut local: Vec<(usize, CellOutcome<R>)> = Vec::new();
-                loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(idx) else { break };
-                    let outcome = run_cell(cfg, &f, idx, item);
-                    on_complete(idx, &outcome);
-                    local.push((idx, outcome));
-                }
-                let mut slots = slots.lock().unwrap_or_else(|e| e.into_inner());
-                for (idx, outcome) in local {
-                    // `idx` came from the shared counter, so it is always
-                    // in range; `get_mut` keeps the supervisor itself
-                    // panic-free even if that invariant ever breaks.
-                    if let Some(slot) = slots.get_mut(idx) {
-                        *slot = Some(outcome);
-                    }
-                }
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            // Unreachable in practice: every index below items.len() is
-            // claimed exactly once and run_cell never unwinds (attempts
-            // are caught). Produce a Failed record rather than panicking.
-            slot.unwrap_or_else(|| CellOutcome::Failed {
-                kind: FailureKind::Other,
-                attempts: 0,
-                payload: format!("supervisor lost the outcome of cell {i}"),
-            })
-        })
-        .collect()
+    crate::map_parallel(items, jobs, |idx, item| {
+        let outcome = run_cell(cfg, &f, idx, item);
+        on_complete(idx, &outcome);
+        outcome
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     fn quiet_cfg() -> SupervisorConfig {
         SupervisorConfig {
@@ -469,10 +438,19 @@ mod tests {
     #[test]
     fn all_ok_cells_match_input_order() {
         let items: Vec<u64> = (0..40).collect();
-        let outcomes = supervise(&items, 4, &quiet_cfg(), |i, &x, _| {
-            Ok(x * 10 + i as u64 % 10)
-        });
+        let completed = AtomicU32::new(0);
+        let outcomes = supervise(
+            &items,
+            4,
+            &quiet_cfg(),
+            |i, &x, _| Ok(x * 10 + i as u64 % 10),
+            |_, o| {
+                assert!(o.is_done());
+                completed.fetch_add(1, Ordering::SeqCst);
+            },
+        );
         assert_eq!(outcomes.len(), 40);
+        assert_eq!(completed.into_inner(), 40, "one hook call per cell");
         for (i, o) in outcomes.into_iter().enumerate() {
             match o {
                 CellOutcome::Done { value, attempts } => {
@@ -487,12 +465,18 @@ mod tests {
     #[test]
     fn panicking_cell_fails_alone_and_in_place() {
         let items: Vec<u32> = (0..9).collect();
-        let outcomes = supervise(&items, 3, &quiet_cfg(), |_, &x, _| {
-            if x == 4 {
-                panic!("cell four exploded");
-            }
-            Ok(x)
-        });
+        let outcomes = supervise(
+            &items,
+            3,
+            &quiet_cfg(),
+            |_, &x, _| {
+                if x == 4 {
+                    panic!("cell four exploded");
+                }
+                Ok(x)
+            },
+            |_, _| {},
+        );
         for (i, o) in outcomes.iter().enumerate() {
             if i == 4 {
                 let CellOutcome::Failed {
@@ -520,17 +504,22 @@ mod tests {
 
     #[test]
     fn transient_error_succeeds_on_retry() {
-        use std::sync::atomic::AtomicU32;
         let tries = Arc::new(AtomicU32::new(0));
         let seen = Arc::clone(&tries);
-        let outcomes = supervise(&[7u8], 1, &quiet_cfg(), move |_, &x, attempt| {
-            seen.fetch_add(1, Ordering::SeqCst);
-            if attempt == 0 {
-                Err(CellError::other("first attempt wobbles"))
-            } else {
-                Ok(u32::from(x))
-            }
-        });
+        let outcomes = supervise(
+            &[7u8],
+            1,
+            &quiet_cfg(),
+            move |_, &x, attempt| {
+                seen.fetch_add(1, Ordering::SeqCst);
+                if attempt == 0 {
+                    Err(CellError::other("first attempt wobbles"))
+                } else {
+                    Ok(u32::from(x))
+                }
+            },
+            |_, _| {},
+        );
         assert_eq!(
             outcomes[0],
             CellOutcome::Done {
@@ -547,9 +536,13 @@ mod tests {
             max_retries: 1,
             ..quiet_cfg()
         };
-        let outcomes: Vec<CellOutcome<()>> = supervise(&[0u8], 1, &cfg, |_, _, _| {
-            Err(CellError::other("always down"))
-        });
+        let outcomes: Vec<CellOutcome<()>> = supervise(
+            &[0u8],
+            1,
+            &cfg,
+            |_, _, _| Err(CellError::other("always down")),
+            |_, _| {},
+        );
         assert_eq!(
             outcomes[0],
             CellOutcome::Failed {
@@ -567,13 +560,19 @@ mod tests {
             max_retries: 0,
             ..quiet_cfg()
         };
-        let outcomes = supervise(&[0u8, 1, 2], 2, &cfg, |_, &x, _| {
-            if x == 1 {
-                // Wedge far past the deadline; the supervisor abandons us.
-                std::thread::sleep(Duration::from_secs(5));
-            }
-            Ok(x)
-        });
+        let outcomes = supervise(
+            &[0u8, 1, 2],
+            2,
+            &cfg,
+            |_, &x, _| {
+                if x == 1 {
+                    // Wedge far past the deadline; the supervisor abandons us.
+                    std::thread::sleep(Duration::from_secs(5));
+                }
+                Ok(x)
+            },
+            |_, _| {},
+        );
         assert!(outcomes[0].is_done());
         assert!(outcomes[2].is_done());
         let CellOutcome::Failed { kind, .. } = &outcomes[1] else {
@@ -595,7 +594,7 @@ mod tests {
             ..quiet_cfg()
         };
         let items: Vec<u64> = (0..8).collect();
-        let outcomes = supervise(&items, 2, &cfg, |_, &x, _| Ok(x));
+        let outcomes = supervise(&items, 2, &cfg, |_, &x, _| Ok(x), |_, _| {});
         for (i, o) in outcomes.into_iter().enumerate() {
             assert_eq!(
                 o,
@@ -603,7 +602,7 @@ mod tests {
                     value: i as u64,
                     attempts: 3
                 },
-                "two injected failures, then success"
+                "two injected panics, then success"
             );
         }
     }
@@ -623,23 +622,26 @@ mod tests {
     fn injected_panics_are_isolated_and_converge() {
         let plan = TransientFaultPlan {
             seed: 5,
-            fail_permille: 1000,
+            fail_permille: 500,
             max_failures: 1,
         };
         let cfg = SupervisorConfig {
-            inject_panics: Some(plan),
+            inject: Some(plan),
             ..quiet_cfg()
         };
-        let items: Vec<u64> = (0..6).collect();
-        let outcomes = supervise(&items, 2, &cfg, |_, &x, _| Ok(x));
+        let items: Vec<u64> = (0..16).collect();
+        let outcomes = supervise(&items, 2, &cfg, |_, &x, _| Ok(x), |_, _| {});
+        let hit = (0..16).filter(|&c| plan.should_fail(c, 0)).count();
+        assert!(0 < hit && hit < 16, "the plan spares some cells: {hit}");
         for (i, o) in outcomes.into_iter().enumerate() {
+            let attempts = if plan.should_fail(i as u64, 0) { 2 } else { 1 };
             assert_eq!(
                 o,
                 CellOutcome::Done {
                     value: i as u64,
-                    attempts: 2
+                    attempts
                 },
-                "one injected panic, then success"
+                "a panicking attempt costs its own cell one retry, no other cell"
             );
         }
     }
@@ -653,11 +655,12 @@ mod tests {
         };
         let cfg = SupervisorConfig {
             deadline: Some(Duration::from_secs(30)),
-            inject_panics: Some(plan),
+            inject: Some(plan),
             max_retries: 1,
             ..quiet_cfg()
         };
-        let outcomes: Vec<CellOutcome<u8>> = supervise(&[9u8], 1, &cfg, |_, &x, _| Ok(x));
+        let outcomes: Vec<CellOutcome<u8>> =
+            supervise(&[9u8], 1, &cfg, |_, &x, _| Ok(x), |_, _| {});
         let CellOutcome::Failed {
             kind,
             attempts,
@@ -677,6 +680,29 @@ mod tests {
             assert_eq!(FailureKind::from_name(k.name()), Some(k));
         }
         assert_eq!(FailureKind::from_name("warp"), None);
+        assert_eq!(FailureKind::from_name("injected"), None, "retired kind");
+    }
+
+    #[test]
+    fn transient_plan_is_deterministic_and_bounded() {
+        let plan = TransientFaultPlan::new(99);
+        for cell in 0..200u64 {
+            for attempt in 0..4u32 {
+                assert_eq!(
+                    plan.should_fail(cell, attempt),
+                    plan.should_fail(cell, attempt)
+                );
+            }
+            // Attempts past max_failures never fail: retries converge.
+            for attempt in plan.max_failures..plan.max_failures + 8 {
+                assert!(!plan.should_fail(cell, attempt));
+            }
+        }
+        let first_attempt_failures = (0..1000u64).filter(|&c| plan.should_fail(c, 0)).count();
+        assert!(
+            (150..350).contains(&first_attempt_failures),
+            "25% target, got {first_attempt_failures}/1000"
+        );
     }
 
     #[test]

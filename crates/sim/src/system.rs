@@ -45,7 +45,9 @@ pub struct SystemConfig {
     pub dram: DramConfig,
     /// Address mapping scheme (Table 3: page interleaving).
     pub mapping: AddressMapping,
-    /// Memory-controller pool and policy.
+    /// Memory-controller pool and policy, including the deterministic
+    /// device-fault plan ([`CtrlConfig::faults`]; see
+    /// [`SystemConfig::with_faults`]).
     pub ctrl: CtrlConfig,
     /// CPU core and cache hierarchy.
     pub cpu: CpuConfig,
@@ -61,10 +63,6 @@ pub struct SystemConfig {
     /// debug builds (tests) and off in release builds (benchmarks), since
     /// shadowing every command costs simulation speed.
     pub checker: bool,
-    /// Deterministic fault-injection plan (ECC-correctable read errors and
-    /// write retries). `None` simulates a fault-free device. When set, it
-    /// overrides `ctrl.faults`.
-    pub faults: Option<FaultConfig>,
     /// Which simulation engine advances the clock (see [`Engine`]). Both
     /// engines produce bit-identical results; they differ only in how many
     /// cycles they execute explicitly.
@@ -130,7 +128,6 @@ impl SystemConfig {
             mechanism: Mechanism::BkInOrder,
             warm_mem_ops: 100_000,
             checker: cfg!(debug_assertions),
-            faults: None,
             engine: Engine::Event,
         }
     }
@@ -148,9 +145,11 @@ impl SystemConfig {
         self
     }
 
-    /// Sets the fault-injection plan (`None` disables injection).
+    /// Sets the deterministic device-fault plan, `ctrl.faults`
+    /// (ECC-correctable read errors and write retries); `None` simulates a
+    /// fault-free device.
     pub fn with_faults(mut self, faults: Option<FaultConfig>) -> Self {
-        self.faults = faults;
+        self.ctrl.faults = faults;
         self
     }
 
@@ -225,7 +224,7 @@ impl SystemConfig {
                 return err("burst threshold cannot exceed the write queue capacity");
             }
         }
-        if let Some(f) = self.faults {
+        if let Some(f) = self.ctrl.faults {
             if f.read_error_permille > 1000 || f.write_retry_permille > 1000 {
                 return err("fault rates are per-mille and cannot exceed 1000");
             }
@@ -233,18 +232,16 @@ impl SystemConfig {
         Ok(())
     }
 
-    /// The scheduler [`System::new`] builds: the configured mechanism, with
-    /// the system-level fault plan folded into the controller configuration.
-    /// [`Engine::CycleNoSkip`] gets the mechanism's per-cycle reference
-    /// ([`Mechanism::build_reference`]), the event engine its fast scheduler.
+    /// The scheduler [`System::new`] builds: the configured mechanism over
+    /// `ctrl`. [`Engine::CycleNoSkip`] gets the mechanism's per-cycle
+    /// reference ([`Mechanism::build_reference`]), the event engine its
+    /// fast scheduler.
     pub fn scheduler(&self) -> Box<dyn AccessScheduler> {
-        let mut ctrl = self.ctrl;
-        if self.faults.is_some() {
-            ctrl.faults = self.faults;
-        }
         match self.engine {
-            Engine::Event => self.mechanism.build(ctrl, self.dram.geometry),
-            Engine::CycleNoSkip => self.mechanism.build_reference(ctrl, self.dram.geometry),
+            Engine::Event => self.mechanism.build(self.ctrl, self.dram.geometry),
+            Engine::CycleNoSkip => self
+                .mechanism
+                .build_reference(self.ctrl, self.dram.geometry),
         }
     }
 }

@@ -16,7 +16,7 @@ use burst_sim::experiments::Sweep;
 use burst_sim::export::sweep_to_csv;
 use burst_sim::journal::fingerprint;
 use burst_sim::{
-    cell_key, ChaosIo, CheckpointPlan, FailureKind, IoSite, Journal, RunLength, SimIo,
+    cell_key, real_io, ChaosIo, CheckpointPlan, FailureKind, IoSite, Journal, RunLength, SimIo,
     SupervisorConfig,
 };
 use burst_workloads::SpecBenchmark;
@@ -66,7 +66,7 @@ fn complete_journal_bytes() -> &'static (Vec<u8>, String) {
     FIXTURE.get_or_init(|| {
         let path = tmp("complete.journal");
         let _ = std::fs::remove_file(&path);
-        let journal = Journal::create(&path, fp()).expect("create journal");
+        let journal = Journal::create(&path, fp(), real_io()).expect("create journal");
         let sup = run_with_journal(&journal);
         assert!(sup.failures.is_empty(), "clean run must complete");
         let reference = sweep_to_csv(&sup.value);
@@ -98,7 +98,7 @@ fn check_truncation_at(bytes: &[u8], reference: &str, offset: usize, scratch: &P
 
     let _ = std::fs::remove_file(scratch);
     std::fs::write(scratch, &bytes[..offset]).expect("write truncated copy");
-    match Journal::resume(scratch, fp()) {
+    match Journal::resume(scratch, fp(), real_io()) {
         Ok(journal) => {
             let mut state: Vec<String> = Vec::new();
             for &b in &BENCHES {
@@ -219,14 +219,14 @@ fn resume_skips_quarantined_cells_and_gcs_their_checkpoints() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
     let path = dir.join("sweep.journal");
-    let journal = Journal::create(&path, fp()).expect("create");
+    let journal = Journal::create(&path, fp(), real_io()).expect("create");
     let key = cell_key("sweep", SpecBenchmark::Swim, Mechanism::BurstTh(52));
     journal
         .record_quarantine(&key, FailureKind::Panic, 3, "injected panic (cell 1)")
         .expect("quarantine record");
     drop(journal);
 
-    let journal = Journal::resume(&path, fp()).expect("resume");
+    let journal = Journal::resume(&path, fp(), real_io()).expect("resume");
     assert_eq!(journal.quarantined_cells(), 1);
     let plan = CheckpointPlan::new(500, dir.clone(), fp());
     let stale = plan.cell_path("sweep", SpecBenchmark::Swim, Mechanism::BurstTh(52));
@@ -320,7 +320,7 @@ fn scripted_torn_append_recovers_on_clean_resume() {
         burst_sim::IoFaultKind::Torn,
         1,
     ));
-    let journal = Journal::create_with_io(&path, fp(), Arc::clone(&io)).expect("create");
+    let journal = Journal::create(&path, fp(), Arc::clone(&io)).expect("create");
     let faulted = run_with_journal(&journal);
     assert!(
         faulted.failures.is_empty(),
@@ -328,7 +328,7 @@ fn scripted_torn_append_recovers_on_clean_resume() {
     );
     drop(journal);
 
-    let journal = Journal::resume(&path, fp()).expect("clean resume");
+    let journal = Journal::resume(&path, fp(), real_io()).expect("clean resume");
     let recovered = run_with_journal(&journal);
     assert!(recovered.failures.is_empty());
     assert_eq!(

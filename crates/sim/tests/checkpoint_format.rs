@@ -14,7 +14,7 @@ use std::sync::OnceLock;
 use burst_core::Mechanism;
 use burst_sim::journal::fingerprint;
 use burst_sim::{
-    try_simulate, try_simulate_checkpointed, Checkpoint, CheckpointError, CheckpointPolicy,
+    try_simulate, try_simulate_checkpointed, Checkpoint, CheckpointError, CheckpointPolicy, RealIo,
     RunCursor, RunLength, System, SystemConfig,
 };
 use burst_snap::SnapWriter;
@@ -56,7 +56,8 @@ fn real_checkpoint() -> &'static (Vec<u8>, usize) {
         )
         .expect("capture");
         let path = tmp("real.ckpt");
-        ckpt.save(&path).expect("save");
+        ckpt.save_with(&path, &mut SnapWriter::new(), true)
+            .expect("save");
         let bytes = std::fs::read(&path).expect("read back");
         let _ = std::fs::remove_file(&path);
         let body_start = bytes.len() - ckpt.body.len();
@@ -88,7 +89,7 @@ proptest! {
         bad[offset] ^= mask;
         let path = tmp(&format!("flip-{offset}-{mask}.ckpt"));
         std::fs::write(&path, &bad).expect("write flipped file");
-        let got = Checkpoint::load(&path, fingerprint("flip"));
+        let got = Checkpoint::load(&path, fingerprint("flip"), &RealIo);
         let _ = std::fs::remove_file(&path);
         prop_assert!(
             matches!(got, Err(CheckpointError::HashMismatch { .. })),
@@ -111,7 +112,7 @@ proptest! {
         bad[offset] ^= mask;
         let path = tmp(&format!("anyflip-{offset}-{mask}.ckpt"));
         std::fs::write(&path, &bad).expect("write flipped file");
-        let got = Checkpoint::load(&path, fingerprint("flip"));
+        let got = Checkpoint::load(&path, fingerprint("flip"), &RealIo);
         let _ = std::fs::remove_file(&path);
         prop_assert!(got.is_err(), "flip {mask:#04x} at {offset} loaded");
     }
@@ -144,7 +145,7 @@ fn a_version_1_checkpoint_is_refused_and_the_cell_restarts_fresh() {
         w.bytes(&[0; 64]);
         std::fs::write(&path, w.as_slice()).expect("write old-version file");
 
-        let got = Checkpoint::load(&path, fp);
+        let got = Checkpoint::load(&path, fp, &RealIo);
         assert!(
             matches!(got, Err(CheckpointError::UnsupportedVersion(v)) if v == version),
             "version {version} gave {got:?}"

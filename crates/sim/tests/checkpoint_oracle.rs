@@ -15,8 +15,9 @@ use burst_core::Mechanism;
 use burst_sim::journal::fingerprint;
 use burst_sim::{
     oracle_simulate, try_simulate, Checkpoint, ChunkOutcome, OracleConfig, OracleError,
-    PerturbKind, Perturbation, RunCursor, RunLength, System, SystemConfig,
+    PerturbKind, Perturbation, RealIo, RunCursor, RunLength, System, SystemConfig,
 };
+use burst_snap::SnapWriter;
 use burst_workloads::{CountingSource, SpecBenchmark};
 use proptest::prelude::*;
 
@@ -76,12 +77,12 @@ proptest! {
         }
         Checkpoint::capture(&sys, fp, w.consumed(), cursor)
             .expect("capture")
-            .save(&path)
+            .save_with(&path, &mut SnapWriter::new(), true)
             .expect("save");
         drop(sys);
 
         // Reload from disk into a fresh system and continue to the end.
-        let ckpt = Checkpoint::load(&path, fp).expect("load");
+        let ckpt = Checkpoint::load(&path, fp, &RealIo).expect("load");
         let _ = std::fs::remove_file(&path);
         let mut sys = System::new(&cfg);
         ckpt.restore_into(&mut sys).expect("restore");

@@ -12,32 +12,33 @@ use burst_sim::{simulate, Engine, RunLength, SimReport, System, SystemConfig};
 use burst_workloads::SpecBenchmark;
 use proptest::prelude::*;
 
-fn config(mechanism: Mechanism, engine: Engine) -> SystemConfig {
-    SystemConfig::baseline()
-        .with_mechanism(mechanism)
-        .with_warm_mem_ops(5_000)
-        .with_engine(engine)
+fn base() -> SystemConfig {
+    SystemConfig::baseline().with_warm_mem_ops(5_000)
 }
 
-/// Runs `bench` on `dram` under both engines, asserts the reports are
-/// equal and returns the event engine's.
+fn config(mechanism: Mechanism, engine: Engine) -> SystemConfig {
+    base().with_mechanism(mechanism).with_engine(engine)
+}
+
+/// Runs `bench` on the machine `base` under both engines, asserts the
+/// reports are equal and returns the event engine's.
 fn engines_agree_on(
-    dram: DramConfig,
+    base: SystemConfig,
     m: Mechanism,
     bench: SpecBenchmark,
     seed: u64,
     len: RunLength,
 ) -> SimReport {
-    let cfg = |engine| config(m, engine).with_dram(dram);
+    let cfg = |engine| base.with_mechanism(m).with_engine(engine);
     let reference = simulate(&cfg(Engine::CycleNoSkip), bench.workload(seed), len);
     let event = simulate(&cfg(Engine::Event), bench.workload(seed), len);
     assert_eq!(event, reference, "event engine changed {}", m.name());
     event
 }
 
-/// [`engines_agree_on`] the baseline device.
+/// [`engines_agree_on`] the baseline machine.
 fn engines_agree(m: Mechanism, bench: SpecBenchmark, seed: u64, len: RunLength) -> SimReport {
-    engines_agree_on(DramConfig::baseline(), m, bench, seed, len)
+    engines_agree_on(base(), m, bench, seed, len)
 }
 
 #[test]
@@ -68,12 +69,34 @@ fn every_engine_is_bit_identical_across_two_mask_words() {
     dram.geometry.banks_per_rank = 16;
     for m in Mechanism::all() {
         engines_agree_on(
-            dram,
+            base().with_dram(dram),
             m,
             SpecBenchmark::Swim,
             13,
             RunLength::Instructions(2_000),
         );
+    }
+}
+
+#[test]
+fn every_engine_is_bit_identical_at_a_short_escalation_age() {
+    // At the default escalation age nothing escalates at this scale. At
+    // 200 cycles, after the baseline cache warm-up, every mechanism
+    // escalates on swim, so the escalation paths (Burst's drain
+    // escalation, Intel's cached oldest write) are held to the reference
+    // too. After this file's shorter warm-up, breaking either path left
+    // both engines' reports unchanged.
+    let mut short = SystemConfig::baseline();
+    short.ctrl.watchdog.escalate_age = 200;
+    for m in Mechanism::all() {
+        let event = engines_agree_on(
+            short,
+            m,
+            SpecBenchmark::Swim,
+            13,
+            RunLength::Instructions(2_000),
+        );
+        assert!(event.ctrl.escalations > 0, "{} never escalated", m.name());
     }
 }
 

@@ -15,7 +15,7 @@ use burst_workloads::{OpSource, SpecBenchmark};
 fn checker_defaults_on_in_debug_builds() {
     let cfg = SystemConfig::baseline();
     assert_eq!(cfg.checker, cfg!(debug_assertions));
-    assert!(cfg.faults.is_none(), "fault-free by default");
+    assert!(cfg.ctrl.faults.is_none(), "fault-free by default");
 }
 
 /// Acceptance: with the checker shadowing every command, all Table 4
@@ -105,6 +105,44 @@ fn different_fault_seeds_differ() {
         report(2),
         "distinct seeds should produce distinct fault plans"
     );
+}
+
+/// `validate` checks the one device-fault plan, `ctrl.faults`, whether it
+/// was set directly or through `with_faults`.
+#[test]
+fn validate_rejects_out_of_range_ctrl_fault_rates() {
+    let mut cfg = SystemConfig::baseline();
+    cfg.ctrl.faults = Some(FaultConfig {
+        read_error_permille: 1001,
+        ..FaultConfig::new(1)
+    });
+    let err = cfg.validate().expect_err("1001 permille is out of range");
+    assert!(err.to_string().contains("per-mille"), "{err}");
+    let fixed = cfg.with_faults(Some(FaultConfig::new(1)));
+    fixed.validate().expect("in-range rates are valid");
+}
+
+/// `with_faults(None)` turns injection off, even when the plan was set
+/// on `ctrl.faults` directly.
+#[test]
+fn with_faults_none_turns_ctrl_fault_injection_off() {
+    let mut cfg = SystemConfig::baseline().with_mechanism(Mechanism::BurstTh(52));
+    cfg.ctrl.faults = Some(FaultConfig {
+        read_error_permille: 80,
+        write_retry_permille: 80,
+        ..FaultConfig::new(7)
+    });
+    let run = |cfg: &SystemConfig| {
+        simulate(
+            cfg,
+            SpecBenchmark::Swim.workload(11),
+            RunLength::Instructions(8_000),
+        )
+        .robustness
+        .faults_injected
+    };
+    assert!(run(&cfg) > 0, "the ctrl plan injects");
+    assert_eq!(run(&cfg.with_faults(None)), 0, "None means fault-free");
 }
 
 /// A scheduler that accepts accesses but never issues a transaction — the

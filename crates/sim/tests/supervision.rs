@@ -14,8 +14,8 @@ use burst_sim::experiments::Sweep;
 use burst_sim::export::sweep_to_csv;
 use burst_sim::journal::fingerprint;
 use burst_sim::{
-    supervise, CellOutcome, FailureKind, Journal, RunLength, SupervisorConfig, SystemConfig,
-    TransientFaultPlan,
+    real_io, supervise, CellOutcome, FailureKind, Journal, RunLength, SupervisorConfig,
+    SystemConfig, TransientFaultPlan,
 };
 use burst_workloads::SpecBenchmark;
 
@@ -35,12 +35,18 @@ fn panicking_cell_is_isolated_and_siblings_complete_in_order() {
         max_retries: 1,
         ..no_backoff()
     };
-    let outcomes = supervise(&items, 4, &cfg, |_, &x, _| {
-        if x == 3 {
-            panic!("cell {x} exploded");
-        }
-        Ok(x * 10)
-    });
+    let outcomes = supervise(
+        &items,
+        4,
+        &cfg,
+        |_, &x, _| {
+            if x == 3 {
+                panic!("cell {x} exploded");
+            }
+            Ok(x * 10)
+        },
+        |_, _| {},
+    );
     assert_eq!(outcomes.len(), items.len());
     for (i, outcome) in outcomes.into_iter().enumerate() {
         if i == 3 {
@@ -72,12 +78,18 @@ fn deadline_expiry_is_isolated() {
         max_retries: 0,
         ..no_backoff()
     };
-    let outcomes = supervise(&items, 2, &cfg, |_, &x, _| {
-        if x == 1 {
-            std::thread::sleep(Duration::from_millis(400));
-        }
-        Ok(x)
-    });
+    let outcomes = supervise(
+        &items,
+        2,
+        &cfg,
+        |_, &x, _| {
+            if x == 1 {
+                std::thread::sleep(Duration::from_millis(400));
+            }
+            Ok(x)
+        },
+        |_, _| {},
+    );
     for (i, outcome) in outcomes.into_iter().enumerate() {
         if i == 1 {
             match outcome {
@@ -98,7 +110,7 @@ fn deadline_expiry_is_isolated() {
 fn outcomes_preserve_item_order_across_job_counts() {
     let items: Vec<u64> = (0..32).collect();
     for jobs in [1usize, 3, 8] {
-        let outcomes = supervise(&items, jobs, &no_backoff(), |_, &x, _| Ok(x + 1));
+        let outcomes = supervise(&items, jobs, &no_backoff(), |_, &x, _| Ok(x + 1), |_, _| {});
         let values: Vec<u64> = outcomes
             .into_iter()
             .map(|o| o.value().expect("all cells succeed"))
@@ -108,7 +120,7 @@ fn outcomes_preserve_item_order_across_job_counts() {
 }
 
 /// Proptest-style acceptance: across many fault-plan seeds, a sweep whose
-/// attempts fail transiently converges — after retries — to exactly the
+/// attempts panic transiently converges — after retries — to exactly the
 /// reports of a fault-free sweep. The injection plan's `max_failures`
 /// bound guarantees convergence whenever the supervisor grants at least
 /// that many retries.
@@ -195,7 +207,7 @@ fn truncated_journal_resume_reproduces_byte_identical_csv() {
 
     let fp = fingerprint("supervision itest v1");
     {
-        let journal = Journal::create(&path, fp).expect("create journal");
+        let journal = Journal::create(&path, fp, real_io()).expect("create journal");
         assert!(run(Some(&journal)).ok());
     }
     // Simulate a SIGKILL mid-append: chop the file inside the last record,
@@ -204,7 +216,7 @@ fn truncated_journal_resume_reproduces_byte_identical_csv() {
     assert!(bytes.ends_with(b"\n"));
     std::fs::write(&path, &bytes[..bytes.len() - 10]).expect("truncate journal");
 
-    let journal = Journal::resume(&path, fp).expect("resume journal");
+    let journal = Journal::resume(&path, fp, real_io()).expect("resume journal");
     assert!(journal.completed_cells() < total, "tail record was dropped");
     assert!(journal.completed_cells() > 0, "whole records survive");
     assert_eq!(journal.ignored_lines(), 1, "exactly the truncated tail");
