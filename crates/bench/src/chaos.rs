@@ -167,7 +167,6 @@ fn run_cycle(cfg: &MatrixConfig, dir: &Path, io: Arc<dyn SimIo>) -> Result<(), S
         every: cfg.checkpoint_every,
         dir: dir.to_path_buf(),
         fingerprint: fp,
-        durable: true,
         io: Arc::clone(io),
     };
     // Phase A: fresh journal, first run.
@@ -218,7 +217,6 @@ fn clean_resume_verdict(cfg: &MatrixConfig, dir: &Path, reference: &str) -> Verd
         every: cfg.checkpoint_every,
         dir: dir.to_path_buf(),
         fingerprint: fp,
-        durable: true,
         io,
     };
     let sup = Sweep::run_supervised(

@@ -70,8 +70,6 @@ pub enum Kind {
     Benchmarks(fn(&mut HarnessOptions, Vec<SpecBenchmark>)),
     /// Seconds a [`std::time::Duration`] can hold.
     Seconds(fn(&mut HarnessOptions, f64)),
-    /// `true` or `false`.
-    Boolean(fn(&mut HarnessOptions, bool)),
     /// An [`IoSite`] name.
     ChaosSite(fn(&mut HarnessOptions, IoSite)),
     /// An [`IoFaultKind`] name.
@@ -89,7 +87,6 @@ impl Kind {
             Kind::Engine(_) => "NAME",
             Kind::Benchmarks(_) => "a,b,c",
             Kind::Seconds(_) => "SECS",
-            Kind::Boolean(_) => "BOOL",
             Kind::ChaosSite(_) => "SITE",
             Kind::ChaosKind(_) => "KIND",
         }
@@ -133,14 +130,6 @@ impl Kind {
                     .ok()
                     .filter(|&s| std::time::Duration::try_from_secs_f64(s).is_ok())
                     .ok_or("seconds >= 0")?,
-            ),
-            Kind::Boolean(set) => set(
-                opts,
-                match value {
-                    "true" => true,
-                    "false" => false,
-                    _ => return Err("true or false".into()),
-                },
             ),
             Kind::ChaosSite(set) => set(
                 opts,
@@ -220,9 +209,6 @@ pub const FLAGS: &[Flag] = &[
     Flag { name: "--checkpoint-dir", group: Group::Recovery, default: "",
         kind: Kind::Path(|o, p| o.checkpoint_dir = Some(p)),
         help: "directory for the per-cell *.ckpt files (default: the current directory)" },
-    Flag { name: "--checkpoint-durable", group: Group::Grid, default: "true",
-        kind: Kind::Boolean(|o, b| o.checkpoint_durable = b),
-        help: "fsync each checkpoint before its atomic rename" },
     Flag { name: "--oracle", group: Group::Oracle, default: "",
         kind: Kind::Switch(|o| o.oracle = true),
         help: "run the study's mechanisms in lockstep against the per-cycle engine instead" },

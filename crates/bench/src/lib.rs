@@ -68,10 +68,6 @@ pub struct HarnessOptions {
     pub checkpoint_every: u64,
     /// Directory for per-cell `*.ckpt` files (default: the current one).
     pub checkpoint_dir: Option<std::path::PathBuf>,
-    /// Whether checkpoint writes fsync before their atomic rename. `false`
-    /// is far cheaper, but a power loss can tear a checkpoint; a torn file
-    /// is detected on load and the cell restarts from scratch.
-    pub checkpoint_durable: bool,
     /// Run the lockstep oracle (skip-enabled vs per-cycle engine, state
     /// hashes compared every epoch) instead of the study.
     pub oracle: bool,
@@ -103,7 +99,6 @@ impl HarnessOptions {
             max_retries: 2,
             checkpoint_every: 0,
             checkpoint_dir: None,
-            checkpoint_durable: true,
             oracle: false,
             chaos_seed: None,
             chaos_site: None,
@@ -204,7 +199,6 @@ impl HarnessOptions {
                 .clone()
                 .unwrap_or_else(|| std::path::PathBuf::from(".")),
             fingerprint: burst_sim::journal::fingerprint(&self.fingerprint_desc()),
-            durable: self.checkpoint_durable,
             io,
         })
     }
@@ -609,37 +603,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_checkpoint_durability() {
-        // Durable by default, and durability never affects the fingerprint.
-        let o = ok("fig7", &["--checkpoint-every", "1000"]);
-        assert!(o.checkpoint_durable);
-        assert_eq!(o.checkpoint_plan(o.sim_io()).map(|p| p.durable), Some(true));
-        let o = ok(
-            "fig7",
-            &[
-                "--checkpoint-every",
-                "1000",
-                "--checkpoint-durable",
-                "false",
-            ],
-        );
-        assert!(!o.checkpoint_durable);
-        assert_eq!(
-            o.checkpoint_plan(o.sim_io()).map(|p| p.durable),
-            Some(false)
-        );
-        assert_eq!(
-            o.fingerprint_desc(),
-            ok("fig7", &["--checkpoint-every", "1000"]).fingerprint_desc(),
-            "durability changes no result, so it must not invalidate journals"
-        );
-        // Only `true` and `false` are accepted.
-        for bad in ["warp", "yes", "1"] {
-            assert!(parse("fig7", &["--checkpoint-durable", bad]).is_err());
-        }
-    }
-
-    #[test]
     fn parses_jobs_and_csv() {
         let o = ok(
             "fig7",
@@ -666,7 +629,6 @@ mod tests {
             Kind::Engine(_) => "cycle-noskip",
             Kind::Benchmarks(_) => "swim,mcf",
             Kind::Seconds(_) => "0.5",
-            Kind::Boolean(_) => "false",
             Kind::ChaosSite(_) => "journal-append",
             Kind::ChaosKind(_) => "torn",
         })

@@ -108,6 +108,50 @@ pub struct Ongoing {
     pub started: bool,
 }
 
+/// A bank's ongoing-access slot as [`Core::slot`] found it: the handle the
+/// controller gives each bank arbiter (paper Figure 5), which decides for
+/// one slot at a time. Only this module builds the handles, and the calls
+/// that change a slot consume them, so an arbiter installs only into a
+/// slot that is vacant and preempts only the access it was shown.
+#[derive(Debug)]
+pub enum Slot {
+    /// No access is ongoing; [`Core::install`] fills it.
+    Vacant(Vacant),
+    /// An access is ongoing; [`Core::preempt`] may displace it.
+    Occupied(Occupied),
+}
+
+impl Slot {
+    /// The global bank index of the slot.
+    pub fn bank(&self) -> usize {
+        match self {
+            Slot::Vacant(Vacant(bank)) | Slot::Occupied(Occupied(bank, _)) => *bank,
+        }
+    }
+}
+
+/// The handle of a vacant slot: its global bank index. Only
+/// [`Core::slot`] builds one, so no code outside this module can forge a
+/// handle to install into a slot it was not shown vacant:
+///
+/// ```compile_fail,E0603
+/// let slot = burst_core::engine::Vacant(0);
+/// ```
+#[derive(Debug)]
+pub struct Vacant(usize);
+
+/// The handle of an occupied slot: its global bank index and a copy of its
+/// ongoing access.
+#[derive(Debug)]
+pub struct Occupied(usize, Access);
+
+impl Occupied {
+    /// The slot's ongoing access.
+    pub fn access(&self) -> &Access {
+        &self.1
+    }
+}
+
 /// A schedulable transaction: one bank's ongoing access whose next
 /// transaction is unblocked at the current cycle.
 #[derive(Debug, Clone, Copy)]
@@ -136,7 +180,11 @@ pub struct Candidate {
     pub escalated: bool,
 }
 
-/// Shared bookkeeping core embedded by each mechanism.
+/// Shared bookkeeping core embedded by each mechanism. It owns every
+/// bank's ongoing-access slot: an arbiter changes one only by consuming
+/// the [`Slot`] handle the controller read for it ([`Core::install`],
+/// [`Core::preempt`]), and the slot empties when its access's column
+/// command issues ([`Core::issue_candidate`]).
 #[derive(Debug)]
 pub struct Core {
     cfg: CtrlConfig,
@@ -186,7 +234,7 @@ pub struct Core {
     /// (derived state, absent from checkpoints). The last candidate scan
     /// sets it to the minimum of the slots' cached bounds, which is at
     /// most the scan's `now` when a slot was unblocked, and `Cycle::MAX`
-    /// for an empty channel. An install ([`Core::set_ongoing`]) or an
+    /// for an empty channel. An install ([`Core::install`]) or an
     /// issue ([`Core::issue_candidate`]) on the channel zeroes it; a slot
     /// leaving only shrinks the set it bounds; other channels' issues
     /// touch none of its banks' timing; and a refresh is caught by the
@@ -358,19 +406,19 @@ impl Core {
         self.ongoing[bank].as_ref()
     }
 
-    /// Installs `access` as the bank's ongoing access.
-    ///
-    /// # Errors
-    ///
-    /// Returns the access back if the slot is already occupied — a bank
-    /// arbiter bug that previously only debug-asserted; in release builds
-    /// it silently dropped the displaced access. Callers must handle or
-    /// `expect` the result.
-    #[must_use = "an occupied slot returns the access back; dropping it loses the access"]
-    pub fn set_ongoing(&mut self, bank: usize, access: Access) -> Result<(), Access> {
-        if self.ongoing[bank].is_some() {
-            return Err(access);
+    /// The handle for `bank`'s slot as it stands: vacant, or occupied by
+    /// its ongoing access. The controller reads it before each arbiter
+    /// visit ([`Slot`]).
+    pub fn slot(&self, bank: usize) -> Slot {
+        match &self.ongoing[bank] {
+            None => Slot::Vacant(Vacant(bank)),
+            Some(og) => Slot::Occupied(Occupied(bank, og.access)),
         }
+    }
+
+    /// Installs `access` as the ongoing access of the vacant slot `slot`.
+    pub fn install(&mut self, slot: Vacant, access: Access) {
+        let Vacant(bank) = slot;
         let entry = (access.id, bank, access.loc.rank);
         let entry_is_write = access.kind == AccessKind::Write;
         self.ongoing[bank] = Some(Ongoing {
@@ -391,32 +439,34 @@ impl Core {
                 _ => self.oldest_ongoing[chan] = Some(entry),
             }
         }
-        Ok(())
     }
 
-    /// Marks the steering cache for `chan` after the ongoing access of
-    /// `bank` left its slot: removing anything but the tracked minimum
-    /// leaves the minimum intact.
-    fn note_ongoing_removed(&mut self, chan: usize, bank: usize) {
+    /// Read preemption (paper Figure 5 lines 9-11): `read` takes over the
+    /// occupied slot `slot`, and the displaced access comes back for its
+    /// queue. Counts the preemption.
+    pub fn preempt(&mut self, slot: Occupied, read: Access) -> Access {
+        let Occupied(bank, access) = slot;
+        self.vacate(bank);
+        self.install(Vacant(bank), read);
+        self.stats.preemptions += 1;
+        access
+    }
+
+    /// Empties `bank`'s slot and keeps the derived slot state in step.
+    fn vacate(&mut self, bank: usize) {
+        self.ongoing[bank] = None;
+        self.occupied.remove(bank);
+        self.writing.remove(bank);
+        self.cand_cache[bank] = None;
+        let chan = bank / self.banks_per_channel();
+        // Removing anything but the tracked steering minimum leaves the
+        // minimum intact.
         if !self.ongoing_dirty[chan] {
             match self.oldest_ongoing[chan] {
                 Some((_, b, _)) if b != bank => {}
                 _ => self.ongoing_dirty[chan] = true,
             }
         }
-    }
-
-    /// Removes and returns the bank's ongoing access (read preemption).
-    pub fn clear_ongoing(&mut self, bank: usize) -> Option<Access> {
-        let taken = self.ongoing[bank].take().map(|o| o.access);
-        if taken.is_some() {
-            self.occupied.remove(bank);
-            self.writing.remove(bank);
-            self.cand_cache[bank] = None;
-            let chan = bank / self.banks_per_channel();
-            self.note_ongoing_removed(chan, bank);
-        }
-        taken
     }
 
     /// Derives the next transaction for an access at `loc`: column access on
@@ -448,6 +498,7 @@ impl Core {
         core::iter::from_fn(move || {
             let found = bankset::next_in(from, range.end, |w| occupied.word(w))?;
             from = found + 1;
+            #[expect(clippy::expect_used, reason = "`occupied` mirrors `ongoing` exactly")]
             let og = ongoing[found]
                 .as_ref()
                 .expect("occupied bit set on an empty slot");
@@ -577,21 +628,20 @@ impl Core {
         completions: &mut Vec<Completion>,
     ) -> bool {
         let chan = usize::from(cand.loc.channel);
+        #[expect(clippy::expect_used, reason = "candidates come from occupied slots")]
+        let og = self.ongoing[cand.bank]
+            .as_mut()
+            .expect("candidate without ongoing access");
+        let access = og.access;
         // Classify on first transaction issue.
-        {
-            let state = dram.channel(chan).row_state(cand.loc);
-            let og = self.ongoing[cand.bank]
-                .as_mut()
-                .expect("candidate without ongoing access");
-            if !og.started {
-                og.started = true;
-                self.stats.classify(state);
-                // Count each access that begins service past the watchdog's
-                // escalation age exactly once, regardless of which arbiter
-                // path promoted it.
-                if cand.escalated {
-                    self.stats.escalations += 1;
-                }
+        if !og.started {
+            og.started = true;
+            self.stats.classify(dram.channel(chan).row_state(cand.loc));
+            // Count each access that begins service past the watchdog's
+            // escalation age exactly once, regardless of which arbiter
+            // path promoted it.
+            if cand.escalated {
+                self.stats.escalations += 1;
             }
         }
         let issued = dram.channel_mut(chan).issue(&cand.cmd, now);
@@ -604,29 +654,22 @@ impl Core {
         self.last_rank[chan] = Some(cand.loc.rank);
         self.last_progress = now;
         if cand.cmd.is_column() {
-            let og = self.ongoing[cand.bank]
-                .take()
-                .expect("column without ongoing access");
-            self.occupied.remove(cand.bank);
-            self.writing.remove(cand.bank);
-            self.note_ongoing_removed(chan, cand.bank);
+            self.vacate(cand.bank);
             // Fault injection: the data transfer happened but is declared
             // bad (ECC read error / write CRC retry). The access stays
             // outstanding and re-enters its queue via `take_retries`.
             if let Some(fc) = self.cfg.faults {
-                let attempt = self.attempts.get(&og.access.id).copied().unwrap_or(0);
-                if attempt < fc.max_retries
-                    && fc.should_fault(og.access.id, og.access.kind, attempt)
-                {
-                    self.attempts.insert(og.access.id, attempt + 1);
+                let attempt = self.attempts.get(&access.id).copied().unwrap_or(0);
+                if attempt < fc.max_retries && fc.should_fault(access.id, access.kind, attempt) {
+                    self.attempts.insert(access.id, attempt + 1);
                     self.stats.faults_injected += 1;
                     self.stats.retries += 1;
-                    self.retry_pending.push(og.access);
+                    self.retry_pending.push(access);
                     return true;
                 }
             }
-            let latency = issued.data_end - og.access.arrival;
-            match og.access.kind {
+            let latency = issued.data_end - access.arrival;
+            match access.kind {
                 AccessKind::Read => {
                     self.stats.read_done(latency);
                     self.reads_outstanding -= 1;
@@ -636,14 +679,14 @@ impl Core {
                     self.writes_outstanding -= 1;
                 }
             }
-            self.ages.remove(og.access.id);
+            self.ages.remove(access.id);
             if self.cfg.faults.is_some() {
-                self.attempts.remove(&og.access.id);
+                self.attempts.remove(&access.id);
             }
             self.stats.max_access_age = self.stats.max_access_age.max(latency);
             completions.push(Completion {
-                id: og.access.id,
-                kind: og.access.kind,
+                id: access.id,
+                kind: access.kind,
                 done_at: issued.data_end,
                 latency,
                 forwarded: false,
@@ -1040,6 +1083,14 @@ mod tests {
         Access::new(AccessId::new(id), kind, PhysAddr::new(0), loc, 0)
     }
 
+    /// Installs `access` into the slot of its bank, which must be vacant.
+    fn install(core: &mut Core, access: Access) {
+        let Slot::Vacant(slot) = core.slot(core.global_bank(access.loc)) else {
+            panic!("the slot of {:?} is occupied", access.loc);
+        };
+        core.install(slot, access);
+    }
+
     #[test]
     fn global_bank_is_dense_and_unique() {
         let (core, _) = setup();
@@ -1087,7 +1138,7 @@ mod tests {
         let loc = Loc::new(0, 0, 0, 5, 0);
         let acc = access(1, AccessKind::Read, loc);
         core.note_arrival(&acc);
-        core.set_ongoing(core.global_bank(loc), acc).unwrap();
+        install(&mut core, acc);
         let mut done = Vec::new();
         let mut cands = Vec::new();
         let mut now = 0;
@@ -1130,10 +1181,8 @@ mod tests {
         let (mut core, _) = setup();
         let l1 = Loc::new(0, 2, 1, 5, 0);
         let l2 = Loc::new(0, 1, 0, 9, 0);
-        core.set_ongoing(core.global_bank(l1), access(10, AccessKind::Read, l1))
-            .unwrap();
-        core.set_ongoing(core.global_bank(l2), access(3, AccessKind::Read, l2))
-            .unwrap();
+        install(&mut core, access(10, AccessKind::Read, l1));
+        install(&mut core, access(3, AccessKind::Read, l2));
         core.steer_to_oldest(0);
         let (bank, rank) = core.last_target(0);
         assert_eq!(bank, Some(core.global_bank(l2)));
@@ -1141,31 +1190,33 @@ mod tests {
     }
 
     #[test]
-    fn clear_ongoing_returns_access() {
+    fn preempt_installs_the_read_and_returns_the_displaced_access() {
         let (mut core, _) = setup();
         let loc = Loc::new(0, 0, 0, 5, 0);
-        core.set_ongoing(0, access(7, AccessKind::Write, loc))
-            .unwrap();
-        let got = core.clear_ongoing(0).expect("was set");
-        assert_eq!(got.id, AccessId::new(7));
-        assert!(core.ongoing(0).is_none());
+        install(&mut core, access(7, AccessKind::Write, loc));
+        assert_eq!(core.writing_word(0), 1);
+        let Slot::Occupied(slot) = core.slot(0) else {
+            panic!("the write is ongoing");
+        };
+        assert_eq!(slot.access().id, AccessId::new(7));
+        let displaced = core.preempt(slot, access(8, AccessKind::Read, loc));
+        assert_eq!(displaced.id, AccessId::new(7));
+        assert_eq!(core.ongoing(0).unwrap().access.id, AccessId::new(8));
+        assert_eq!(core.writing_word(0), 0, "the slot now holds a read");
+        assert_eq!(core.stats().preemptions, 1);
     }
 
     #[test]
-    fn set_ongoing_refuses_overwrite_and_returns_access() {
+    fn slot_handle_follows_the_slot() {
         let (mut core, _) = setup();
         let loc = Loc::new(0, 0, 0, 5, 0);
-        core.set_ongoing(0, access(1, AccessKind::Read, loc))
-            .unwrap();
-        let rejected = core
-            .set_ongoing(0, access(2, AccessKind::Read, loc))
-            .expect_err("occupied slot must reject");
-        assert_eq!(
-            rejected.id,
-            AccessId::new(2),
-            "the displaced access comes back"
-        );
-        assert_eq!(core.ongoing(0).unwrap().access.id, AccessId::new(1));
+        assert!(matches!(core.slot(0), Slot::Vacant(_)));
+        install(&mut core, access(1, AccessKind::Read, loc));
+        match core.slot(0) {
+            Slot::Occupied(o) => assert_eq!((o.access().id, o.0), (AccessId::new(1), 0)),
+            Slot::Vacant(_) => panic!("an ongoing access occupies the slot"),
+        }
+        assert_eq!(core.idle_word(0) & 1, 0);
     }
 
     /// `(bank, cmd, unblocked)` of every occupied bank of `channel`, derived
@@ -1215,8 +1266,10 @@ mod tests {
                 let acc = Access::new(AccessId::new(next_id), kind, PhysAddr::new(0), loc, now);
                 next_id += 1;
                 core.note_arrival(&acc);
-                // An occupied slot hands the access back; drop it.
-                let _ = core.set_ongoing(core.global_bank(loc), acc);
+                // An access whose slot is occupied is dropped.
+                if let Slot::Vacant(slot) = core.slot(core.global_bank(loc)) {
+                    core.install(slot, acc);
+                }
             }
             for channel in 0..core.channel_count() {
                 let want = fresh_scan(&core, &dram, channel, now);
@@ -1302,8 +1355,8 @@ mod tests {
         let a2 = access(2, AccessKind::Write, l2).with_critical(true);
         core.note_arrival(&a1);
         core.note_arrival(&a2);
-        core.set_ongoing(core.global_bank(l1), a1).unwrap();
-        core.set_ongoing(core.global_bank(l2), a2).unwrap();
+        install(&mut core, a1);
+        install(&mut core, a2);
         let mut done = Vec::new();
         let mut cands = Vec::new();
         core.fill_candidates(&dram, 0, 0, &mut cands, false);
@@ -1392,7 +1445,7 @@ mod tests {
         let loc = Loc::new(0, 0, 0, 5, 0);
         let acc = access(1, AccessKind::Read, loc);
         core.note_arrival(&acc);
-        core.set_ongoing(core.global_bank(loc), acc).unwrap();
+        install(&mut core, acc);
         let mut done = Vec::new();
         let mut cands = Vec::new();
         let mut now = 0;
@@ -1402,8 +1455,7 @@ mod tests {
                 core.issue_candidate(&mut dram, now, &c, &mut done);
             }
             for retry in core.take_retries() {
-                core.set_ongoing(core.global_bank(retry.loc), retry)
-                    .unwrap();
+                install(&mut core, retry);
             }
             now += 1;
             assert!(now < 1000, "faulted access must still complete");

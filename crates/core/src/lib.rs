@@ -44,7 +44,10 @@
     clippy::disallowed_types,
     clippy::disallowed_methods,
     clippy::float_arithmetic,
-    clippy::allow_attributes_without_reason
+    clippy::allow_attributes_without_reason,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
 )]
 
 mod access;

@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 
 use super::{oldest_row_hit, Policy};
 use crate::bankset::BankSet;
-use crate::engine::{Candidate, Core};
+use crate::engine::{Candidate, Core, Slot};
 use crate::txsched::select_intel_limited;
 use crate::{Access, AccessKind, Completion, EnqueueOutcome, Mechanism};
 use burst_dram::{Cycle, Dram};
@@ -158,66 +158,54 @@ impl Policy for AdaptiveHistoryScheduler {
         self.queued.word(w) & core.idle_word(w)
     }
 
-    fn arbitrate_bank(&mut self, core: &mut Core, bank_idx: usize, dram: &Dram, now: Cycle) {
-        if core.ongoing(bank_idx).is_some() {
+    fn arbitrate_bank(&mut self, core: &mut Core, slot: Slot, dram: &Dram, now: Cycle) {
+        let bank_idx = slot.bank();
+        let Slot::Vacant(slot) = slot else {
             return;
-        }
-        let open_row = core.open_row(dram, bank_idx);
-        // Starvation watchdog: an access past the escalation age overrides
-        // history matching and row-hit preference — serve it oldest-first.
-        let escalate_age = core.cfg().watchdog.escalate_age;
-        let oldest_read = self.read_queues[bank_idx]
-            .front()
-            .map(|a| (a.arrival, a.kind));
-        let oldest_write = self.write_queues[bank_idx]
-            .front()
-            .map(|a| (a.arrival, a.kind));
-        if let Some((arrival, kind)) = [oldest_read, oldest_write].into_iter().flatten().min() {
-            if now.saturating_sub(arrival) >= escalate_age {
-                let access = match kind {
-                    AccessKind::Read => self.read_queues[bank_idx].pop_front(),
-                    AccessKind::Write => self.write_queues[bank_idx].pop_front(),
-                }
-                .expect("front exists");
-                self.note_pop(bank_idx);
-                match access.kind {
-                    AccessKind::Read => self.issued_reads += 1,
-                    AccessKind::Write => self.issued_writes += 1,
-                }
-                core.set_ongoing(bank_idx, access)
-                    .expect("bank verified idle before escalation");
-                return;
-            }
-        }
+        };
         // A saturated write queue overrides history matching.
         let full = core.writes_outstanding() >= core.cfg().write_capacity;
         let prefer_read = !full && self.wants_read();
-        let (first, second) = if prefer_read {
-            (
-                &mut self.read_queues[bank_idx],
-                &mut self.write_queues[bank_idx],
-            )
-        } else {
-            (
-                &mut self.write_queues[bank_idx],
-                &mut self.read_queues[bank_idx],
-            )
+        let reads = &mut self.read_queues[bank_idx];
+        let writes = &mut self.write_queues[bank_idx];
+        // Starvation watchdog: an access past the escalation age overrides
+        // history matching and row-hit preference — serve it oldest-first.
+        let escalate_age = core.cfg().watchdog.escalate_age;
+        let oldest_read = reads.front().map(|a| (a.arrival, a.kind));
+        let oldest_write = writes.front().map(|a| (a.arrival, a.kind));
+        let escalated = [oldest_read, oldest_write]
+            .into_iter()
+            .flatten()
+            .min()
+            .filter(|&(arrival, _)| now.saturating_sub(arrival) >= escalate_age);
+        let access = match escalated {
+            Some((_, AccessKind::Read)) => reads.pop_front(),
+            Some((_, AccessKind::Write)) => writes.pop_front(),
+            None => {
+                let open_row = core.open_row(dram, bank_idx);
+                let (first, second) = if prefer_read {
+                    (reads, writes)
+                } else {
+                    (writes, reads)
+                };
+                Self::pick(first, open_row).or_else(|| Self::pick(second, open_row))
+            }
         };
-        let access = Self::pick(first, open_row).or_else(|| Self::pick(second, open_row));
-        if let Some(access) = access {
-            self.note_pop(bank_idx);
-            match access.kind {
-                AccessKind::Read => self.issued_reads += 1,
-                AccessKind::Write => self.issued_writes += 1,
-            }
-            // Keep the balancing window short so phase changes register.
-            if self.issued_reads + self.issued_writes >= 256 {
-                self.issued_reads /= 2;
-                self.issued_writes /= 2;
-            }
-            core.set_ongoing(bank_idx, access)
-                .expect("bank verified idle at arbiter entry");
+        let Some(access) = access else {
+            return;
+        };
+        self.note_pop(bank_idx);
+        match access.kind {
+            AccessKind::Read => self.issued_reads += 1,
+            AccessKind::Write => self.issued_writes += 1,
         }
+        // Keep the balancing window short so phase changes register; an
+        // escalation leaves it as it is.
+        if escalated.is_none() && self.issued_reads + self.issued_writes >= 256 {
+            self.issued_reads /= 2;
+            self.issued_writes /= 2;
+        }
+        core.install(slot, access);
     }
 
     fn select(&mut self, _core: &Core, _channel: usize, cands: &[Candidate]) -> Option<Candidate> {

@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 
 use super::{oldest_row_hit, Policy};
 use crate::bankset;
-use crate::engine::{Candidate, Core};
+use crate::engine::{Candidate, Core, Slot};
 use crate::txsched::select_table2;
 use crate::{Access, AccessKind, Completion, EnqueueOutcome, Mechanism};
 use burst_dram::{Cycle, Dram};
@@ -278,10 +278,9 @@ impl BurstScheduler {
         let escalate_age = core.cfg().watchdog.escalate_age;
         for (w, c) in self.classes.iter_mut().enumerate() {
             for bank_idx in bankset::members(w, c.drain & !c.always) {
-                let front = self.banks[bank_idx]
-                    .writes
-                    .front()
-                    .expect("an unmarked drain bank holds writes");
+                let Some(front) = self.banks[bank_idx].writes.front() else {
+                    continue;
+                };
                 let esc_at = front.arrival + escalate_age;
                 if esc_at <= now {
                     c.always |= 1 << (bank_idx & 63);
@@ -313,11 +312,13 @@ impl BurstScheduler {
             // `[cap/8, cap - 4]`: scale by the denominator `10 * total`
             // so the arithmetic is exact — no float may feed a scheduling
             // decision. `1.6` is exactly 16/10 here, where the f64 it
-            // replaced carried the nearest-double approximation.
+            // replaced carried the nearest-double approximation. Below a
+            // capacity of 4 the upper bound falls under the lower one,
+            // which then wins: the threshold is 0.
             let cap = core.cfg().write_capacity as i128;
             let num = cap * (10 * i128::from(total) - 16 * i128::from(self.window_writes));
             let den = 10 * i128::from(total);
-            let th = num.div_euclid(den).clamp(cap / 8, cap - 4).max(0) as u32;
+            let th = num.div_euclid(den).min(cap - 4).max(cap / 8) as u32;
             self.opts.preempt_below = th;
             self.opts.piggyback_above = Some(th);
         }
@@ -342,62 +343,52 @@ impl BurstScheduler {
     /// installs, preempts or escalates an access, or leaves the queues,
     /// the slot and `at_burst_end` exactly as found ([`ClassWord`] lists
     /// the cases that act).
-    fn bank_arbiter(&mut self, core: &mut Core, bank_idx: usize, dram: &Dram, now: Cycle) {
+    fn bank_arbiter(&mut self, core: &mut Core, slot: Slot, dram: &Dram, now: Cycle) {
         let writes_global = core.writes_outstanding() as u32;
         let write_cap = core.cfg().write_capacity as u32;
+        let escalate_age = core.cfg().watchdog.escalate_age;
+        let bank_idx = slot.bank();
+        let bank = &mut self.banks[bank_idx];
 
-        if let Some(og) = core.ongoing(bank_idx) {
-            // Figure 5 lines 9-11: read preemption — a waiting read
-            // interrupts an ongoing write while occupancy is below the
-            // threshold. The preempted write restarts later.
-            // An escalated (starvation-aged) write is immune: preempting it
-            // would hand the bank straight back to the read stream that
-            // starved it, re-starving it indefinitely.
-            let preemptable = og.access.kind == AccessKind::Write
-                && writes_global < self.opts.preempt_below
-                && now.saturating_sub(og.access.arrival) < core.cfg().watchdog.escalate_age
-                && self.banks[bank_idx].has_reads();
-            if preemptable {
-                let write = core.clear_ongoing(bank_idx).expect("ongoing write");
-                self.banks[bank_idx].writes.push_front(write);
-                let read = Self::pop_next_read(&mut self.banks[bank_idx]).expect("has_reads");
-                self.banks[bank_idx].at_burst_end = false;
-                core.set_ongoing(bank_idx, read)
-                    .expect("slot was just cleared for preemption");
-                core.stats_mut().preemptions += 1;
+        let slot = match slot {
+            Slot::Vacant(slot) => slot,
+            Slot::Occupied(slot) => {
+                // Figure 5 lines 9-11: read preemption — a waiting read
+                // interrupts an ongoing write while occupancy is below the
+                // threshold. The preempted write restarts later.
+                // An escalated (starvation-aged) write is immune: preempting
+                // it would hand the bank straight back to the read stream
+                // that starved it, re-starving it indefinitely.
+                let og = slot.access();
+                let preemptable = og.kind == AccessKind::Write
+                    && writes_global < self.opts.preempt_below
+                    && now.saturating_sub(og.arrival) < escalate_age
+                    && bank.has_reads();
+                if preemptable {
+                    if let Some(read) = Self::pop_next_read(bank) {
+                        bank.writes.push_front(core.preempt(slot, read));
+                        bank.at_burst_end = false;
+                    }
+                }
+                return;
             }
-            return;
-        }
+        };
 
         // Starvation watchdog: an access past the escalation age bypasses
         // burst formation and piggyback qualification and is served
         // oldest-first — a write starved behind an endless read stream is
         // the canonical case (Section 5.1's pile-up, bounded).
-        let escalate_age = core.cfg().watchdog.escalate_age;
-        {
-            let bank = &mut self.banks[bank_idx];
-            let oldest_read = bank
-                .bursts
-                .front()
-                .and_then(|b| b.accesses.front())
-                .map(|a| (a.arrival, a.kind));
-            let oldest_write = bank.writes.front().map(|a| (a.arrival, a.kind));
-            if let Some((arrival, kind)) = [oldest_read, oldest_write].into_iter().flatten().min() {
-                if now.saturating_sub(arrival) >= escalate_age {
-                    let access = match kind {
-                        AccessKind::Read => Self::pop_next_read(bank).expect("front read exists"),
-                        AccessKind::Write => bank.writes.pop_front().expect("front write exists"),
-                    };
-                    bank.at_burst_end = false;
-                    core.set_ongoing(bank_idx, access)
-                        .expect("bank verified idle before escalation");
-                    return;
-                }
-            }
-        }
-
-        let open_row = core.open_row(dram, bank_idx);
-        let bank = &mut self.banks[bank_idx];
+        let oldest_read = bank
+            .bursts
+            .front()
+            .and_then(|b| b.accesses.front())
+            .map(|a| (a.arrival, a.kind));
+        let oldest_write = bank.writes.front().map(|a| (a.arrival, a.kind));
+        let escalated = [oldest_read, oldest_write]
+            .into_iter()
+            .flatten()
+            .min()
+            .filter(|&(arrival, _)| now.saturating_sub(arrival) >= escalate_age);
 
         // Reads are prioritised over writes globally: plain writes drain
         // only when no reads are outstanding anywhere, or when the write
@@ -407,26 +398,27 @@ impl BurstScheduler {
 
         // Figure 5 lines 1-8.
         let mut piggybacked = false;
-        let pick: Option<Access> = if writes_global >= write_cap && !bank.writes.is_empty() {
+        let pick: Option<Access> = if let Some((_, kind)) = escalated {
+            match kind {
+                AccessKind::Read => Self::pop_next_read(bank),
+                AccessKind::Write => bank.writes.pop_front(),
+            }
+        } else if writes_global >= write_cap && !bank.writes.is_empty() {
             // Line 2-3: write queue full — drain the oldest write.
             bank.writes.pop_front()
-        } else if let (Some(th), true, Some(row)) =
-            (self.opts.piggyback_above, bank.at_burst_end, open_row)
-        {
+        } else if let (Some(th), true, Some(row)) = (
+            self.opts.piggyback_above,
+            bank.at_burst_end,
+            core.open_row(dram, bank_idx),
+        ) {
             // Line 4-5: write piggybacking at the end of a burst: the
             // oldest write directed at the open row, if qualified.
-            let picked = if writes_global > th {
-                oldest_row_hit(&bank.writes, row, usize::MAX).and_then(|i| bank.writes.remove(i))
-            } else {
-                None
-            };
-            match picked {
-                Some(w) => {
-                    piggybacked = true;
-                    Some(w)
-                }
-                None => Self::fallthrough_pick(bank, no_reads_anywhere),
-            }
+            let picked = (writes_global > th)
+                .then(|| oldest_row_hit(&bank.writes, row, usize::MAX))
+                .flatten()
+                .and_then(|i| bank.writes.remove(i));
+            piggybacked = picked.is_some();
+            picked.or_else(|| Self::fallthrough_pick(bank, no_reads_anywhere))
         } else {
             Self::fallthrough_pick(bank, no_reads_anywhere)
         };
@@ -436,10 +428,9 @@ impl BurstScheduler {
                 core.stats_mut().piggybacks += 1;
             } else {
                 // Any non-piggyback pick leaves the burst-end window.
-                self.banks[bank_idx].at_burst_end = false;
+                bank.at_burst_end = false;
             }
-            core.set_ongoing(bank_idx, access)
-                .expect("bank verified idle at arbiter entry");
+            core.install(slot, access);
         }
     }
 
@@ -563,8 +554,9 @@ impl Policy for BurstScheduler {
         c.always | (c.drain & open(1 | 2)) | (c.piggyback & open(4)) | (c.preempt & open(8))
     }
 
-    fn arbitrate_bank(&mut self, core: &mut Core, bank: usize, dram: &Dram, now: Cycle) {
-        self.bank_arbiter(core, bank, dram, now);
+    fn arbitrate_bank(&mut self, core: &mut Core, slot: Slot, dram: &Dram, now: Cycle) {
+        let bank = slot.bank();
+        self.bank_arbiter(core, slot, dram, now);
         self.refresh_class(core, bank, dram, now);
     }
 

@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 
 use super::{oldest_row_hit, Policy};
 use crate::bankset::BankSet;
-use crate::engine::{Candidate, Core};
+use crate::engine::{Candidate, Core, Slot};
 use crate::txsched::select_intel_limited;
 use crate::{Access, AccessId, AccessKind, Completion, EnqueueOutcome, Mechanism};
 use burst_dram::{Cycle, Dram};
@@ -148,15 +148,13 @@ impl IntelScheduler {
     ) -> Option<Access> {
         let queue = &mut self.read_queues[bank_idx];
         let front = queue.front()?;
-        if now.saturating_sub(front.arrival) >= core.cfg().watchdog.escalate_age {
-            let read = queue.pop_front();
-            self.has_reads.set(bank_idx, !queue.is_empty());
-            return read;
-        }
-        let idx = core
-            .open_row(dram, bank_idx)
-            .and_then(|row| oldest_row_hit(queue, row, REORDER_WINDOW))
-            .unwrap_or(0);
+        let idx = if now.saturating_sub(front.arrival) >= core.cfg().watchdog.escalate_age {
+            0
+        } else {
+            core.open_row(dram, bank_idx)
+                .and_then(|row| oldest_row_hit(queue, row, REORDER_WINDOW))
+                .unwrap_or(0)
+        };
         let read = queue.remove(idx);
         self.has_reads.set(bank_idx, !queue.is_empty());
         read
@@ -241,61 +239,51 @@ impl Policy for IntelScheduler {
         self.acting(core, w, now, self.draining)
     }
 
-    fn arbitrate_bank(&mut self, core: &mut Core, bank_idx: usize, dram: &Dram, now: Cycle) {
+    fn arbitrate_bank(&mut self, core: &mut Core, slot: Slot, dram: &Dram, now: Cycle) {
         debug_assert_eq!(
             self.oldest,
             Self::scan_oldest(&self.write_queues),
             "cached write-queue front"
         );
-        if let Some(og) = core.ongoing(bank_idx) {
+        let bank_idx = slot.bank();
+        let slot = match slot {
+            Slot::Vacant(slot) => slot,
             // Intel_RP: a waiting read interrupts an ongoing write —
             // except during a forced write-buffer flush, where preempting
             // would keep the buffer saturated and stall the front side bus.
-            if self.read_preemption
-                && og.access.kind == AccessKind::Write
-                && !self.read_queues[bank_idx].is_empty()
-            {
-                let write = core.clear_ongoing(bank_idx).expect("ongoing write");
-                self.insert_write(core, write);
-                let read = self
-                    .pick_read(core, bank_idx, dram, now)
-                    .expect("read queue non-empty");
-                core.set_ongoing(bank_idx, read)
-                    .expect("slot was just cleared for preemption");
-                core.stats_mut().preemptions += 1;
+            Slot::Occupied(slot) => {
+                if self.read_preemption && slot.access().kind == AccessKind::Write {
+                    if let Some(read) = self.pick_read(core, bank_idx, dram, now) {
+                        let write = core.preempt(slot, read);
+                        self.insert_write(core, write);
+                    }
+                }
+                return;
             }
-            return;
-        }
+        };
         // Starvation watchdog: the oldest write sits at the global queue
         // front. Once it exceeds the escalation age, drain it even while
         // reads are outstanding — without this a single write behind an
         // endless read stream never drains (the queue never fills, reads
         // never reach zero). Only the bank holding the global front
-        // escalates.
-        if self.escalating_bank(core, now) == Some(bank_idx) {
-            let write = self.pop_write(bank_idx).expect("front exists");
-            core.set_ongoing(bank_idx, write)
-                .expect("bank verified idle before escalation");
-            return;
-        }
+        // escalates, and its oldest write is that front.
+        //
         // While the write buffer flushes, idle banks prefer writes so the
         // buffer empties in bursts. Reads keep priority in banks that have
         // them (outside drain mode), which is why Intel still accumulates
         // outstanding writes (paper Figure 8b) without saturating as often
         // as Burst.
-        if self.draining || core.reads_outstanding() == 0 {
+        if self.escalating_bank(core, now) == Some(bank_idx)
+            || self.draining
+            || core.reads_outstanding() == 0
+        {
             if let Some(write) = self.pop_write(bank_idx) {
-                core.set_ongoing(bank_idx, write)
-                    .expect("bank verified idle at arbiter entry");
+                core.install(slot, write);
                 return;
             }
         }
-        if !self.read_queues[bank_idx].is_empty() {
-            let read = self
-                .pick_read(core, bank_idx, dram, now)
-                .expect("non-empty");
-            core.set_ongoing(bank_idx, read)
-                .expect("bank verified idle at arbiter entry");
+        if let Some(read) = self.pick_read(core, bank_idx, dram, now) {
+            core.install(slot, read);
         }
     }
 

@@ -32,7 +32,7 @@ use row_hit::RowHitScheduler;
 use std::collections::VecDeque;
 
 use crate::bankset;
-use crate::engine::{Candidate, Core};
+use crate::engine::{Candidate, Core, Slot};
 use crate::{
     Access, AccessKind, Completion, CtrlConfig, CtrlStats, EnqueueOutcome, Outstanding,
     StallDiagnostic,
@@ -201,9 +201,11 @@ trait Policy: core::fmt::Debug {
     /// a visit may move a later bank into the set.
     fn acting_word(&self, core: &Core, w: usize, now: Cycle) -> u64;
 
-    /// Runs the arbiter of bank `bank` (paper Figure 5): installs,
-    /// preempts or escalates its ongoing access, or changes nothing.
-    fn arbitrate_bank(&mut self, core: &mut Core, bank: usize, dram: &Dram, now: Cycle);
+    /// Runs the arbiter of one bank (paper Figure 5) on `slot`, the bank's
+    /// slot as the controller found it: installs into a vacant slot
+    /// ([`Core::install`]), lets a read preempt an occupied one
+    /// ([`Core::preempt`]), or changes nothing.
+    fn arbitrate_bank(&mut self, core: &mut Core, slot: Slot, dram: &Dram, now: Cycle);
 
     /// The transaction `channel` issues this cycle, or `None` to steer
     /// towards the oldest access instead.
@@ -313,7 +315,8 @@ impl<P: Policy, const REFERENCE: bool> AccessScheduler for Controller<P, REFEREN
             if REFERENCE {
                 // Figure 5 taken literally: every bank's arbiter.
                 for bank in range {
-                    self.policy.arbitrate_bank(&mut self.core, bank, dram, now);
+                    let slot = self.core.slot(bank);
+                    self.policy.arbitrate_bank(&mut self.core, slot, dram, now);
                 }
             } else {
                 // One walk serves every policy: visit only the banks whose
@@ -323,7 +326,8 @@ impl<P: Policy, const REFERENCE: bool> AccessScheduler for Controller<P, REFEREN
                 while let Some(bank) = bankset::next_in(from, range.end, |w| {
                     self.policy.acting_word(&self.core, w, now)
                 }) {
-                    self.policy.arbitrate_bank(&mut self.core, bank, dram, now);
+                    let slot = self.core.slot(bank);
+                    self.policy.arbitrate_bank(&mut self.core, slot, dram, now);
                     from = bank + 1;
                 }
                 // A barren channel's scan would write nothing, and with no

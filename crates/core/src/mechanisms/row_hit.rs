@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 
 use super::{oldest_row_hit, Policy};
 use crate::bankset::BankSet;
-use crate::engine::{Candidate, Core};
+use crate::engine::{Candidate, Core, Slot};
 use crate::txsched::select_round_robin_limited;
 use crate::{Access, Completion, EnqueueOutcome, Mechanism};
 use burst_dram::{Cycle, Dram};
@@ -105,14 +105,15 @@ impl Policy for RowHitScheduler {
     /// accesses keep arrival order, so same-address hazards cannot reorder.
     /// A front (oldest) access past the watchdog's escalation age bypasses
     /// the row-hit preference entirely.
-    fn arbitrate_bank(&mut self, core: &mut Core, bank_idx: usize, dram: &Dram, now: Cycle) {
+    fn arbitrate_bank(&mut self, core: &mut Core, slot: Slot, dram: &Dram, now: Cycle) {
+        let bank_idx = slot.bank();
+        let Slot::Vacant(slot) = slot else {
+            return;
+        };
         let queue = &mut self.queues[bank_idx];
         let Some(front) = queue.front() else {
             return;
         };
-        if core.ongoing(bank_idx).is_some() {
-            return;
-        }
         let front_escalated = now.saturating_sub(front.arrival) >= core.cfg().watchdog.escalate_age;
         let idx = if front_escalated {
             0
@@ -121,10 +122,11 @@ impl Policy for RowHitScheduler {
                 .and_then(|row| oldest_row_hit(queue, row, self.window))
                 .unwrap_or(0)
         };
-        let access = queue.remove(idx).expect("index in range");
+        let Some(access) = queue.remove(idx) else {
+            return;
+        };
         self.queued.set(bank_idx, !queue.is_empty());
-        core.set_ongoing(bank_idx, access)
-            .expect("bank verified idle at arbiter entry");
+        core.install(slot, access);
     }
 
     fn select(&mut self, core: &Core, channel: usize, cands: &[Candidate]) -> Option<Candidate> {

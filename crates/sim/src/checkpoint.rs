@@ -218,15 +218,9 @@ impl Checkpoint {
     /// encode buffer; it is cleared and reused, so a loop writing many
     /// checkpoints pays for one allocation, not one per checkpoint.
     ///
-    /// With `durable` false the `.tmp`-then-rename dance is kept (a
-    /// *process* crash still leaves the previous or the new file intact)
-    /// but the data is not forced to disk before the rename — an OS crash
-    /// or power loss may surface a torn file. That is a durability
-    /// downgrade, never a correctness one: [`Checkpoint::load`] validates
-    /// magic, version, fingerprint and body hash, and
-    /// [`try_simulate_checkpointed`] treats any invalid file as "no
-    /// checkpoint" and restarts the cell from scratch with bit-identical
-    /// results.
+    /// Every caller passes `durable` as `true`; the argument goes with
+    /// benchmark revision 2. Without the fsync an OS crash could tear the
+    /// file, which [`Checkpoint::load`] would then reject.
     ///
     /// # Errors
     ///
@@ -396,8 +390,8 @@ fn tmp_path(path: &Path) -> PathBuf {
 
 /// When and where [`try_simulate_checkpointed`] writes checkpoints.
 ///
-/// The checkpoint of a boundary is on disk (renamed into place, and
-/// fsynced first when `durable`) by the next boundary or the end of the
+/// The checkpoint of a boundary is on disk (fsynced, then renamed into
+/// place) by the next boundary or the end of the
 /// cell, not when the simulation passes it: the write runs in the
 /// background meanwhile. A crash therefore loses at most two intervals of
 /// work, the one being written and the one being simulated.
@@ -410,12 +404,6 @@ pub struct CheckpointPolicy {
     pub path: PathBuf,
     /// Cell fingerprint the file is bound to.
     pub fingerprint: u64,
-    /// Whether each checkpoint write is fsynced before the atomic rename.
-    /// `true` survives OS crashes and power loss; `false` trades that for
-    /// a much cheaper write (only process crashes are fully covered — a
-    /// torn file from a harder failure is detected at load and the cell
-    /// restarts from scratch, bit-identically).
-    pub durable: bool,
     /// The filesystem the checkpoint protocol runs through —
     /// [`crate::simio::real_io`] in production, a
     /// [`crate::simio::ChaosIo`] under the crash-point matrix.
@@ -429,7 +417,6 @@ impl CheckpointPolicy {
             every,
             path,
             fingerprint,
-            durable: true,
             io: real_io(),
         }
     }
@@ -613,7 +600,7 @@ impl CheckpointWriter {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
         scratch.reserve(body.len() + HEADER_BOUND);
-        let (fingerprint, durable) = (policy.fingerprint, policy.durable);
+        let fingerprint = policy.fingerprint;
         let (path, io) = (policy.path.clone(), Arc::clone(&policy.io));
         let handle = std::thread::Builder::new()
             .name("checkpoint-writer".into())
@@ -627,7 +614,7 @@ impl CheckpointWriter {
                 };
                 let written = body_state_hash(&ckpt.body).and_then(|state_hash| {
                     ckpt.state_hash = state_hash;
-                    ckpt.save_with_io(&path, &mut scratch, durable, io.as_ref())
+                    ckpt.save_with_io(&path, &mut scratch, true, io.as_ref())
                 });
                 (ckpt.body, scratch, written)
             })?;
@@ -703,50 +690,6 @@ mod tests {
             .expect("checkpointed run");
         assert_eq!(got, reference, "checkpointing must not change results");
         assert!(!path.exists(), "completed cell removes its checkpoint");
-    }
-
-    #[test]
-    fn non_durable_checkpointing_is_bit_identical_and_resumable() {
-        let cfg = cfg();
-        let len = RunLength::Instructions(30_000);
-        let reference =
-            try_simulate(&cfg, SpecBenchmark::Swim.workload(9), len).expect("reference run");
-        let path = tmp("nondurable.ckpt");
-        let _ = fs::remove_file(&path);
-        let fp = fingerprint("nondurable");
-        let policy = CheckpointPolicy {
-            durable: false,
-            ..CheckpointPolicy::new(1_500, path.clone(), fp)
-        };
-        let got = try_simulate_checkpointed(&cfg, || SpecBenchmark::Swim.workload(9), len, &policy)
-            .expect("non-durable checkpointed run");
-        assert_eq!(got, reference, "skipping fsync must not change results");
-        assert!(!path.exists(), "completed cell removes its checkpoint");
-
-        // A file written without fsync is still a valid checkpoint to
-        // resume from (process-crash safety is the rename, not the sync):
-        // run a few chunks by hand with save_with, then resume.
-        let mut sys = System::new(&cfg);
-        let mut w = CountingSource::new(SpecBenchmark::Swim.workload(9));
-        sys.warm(&mut w);
-        let mut cursor = RunCursor::start(&sys);
-        let mut scratch = SnapWriter::new();
-        for _ in 0..3 {
-            match sys.try_run_chunk(&mut w, len, &mut cursor, 1_500).unwrap() {
-                ChunkOutcome::Paused => {
-                    Checkpoint::capture(&sys, fp, w.consumed(), cursor)
-                        .unwrap()
-                        .save_with(&path, &mut scratch, false)
-                        .unwrap();
-                }
-                ChunkOutcome::Done => panic!("run must outlast three chunks"),
-            }
-        }
-        assert!(path.exists());
-        let resumed =
-            try_simulate_checkpointed(&cfg, || SpecBenchmark::Swim.workload(9), len, &policy)
-                .expect("resume from non-durable checkpoint");
-        assert_eq!(resumed, reference, "resume must be byte-identical");
     }
 
     #[test]

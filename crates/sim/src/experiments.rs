@@ -31,10 +31,6 @@ pub struct CheckpointPlan {
     /// as the sweep's journal so both resume machineries agree on what
     /// configuration the state belongs to.
     pub fingerprint: u64,
-    /// Whether checkpoint writes fsync before their atomic rename (see
-    /// [`CheckpointPolicy::durable`]); threaded from the harness
-    /// `--checkpoint-durable` flag, default `true`.
-    pub durable: bool,
     /// The filesystem checkpoint I/O runs through —
     /// [`crate::simio::real_io`] in production, a
     /// [`crate::simio::ChaosIo`] under the crash-point matrix.
@@ -48,7 +44,6 @@ impl CheckpointPlan {
             every,
             dir,
             fingerprint,
-            durable: true,
             io: real_io(),
         }
     }
@@ -293,7 +288,6 @@ impl Sweep {
                             every: plan.every,
                             path: plan.cell_path(&run_scope, b, m),
                             fingerprint: plan.fingerprint,
-                            durable: plan.durable,
                             io: Arc::clone(&plan.io),
                         };
                         try_simulate_checkpointed(&cfg, || b.workload(seed), len, &policy).map_err(

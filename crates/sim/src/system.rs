@@ -2,11 +2,15 @@
 //! stepped at memory-controller clock granularity.
 
 // Timing-observable module (DESIGN.md §15): no hash-ordered collections,
-// floats or wall-clock reads; report-only metrics carry a reasoned expect.
+// floats, wall-clock reads or panics; report-only metrics and the two
+// entry points documented to panic carry a reasoned expect.
 #![deny(
     clippy::disallowed_types,
     clippy::disallowed_methods,
-    clippy::float_arithmetic
+    clippy::float_arithmetic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
 )]
 
 use std::cmp::Reverse;
@@ -1297,6 +1301,10 @@ impl System {
     /// forward progress for an implausibly long stretch (a livelock would
     /// otherwise hang experiments silently). Use [`System::try_run`] to
     /// handle stalls as values.
+    #[expect(
+        clippy::panic,
+        reason = "documented to panic; `try_run` returns the stall"
+    )]
     pub fn run(&mut self, workload: &mut dyn OpSource, len: RunLength) {
         if let Err(e) = self.try_run(workload, len) {
             panic!("simulation stalled: {e}");
@@ -1811,6 +1819,10 @@ impl System {
 /// let report = simulate(&cfg, SpecBenchmark::Swim.workload(42), RunLength::Instructions(5_000));
 /// assert!(report.instructions >= 5_000);
 /// ```
+#[expect(
+    clippy::panic,
+    reason = "documented to panic; `try_simulate` returns the stall"
+)]
 pub fn simulate<W: OpSource>(cfg: &SystemConfig, workload: W, len: RunLength) -> SimReport {
     try_simulate(cfg, workload, len).unwrap_or_else(|e| panic!("simulation stalled: {e}"))
 }

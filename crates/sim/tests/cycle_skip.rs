@@ -101,6 +101,24 @@ fn every_engine_is_bit_identical_at_a_short_escalation_age() {
 }
 
 #[test]
+fn burst_dyn_adapts_at_write_capacities_below_four() {
+    // Burst_DYN clamps its threshold to `[cap/8, cap - 4]`, a range that
+    // is empty below a capacity of 4; there the threshold is 0. 4,000
+    // memory cycles cross three adaptation periods of 1,024.
+    for write_capacity in 1..=3 {
+        let mut small = base();
+        small.ctrl.write_capacity = write_capacity;
+        engines_agree_on(
+            small,
+            Mechanism::BurstDyn,
+            SpecBenchmark::Swim,
+            13,
+            RunLength::MemCycles(4_000),
+        );
+    }
+}
+
+#[test]
 fn every_engine_is_bit_identical_in_mem_cycles_mode() {
     // MemCycles mode exercises the budget-capped skip loop: the jump must
     // stop exactly at the cycle budget, never overshoot it.
@@ -287,15 +305,25 @@ proptest! {
 
 proptest! {
     // Two full simulations per case: keep the case count modest.
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Full-system equivalence on random seeds and mechanisms: the engine
-    /// choice must never change a report, whatever the traffic pattern.
+    /// Full-system equivalence on random seeds, mechanisms and machines:
+    /// the engine choice must never change a report, whatever the traffic
+    /// pattern, pool and write-queue sizes, geometry or escalation age.
+    /// The write capacity is drawn log-uniformly up to the pool size, so
+    /// queues of a few entries, where preemption and drain flip every few
+    /// cycles, are common.
     #[test]
     fn engine_equivalence_on_random_seeds(
         seed in any::<u64>(),
         mech_idx in 0usize..11,
         bench_idx in 0usize..3,
+        pool in 8usize..=256,
+        write_log in 0u32..=8,
+        write_draw in any::<usize>(),
+        ranks_log in 0u32..4,
+        banks_log in 2u32..5,
+        age_idx in 0usize..3,
     ) {
         let mechanism = Mechanism::all()[mech_idx];
         let bench = [
@@ -303,10 +331,19 @@ proptest! {
             SpecBenchmark::Swim,
             SpecBenchmark::Parser,
         ][bench_idx];
+        let mut machine = base().with_mechanism(mechanism);
+        machine.ctrl.pool_capacity = pool;
+        machine.ctrl.write_capacity = 1 + write_draw % pool.min(1 << write_log);
+        machine.dram.geometry.ranks_per_channel = 1 << ranks_log;
+        machine.dram.geometry.banks_per_rank = 1 << banks_log;
+        if let Some(age) = [Some(200), Some(400), None][age_idx] {
+            machine.ctrl.watchdog.escalate_age = age;
+        }
+        prop_assume!(machine.validate().is_ok());
         let len = RunLength::Instructions(800);
         let reference = simulate(
-            &config(mechanism, Engine::CycleNoSkip), bench.workload(seed), len);
-        let event = simulate(&config(mechanism, Engine::Event), bench.workload(seed), len);
+            &machine.with_engine(Engine::CycleNoSkip), bench.workload(seed), len);
+        let event = simulate(&machine.with_engine(Engine::Event), bench.workload(seed), len);
         prop_assert_eq!(&event, &reference, "the event engine diverged");
     }
 }
